@@ -13,7 +13,7 @@ from .config import build_scheme_config, load_config
 from .env import QoESummary
 from .metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
                       qoe_report, speedup_percent)
-from .net import load_checkpoint, save_checkpoint
+from .net import DivergenceError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
 from .schemes import Scheme, run_scheme
 from .traces import load_manifest, split_corpus
@@ -57,7 +57,10 @@ def pretrain(config_path, split_path, out_path):
     corpus = {t.id: t for t in load_manifest(cfg.manifest)}
     ids = _load_split(Path(split_path))["pretrain"]
     traces = [corpus[i] for i in sorted(ids)]
-    params, rewards = offline_train(traces, cfg.pretrain, cfg.env)
+    try:
+        params, rewards = offline_train(traces, cfg.pretrain, cfg.env)
+    except DivergenceError as e:
+        raise click.ClickException(f"pretraining diverged: {e}") from None
     save_checkpoint(params, out_path)
     rewards_csv = Path(out_path).with_suffix(".rewards.csv")
     with open(rewards_csv, "w") as f:
@@ -84,7 +87,10 @@ def run(scheme_name, config_path, split_path, ckpt_path, out_dir):
     if pretrained is None and scheme is not Scheme.ONLINE_SCRATCH:
         raise click.ClickException(f"scheme {scheme.value} requires --checkpoint")
     sc = build_scheme_config(cfg, scheme, split_data["finetune"], split_data["test"])
-    metrics = run_scheme(sc, corpus, pretrained, out_dir)
+    try:
+        metrics = run_scheme(sc, corpus, pretrained, out_dir)
+    except DivergenceError as e:
+        raise click.ClickException(f"{scheme.value} diverged: {e}") from None
     click.echo(f"{scheme.value}: {len(metrics.rewards)} epochs, "
                f"mean test reward {metrics.mean_test_reward:.4f} "
                f"({metrics.wall_time_s:.1f}s wall)", err=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -32,12 +32,12 @@ def _build(cls, data: dict | None, **overrides):
     return cls(**data)
 
 
+# Settings that feed a SchemeConfig take their defaults from it.
 @dataclass(frozen=True)
 class FederationSettings:
-    mix: float = 0.5
-    server_lr: float | None = None
-    mode: str = "gradients"
-    poll_period_s: float = 30.0
+    mix: float = SchemeConfig.mix
+    server_lr: float | None = SchemeConfig.server_lr
+    poll_period_s: float = SchemeConfig.poll_period_s
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class RunSettings:
     epochs: int = 50
     seed: int = 0
     clients: tuple[dict, ...] | str = "auto"
-    frozen_layers: int = 1
-    hidden: tuple[int, ...] = (64, 32)
+    frozen_layers: int = SchemeConfig.frozen_layers
+    hidden: tuple[int, ...] = SchemeConfig.hidden
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _parse_schedule(entries, client_id: str):
     schedule = []
     for when, nt, tm in entries:
         schedule.append((float(when), ClientCondition(
-            client_id, parse_network_type(nt), parse_transport_mode(tm), float(when))))
+            client_id, parse_network_type(nt), parse_transport_mode(tm))))
     return tuple(schedule)
 
 
@@ -124,7 +124,6 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
         frozen_layers=cfg.run.frozen_layers,
         mix=cfg.federation.mix,
         server_lr=cfg.federation.server_lr,
-        aggregate_mode=cfg.federation.mode,
         poll_period_s=cfg.federation.poll_period_s,
         hidden=cfg.run.hidden,
     )

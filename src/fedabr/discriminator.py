@@ -6,15 +6,12 @@ from dataclasses import dataclass
 
 from .traces import NetworkType, TransportMode, group_of
 
-DEFAULT_PERIOD_S = 30.0
-
 
 @dataclass(frozen=True)
 class ClientCondition:
     client: str
     network_type: NetworkType
     transport_mode: TransportMode
-    observed_at: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,10 @@ convex mixing of local and global models) is a pure function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .net import (FreezeMask, Gradients, ModelParams, all_trainable, apply_update,
-                  mean_gradients)
-
-DEFAULT_MIX = 0.5
+from .net import FreezeMask, Gradients, ModelParams, apply_update, mean_gradients
 
 
 class FederationError(ValueError):
@@ -50,28 +45,19 @@ def personalize(local_prev: ModelParams, global_params: ModelParams,
     """Convex mixing: mix*local_prev + (1-mix)*global, elementwise."""
     if not 0.0 <= mix <= 1.0:
         raise FederationError("mix must be in [0, 1]")
-    if local_prev.n_layers != global_params.n_layers:
+    if local_prev.layout != global_params.layout:
         raise FederationError("shape mismatch between local and global params")
-    weights, biases = [], []
-    for lw, gw in zip(local_prev.weights, global_params.weights):
-        if lw.shape != gw.shape:
-            raise FederationError("shape mismatch between local and global params")
-        weights.append(mix * lw + (1.0 - mix) * gw)
-    for lb, gb in zip(local_prev.biases, global_params.biases):
-        biases.append(mix * lb + (1.0 - mix) * gb)
-    return ModelParams(weights, biases, list(local_prev.activations))
+    return ModelParams(mix * local_prev.flat + (1.0 - mix) * global_params.flat,
+                       local_prev.layout, local_prev.activations)
 
 
 class Coordinator:
     """Synchronous per-group parameter server. Single-executor scheduling only."""
 
-    def __init__(self, server_lr: float, server_mask: FreezeMask | None = None,
-                 mode: str = "gradients", transcript_path: str | Path | None = None):
-        if mode not in ("gradients", "params"):
-            raise FederationError(f"unknown aggregation mode {mode!r}")
+    def __init__(self, server_lr: float, server_mask: FreezeMask = FreezeMask(),
+                 transcript_path: str | Path | None = None):
         self.server_lr = server_lr
         self.server_mask = server_mask
-        self.mode = mode
         self._groups: dict[int, GroupModel] = {}
         self._members: dict[int, set[str]] = {}
         self._pending: dict[int, dict[str, Gradients]] = {}
@@ -136,8 +122,7 @@ class Coordinator:
         if update.client in self._pending[update.group]:
             raise UpdateRejected(f"duplicate submission from {update.client!r} "
                                  f"for round {update.round}")
-        if len(update.gradients.weights) != gm.params.n_layers or any(
-                g.shape != w.shape for g, w in zip(update.gradients.weights, gm.params.weights)):
+        if update.gradients.layout != gm.params.layout:
             raise UpdateRejected("gradient shape mismatch")
         self._pending[update.group][update.client] = update.gradients
         self._log("submit", client=update.client, group=update.group, round=update.round)
@@ -150,18 +135,9 @@ class Coordinator:
                                   f"missing {sorted(missing)}")
         if not self._pending[group]:
             raise FederationError(f"group {group} has no submissions to aggregate")
-        mask = self.server_mask or all_trainable(gm.params)
         payloads = [self._pending[group][c] for c in sorted(self._pending[group])]
-        if self.mode == "gradients":
-            gm.params = apply_update(gm.params, mean_gradients(payloads), self.server_lr, mask)
-        else:
-            # Parameter-averaging mode: payloads carry client parameter values.
-            mean = mean_gradients(payloads)
-            weights = [m.copy() if t else w.copy()
-                       for m, w, t in zip(mean.weights, gm.params.weights, mask.trainable)]
-            biases = [m.copy() if t else b.copy()
-                      for m, b, t in zip(mean.biases, gm.params.biases, mask.trainable)]
-            gm.params = ModelParams(weights, biases, list(gm.params.activations))
+        gm.params = apply_update(gm.params, mean_gradients(payloads), self.server_lr,
+                                 self.server_mask)
         gm.version += 1
         self._pending[group] = {}
         self._log("aggregate", group=group, version=gm.version, clients=len(payloads))

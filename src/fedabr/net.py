@@ -1,14 +1,16 @@
 """Actor-critic network with explicit forward pass and analytic gradients.
 
-Parameters are plain numpy arrays: a stack of hidden layers followed by a
-policy head (one logit per ladder rate) and a scalar value head. Updates are
-plain SGD so that averaging gradients across clients and stepping equals
-stepping on the averaged gradient.
+Parameters are one float64 vector with per-layer views: a stack of hidden
+layers followed by a policy head (one logit per ladder rate) and a scalar
+value head. Updates are plain SGD so that averaging gradients across clients
+and stepping equals stepping on the averaged gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +37,58 @@ class LayerSpec:
             raise NetError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
-class ModelParams:
-    """Weights/biases ordered hidden layers first, then policy head, then value head."""
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: list[str]  # per hidden layer
+@dataclass(frozen=True)
+class Layout:
+    """Weight shapes (out_dim, in_dim) of the layers in a flat parameter vector.
+
+    Each layer is one block, its weight matrix (row-major) then its bias, and
+    the blocks follow layer order, so the first k layers form a prefix.
+    """
+    shapes: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Start of each layer's block, then the vector length."""
+        return tuple(accumulate((out * (inp + 1) for out, inp in self.shapes), initial=0))
+
+    def views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        weights, biases = [], []
+        for (out_dim, in_dim), start in zip(self.shapes, self.offsets):
+            mid = start + out_dim * in_dim
+            weights.append(flat[start:mid].reshape(out_dim, in_dim))
+            biases.append(flat[mid:mid + out_dim])
+        return tuple(weights), tuple(biases)
+
+
+class _Vector:
+    """One float64 vector; `weights`/`biases` are tuples of per-layer views into it."""
+
+    def __init__(self, flat: np.ndarray, layout: Layout):
+        self.flat = flat
+        self.layout = layout
+        self.weights, self.biases = layout.views(flat)
+
+
+class Gradients(_Vector):
+    def copy(self) -> "Gradients":
+        return Gradients(self.flat.copy(), self.layout)
+
+
+class ModelParams(_Vector):
+    """Layers ordered hidden layers first, then policy head, then value head."""
+
+    def __init__(self, flat: np.ndarray, layout: Layout, activations: tuple[str, ...]):
+        super().__init__(flat, layout)
+        self.activations = tuple(activations)  # per hidden layer
+
+    @classmethod
+    def from_layers(cls, weights, biases, activations) -> "ModelParams":
+        """Pack per-layer weight matrices and bias vectors into one new vector."""
+        if len(weights) != len(biases) or any(
+                np.ndim(w) != 2 or np.shape(b) != np.shape(w)[:1] for w, b in zip(weights, biases)):
+            raise NetError("each layer needs a 2-D weight and a bias of its output size")
+        flat = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb], dtype=float)
+        return cls(flat, Layout(tuple(np.shape(w) for w in weights)), activations)
 
     @property
     def n_layers(self) -> int:
@@ -59,28 +107,24 @@ class ModelParams:
         return self.weights[-2].shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases],
-                           list(self.activations))
-
-
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def copy(self) -> "Gradients":
-        return Gradients([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return ModelParams(self.flat.copy(), self.layout, self.activations)
 
 
 @dataclass(frozen=True)
 class FreezeMask:
-    """Per-layer trainability flags; heads count as the last two layers."""
-    trainable: tuple[bool, ...]
+    """The number of leading layers kept fixed; heads count as the last two layers."""
+    frozen_layers: int = 0
 
 
 def all_trainable(params: ModelParams) -> FreezeMask:
-    return FreezeMask((True,) * params.n_layers)
+    return FreezeMask()
+
+
+def _frozen_end(layout: Layout, mask: FreezeMask) -> int:
+    """Offset where the trainable part of a vector with `layout` starts."""
+    if not 0 <= mask.frozen_layers <= len(layout.shapes):
+        raise NetError(f"mask freezes {mask.frozen_layers} of {len(layout.shapes)} layers")
+    return layout.offsets[mask.frozen_layers]
 
 
 @dataclass(frozen=True)
@@ -134,7 +178,7 @@ def init_params(arch: list[LayerSpec], ladder_size: int, seed: int) -> ModelPara
         limit = np.sqrt(6.0 / (feat + out_dim))
         weights.append(rng.uniform(-limit, limit, size=(out_dim, feat)))
         biases.append(np.zeros(out_dim))
-    return ModelParams(weights, biases, acts)
+    return ModelParams.from_layers(weights, biases, acts)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -208,8 +252,7 @@ def a3c_loss(params: ModelParams, traj: Trajectory, hyper: TrainHyper,
 
 
 def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients([np.zeros_like(w) for w in params.weights],
-                     [np.zeros_like(b) for b in params.biases])
+    return Gradients(np.zeros_like(params.flat), params.layout)
 
 
 def a3c_gradients(params: ModelParams, traj: Trajectory,
@@ -218,6 +261,8 @@ def a3c_gradients(params: ModelParams, traj: Trajectory,
     in the policy term. Clips the global gradient norm at hyper.clip_norm."""
     returns = discounted_returns(traj.rewards, traj.bootstrap_value, hyper.gamma)
     grads = zero_gradients(params)
+    # Lists, so that `gw[i] += ...` adds in place into the views of `grads`.
+    gw, gb = list(grads.weights), list(grads.biases)
     n_hidden = params.n_hidden
     loss = 0.0
     for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
@@ -238,18 +283,18 @@ def a3c_gradients(params: ModelParams, traj: Trajectory,
         dlogits += hyper.entropy_coef * probs * (np.log(probs) + entropy)
         dvalue = -2.0 * hyper.value_coef * (returns[t] - value)
 
-        grads.weights[-2] += np.outer(dlogits, feat)
-        grads.biases[-2] += dlogits
-        grads.weights[-1] += dvalue * feat[None, :]
-        grads.biases[-1] += dvalue
+        gw[-2] += np.outer(dlogits, feat)
+        gb[-2] += dlogits
+        gw[-1] += dvalue * feat[None, :]
+        gb[-1] += dvalue
         dh = params.weights[-2].T @ dlogits + dvalue * params.weights[-1][0]
         for i in range(n_hidden - 1, -1, -1):
             dz = dh * (pre[i] > 0) if params.activations[i] == "relu" else dh
-            grads.weights[i] += np.outer(dz, post[i])
-            grads.biases[i] += dz
+            gw[i] += np.outer(dz, post[i])
+            gb[i] += dz
             if i > 0:
                 dh = params.weights[i].T @ dz
-    if not np.isfinite(loss) or not all(np.all(np.isfinite(g)) for g in grads.weights):
+    if not np.isfinite(loss) or not np.all(np.isfinite(grads.flat)):
         raise DivergenceError("non-finite loss or gradient")
     _clip_global_norm(grads, hyper.clip_norm)
     return grads, float(loss)
@@ -258,62 +303,40 @@ def a3c_gradients(params: ModelParams, traj: Trajectory,
 def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
     if max_norm <= 0:
         return
+    # Summed layer by layer, weights then biases: the order fixes the rounding.
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.weights)
                     + sum(float(np.sum(g * g)) for g in grads.biases))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads.weights:
-            g *= scale
-        for g in grads.biases:
-            g *= scale
+        grads.flat *= max_norm / total
 
 
 def apply_update(params: ModelParams, grads: Gradients, lr: float,
                  mask: FreezeMask) -> ModelParams:
     """SGD step on trainable layers; frozen layers are copied bit-identically."""
-    if len(mask.trainable) != params.n_layers:
-        raise NetError("mask length does not match layer count")
-    if len(grads.weights) != params.n_layers:
+    if grads.layout != params.layout:
         raise NetError("gradient shape mismatch")
-    weights, biases = [], []
-    for i in range(params.n_layers):
-        if grads.weights[i].shape != params.weights[i].shape:
-            raise NetError(f"gradient shape mismatch at layer {i}")
-        if mask.trainable[i]:
-            w = params.weights[i] - lr * grads.weights[i]
-            b = params.biases[i] - lr * grads.biases[i]
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise DivergenceError(f"non-finite update at layer {i}")
-            weights.append(w)
-            biases.append(b)
-        else:
-            weights.append(params.weights[i].copy())
-            biases.append(params.biases[i].copy())
-    return ModelParams(weights, biases, list(params.activations))
+    k = _frozen_end(params.layout, mask)
+    out = params.flat.copy()
+    out[k:] -= lr * grads.flat[k:]
+    if not np.all(np.isfinite(out[k:])):
+        raise DivergenceError("non-finite update")
+    return ModelParams(out, params.layout, params.activations)
 
 
 def mean_gradients(grad_list: list[Gradients]) -> Gradients:
     if not grad_list:
         raise NetError("no gradients to average")
-    out = grad_list[0].copy()
+    total = grad_list[0].flat.copy()
     for g in grad_list[1:]:
-        for i in range(len(out.weights)):
-            out.weights[i] += g.weights[i]
-            out.biases[i] += g.biases[i]
-    k = len(grad_list)
-    for i in range(len(out.weights)):
-        out.weights[i] /= k
-        out.biases[i] /= k
-    return out
+        total += g.flat
+    total /= len(grad_list)
+    return Gradients(total, grad_list[0].layout)
 
 
 def zero_frozen(grads: Gradients, mask: FreezeMask) -> Gradients:
     """Zero gradient entries of frozen layers (aggregation payloads carry zeros there)."""
     out = grads.copy()
-    for i, trainable in enumerate(mask.trainable):
-        if not trainable:
-            out.weights[i][:] = 0.0
-            out.biases[i][:] = 0.0
+    out.flat[:_frozen_end(grads.layout, mask)] = 0.0
     return out
 
 
@@ -335,18 +358,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         if int(data["version"]) != CHECKPOINT_VERSION:
             raise NetError(f"unsupported checkpoint version {int(data['version'])}")
         n = int(data["n_layers"])
-        weights = [data[f"w{i}"].copy() for i in range(n)]
-        biases = [data[f"b{i}"].copy() for i in range(n)]
-        activations = [str(a) for a in data["activations"]]
-    return ModelParams(weights, biases, activations)
+        return ModelParams.from_layers([data[f"w{i}"] for i in range(n)],
+                                       [data[f"b{i}"] for i in range(n)],
+                                       [str(a) for a in data["activations"]])
 
 
 def params_close(a: ModelParams, b: ModelParams, tol: float = 0.0) -> bool:
     """Elementwise max |a-b| <= tol (tol 0 means bit-identical values)."""
-    for wa, wb in zip(a.weights, b.weights):
-        if wa.shape != wb.shape or np.max(np.abs(wa - wb), initial=0.0) > tol:
-            return False
-    for ba, bb in zip(a.biases, b.biases):
-        if np.max(np.abs(ba - bb), initial=0.0) > tol:
-            return False
-    return True
+    return a.layout == b.layout and np.max(np.abs(a.flat - b.flat), initial=0.0) <= tol

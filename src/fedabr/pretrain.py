@@ -1,8 +1,8 @@
-"""Offline pretraining and transfer fine-tuning with frozen low-level layers."""
+"""Offline pretraining, rollout collection, and the freeze mask for transfer fine-tuning."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,20 +33,11 @@ class PretrainConfig:
             raise ValueError("epochs must be >= 0 and episodes_per_epoch >= 1")
 
 
-@dataclass(frozen=True)
-class TransferConfig:
-    frozen_layers: int = 1
-    hyper: TrainHyper = TrainHyper()
-
-
 def make_freeze_mask(n_hidden: int, frozen_layers: int) -> FreezeMask:
     """Freeze the lowest `frozen_layers` hidden layers; heads stay trainable."""
-    if not 0 <= frozen_layers < n_hidden + 2:
-        raise ValueError(f"frozen_layers must be in [0, {n_hidden + 2})")
-    if frozen_layers > n_hidden:
-        raise ValueError("cannot freeze the heads")
-    flags = [i >= frozen_layers for i in range(n_hidden)] + [True, True]
-    return FreezeMask(tuple(flags))
+    if not 0 <= frozen_layers <= n_hidden:
+        raise ValueError(f"frozen_layers must be in [0, {n_hidden}]: the heads stay trainable")
+    return FreezeMask(frozen_layers)
 
 
 def collect_rollout(env: StreamEnv, params: ModelParams, state: np.ndarray,
@@ -107,12 +98,3 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
             epoch_rewards.append(mean_r)
         rewards.append(float(np.mean(epoch_rewards)))
     return params, rewards
-
-
-def fine_tune_step(params: ModelParams, env: StreamEnv, mask: FreezeMask,
-                   hyper: TrainHyper, rng: np.random.Generator,
-                   state: np.ndarray) -> tuple[ModelParams, np.ndarray]:
-    """One masked rollout-and-update cycle on a live environment."""
-    traj, state = collect_rollout(env, params, state, hyper.rollout_len, rng)
-    grads, _ = a3c_gradients(params, traj, hyper)
-    return apply_update(params, grads, hyper.lr, mask), state

@@ -12,18 +12,17 @@ import enum
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .discriminator import ClientCondition, GroupChange, classify, poll
+from .discriminator import ClientCondition, GroupChange, classify, condition_at, poll
 from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
-from .federation import DEFAULT_MIX, Coordinator, UpdateMessage, personalize
+from .federation import Coordinator, UpdateMessage, personalize
 from .net import (FreezeMask, ModelParams, TrainHyper, all_trainable, apply_update,
-                  a3c_gradients, forward, init_params, sample_action, save_checkpoint,
-                  zero_frozen)
-from .pretrain import collect_rollout, default_arch, make_freeze_mask
+                  a3c_gradients, forward, init_params, save_checkpoint, zero_frozen)
+from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout, default_arch, make_freeze_mask
 from .traces import Trace
 
 
@@ -56,11 +55,10 @@ class SchemeConfig:
     env: EnvConfig = EnvConfig()
     hyper: TrainHyper = TrainHyper()
     frozen_layers: int = 1
-    mix: float = DEFAULT_MIX
+    mix: float = 0.5
     server_lr: float | None = None
-    aggregate_mode: str = "gradients"
     poll_period_s: float = 30.0
-    hidden: tuple[int, ...] = (64, 32)
+    hidden: tuple[int, ...] = DEFAULT_ARCH_HIDDEN
 
     def __post_init__(self):
         if not self.clients:
@@ -212,20 +210,14 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
         for spec, rng in zip(config.clients, rngs):
             trace = traces[spec.trace_ids[epoch % len(spec.trace_ids)]]
             env = StreamEnv(trace, config.env)
-            state = env.reset(0.0)
-            total = 0.0
-            while not env.done:
-                probs, _ = forward(params, state)
-                state, r, _ = env.step(sample_action(probs, rng))
-                total += r
-            epoch_rewards.append(total / config.env.episode_len)
+            traj, _ = collect_rollout(env, params, env.reset(0.0), config.env.episode_len, rng)
+            epoch_rewards.append(sum(traj.rewards) / config.env.episode_len)
         rewards.append(float(np.mean(epoch_rewards)))
     return rewards
 
 
 def _group_for(spec: ClientSpec, trace: Trace, sim_t: float) -> int:
     if spec.condition_schedule:
-        from .discriminator import condition_at
         return classify(condition_at(list(spec.condition_schedule), sim_t))
     return trace.group
 
@@ -235,9 +227,18 @@ def _run_online(config: SchemeConfig, traces: dict[str, Trace], params0: ModelPa
     federated = config.scheme is Scheme.FULL_FEDERATED
     server_lr = config.server_lr if config.server_lr is not None else config.hyper.lr
     transcript = (out_dir / "transcript.jsonl") if (out_dir and federated) else None
-    coord = Coordinator(server_lr, server_mask=mask, mode=config.aggregate_mode,
-                        transcript_path=transcript)
+    coord = Coordinator(server_lr, server_mask=mask, transcript_path=transcript)
+    try:
+        rewards, final_clients = _train_rounds(config, traces, params0, mask, coord)
+    finally:
+        coord.close()
+    final_groups = {gid: coord.fetch(gid)[0] for gid in coord.group_ids()}
+    return rewards, final_clients, final_groups
 
+
+def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
+                  mask: FreezeMask, coord: Coordinator):
+    federated = config.scheme is Scheme.FULL_FEDERATED
     clients: list[_Client] = []
     synthetic_gid = 100  # isolated per-client groups for the non-federated schemes
     for i, spec in enumerate(config.clients):
@@ -298,11 +299,7 @@ def _run_online(config: SchemeConfig, traces: dict[str, Trace], params0: ModelPa
                     c.group = change.to_group
                     c.model = personalize(c.model, target, config.mix)
         rewards.append(epoch_reward / (len(clients) * episode_steps))
-
-    coord.close()
-    final_clients = {c.spec.id: c.model for c in clients}
-    final_groups = {gid: coord.fetch(gid)[0] for gid in coord.group_ids()}
-    return rewards, final_clients, final_groups
+    return rewards, {c.spec.id: c.model for c in clients}
 
 
 def _write_outputs(metrics: RunMetrics, per_trace_rewards: dict[str, float],

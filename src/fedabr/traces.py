@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,15 +59,19 @@ class Trace:
     def __post_init__(self):
         if len(self.samples) < 2:
             raise TraceError(f"trace {self.id!r}: needs at least 2 samples")
-        prev = -float("inf")
+        # Each check is written so that it holds, which NaN never does.
+        inf = float("inf")
+        prev = -inf
         for s in self.samples:
-            if s.t < 0 or s.t <= prev:
-                raise TraceError(f"trace {self.id!r}: timestamps must be non-negative "
+            if not (0 <= s.t < inf and s.t > prev):
+                raise TraceError(f"trace {self.id!r}: timestamps must be finite, non-negative "
                                  f"and strictly increasing (got {s.t} after {prev})")
-            if s.bandwidth < 0:
-                raise TraceError(f"trace {self.id!r}: negative bandwidth at t={s.t}")
-            if s.rtt is not None and s.rtt < 0:
-                raise TraceError(f"trace {self.id!r}: negative rtt at t={s.t}")
+            if not 0 <= s.bandwidth < inf:
+                raise TraceError(f"trace {self.id!r}: bandwidth {s.bandwidth} at t={s.t} "
+                                 "is negative or not finite")
+            if s.rtt is not None and not 0 <= s.rtt < inf:
+                raise TraceError(f"trace {self.id!r}: rtt {s.rtt} at t={s.t} "
+                                 "is negative or not finite")
             if s.loss is not None and not 0.0 <= s.loss <= 1.0:
                 raise TraceError(f"trace {self.id!r}: loss outside [0,1] at t={s.t}")
             prev = s.t
@@ -231,15 +235,20 @@ def load_manifest(path: str | Path) -> list[Trace]:
         records = yaml.safe_load(f)
     if not isinstance(records, list):
         raise TraceError("manifest must be a list of records")
+    keys = ("id", "path", "network_type", "transport_mode")
     traces = []
     for rec in records:
-        for key in ("id", "path", "network_type", "transport_mode"):
-            if key not in rec:
-                raise TraceError(f"manifest record missing {key!r}: {rec}")
+        if not (isinstance(rec, dict) and all(key in rec for key in keys)):
+            raise TraceError(f"{path}: manifest record must be a mapping with keys "
+                             f"{', '.join(keys)}: {rec!r}")
         nt = parse_network_type(str(rec["network_type"]))
         tm = parse_transport_mode(str(rec["transport_mode"]))
-        csv_path = path.parent / rec["path"]
-        traces.append(parse_trace(csv_path.read_text(), str(rec["id"]), nt, tm))
+        try:
+            text = (path.parent / rec["path"]).read_text()
+        except OSError as e:
+            raise TraceError(f"{path}: record {rec['id']!r}: cannot read "
+                             f"{e.filename}: {e.strerror}") from None
+        traces.append(parse_trace(text, str(rec["id"]), nt, tm))
     return traces
 
 

@@ -104,6 +104,33 @@ class TestRun:
                         + (out / "qoe.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_divergence_exits_cleanly(self, workspace, split_file, checkpoint):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["hyper"]["lr"] = 1e300
+        bad = workspace / "config-diverge.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        for args in (["pretrain", "--out", workspace / "ckpt-diverge.npz"],
+                     ["run", "--scheme", "transfer_only", "--checkpoint", checkpoint,
+                      "--out", workspace / "run-diverge"]):
+            result = CliRunner().invoke(main, [str(a) for a in (
+                args[0], "--config", bad, "--split", split_file, *args[1:])])
+            assert result.exit_code == 1
+            assert "non-finite" in result.output
+            assert "Traceback" not in result.output
+            assert isinstance(result.exception, SystemExit)
+
+    def test_unknown_federation_key_rejected(self, workspace, split_file, checkpoint):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["federation"] = {"mode": "params"}
+        bad = workspace / "config-mode.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        result = CliRunner().invoke(main, [
+            "run", "--scheme", "transfer_only", "--config", str(bad),
+            "--split", str(split_file), "--checkpoint", str(checkpoint),
+            "--out", str(workspace / "run-mode")])
+        assert result.exit_code != 0
+        assert "mode" in str(result.exception)
+
     def test_missing_checkpoint_fails(self, workspace, split_file):
         result = CliRunner().invoke(main, [
             "run", "--scheme", "transfer_only", "--config",

@@ -7,8 +7,8 @@ NT = NetworkType
 TM = TransportMode
 
 
-def cond(nt, tm, at=0.0):
-    return ClientCondition("u1", nt, tm, at)
+def cond(nt, tm):
+    return ClientCondition("u1", nt, tm)
 
 
 class TestClassify:

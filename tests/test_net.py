@@ -1,6 +1,11 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedabr.federation import personalize
 from fedabr.net import (DivergenceError, FreezeMask, LayerSpec, ModelParams, NetError,
                         TrainHyper, Trajectory, a3c_gradients, a3c_loss, all_trainable,
                         apply_update, discounted_returns, forward, init_params,
@@ -169,7 +174,7 @@ class TestApplyUpdate:
         p = small_params()
         traj = random_trajectory(p, rng)
         grads, _ = a3c_gradients(p, traj, TrainHyper())
-        frozen = FreezeMask((False,) * p.n_layers)
+        frozen = FreezeMask(p.n_layers)
         assert params_close(apply_update(p, grads, 0.1, frozen), p)
 
     def test_zero_lr(self, rng):
@@ -178,8 +183,9 @@ class TestApplyUpdate:
         assert params_close(apply_update(p, grads, 0.0, all_trainable(p)), p)
 
     def test_scalar_arithmetic(self):
-        p = ModelParams([np.array([[1.0]]), np.array([[1.0], [1.0]]), np.array([[1.0]])],
-                        [np.zeros(1), np.zeros(2), np.zeros(1)], ["identity"])
+        p = ModelParams.from_layers(
+            [np.array([[1.0]]), np.array([[1.0], [1.0]]), np.array([[1.0]])],
+            [np.zeros(1), np.zeros(2), np.zeros(1)], ["identity"])
         g = zero_gradients(p)
         g.weights[0][0, 0] = 2.0
         updated = apply_update(p, g, 0.1, all_trainable(p))
@@ -187,8 +193,7 @@ class TestApplyUpdate:
 
     def test_shape_mismatch(self, rng):
         p = small_params()
-        grads = zero_gradients(small_params())
-        grads.weights[0] = np.zeros((3, 3))
+        grads = zero_gradients(init_params([LayerSpec(5, 8), LayerSpec(8, 5)], 4, seed=0))
         with pytest.raises(NetError):
             apply_update(p, grads, 0.1, all_trainable(p))
 
@@ -222,7 +227,7 @@ class TestHelpers:
     def test_zero_frozen(self, rng):
         p = small_params()
         g, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
-        mask = FreezeMask((False, True, True, True))
+        mask = FreezeMask(1)
         z = zero_frozen(g, mask)
         assert np.all(z.weights[0] == 0)
         assert np.array_equal(z.weights[1], g.weights[1])
@@ -256,3 +261,110 @@ class TestHyperValidation:
     def test_bad_lr(self):
         with pytest.raises(NetError):
             TrainHyper(lr=-1.0)
+
+
+@st.composite
+def flat_cases(draw):
+    """A random architecture, a frozen prefix of its layers and a value seed."""
+    dims = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    ladder = draw(st.integers(2, 9))
+    arch = [LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
+    frozen = draw(st.integers(0, len(arch) + 2))
+    return arch, ladder, frozen, draw(st.integers(0, 2**32 - 1))
+
+
+def random_grads(params, rng):
+    g = zero_gradients(params)
+    g.flat[:] = rng.normal(size=g.flat.size)
+    return g
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatLayout:
+    """The flat-vector operations against per-layer reference formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(flat_cases())
+    def test_flat_ops_match_per_layer_reference(self, case):
+        arch, ladder, frozen, seed = case
+        rng = np.random.default_rng(seed)
+        p = init_params(arch, ladder, seed=seed)
+        p.flat[:] = rng.normal(size=p.flat.size)
+        grads = [random_grads(p, rng) for _ in range(3)]
+        mask = FreezeMask(frozen)
+
+        updated = apply_update(p, grads[0], 0.1, mask)
+        zeroed = zero_frozen(grads[0], mask)
+        for i in range(p.n_layers):
+            for got, zg, pa, ga in ((updated.weights[i], zeroed.weights[i],
+                                     p.weights[i], grads[0].weights[i]),
+                                    (updated.biases[i], zeroed.biases[i],
+                                     p.biases[i], grads[0].biases[i])):
+                if i < frozen:
+                    assert same_bits(got, pa)
+                    assert same_bits(zg, np.zeros_like(ga))
+                else:
+                    assert same_bits(got, pa - 0.1 * ga)
+                    assert same_bits(zg, ga)
+
+        mean = mean_gradients(grads)
+        for i in range(p.n_layers):
+            for part in ("weights", "biases"):
+                ref = getattr(grads[0], part)[i].copy()
+                for g in grads[1:]:
+                    ref += getattr(g, part)[i]
+                ref /= len(grads)
+                assert same_bits(getattr(mean, part)[i], ref)
+
+        other = init_params(arch, ladder, seed=seed + 1)
+        mixed = personalize(p, other, 0.3)
+        for part in ("weights", "biases"):
+            for got, a, b in zip(getattr(mixed, part), getattr(p, part), getattr(other, part)):
+                assert same_bits(got, 0.3 * a + (1.0 - 0.3) * b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(flat_cases())
+    def test_views_alias_the_flat_buffer(self, case):
+        arch, ladder, _, seed = case
+        p = init_params(arch, ladder, seed=seed)
+        for arr in p.weights + p.biases:
+            assert np.shares_memory(arr, p.flat)
+            before = p.flat.copy()
+            arr[(-1,) * arr.ndim] += 1.0
+            assert np.count_nonzero(p.flat != before) == 1
+        assert sum(a.size for a in p.weights + p.biases) == p.flat.size
+
+    @settings(max_examples=30, deadline=None)
+    @given(flat_cases())
+    def test_checkpoint_roundtrip_v1_keys(self, case):
+        arch, ladder, _, seed = case
+        p = init_params(arch, ladder, seed=seed)
+        buf = io.BytesIO()
+        save_checkpoint(p, buf)
+        buf.seek(0)
+        with np.load(buf) as data:
+            n = p.n_layers
+            assert set(data.files) == ({"version", "n_layers", "activations"}
+                                       | {f"w{i}" for i in range(n)}
+                                       | {f"b{i}" for i in range(n)})
+            assert all(same_bits(data[f"w{i}"], p.weights[i]) for i in range(n))
+            assert all(same_bits(data[f"b{i}"], p.biases[i]) for i in range(n))
+        buf.seek(0)
+        loaded = load_checkpoint(buf)
+        assert same_bits(loaded.flat, p.flat)
+        assert loaded.activations == p.activations
+
+    @settings(max_examples=30, deadline=None)
+    @given(flat_cases(), st.integers(0, 3))
+    def test_other_architecture_rejected(self, case, grow):
+        arch, ladder, _, seed = case
+        p = init_params(arch, ladder, seed=seed)
+        # Same number of layers, one dimension larger somewhere.
+        dims = [arch[0].in_dim] + [s.out_dim for s in arch]
+        dims[min(grow, len(dims) - 1)] += 1
+        other = init_params([LayerSpec(a, b) for a, b in zip(dims, dims[1:])], ladder, seed)
+        with pytest.raises(NetError, match="shape"):
+            apply_update(p, zero_gradients(other), 0.1, all_trainable(p))

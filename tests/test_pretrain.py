@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fedabr.env import EnvConfig, StreamEnv
-from fedabr.net import TrainHyper, forward, init_params, params_close
-from fedabr.pretrain import (PretrainConfig, default_arch, fine_tune_step,
-                             make_freeze_mask, offline_train)
+from fedabr.net import (FreezeMask, TrainHyper, a3c_gradients, all_trainable, apply_update,
+                        forward, init_params, params_close)
+from fedabr.pretrain import (PretrainConfig, collect_rollout, default_arch, make_freeze_mask,
+                             offline_train, run_training_episode)
 from tests.conftest import constant_trace
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
@@ -12,12 +13,10 @@ LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 
 class TestFreezeMask:
     def test_none_frozen(self):
-        mask = make_freeze_mask(2, 0)
-        assert mask.trainable == (True, True, True, True)
+        assert make_freeze_mask(2, 0) == FreezeMask(0)
 
     def test_default_arch_one_frozen(self):
-        mask = make_freeze_mask(2, 1)
-        assert mask.trainable == (False, True, True, True)
+        assert make_freeze_mask(2, 1) == FreezeMask(1)
 
     def test_cannot_freeze_everything(self):
         with pytest.raises(ValueError):
@@ -75,37 +74,42 @@ class TestFineTune:
         ec = EnvConfig(ladder=LADDER4, episode_len=40)
         params = init_params(default_arch(ec.state_dim), len(ec.ladder), seed=2)
         env = StreamEnv(constant_trace(1000.0), ec)
-        return ec, params, env
+        return params, env
 
     def test_freeze_invariance_through_long_tuning(self):
-        ec, params, env = self._setup()
+        params, env = self._setup()
         mask = make_freeze_mask(params.n_hidden, 1)
         hyper = TrainHyper(rollout_len=8)
         rng = np.random.default_rng(0)
         frozen_w = params.weights[0].copy()
+        frozen_b = params.biases[0].copy()
         tuned = params
-        state = env.reset()
-        for step in range(100):
-            if env.done:
-                state = env.reset()
-            tuned, state = fine_tune_step(tuned, env, mask, hyper, rng, state)
+        for _ in range(20):  # 20 episodes of 5 rollouts = 100 updates
+            tuned, _ = run_training_episode(env, tuned, hyper, mask, rng)
         assert np.array_equal(tuned.weights[0], frozen_w)
+        assert np.array_equal(tuned.biases[0], frozen_b)
         assert not params_close(tuned, params)  # upper layers did move
 
+    def test_deterministic(self):
+        params, env = self._setup()
+        mask = make_freeze_mask(params.n_hidden, 1)
+        hyper = TrainHyper(rollout_len=8)
+        runs = [run_training_episode(env, params, hyper, mask, np.random.default_rng(3))
+                for _ in range(2)]
+        assert params_close(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
     def test_all_trainable_equals_plain_step(self):
-        from fedabr.net import all_trainable
-        ec, params, env = self._setup()
+        params, env = self._setup()
         hyper = TrainHyper(rollout_len=8)
         mask = all_trainable(params)
+        out1, _ = run_training_episode(env, params, hyper, mask, np.random.default_rng(3))
 
-        out1, _ = fine_tune_step(params, env, mask, hyper,
-                                 np.random.default_rng(3), env.reset())
-        env2 = StreamEnv(env.trace, ec)
-        from fedabr.pretrain import collect_rollout
-        from fedabr.net import a3c_gradients, apply_update
-        state = env2.reset()
-        traj, _ = collect_rollout(env2, params, state, hyper.rollout_len,
-                                  np.random.default_rng(3))
-        grads, _ = a3c_gradients(params, traj, hyper)
-        out2 = apply_update(params, grads, hyper.lr, mask)
+        rng = np.random.default_rng(3)
+        out2 = params
+        state = env.reset()
+        while not env.done:
+            traj, state = collect_rollout(env, out2, state, hyper.rollout_len, rng)
+            grads, _ = a3c_gradients(out2, traj, hyper)
+            out2 = apply_update(out2, grads, hyper.lr, mask)
         assert params_close(out1, out2)

@@ -138,8 +138,8 @@ class TestFreezeInvariance:
 class TestMigration:
     def test_condition_switch_triggers_group_change(self, corpus, pretrained):
         schedule = (
-            (0.0, ClientCondition("c0", NetworkType.FOUR_G, TransportMode.CAR, 0.0)),
-            (40.0, ClientCondition("c0", NetworkType.WIFI, TransportMode.CAR, 40.0)),
+            (0.0, ClientCondition("c0", NetworkType.FOUR_G, TransportMode.CAR)),
+            (40.0, ClientCondition("c0", NetworkType.WIFI, TransportMode.CAR)),
         )
         clients = (ClientSpec("c0", ("ft0",), condition_schedule=schedule),
                    ClientSpec("c1", ("ft1",)))

@@ -31,6 +31,16 @@ class TestParseTrace:
         with pytest.raises(TraceError):
             parse_trace("# only a comment\n", "t", NT.FOUR_G, TM.CAR)
 
+    @pytest.mark.parametrize("text", [
+        "0,1500\n1,nan\n", "0,1500\n1,inf\n", "0,1500\n1,-inf\n",
+        "0,1500\nnan,800\n", "0,1500\ninf,800\n", "nan,1500\n1,800\n",
+        "0,1500,20\n1,800,nan\n", "0,1500,20\n1,800,inf\n",
+        "0,1500,20,0.1\n1,800,20,nan\n",
+    ])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(TraceError):
+            parse_trace(text, "t", NT.FOUR_G, TM.CAR)
+
     def test_comments_and_optional_columns(self):
         tr = parse_trace("# header\n0,100,20,0.01\n1,200\n", "t", NT.WIFI, TM.FOOT)
         assert tr.samples[0].rtt == 20 and tr.samples[0].loss == 0.01
@@ -170,6 +180,20 @@ class TestManifest:
         with pytest.warns(UserWarning, match="bus"):
             loaded = load_manifest(manifest)
         assert loaded[0].transport_mode is TM.CAR
+
+    @pytest.mark.parametrize("record", ["- 5", "- idpathnetwork_typetransport_mode",
+                                        "- {id: a, path: a.csv}"])
+    def test_bad_record(self, tmp_path, record):
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(record + "\n")
+        with pytest.raises(TraceError, match="manifest.yaml"):
+            load_manifest(manifest)
+
+    def test_missing_csv(self, tmp_path):
+        manifest = write_manifest([constant_trace(trace_id="gone")], tmp_path)
+        (tmp_path / "gone.csv").unlink()
+        with pytest.raises(TraceError, match="'gone'.*gone.csv"):
+            load_manifest(manifest)
 
     def test_parse_transport_unknown(self):
         with pytest.raises(TraceError):
