@@ -3,25 +3,41 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
-from .config import build_scheme_config, load_config
+from .config import ConfigError, build_scheme_config, load_config
 from .env import QoESummary
 from .metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
                       qoe_report, speedup_percent)
 from .net import DivergenceError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
-from .schemes import Scheme, run_scheme
-from .traces import load_manifest, split_corpus
+from .schemes import Scheme, SchemeError, run_scheme
+from .traces import TraceError, load_manifest, split_corpus
 
 
 @click.group()
 def main():
     """Trace-driven training lab for real-time streaming bitrate adaptation."""
+
+
+def _command_body(fn):
+    """Run a command with numpy's floating-point warnings off, since a
+    diverging run ends in one DivergenceError, and report bad input as a
+    one-line error with exit status 1."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                return fn(*args, **kwargs)
+            except (ConfigError, TraceError, SchemeError) as e:
+                raise click.ClickException(str(e)) from None
+    return wrapper
 
 
 def _load_split(path: Path) -> dict[str, list[str]]:
@@ -32,6 +48,7 @@ def _load_split(path: Path) -> dict[str, list[str]]:
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_command_body
 def split(config_path, out_path):
     """Split the corpus into pretrain / finetune / test trace sets."""
     cfg = load_config(config_path)
@@ -51,6 +68,7 @@ def split(config_path, out_path):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--split", "split_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_command_body
 def pretrain(config_path, split_path, out_path):
     """Pretrain the shared model offline on the pretrain trace set."""
     cfg = load_config(config_path)
@@ -77,6 +95,7 @@ def pretrain(config_path, split_path, out_path):
 @click.option("--split", "split_path", required=True, type=click.Path(exists=True))
 @click.option("--checkpoint", "ckpt_path", type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
+@_command_body
 def run(scheme_name, config_path, split_path, ckpt_path, out_dir):
     """Run one training scheme end-to-end and write its CSV outputs."""
     cfg = load_config(config_path)

@@ -29,7 +29,10 @@ def _build(cls, data: dict | None, **overrides):
     for key, val in data.items():
         if isinstance(val, list):
             data[key] = tuple(val)
-    return cls(**data)
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {cls.__name__}: {e}") from None
 
 
 # Settings that feed a SchemeConfig take their defaults from it.

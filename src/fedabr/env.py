@@ -112,14 +112,17 @@ class StreamEnv:
         bw0 = bandwidth_at(self.trace, start)
         self._thr_hist = [_clamp01(bw0 / cfg.max_rate)] * cfg.history_len
         self._delay_hist = [_clamp01(cfg.base_rtt_ms / cfg.delay_norm_ms)] * cfg.history_len
-        self._loss = self._loss_at(start)
+        self._seek(start)
         self._started = True
         return self._state()
 
-    def _loss_at(self, t: float) -> float:
-        idx = max(0, int(np.searchsorted([s.t for s in self.trace.samples], t, side="right")) - 1)
-        loss = self.trace.samples[idx].loss
-        return float(loss) if loss is not None else 0.0
+    def _seek(self, t: float) -> None:
+        """Point at the last sample at or before `t` and read its loss; the same
+        sample gives the capacity of the step that starts at `t`. `reset` has
+        checked that every step start lies within the trace."""
+        self._sample = self.trace.samples[int(self.trace.times.searchsorted(t, side="right")) - 1]
+        loss = self._sample.loss
+        self._loss = float(loss) if loss is not None else 0.0
 
     def _state(self) -> np.ndarray:
         cfg = self.config
@@ -142,7 +145,7 @@ class StreamEnv:
             raise EnvError("episode exhausted")
 
         bitrate = cfg.ladder[action]
-        capacity = bandwidth_at(self.trace, self._t)
+        capacity = self._sample.bandwidth
         old_backlog = self._backlog_kbit
         new_backlog = max(0.0, old_backlog + (bitrate - capacity) * cfg.step_s)
         drained = max(0.0, old_backlog - new_backlog)
@@ -163,7 +166,7 @@ class StreamEnv:
         self._delay_hist = self._delay_hist[1:] + [_clamp01(delay / cfg.delay_norm_ms)]
         self._prev_bitrate = bitrate
         self._t += cfg.step_s
-        self._loss = self._loss_at(min(self._t, self.trace.samples[-1].t))
+        self._seek(min(self._t, self.trace.samples[-1].t))
         self._steps_left -= 1
         return self._state(), reward, outcome
 

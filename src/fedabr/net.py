@@ -186,22 +186,27 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
+    """Softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward_full(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping intermediates for backprop."""
+    """Forward pass keeping intermediates for backprop.
+
+    `x` is one state or a (T, d) matrix of states, one per row. For one
+    state, `x @ W.T` rounds exactly as `W @ x`.
+    """
     pre, post = [], [x]
     h = x
     for i, act in enumerate(params.activations):
-        z = params.weights[i] @ h + params.biases[i]
+        z = h @ params.weights[i].T + params.biases[i]
         pre.append(z)
         h = _activate(z, act)
         post.append(h)
-    logits = params.weights[-2] @ h + params.biases[-2]
-    value = float((params.weights[-1] @ h + params.biases[-1])[0])
+    logits = h @ params.weights[-2].T + params.biases[-2]
+    value = (h @ params.weights[-1].T + params.biases[-1])[..., 0]
     return pre, post, logits, _softmax(logits), value
 
 
@@ -213,7 +218,7 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(state)):
         raise NetError("non-finite state input")
     _, _, _, probs, value = _forward_full(params, state)
-    return probs, value
+    return probs, float(value)
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -258,42 +263,49 @@ def zero_gradients(params: ModelParams) -> Gradients:
 def a3c_gradients(params: ModelParams, traj: Trajectory,
                   hyper: TrainHyper) -> tuple[Gradients, float]:
     """Analytic gradients of the rollout loss, with the advantage held constant
-    in the policy term. Clips the global gradient norm at hyper.clip_norm."""
+    in the policy term. Clips the global gradient norm at hyper.clip_norm.
+
+    One batched forward and backward pass over the (T, d) matrix of rollout
+    states; each layer's gradient sums its per-step outer products as one
+    matrix product.
+    """
+    try:
+        x = np.asarray(traj.states, dtype=float)
+    except ValueError:
+        raise NetError("rollout states differ in shape") from None
+    if x.shape[1:] != (params.input_dim,):
+        raise NetError(f"state shape {x.shape[1:]} != ({params.input_dim},)")
     returns = discounted_returns(traj.rewards, traj.bootstrap_value, hyper.gamma)
+    pre, post, _, probs, values = _forward_full(params, x)
+    steps = np.arange(len(x))
+    actions = np.asarray(traj.actions)
+    log_probs = np.log(probs)
+    adv = returns - values
+    entropy = -np.sum(probs * log_probs, axis=1)
+    loss = np.sum(-log_probs[steps, actions] * adv
+                  + hyper.value_coef * adv ** 2
+                  - hyper.entropy_coef * entropy)
+
+    # d/dlogits of the policy term (advantage constant) plus entropy term
+    dlogits = adv[:, None] * probs
+    dlogits[steps, actions] -= adv
+    dlogits += hyper.entropy_coef * probs * (log_probs + entropy[:, None])
+    dvalue = -2.0 * hyper.value_coef * adv
+
     grads = zero_gradients(params)
-    # Lists, so that `gw[i] += ...` adds in place into the views of `grads`.
-    gw, gb = list(grads.weights), list(grads.biases)
-    n_hidden = params.n_hidden
-    loss = 0.0
-    for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (params.input_dim,):
-            raise NetError(f"state shape {s.shape} != ({params.input_dim},)")
-        pre, post, logits, probs, value = _forward_full(params, s)
-        feat = post[-1]
-        adv = returns[t] - value
-        entropy = -float(np.sum(probs * np.log(probs)))
-        loss += (-np.log(probs[a]) * adv
-                 + hyper.value_coef * (returns[t] - value) ** 2
-                 - hyper.entropy_coef * entropy)
-
-        # d/dlogits of the policy term (advantage constant) plus entropy term
-        dlogits = adv * probs.copy()
-        dlogits[a] -= adv
-        dlogits += hyper.entropy_coef * probs * (np.log(probs) + entropy)
-        dvalue = -2.0 * hyper.value_coef * (returns[t] - value)
-
-        gw[-2] += np.outer(dlogits, feat)
-        gb[-2] += dlogits
-        gw[-1] += dvalue * feat[None, :]
-        gb[-1] += dvalue
-        dh = params.weights[-2].T @ dlogits + dvalue * params.weights[-1][0]
-        for i in range(n_hidden - 1, -1, -1):
-            dz = dh * (pre[i] > 0) if params.activations[i] == "relu" else dh
-            gw[i] += np.outer(dz, post[i])
-            gb[i] += dz
-            if i > 0:
-                dh = params.weights[i].T @ dz
+    gw, gb = grads.weights, grads.biases
+    feat = post[-1]
+    gw[-2][:] = dlogits.T @ feat
+    gb[-2][:] = dlogits.sum(axis=0)
+    gw[-1][:] = dvalue @ feat
+    gb[-1][:] = dvalue.sum()
+    dh = dlogits @ params.weights[-2] + dvalue[:, None] * params.weights[-1][0]
+    for i in range(params.n_hidden - 1, -1, -1):
+        dz = dh * (pre[i] > 0) if params.activations[i] == "relu" else dh
+        gw[i][:] = dz.T @ post[i]
+        gb[i][:] = dz.sum(axis=0)
+        if i > 0:
+            dh = dz @ params.weights[i]
     if not np.isfinite(loss) or not np.all(np.isfinite(grads.flat)):
         raise DivergenceError("non-finite loss or gradient")
     _clip_global_norm(grads, hyper.clip_norm)

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import enum
 import json
+import os
+import shutil
 import time
+import uuid
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -157,47 +161,70 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
 
     params0 = _initial_params(config, pretrained)
     mask = _mask_for(config, params0)
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with _staged_dir(Path(out_dir) if out_dir is not None else None) as work_dir:
+        if config.scheme is Scheme.OFFLINE_ONLY:
+            rewards = _run_offline_only(config, traces, params0)
+            clients = {spec.id: params0.copy() for spec in config.clients}
+            groups: dict[int, ModelParams] = {}
+        else:
+            rewards, clients, groups = _run_online(config, traces, params0, mask, work_dir)
 
-    if config.scheme is Scheme.OFFLINE_ONLY:
-        rewards = _run_offline_only(config, traces, params0)
-        clients = {spec.id: params0.copy() for spec in config.clients}
-        groups: dict[int, ModelParams] = {}
-    else:
-        rewards, clients, groups = _run_online(config, traces, params0, mask, out_dir)
+        # Test-set evaluation: greedy episodes of every client's final model.
+        per_trace: dict[str, QoESummary] = {}
+        per_trace_rewards: dict[str, float] = {}
+        for tid in config.test_trace_ids:
+            qoes, rs = [], []
+            for cid in sorted(clients):
+                q, r = evaluate_greedy(clients[cid], traces[tid], config.env)
+                qoes.append(q)
+                rs.append(r)
+            per_trace[tid] = _mean_qoe(qoes)
+            per_trace_rewards[tid] = float(np.mean(rs))
+        overall_qoe = (_mean_qoe(list(per_trace.values())) if per_trace
+                       else QoESummary(0.0, 0.0, 0.0))
+        mean_test_reward = (float(np.mean(list(per_trace_rewards.values())))
+                            if per_trace_rewards else 0.0)
 
-    # Test-set evaluation: greedy episodes of every client's final model.
-    per_trace: dict[str, QoESummary] = {}
-    per_trace_rewards: dict[str, float] = {}
-    for tid in config.test_trace_ids:
-        qoes, rs = [], []
-        for cid in sorted(clients):
-            q, r = evaluate_greedy(clients[cid], traces[tid], config.env)
-            qoes.append(q)
-            rs.append(r)
-        per_trace[tid] = _mean_qoe(qoes)
-        per_trace_rewards[tid] = float(np.mean(rs))
-    overall_qoe = _mean_qoe(list(per_trace.values())) if per_trace else QoESummary(0.0, 0.0, 0.0)
-    mean_test_reward = (float(np.mean(list(per_trace_rewards.values())))
-                        if per_trace_rewards else 0.0)
-
-    sim_time = config.epochs * config.env.episode_len * config.env.step_s
-    metrics = RunMetrics(
-        scheme=config.scheme,
-        rewards=rewards,
-        sim_time_s=sim_time,
-        wall_time_s=time.perf_counter() - t0,
-        qoe_per_trace=per_trace,
-        qoe=overall_qoe,
-        mean_test_reward=mean_test_reward,
-        final_client_params=clients,
-        final_group_params=groups,
-    )
-    if out_dir is not None:
-        _write_outputs(metrics, per_trace_rewards, config, out_dir)
+        sim_time = config.epochs * config.env.episode_len * config.env.step_s
+        metrics = RunMetrics(
+            scheme=config.scheme,
+            rewards=rewards,
+            sim_time_s=sim_time,
+            wall_time_s=time.perf_counter() - t0,
+            qoe_per_trace=per_trace,
+            qoe=overall_qoe,
+            mean_test_reward=mean_test_reward,
+            final_client_params=clients,
+            final_group_params=groups,
+        )
+        if work_dir is not None:
+            _write_outputs(metrics, per_trace_rewards, config, work_dir)
     return metrics
+
+
+@contextmanager
+def _staged_dir(out_dir: Path | None):
+    """Yield a new hidden sibling of `out_dir` to write a run into.
+
+    Only when the block succeeds does the sibling become `out_dir` (or, if
+    `out_dir` exists, its files replace those of the same name there), so a
+    failed run leaves no partial run directory.
+    """
+    if out_dir is None:
+        yield None
+        return
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    work = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.tmp")
+    work.mkdir()
+    try:
+        yield work
+        if out_dir.exists():
+            for f in work.iterdir():
+                os.replace(f, out_dir / f.name)
+        else:
+            work.rename(out_dir)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
@@ -267,14 +294,13 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
         steps_done = 0
         epoch_reward = 0.0
         while not clients[0].env.done:
-            # Rollout phase: every client computes one local gradient.
-            locals_ = {}
+            # Rollout phase: every client computes one local gradient and steps on it.
             round_steps = 0
             for c in clients:
                 traj, c.state = collect_rollout(c.env, c.model, c.state,
                                                 config.hyper.rollout_len, c.rng)
                 grads, _ = a3c_gradients(c.model, traj, config.hyper)
-                locals_[c.spec.id] = apply_update(c.model, grads, config.hyper.lr, mask)
+                c.model = apply_update(c.model, grads, config.hyper.lr, mask)
                 coord.submit(UpdateMessage(c.spec.id, c.group,
                                            coord.current_round(c.group),
                                            zero_frozen(grads, mask)))
@@ -285,7 +311,7 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                 coord.aggregate_round(gid)
             for c in clients:
                 global_params, _ = coord.fetch(c.group)
-                c.model = personalize(locals_[c.spec.id], global_params, config.mix)
+                c.model = personalize(c.model, global_params, config.mix)
             steps_done += round_steps
             # Round boundary: apply any due group changes.
             sim_t = (epoch * episode_steps + steps_done) * config.env.step_s

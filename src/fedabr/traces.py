@@ -6,6 +6,7 @@ import enum
 import io
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ class TraceError(ValueError):
     """Malformed or invalid trace data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceSample:
     t: float            # seconds
     bandwidth: float    # kbps
@@ -75,6 +76,11 @@ class Trace:
             if s.loss is not None and not 0.0 <= s.loss <= 1.0:
                 raise TraceError(f"trace {self.id!r}: loss outside [0,1] at t={s.t}")
             prev = s.t
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """Sample timestamps as one float64 array, built on first use."""
+        return np.array([s.t for s in self.samples], dtype=float)
 
     @property
     def duration(self) -> float:
@@ -128,11 +134,10 @@ def serialize_trace(trace: Trace) -> str:
 
 def bandwidth_at(trace: Trace, t: float) -> float:
     """Piecewise-constant bandwidth: value of the last sample with timestamp <= t."""
-    times = [s.t for s in trace.samples]
-    if t < times[0] or t > times[-1]:
-        raise TraceError(f"t={t} outside trace range [{times[0]}, {times[-1]}]")
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    return trace.samples[idx].bandwidth
+    first, last = trace.samples[0].t, trace.samples[-1].t
+    if t < first or t > last:
+        raise TraceError(f"t={t} outside trace range [{first}, {last}]")
+    return trace.samples[int(trace.times.searchsorted(t, side="right")) - 1].bandwidth
 
 
 @dataclass(frozen=True)
@@ -231,8 +236,11 @@ def load_manifest(path: str | Path) -> list[Trace]:
     Trace CSV paths are resolved relative to the manifest file.
     """
     path = Path(path)
-    with open(path) as f:
-        records = yaml.safe_load(f)
+    try:
+        with open(path) as f:
+            records = yaml.safe_load(f)
+    except OSError as e:
+        raise TraceError(f"cannot read manifest {path}: {e.strerror}") from None
     if not isinstance(records, list):
         raise TraceError("manifest must be a list of records")
     keys = ("id", "path", "network_type", "transport_mode")

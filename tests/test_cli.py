@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 import yaml
@@ -112,12 +113,18 @@ class TestRun:
         for args in (["pretrain", "--out", workspace / "ckpt-diverge.npz"],
                      ["run", "--scheme", "transfer_only", "--checkpoint", checkpoint,
                       "--out", workspace / "run-diverge"]):
-            result = CliRunner().invoke(main, [str(a) for a in (
-                args[0], "--config", bad, "--split", split_file, *args[1:])])
+            # Record every warning, so that none is hidden by an earlier test's.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = CliRunner().invoke(main, [str(a) for a in (
+                    args[0], "--config", bad, "--split", split_file, *args[1:])])
             assert result.exit_code == 1
             assert "non-finite" in result.output
             assert "Traceback" not in result.output
+            assert "RuntimeWarning" not in result.output
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
             assert isinstance(result.exception, SystemExit)
+        assert not (workspace / "run-diverge").exists()
 
     def test_unknown_federation_key_rejected(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())
@@ -128,8 +135,8 @@ class TestRun:
             "run", "--scheme", "transfer_only", "--config", str(bad),
             "--split", str(split_file), "--checkpoint", str(checkpoint),
             "--out", str(workspace / "run-mode")])
-        assert result.exit_code != 0
-        assert "mode" in str(result.exception)
+        assert result.exit_code == 1
+        assert "mode" in result.output
 
     def test_missing_checkpoint_fails(self, workspace, split_file):
         result = CliRunner().invoke(main, [
@@ -137,6 +144,48 @@ class TestRun:
             str(workspace / "config.yaml"), "--split", str(split_file),
             "--out", str(workspace / "run-fail")])
         assert result.exit_code != 0
+
+
+class TestInputErrors:
+    """Bad input ends a command with one `Error:` line and exit status 1."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"env": {"episode_lenn": 3}}, "episode_lenn"),
+        ({"env": {"episode_len": 0}}, "episode_len"),
+        ({"corpus": {"manifest": "missing/manifest.yaml"}}, "manifest"),
+    ])
+    @pytest.mark.parametrize("command", ["split", "pretrain", "run"])
+    def test_config_and_trace_errors(self, workspace, split_file, checkpoint,
+                                     edit, message, command):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        for section, values in edit.items():
+            config[section].update(values)
+        bad = workspace / "config-bad.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        args = {"split": ["--out", workspace / "split-bad.json"],
+                "pretrain": ["--split", split_file, "--out", workspace / "ckpt-bad.npz"],
+                "run": ["--scheme", "transfer_only", "--split", split_file,
+                        "--checkpoint", checkpoint, "--out", workspace / "run-bad"]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (command, "--config", bad, *args)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ")
+        assert result.output.count("\n") == 1
+        assert message in result.output
+        assert not (workspace / "run-bad").exists()
+
+    def test_scheme_error(self, workspace, split_file, checkpoint):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["run"]["clients"] = [{"id": "c0", "traces": ["no-such-trace"]}]
+        bad = workspace / "config-clients.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        result = CliRunner().invoke(main, [str(a) for a in (
+            "run", "--scheme", "transfer_only", "--config", bad, "--split", split_file,
+            "--checkpoint", checkpoint, "--out", workspace / "run-clients")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == "Error: unknown trace id 'no-such-trace' for client 'c0'\n"
+        assert not (workspace / "run-clients").exists()
 
 
 class TestReport:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedabr.env import (DEFAULT_LADDER, EnvConfig, EnvError, StreamEnv, episode_qoe,
                         outcome_csv_row, OUTCOME_CSV_HEADER)
+from fedabr.traces import NetworkType, Trace, TraceSample, TransportMode, bandwidth_at
 from tests.conftest import constant_trace
 
 
@@ -158,6 +161,63 @@ class TestInvariants:
             runs.append([env.step(a) for a in actions[:small_env_config.episode_len]])
         for (s1, r1, o1), (s2, r2, o2) in zip(*runs):
             assert np.array_equal(s1, s2) and r1 == r2 and o1 == o2
+
+
+def scan_sample(trace, t):
+    """Linear-scan oracle: the last sample with timestamp <= t."""
+    found = None
+    for s in trace.samples:
+        if s.t <= t:
+            found = s
+    return found
+
+
+@st.composite
+def lookup_cases(draw):
+    """A trace with random length, sample times, bandwidth and loss; a step
+    size, a start time and an episode length that fits in the trace."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # whole seconds, so that step starts hit sample times
+        times = draw(st.integers(0, 50)) + np.arange(n, dtype=float)
+    else:
+        times = draw(st.floats(0.0, 50.0)) + np.cumsum(rng.uniform(0.01, 3.0, size=n))
+    with_loss = draw(st.booleans())
+    samples = tuple(TraceSample(float(t), float(rng.uniform(0.0, 5000.0)), None,
+                                float(rng.uniform()) if with_loss and rng.random() < 0.7
+                                else None)
+                    for t in times)
+    trace = Trace("rand", samples, NetworkType.WIFI, TransportMode.FOOT)
+    step_s = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.05, 5.0))
+    start = draw(st.sampled_from([float(t) for t in times[:-1]])
+                 | st.floats(float(times[0]), float(times[-1])))
+    episode_len = int((times[-1] - start) // step_s)
+    assume(episode_len >= 1 and start + episode_len * step_s <= times[-1])
+    return trace, step_s, start, episode_len, int(rng.integers(2**32))
+
+
+class TestLookupOracle:
+    """Capacity and loss lookups against a linear scan over the samples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lookup_cases())
+    def test_env_lookups_match_linear_scan(self, case):
+        trace, step_s, start, episode_len, seed = case
+        cfg = EnvConfig(step_s=step_s, episode_len=episode_len, history_len=2)
+        rng = np.random.default_rng(seed)
+        env = StreamEnv(trace, cfg)
+        state = env.reset(start)
+        t = start
+        while True:
+            loss = scan_sample(trace, min(t, trace.samples[-1].t)).loss
+            assert state[-1] == (0.0 if loss is None else loss)
+            if env.done:
+                break
+            state, _, out = env.step(int(rng.integers(len(cfg.ladder))))
+            assert out.t == t
+            assert out.capacity_kbps == scan_sample(trace, t).bandwidth
+            assert out.capacity_kbps == bandwidth_at(trace, t)
+            t += step_s
 
 
 def test_outcome_csv(noisy_trace, small_env_config):

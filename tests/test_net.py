@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import personalize
 from fedabr.net import (DivergenceError, FreezeMask, LayerSpec, ModelParams, NetError,
                         TrainHyper, Trajectory, a3c_gradients, a3c_loss, all_trainable,
                         apply_update, discounted_returns, forward, init_params,
                         load_checkpoint, mean_gradients, params_close, sample_action,
                         save_checkpoint, zero_frozen, zero_gradients)
+from fedabr.pretrain import collect_rollout
+from tests.conftest import constant_trace
 
 ARCH = [LayerSpec(5, 8), LayerSpec(8, 6)]
 
@@ -368,3 +371,99 @@ class TestFlatLayout:
         other = init_params([LayerSpec(a, b) for a, b in zip(dims, dims[1:])], ladder, seed)
         with pytest.raises(NetError, match="shape"):
             apply_update(p, zero_gradients(other), 0.1, all_trainable(p))
+
+
+def loop_gradients(params, traj, hyper):
+    """Reference: the rollout gradient accumulated one step at a time, with
+    each state pushed through the network on its own."""
+    returns = discounted_returns(traj.rewards, traj.bootstrap_value, hyper.gamma)
+    grads = zero_gradients(params)
+    gw, gb = grads.weights, grads.biases
+    loss = 0.0
+    for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
+        pre, post = [], [np.asarray(s, dtype=float)]
+        for w, b, act in zip(params.weights, params.biases, params.activations):
+            pre.append(w @ post[-1] + b)
+            post.append(np.maximum(pre[-1], 0.0) if act == "relu" else pre[-1])
+        feat = post[-1]
+        logits = params.weights[-2] @ feat + params.biases[-2]
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        value = float((params.weights[-1] @ feat + params.biases[-1])[0])
+        adv = returns[t] - value
+        entropy = -float(np.sum(probs * np.log(probs)))
+        loss += (-np.log(probs[a]) * adv + hyper.value_coef * adv ** 2
+                 - hyper.entropy_coef * entropy)
+        dlogits = adv * probs
+        dlogits[a] -= adv
+        dlogits += hyper.entropy_coef * probs * (np.log(probs) + entropy)
+        dvalue = -2.0 * hyper.value_coef * adv
+        gw[-2][:] += np.outer(dlogits, feat)
+        gb[-2][:] += dlogits
+        gw[-1][:] += dvalue * feat[None, :]
+        gb[-1][:] += dvalue
+        dh = params.weights[-2].T @ dlogits + dvalue * params.weights[-1][0]
+        for i in range(params.n_hidden - 1, -1, -1):
+            dz = dh * (pre[i] > 0) if params.activations[i] == "relu" else dh
+            gw[i][:] += np.outer(dz, post[i])
+            gb[i][:] += dz
+            dh = params.weights[i].T @ dz
+    if hyper.clip_norm > 0:
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in gw + gb))
+        if norm > hyper.clip_norm:
+            grads.flat *= hyper.clip_norm / norm
+    return grads, loss
+
+
+def assert_matches_loop(params, traj, hyper):
+    grads, loss = a3c_gradients(params, traj, hyper)
+    ref, ref_loss = loop_gradients(params, traj, hyper)
+    scale = np.max(np.abs(ref.flat))
+    assert np.max(np.abs(grads.flat - ref.flat)) <= 1e-12 * scale
+    assert abs(loss - ref_loss) <= 1e-12 * max(abs(ref_loss), 1.0)
+
+
+@st.composite
+def arch_cases(draw):
+    """A random architecture and activations, hyperparameters and a value seed."""
+    dims = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    acts = draw(st.lists(st.sampled_from(["relu", "identity"]),
+                         min_size=len(dims) - 1, max_size=len(dims) - 1))
+    arch = [LayerSpec(a, b, act) for a, b, act in zip(dims, dims[1:], acts)]
+    hyper = TrainHyper(gamma=draw(st.sampled_from([0.9, 0.99, 1.0])),
+                       entropy_coef=draw(st.sampled_from([0.0, 0.01, 0.5])),
+                       value_coef=draw(st.sampled_from([0.0, 0.1, 0.5])),
+                       clip_norm=draw(st.sampled_from([0.0, 1.0, 40.0])))
+    return arch, draw(st.integers(2, 9)), hyper, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchedGradients:
+    """The batched backward pass against the per-step loop reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arch_cases(), st.integers(1, 16))
+    def test_matches_per_step_loop(self, case, length):
+        arch, ladder, hyper, seed = case
+        rng = np.random.default_rng(seed)
+        p = init_params(arch, ladder, seed=seed)
+        p.flat[:] = rng.normal(size=p.flat.size)
+        assert_matches_loop(p, random_trajectory(p, rng, length), hyper)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch_cases(), st.integers(1, 40), st.integers(1, 3))
+    def test_rollouts_truncated_at_episode_end(self, case, episode_len, history_len):
+        arch, ladder, hyper, seed = case
+        env_config = EnvConfig(ladder=tuple(300.0 * (i + 1) for i in range(ladder)),
+                               history_len=history_len, episode_len=episode_len)
+        arch = [LayerSpec(env_config.state_dim, arch[0].out_dim, arch[0].activation),
+                *arch[1:]]
+        p = init_params(arch, ladder, seed=seed)
+        rng = np.random.default_rng(seed)
+        env = StreamEnv(constant_trace(1000.0, duration=60), env_config)
+        state = env.reset()
+        lengths = []
+        while not env.done:
+            traj, state = collect_rollout(env, p, state, 16, rng)
+            lengths.append(len(traj.states))
+            assert_matches_loop(p, traj, hyper)
+        assert lengths == [16] * (episode_len // 16) + [episode_len % 16] * (episode_len % 16 > 0)

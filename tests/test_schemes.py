@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedabr.discriminator import ClientCondition
 from fedabr.env import EnvConfig
-from fedabr.net import (TrainHyper, all_trainable, apply_update, a3c_gradients,
-                        init_params, params_close)
+from fedabr.net import (DivergenceError, TrainHyper, all_trainable, apply_update,
+                        a3c_gradients, init_params, params_close)
 from fedabr.pretrain import PretrainConfig, collect_rollout, default_arch, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError,
                             run_scheme)
@@ -166,3 +168,24 @@ class TestValidation:
         cfg = base_config(Scheme.TRANSFER_ONLY, (ClientSpec("c0", ("ft0",)),))
         with pytest.raises(SchemeError):
             run_scheme(cfg, corpus, bad)
+
+
+class TestRunDirectory:
+    def test_failed_run_leaves_no_directory(self, corpus, pretrained, tmp_path):
+        clients = tuple(ClientSpec(f"c{i}", (f"ft{i}",)) for i in range(2))
+        cfg = replace(base_config(Scheme.FULL_FEDERATED, clients),
+                      hyper=replace(HYPER, lr=1e300))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            run_scheme(cfg, corpus, pretrained, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_replaces_files_in_existing_directory(self, corpus, pretrained, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "rewards.csv").write_text("stale\n")
+        (out / "notes.txt").write_text("kept\n")
+        cfg = base_config(Scheme.TRANSFER_ONLY, (ClientSpec("c0", ("ft0",)),), epochs=2)
+        run_scheme(cfg, corpus, pretrained, out)
+        assert (out / "rewards.csv").read_text().startswith("epoch,mean_reward\n")
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]

@@ -195,6 +195,10 @@ class TestManifest:
         with pytest.raises(TraceError, match="'gone'.*gone.csv"):
             load_manifest(manifest)
 
+    def test_missing_manifest(self, tmp_path):
+        with pytest.raises(TraceError, match="nowhere.yaml"):
+            load_manifest(tmp_path / "nowhere.yaml")
+
     def test_parse_transport_unknown(self):
         with pytest.raises(TraceError):
             parse_transport_mode("submarine")
