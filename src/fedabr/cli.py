@@ -18,7 +18,7 @@ from .metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
 from .net import DivergenceError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
 from .schemes import Scheme, SchemeError, run_scheme
-from .traces import TraceError, load_manifest, split_corpus
+from .traces import Trace, TraceError, load_manifest, split_corpus
 
 
 @click.group()
@@ -40,9 +40,22 @@ def _command_body(fn):
     return wrapper
 
 
-def _load_split(path: Path) -> dict[str, list[str]]:
-    with open(path) as f:
-        return json.load(f)
+def _load_split(path: Path, corpus: dict[str, Trace]) -> dict[str, list[str]]:
+    """Read a split file: each of its three sets is a list of ids from `corpus`."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as e:
+        raise TraceError(f"cannot read split file {path}: {e}") from None
+    for key in ("pretrain", "finetune", "test"):
+        ids = data.get(key) if isinstance(data, dict) else None
+        if not isinstance(ids, list):
+            raise TraceError(f"split file {path}: {key!r} must be a list of trace ids")
+        for tid in ids:
+            if not (isinstance(tid, str) and tid in corpus):
+                raise TraceError(f"split file {path}: {key} trace {tid!r} "
+                                 "is not in the manifest")
+    return data
 
 
 @main.command()
@@ -73,7 +86,9 @@ def pretrain(config_path, split_path, out_path):
     """Pretrain the shared model offline on the pretrain trace set."""
     cfg = load_config(config_path)
     corpus = {t.id: t for t in load_manifest(cfg.manifest)}
-    ids = _load_split(Path(split_path))["pretrain"]
+    ids = _load_split(Path(split_path), corpus)["pretrain"]
+    if not ids:
+        raise click.ClickException(f"split file {split_path} has no pretrain traces")
     traces = [corpus[i] for i in sorted(ids)]
     try:
         params, rewards = offline_train(traces, cfg.pretrain, cfg.env)
@@ -100,7 +115,7 @@ def run(scheme_name, config_path, split_path, ckpt_path, out_dir):
     """Run one training scheme end-to-end and write its CSV outputs."""
     cfg = load_config(config_path)
     corpus = {t.id: t for t in load_manifest(cfg.manifest)}
-    split_data = _load_split(Path(split_path))
+    split_data = _load_split(Path(split_path), corpus)
     scheme = Scheme(scheme_name)
     pretrained = load_checkpoint(ckpt_path) if ckpt_path else None
     if pretrained is None and scheme is not Scheme.ONLINE_SCRATCH:

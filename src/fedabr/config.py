@@ -19,8 +19,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _build(cls, data: dict | None, **overrides):
-    data = dict(data or {})
+def _build(cls, data: dict, **overrides):
+    data = dict(data)
     data.update(overrides)
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
@@ -63,22 +63,38 @@ class ExperimentConfig:
     run: RunSettings
 
 
+def _section(raw: dict, name: str) -> dict:
+    data = raw.get(name)
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, got {data!r}")
+    return data
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     with open(path) as f:
         raw = yaml.safe_load(f) or {}
-    corpus = raw.get("corpus", {})
-    if "manifest" not in corpus:
-        raise ConfigError("config must set corpus.manifest")
-    hyper = _build(TrainHyper, raw.get("hyper"))
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a mapping of sections")
+    corpus = _section(raw, "corpus")
+    if not isinstance(corpus.get("manifest"), str):
+        raise ConfigError("config must set corpus.manifest to a path")
+    seed = _section(raw, "split").get("seed", 0)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"split.seed must be an integer, got {seed!r}") from None
+    hyper = _build(TrainHyper, _section(raw, "hyper"))
     return ExperimentConfig(
         manifest=(path.parent / corpus["manifest"]).resolve(),
-        split_seed=int(raw.get("split", {}).get("seed", 0)),
-        env=_build(EnvConfig, raw.get("env")),
+        split_seed=seed,
+        env=_build(EnvConfig, _section(raw, "env")),
         hyper=hyper,
-        pretrain=_build(PretrainConfig, raw.get("pretrain"), hyper=hyper),
-        federation=_build(FederationSettings, raw.get("federation")),
-        run=_build(RunSettings, raw.get("run")),
+        pretrain=_build(PretrainConfig, _section(raw, "pretrain"), hyper=hyper),
+        federation=_build(FederationSettings, _section(raw, "federation")),
+        run=_build(RunSettings, _section(raw, "run")),
     )
 
 
@@ -88,6 +104,23 @@ def _parse_schedule(entries, client_id: str):
         schedule.append((float(when), ClientCondition(
             client_id, parse_network_type(nt), parse_transport_mode(tm))))
     return tuple(schedule)
+
+
+def _client_spec(rec) -> ClientSpec:
+    """One `run.clients` record: `{id, traces[, seed][, condition_schedule]}`."""
+    if not (isinstance(rec, dict) and "id" in rec and "traces" in rec):
+        raise ConfigError(f"run.clients record must be a mapping with keys id and traces: "
+                          f"{rec!r}")
+    try:
+        return ClientSpec(
+            str(rec["id"]),
+            tuple(rec["traces"]),
+            rec.get("seed"),
+            _parse_schedule(rec["condition_schedule"], str(rec["id"]))
+            if rec.get("condition_schedule") else None,
+        )
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"run.clients record {rec['id']!r}: {e}") from None
 
 
 def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
@@ -105,17 +138,11 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
             clients = tuple(ClientSpec(f"client-{i}", (tid,)) for i, tid in enumerate(ids))
         else:
             clients = (ClientSpec("client-0", tuple(ids)),)
+    elif isinstance(cfg.run.clients, tuple):
+        clients = tuple(_client_spec(rec) for rec in cfg.run.clients)
     else:
-        clients = tuple(
-            ClientSpec(
-                str(rec["id"]),
-                tuple(rec["traces"]),
-                rec.get("seed"),
-                _parse_schedule(rec["condition_schedule"], str(rec["id"]))
-                if rec.get("condition_schedule") else None,
-            )
-            for rec in cfg.run.clients
-        )
+        raise ConfigError(f"run.clients must be 'auto' or a list of records, "
+                          f"got {cfg.run.clients!r}")
     return SchemeConfig(
         scheme=scheme,
         clients=clients,

@@ -7,6 +7,7 @@ whose end-to-end delay exceeds the interactive deadline counts as stalled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,9 +102,10 @@ class StreamEnv:
     def reset(self, start: float = 0.0) -> np.ndarray:
         cfg = self.config
         needed = start + cfg.episode_len * cfg.step_s
-        if needed > self.trace.samples[-1].t:
+        self._end = self.trace.times.item(-1)
+        if needed > self._end:
             raise EnvError(f"trace {self.trace.id!r} too short: episode needs "
-                           f"{needed}s, trace ends at {self.trace.samples[-1].t}s")
+                           f"{needed}s, trace ends at {self._end}s")
         self._t = start
         self._steps_left = cfg.episode_len
         self._backlog_kbit = 0.0
@@ -117,12 +119,14 @@ class StreamEnv:
         return self._state()
 
     def _seek(self, t: float) -> None:
-        """Point at the last sample at or before `t` and read its loss; the same
-        sample gives the capacity of the step that starts at `t`. `reset` has
-        checked that every step start lies within the trace."""
-        self._sample = self.trace.samples[int(self.trace.times.searchsorted(t, side="right")) - 1]
-        loss = self._sample.loss
-        self._loss = float(loss) if loss is not None else 0.0
+        """Read the last sample at or before `t`: its loss, and its bandwidth as
+        the capacity of the step that starts at `t`. `reset` has checked that
+        every step start lies within the trace."""
+        trace = self.trace
+        i = int(trace.times.searchsorted(t, side="right")) - 1
+        self._capacity = trace.bandwidth.item(i)
+        loss = trace.loss
+        self._loss = 0.0 if loss is None or math.isnan(loss[i]) else loss.item(i)
 
     def _state(self) -> np.ndarray:
         cfg = self.config
@@ -145,7 +149,7 @@ class StreamEnv:
             raise EnvError("episode exhausted")
 
         bitrate = cfg.ladder[action]
-        capacity = self._sample.bandwidth
+        capacity = self._capacity
         old_backlog = self._backlog_kbit
         new_backlog = max(0.0, old_backlog + (bitrate - capacity) * cfg.step_s)
         drained = max(0.0, old_backlog - new_backlog)
@@ -166,7 +170,7 @@ class StreamEnv:
         self._delay_hist = self._delay_hist[1:] + [_clamp01(delay / cfg.delay_norm_ms)]
         self._prev_bitrate = bitrate
         self._t += cfg.step_s
-        self._seek(min(self._t, self.trace.samples[-1].t))
+        self._seek(min(self._t, self._end))
         self._steps_left -= 1
         return self._state(), reward, outcome
 

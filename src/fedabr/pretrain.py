@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvConfig, StreamEnv
-from .net import (FreezeMask, LayerSpec, ModelParams, TrainHyper, Trajectory,
-                  a3c_gradients, all_trainable, apply_update, forward, init_params,
-                  sample_action)
+from .net import (DivergenceError, FreezeMask, LayerSpec, ModelParams, TrainHyper,
+                  Trajectory, a3c_gradients, all_trainable, apply_update, forward,
+                  init_params, sample_action)
 from .traces import Trace
 
 DEFAULT_ARCH_HIDDEN = (64, 32)
@@ -89,12 +89,16 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
     envs = [StreamEnv(tr, env_config) for tr in traces]
     rewards = []
     episode = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         epoch_rewards = []
         for _ in range(config.episodes_per_epoch):
             env = envs[episode % len(envs)]
             episode += 1
-            params, mean_r = run_training_episode(env, params, config.hyper, mask, rng)
+            try:
+                params, mean_r = run_training_episode(env, params, config.hyper, mask, rng)
+            except DivergenceError as e:
+                raise DivergenceError(f"epoch {epoch + 1}, trace {env.trace.id!r}: "
+                                      f"{e}") from None
             epoch_rewards.append(mean_r)
         rewards.append(float(np.mean(epoch_rewards)))
     return params, rewards

@@ -24,8 +24,9 @@ import numpy as np
 from .discriminator import ClientCondition, GroupChange, classify, condition_at, poll
 from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
 from .federation import Coordinator, UpdateMessage, personalize
-from .net import (FreezeMask, ModelParams, TrainHyper, all_trainable, apply_update,
-                  a3c_gradients, forward, init_params, save_checkpoint, zero_frozen)
+from .net import (DivergenceError, FreezeMask, ModelParams, TrainHyper, all_trainable,
+                  apply_update, a3c_gradients, forward, init_params, save_checkpoint,
+                  zero_frozen)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout, default_arch, make_freeze_mask
 from .traces import Trace
 
@@ -299,8 +300,13 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
             for c in clients:
                 traj, c.state = collect_rollout(c.env, c.model, c.state,
                                                 config.hyper.rollout_len, c.rng)
-                grads, _ = a3c_gradients(c.model, traj, config.hyper)
-                c.model = apply_update(c.model, grads, config.hyper.lr, mask)
+                try:
+                    grads, _ = a3c_gradients(c.model, traj, config.hyper)
+                    c.model = apply_update(c.model, grads, config.hyper.lr, mask)
+                except DivergenceError as e:
+                    raise DivergenceError(f"client {c.spec.id!r} in group {c.group}, epoch "
+                                          f"{epoch + 1}, round {coord.current_round(c.group)}: "
+                                          f"{e}") from None
                 coord.submit(UpdateMessage(c.spec.id, c.group,
                                            coord.current_round(c.group),
                                            zero_frozen(grads, mask)))
@@ -308,7 +314,11 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                 round_steps = len(traj.rewards)
             # Barrier: aggregate every group that received submissions this round.
             for gid in sorted({c.group for c in clients}):
-                coord.aggregate_round(gid)
+                try:
+                    coord.aggregate_round(gid)
+                except DivergenceError as e:
+                    raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
+                                          f"{coord.current_round(gid)}: {e}") from None
             for c in clients:
                 global_params, _ = coord.fetch(c.group)
                 c.model = personalize(c.model, global_params, config.mix)

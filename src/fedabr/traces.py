@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import enum
 import io
+import math
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,55 +51,144 @@ class TraceSample:
     loss: float | None = None   # fraction in [0, 1]
 
 
-@dataclass(frozen=True)
+# Each value column, the largest value it accepts and its rule in words. NaN
+# fails every comparison, so a missing rtt or loss is let through on its own.
+_VALUE_RULES = (("bandwidth", sys.float_info.max, "finite and non-negative"),
+                ("rtt", sys.float_info.max, "finite and non-negative"),
+                ("loss", 1.0, "in [0, 1]"))
+_COLUMNS = ("times", "bandwidth", "rtt", "loss")
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    return None if ok.all() else int(ok.argmin())
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
+    """A bandwidth trace as read-only float64 columns, one entry per sample.
+
+    `rtt` and `loss` are None when the trace has no such column; within a
+    column, NaN marks a sample that leaves the field empty. A column with no
+    value at all is stored as None.
+    """
     id: str
-    samples: tuple[TraceSample, ...]
+    times: np.ndarray       # seconds, strictly increasing
+    bandwidth: np.ndarray   # kbps
     network_type: NetworkType
     transport_mode: TransportMode
+    rtt: np.ndarray | None = None    # ms
+    loss: np.ndarray | None = None   # fraction in [0, 1]
 
     def __post_init__(self):
-        if len(self.samples) < 2:
+        for name in _COLUMNS:
+            col = getattr(self, name)
+            if col is None:
+                continue
+            col = np.ascontiguousarray(col, dtype=np.float64).view()
+            col.flags.writeable = False
+            if name in ("rtt", "loss") and np.isnan(col).all():
+                col = None
+            object.__setattr__(self, name, col)
+        t = self.times
+        if t.ndim != 1 or len(t) < 2:
             raise TraceError(f"trace {self.id!r}: needs at least 2 samples")
         # Each check is written so that it holds, which NaN never does.
-        inf = float("inf")
-        prev = -inf
-        for s in self.samples:
-            if not (0 <= s.t < inf and s.t > prev):
-                raise TraceError(f"trace {self.id!r}: timestamps must be finite, non-negative "
-                                 f"and strictly increasing (got {s.t} after {prev})")
-            if not 0 <= s.bandwidth < inf:
-                raise TraceError(f"trace {self.id!r}: bandwidth {s.bandwidth} at t={s.t} "
-                                 "is negative or not finite")
-            if s.rtt is not None and not 0 <= s.rtt < inf:
-                raise TraceError(f"trace {self.id!r}: rtt {s.rtt} at t={s.t} "
-                                 "is negative or not finite")
-            if s.loss is not None and not 0.0 <= s.loss <= 1.0:
-                raise TraceError(f"trace {self.id!r}: loss outside [0,1] at t={s.t}")
-            prev = s.t
+        ok = np.isfinite(t) & (t >= 0)
+        ok[1:] &= t[1:] > t[:-1]
+        if (i := _first_false(ok)) is not None:
+            prev = t[i - 1] if i else -math.inf
+            raise TraceError(f"trace {self.id!r}: timestamps must be finite, non-negative "
+                             f"and strictly increasing (got {t[i]} after {prev})")
+        for name, upper, rule in _VALUE_RULES:
+            col = getattr(self, name)
+            if col is None:
+                continue
+            if col.shape != t.shape:
+                raise TraceError(f"trace {self.id!r}: {len(col)} {name} values "
+                                 f"for {len(t)} timestamps")
+            ok = (col >= 0) & (col <= upper)
+            if name != "bandwidth":
+                ok |= np.isnan(col)
+            if (i := _first_false(ok)) is not None:
+                raise TraceError(f"trace {self.id!r}: {name} {col[i]} at t={t[i]} "
+                                 f"is not {rule}")
 
-    @cached_property
-    def times(self) -> np.ndarray:
-        """Sample timestamps as one float64 array, built on first use."""
-        return np.array([s.t for s in self.samples], dtype=float)
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return ((self.id, self.network_type, self.transport_mode)
+                == (other.id, other.network_type, other.transport_mode)
+                and all(_same_column(getattr(self, n), getattr(other, n)) for n in _COLUMNS))
+
+    @property
+    def samples(self) -> tuple[TraceSample, ...]:
+        """The trace as rows, built anew on each call; a missing rtt or loss is None."""
+        n = len(self.times)
+        optional = ([None] * n if col is None else
+                    [None if math.isnan(v) else v for v in col.tolist()]
+                    for col in (self.rtt, self.loss))
+        return tuple(map(TraceSample, self.times.tolist(), self.bandwidth.tolist(), *optional))
 
     @property
     def duration(self) -> float:
-        return self.samples[-1].t - self.samples[0].t
+        return float(self.times[-1] - self.times[0])
 
     @property
     def group(self) -> int:
         return group_of(self.network_type, self.transport_mode)
 
 
+def _same_column(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Bit-identical values, with NaN (missing) in the same places."""
+    if a is None or b is None:
+        return a is b
+    missing = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(missing, np.isnan(b))
+            and a[~missing].tobytes() == b[~missing].tobytes())
+
+
 def parse_trace(text: str, trace_id: str, network_type: NetworkType,
                 transport_mode: TransportMode) -> Trace:
     """Parse the trace CSV format: `t_seconds,bandwidth_kbps[,rtt_ms[,loss_rate]]`.
 
-    Lines starting with `#` are ignored. Raises TraceError on malformed rows,
+    Lines starting with `#` and blank lines are ignored; rtt and loss may be
+    left empty. Raises TraceError on malformed rows, non-finite values,
     non-monotone timestamps, or an empty file.
     """
-    samples = []
+    columns = _parse_uniform(text)
+    if columns is None:
+        columns = _parse_lines(text)
+    return Trace(trace_id, network_type=network_type, transport_mode=transport_mode,
+                 **columns)
+
+
+def _parse_uniform(text: str) -> dict[str, np.ndarray] | None:
+    """Columns of a file whose lines are all data rows with the same 2-4
+    fields, in one conversion; None if any line is not such a row, or a field
+    is empty, not a number or not finite."""
+    body = text.strip()
+    # Byte offsets of the separators; no other UTF-8 character contains their bytes.
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    commas, ends = np.flatnonzero(raw == ord(",")), np.flatnonzero(raw == ord("\n"))
+    rows = len(ends) + 1
+    width = len(commas) // rows + 1
+    # Each row has width - 1 commas: k * (width - 1) of them precede the end of row k.
+    if not (2 <= width <= 4 and len(commas) == rows * (width - 1) and np.array_equal(
+            np.searchsorted(commas, ends), (width - 1) * np.arange(1, rows))):
+        return None
+    try:
+        # Converts each field as float() does, surrounding whitespace included.
+        values = np.array(body.replace("\n", ",").split(","), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return dict(zip(_COLUMNS, values.reshape(-1, width).T))
+
+
+def _parse_lines(text: str) -> dict[str, np.ndarray]:
+    """Columns of any file, read line by line; errors name the line."""
+    rows = []
     for lineno, line in enumerate(io.StringIO(text), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -106,38 +196,44 @@ def parse_trace(text: str, trace_id: str, network_type: NetworkType,
         parts = line.split(",")
         if not 2 <= len(parts) <= 4:
             raise TraceError(f"line {lineno}: expected 2-4 columns, got {len(parts)}")
-        try:
-            t = float(parts[0])
-            bw = float(parts[1])
-            rtt = float(parts[2]) if len(parts) > 2 and parts[2] != "" else None
-            loss = float(parts[3]) if len(parts) > 3 and parts[3] != "" else None
-        except ValueError as e:
-            raise TraceError(f"line {lineno}: {e}") from None
-        samples.append(TraceSample(t, bw, rtt, loss))
-    if not samples:
+        row = [math.nan] * 4
+        for col, field in enumerate(parts):
+            if col >= 2 and field == "":
+                continue  # missing rtt or loss
+            try:
+                row[col] = float(field)
+            except ValueError as e:
+                raise TraceError(f"line {lineno}: {e}") from None
+            if not math.isfinite(row[col]):
+                raise TraceError(f"line {lineno}: {_COLUMNS[col]} {field!r} is not finite")
+        rows.append(row)
+    if not rows:
         raise TraceError("empty trace file")
-    return Trace(trace_id, tuple(samples), network_type, transport_mode)
+    return dict(zip(_COLUMNS, np.array(rows).T))
 
 
 def serialize_trace(trace: Trace) -> str:
     """Inverse of parse_trace (labels travel in the manifest, not the CSV)."""
-    lines = []
-    for s in trace.samples:
-        cols = [repr(s.t), repr(s.bandwidth)]
-        if s.rtt is not None or s.loss is not None:
-            cols.append("" if s.rtt is None else repr(s.rtt))
-        if s.loss is not None:
-            cols.append(repr(s.loss))
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    fields = [list(map(repr, trace.times.tolist())), list(map(repr, trace.bandwidth.tolist()))]
+    optional = [trace.rtt, trace.loss]
+    while optional and optional[-1] is None:
+        optional.pop()
+    for col in optional:
+        fields.append([""] * len(trace.times) if col is None else
+                      ["" if math.isnan(v) else repr(v) for v in col.tolist()])
+    rows = map(",".join, zip(*fields))
+    if optional:
+        # A row ends at its last value: trailing empty fields are left out.
+        rows = (row.rstrip(",") for row in rows)
+    return "\n".join(rows) + "\n"
 
 
 def bandwidth_at(trace: Trace, t: float) -> float:
     """Piecewise-constant bandwidth: value of the last sample with timestamp <= t."""
-    first, last = trace.samples[0].t, trace.samples[-1].t
+    first, last = trace.times[0], trace.times[-1]
     if t < first or t > last:
         raise TraceError(f"t={t} outside trace range [{first}, {last}]")
-    return trace.samples[int(trace.times.searchsorted(t, side="right")) - 1].bandwidth
+    return trace.bandwidth.item(int(trace.times.searchsorted(t, side="right")) - 1)
 
 
 @dataclass(frozen=True)
@@ -202,9 +298,7 @@ def synthesize_trace(family: SynthFamily, trace_id: str, network_type: NetworkTy
     bw = family.mean_kbps + family.amplitude_kbps * wave
     if family.noise_std_kbps > 0:
         bw = bw + rng.normal(0.0, family.noise_std_kbps, size=n)
-    bw = np.maximum(bw, 0.0)
-    samples = tuple(TraceSample(float(ti), float(bi)) for ti, bi in zip(t, bw))
-    return Trace(trace_id, samples, network_type, transport_mode)
+    return Trace(trace_id, t, np.maximum(bw, 0.0), network_type, transport_mode)
 
 
 _NETWORK_LABELS = {"3g": NetworkType.THREE_G, "4g": NetworkType.FOUR_G, "wifi": NetworkType.WIFI}
@@ -245,10 +339,14 @@ def load_manifest(path: str | Path) -> list[Trace]:
         raise TraceError("manifest must be a list of records")
     keys = ("id", "path", "network_type", "transport_mode")
     traces = []
+    ids = set()
     for rec in records:
         if not (isinstance(rec, dict) and all(key in rec for key in keys)):
             raise TraceError(f"{path}: manifest record must be a mapping with keys "
                              f"{', '.join(keys)}: {rec!r}")
+        if str(rec["id"]) in ids:
+            raise TraceError(f"{path}: duplicate trace id {rec['id']!r}")
+        ids.add(str(rec["id"]))
         nt = parse_network_type(str(rec["network_type"]))
         tm = parse_transport_mode(str(rec["transport_mode"]))
         try:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from fedabr.env import EnvConfig
-from fedabr.traces import NetworkType, SynthFamily, Trace, TraceSample, TransportMode, synthesize_trace
+from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 
 
 def constant_trace(bandwidth=1000.0, duration=400, trace_id="const",
                    nt=NetworkType.FOUR_G, tm=TransportMode.CAR):
-    samples = tuple(TraceSample(float(t), bandwidth) for t in range(duration + 1))
-    return Trace(trace_id, samples, nt, tm)
+    times = np.arange(duration + 1, dtype=float)
+    return Trace(trace_id, times, np.full_like(times, bandwidth), nt, tm)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import pytest
@@ -110,9 +111,15 @@ class TestRun:
         config["hyper"]["lr"] = 1e300
         bad = workspace / "config-diverge.yaml"
         bad.write_text(yaml.safe_dump(config))
-        for args in (["pretrain", "--out", workspace / "ckpt-diverge.npz"],
-                     ["run", "--scheme", "transfer_only", "--checkpoint", checkpoint,
-                      "--out", workspace / "run-diverge"]):
+        # The error says where training diverged: the epoch (and trace) of
+        # pretraining; the client, its group, the epoch and the round of a run.
+        for args, where in (
+                (["pretrain", "--out", workspace / "ckpt-diverge.npz"],
+                 r"pretraining diverged: epoch \d+, trace 'tr\d+': "),
+                (["run", "--scheme", "transfer_only", "--checkpoint", checkpoint,
+                  "--out", workspace / "run-diverge"],
+                 r"transfer_only diverged: client 'client-0' in group \d+, "
+                 r"epoch \d+, round \d+: ")):
             # Record every warning, so that none is hidden by an earlier test's.
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -120,6 +127,7 @@ class TestRun:
                     args[0], "--config", bad, "--split", split_file, *args[1:])])
             assert result.exit_code == 1
             assert "non-finite" in result.output
+            assert re.search(where, result.output), result.output
             assert "Traceback" not in result.output
             assert "RuntimeWarning" not in result.output
             assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
@@ -173,6 +181,74 @@ class TestInputErrors:
         assert result.output.count("\n") == 1
         assert message in result.output
         assert not (workspace / "run-bad").exists()
+
+    @pytest.mark.parametrize("section, value", [("split", 5), ("corpus", 5),
+                                                ("env", [1, 2]), ("hyper", "lr")])
+    @pytest.mark.parametrize("command", ["split", "pretrain", "run"])
+    def test_non_mapping_section(self, workspace, split_file, checkpoint, section, value,
+                                 command):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config[section] = value
+        bad = workspace / "config-section.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        args = {"split": ["--out", workspace / "split-section.json"],
+                "pretrain": ["--split", split_file, "--out", workspace / "ckpt-section.npz"],
+                "run": ["--scheme", "transfer_only", "--split", split_file,
+                        "--checkpoint", checkpoint, "--out", workspace / "run-section"]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (command, "--config", bad, *args)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: config section {section!r} must be a mapping, "
+                                 f"got {value!r}\n")
+
+    @pytest.mark.parametrize("command", ["pretrain", "run"])
+    @pytest.mark.parametrize("key", ["pretrain", "finetune", "test"])
+    def test_split_names_unknown_trace(self, workspace, split_file, checkpoint, command, key):
+        data = json.loads(split_file.read_text())
+        data[key] = data[key] + ["no-such-trace"]
+        bad = workspace / "split-unknown.json"
+        bad.write_text(json.dumps(data))
+        args = {"pretrain": ["--out", workspace / "ckpt-unknown.npz"],
+                "run": ["--scheme", "transfer_only", "--checkpoint", checkpoint,
+                        "--out", workspace / "run-unknown"]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (
+            command, "--config", workspace / "config.yaml", "--split", bad, *args)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert f"{key} trace 'no-such-trace' is not in the manifest" in result.output
+        assert not (workspace / "run-unknown").exists()
+
+    def test_split_without_pretrain_traces(self, workspace, split_file):
+        data = json.loads(split_file.read_text())
+        data["pretrain"] = []
+        bad = workspace / "split-empty.json"
+        bad.write_text(json.dumps(data))
+        result = CliRunner().invoke(main, [str(a) for a in (
+            "pretrain", "--config", workspace / "config.yaml", "--split", bad,
+            "--out", workspace / "ckpt-empty.npz")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == f"Error: split file {bad} has no pretrain traces\n"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "c0"}, "keys id and traces"),
+        ("c0", "keys id and traces"),
+        ({"id": "c0", "traces": ["tr0"], "condition_schedule": [[0, "4g"]]}, "'c0'"),
+        (None, "'auto' or a list of records, got 5"),
+    ])
+    def test_malformed_client_record(self, workspace, split_file, checkpoint, record, message):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["run"]["clients"] = 5 if record is None else [record]
+        bad = workspace / "config-record.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        result = CliRunner().invoke(main, [str(a) for a in (
+            "run", "--scheme", "transfer_only", "--config", bad, "--split", split_file,
+            "--checkpoint", checkpoint, "--out", workspace / "run-record")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: run.clients ")
+        assert result.output.count("\n") == 1 and message in result.output
 
     def test_scheme_error(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fedabr.env import (DEFAULT_LADDER, EnvConfig, EnvError, StreamEnv, episode_qoe,
                         outcome_csv_row, OUTCOME_CSV_HEADER)
-from fedabr.traces import NetworkType, Trace, TraceSample, TransportMode, bandwidth_at
+from fedabr.traces import NetworkType, Trace, TransportMode, bandwidth_at
 from tests.conftest import constant_trace
 
 
@@ -182,12 +182,11 @@ def lookup_cases(draw):
         times = draw(st.integers(0, 50)) + np.arange(n, dtype=float)
     else:
         times = draw(st.floats(0.0, 50.0)) + np.cumsum(rng.uniform(0.01, 3.0, size=n))
-    with_loss = draw(st.booleans())
-    samples = tuple(TraceSample(float(t), float(rng.uniform(0.0, 5000.0)), None,
-                                float(rng.uniform()) if with_loss and rng.random() < 0.7
-                                else None)
-                    for t in times)
-    trace = Trace("rand", samples, NetworkType.WIFI, TransportMode.FOOT)
+    loss = None
+    if draw(st.booleans()):  # a loss column with about 30% of its fields empty
+        loss = np.where(rng.random(n) < 0.7, rng.uniform(size=n), np.nan)
+    trace = Trace("rand", times, rng.uniform(0.0, 5000.0, size=n),
+                  NetworkType.WIFI, TransportMode.FOOT, loss=loss)
     step_s = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.05, 5.0))
     start = draw(st.sampled_from([float(t) for t in times[:-1]])
                  | st.floats(float(times[0]), float(times[-1])))
@@ -217,6 +216,8 @@ class TestLookupOracle:
             assert out.t == t
             assert out.capacity_kbps == scan_sample(trace, t).bandwidth
             assert out.capacity_kbps == bandwidth_at(trace, t)
+            # Python floats, so that outcome CSV rows written with repr() keep their bytes.
+            assert type(out.capacity_kbps) is float and type(bandwidth_at(trace, t)) is float
             t += step_s
 
 

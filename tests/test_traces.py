@@ -1,16 +1,153 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedabr.traces import (NetworkType, SynthFamily, TraceError, TransportMode,
-                           bandwidth_at, group_of, load_manifest, parse_trace,
-                           parse_transport_mode, serialize_trace, split_corpus,
-                           synthesize_trace, write_manifest)
+from fedabr.traces import (NetworkType, SynthFamily, Trace, TraceError, TraceSample,
+                           TransportMode, bandwidth_at, group_of, load_manifest,
+                           parse_trace, parse_transport_mode, serialize_trace,
+                           split_corpus, synthesize_trace, write_manifest)
 from tests.conftest import constant_trace
 
 NT = NetworkType
 TM = TransportMode
+COLUMNS = ("times", "bandwidth", "rtt", "loss")
+
+
+def oracle_parse(text: str, trace_id: str = "t") -> list[TraceSample]:
+    """The per-line parser and the per-sample checks of `Trace` that the
+    columnar code replaced, kept verbatim as the reference (the checks read
+    `samples` and `trace_id` for `self.samples` and `self.id`). Returns the
+    accepted rows."""
+    samples = []
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if not 2 <= len(parts) <= 4:
+            raise TraceError(f"line {lineno}: expected 2-4 columns, got {len(parts)}")
+        try:
+            t = float(parts[0])
+            bw = float(parts[1])
+            rtt = float(parts[2]) if len(parts) > 2 and parts[2] != "" else None
+            loss = float(parts[3]) if len(parts) > 3 and parts[3] != "" else None
+        except ValueError as e:
+            raise TraceError(f"line {lineno}: {e}") from None
+        samples.append(TraceSample(t, bw, rtt, loss))
+    if not samples:
+        raise TraceError("empty trace file")
+
+    if len(samples) < 2:
+        raise TraceError(f"trace {trace_id!r}: needs at least 2 samples")
+    # Each check is written so that it holds, which NaN never does.
+    inf = float("inf")
+    prev = -inf
+    for s in samples:
+        if not (0 <= s.t < inf and s.t > prev):
+            raise TraceError(f"trace {trace_id!r}: timestamps must be finite, non-negative "
+                             f"and strictly increasing (got {s.t} after {prev})")
+        if not 0 <= s.bandwidth < inf:
+            raise TraceError(f"trace {trace_id!r}: bandwidth {s.bandwidth} at t={s.t} "
+                             "is negative or not finite")
+        if s.rtt is not None and not 0 <= s.rtt < inf:
+            raise TraceError(f"trace {trace_id!r}: rtt {s.rtt} at t={s.t} "
+                             "is negative or not finite")
+        if s.loss is not None and not 0.0 <= s.loss <= 1.0:
+            raise TraceError(f"trace {trace_id!r}: loss outside [0,1] at t={s.t}")
+        prev = s.t
+    return samples
+
+
+def oracle_columns(samples: list[TraceSample]) -> dict[str, bytes | None]:
+    """The raw bytes of each column the rows make; None for an absent column."""
+    columns = {}
+    for name, field in zip(COLUMNS, ("t", "bandwidth", "rtt", "loss")):
+        values = [getattr(s, field) for s in samples]
+        columns[name] = (None if all(v is None for v in values) else
+                         np.array([np.nan if v is None else v for v in values]).tobytes())
+    return columns
+
+
+def column_bytes(trace: Trace) -> dict[str, bytes | None]:
+    return {name: None if getattr(trace, name) is None else getattr(trace, name).tobytes()
+            for name in COLUMNS}
+
+
+# Numbers that a valid row never has, or writes in an odd way; and fields
+# that are no number at all.
+ODD_NUMBERS = ["nan", "NaN", "-nan", "inf", "-inf", "1e400", "-1.5", "1.5", "-0.0", "1_0", " 5 "]
+BAD_FIELDS = ["x", "", " ", "1e", "0x1", "é", "\ud800", "1\u20282"]
+ODD_LINES = ["# t,bandwidth,rtt,loss", "#", "", "   ", "7", "1,2,3,4,5", ",", "1,,", "a,b"]
+FAULTS = ("odd lines", "time steps", "ragged rows", "empty rtt", "odd numbers", "bad fields")
+
+
+@st.composite
+def trace_files(draw):
+    """Trace CSV text. Each file draws up to two kinds of fault, and each row
+    has one of them with chance 1/3: comment, blank and bad lines, times that
+    stand still or go back, ragged rows, empty rtt fields, odd numbers such as
+    `nan`, `inf` and `1e400`, and fields that are no number.
+    A file with no kind of fault has rows of one width with valid values."""
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
+    width = draw(st.integers(2, 4))
+
+    def fault(kind):
+        return kind in faults and draw(st.integers(0, 2)) == 0
+
+    lines = []
+    t = draw(st.floats(0.0, 10.0))
+    for _ in range(draw(st.integers(0, 12))):
+        if fault("odd lines"):
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+            continue
+        t += draw(st.sampled_from([0.0, -1.0] if fault("time steps") else [1.0, 0.25, 1e-3]))
+        values = [t, draw(st.floats(0.0, 5000.0)), draw(st.floats(0.0, 500.0)),
+                  draw(st.floats(0.0, 1.0))]
+        fields = [repr(v) for v in values[:draw(st.integers(2, 4)) if fault("ragged rows")
+                                          else width]]
+        if len(fields) > 2 and fault("empty rtt"):
+            fields[2] = ""
+        for kind, choices in (("odd numbers", ODD_NUMBERS), ("bad fields", BAD_FIELDS)):
+            if fault(kind):
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(choices))
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def oracle_serialize(samples: list[TraceSample]) -> str:
+    """The row-by-row writer that `serialize_trace` replaced, kept verbatim."""
+    lines = []
+    for s in samples:
+        cols = [repr(s.t), repr(s.bandwidth)]
+        if s.rtt is not None or s.loss is not None:
+            cols.append("" if s.rtt is None else repr(s.rtt))
+        if s.loss is not None:
+            cols.append(repr(s.loss))
+        lines.append(",".join(cols))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def column_traces(draw):
+    """A valid trace built from columns, with optional rtt and loss columns
+    that leave a random share of their fields empty (NaN)."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = draw(st.floats(0.0, 100.0)) + np.cumsum(rng.uniform(1e-3, 5.0, size=n))
+    bandwidth = rng.uniform(0.0, 5000.0, size=n)
+    if draw(st.booleans()):
+        bandwidth = np.round(bandwidth)
+    optional = {}
+    for name, top in (("rtt", 500.0), ("loss", 1.0)):
+        if draw(st.booleans()):
+            col = rng.uniform(0.0, top, size=n)
+            col[rng.random(n) < draw(st.floats(0.0, 1.0))] = np.nan
+            optional[name] = col
+    return Trace("rt", times, bandwidth, NT.WIFI, TM.FOOT, **optional)
 
 
 class TestParseTrace:
@@ -41,10 +178,58 @@ class TestParseTrace:
         with pytest.raises(TraceError):
             parse_trace(text, "t", NT.FOUR_G, TM.CAR)
 
+    @pytest.mark.parametrize("literal", ["nan", "-nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("header", ["", "# t,bandwidth,rtt,loss\n"],
+                             ids=["uniform", "with-comment"])
+    def test_non_finite_rejected_in_every_column(self, literal, column, header):
+        rows = [["0", "1500", "20", "0.1"], ["1", "800", "30", "0.2"]]
+        rows[1][column] = literal
+        with pytest.raises(TraceError):
+            parse_trace(header + "".join(",".join(r) + "\n" for r in rows),
+                        "t", NT.FOUR_G, TM.CAR)
+
     def test_comments_and_optional_columns(self):
         tr = parse_trace("# header\n0,100,20,0.01\n1,200\n", "t", NT.WIFI, TM.FOOT)
         assert tr.samples[0].rtt == 20 and tr.samples[0].loss == 0.01
         assert tr.samples[1].rtt is None
+
+    def test_empty_fields_become_nan(self):
+        tr = parse_trace("0,100,,0.5\n1,200,30\n2,300\n", "t", NT.WIFI, TM.FOOT)
+        assert np.array_equal(tr.rtt, [np.nan, 30, np.nan], equal_nan=True)
+        assert np.array_equal(tr.loss, [0.5, np.nan, np.nan], equal_nan=True)
+
+    @pytest.mark.parametrize("text", ["0,1,\n1,2,\n", "0,1\n1,2\n"])
+    def test_absent_columns_are_none(self, text):
+        tr = parse_trace(text, "t", NT.WIFI, TM.FOOT)
+        assert tr.rtt is None and tr.loss is None
+
+    def test_error_names_line(self):
+        with pytest.raises(TraceError, match="line 3"):
+            parse_trace("# h\n0,1\n1,inf\n", "t", NT.WIFI, TM.FOOT)
+
+    @settings(max_examples=400, deadline=None)
+    @given(trace_files())
+    def test_matches_per_line_oracle(self, text):
+        try:
+            expected = oracle_columns(oracle_parse(text))
+        except TraceError:
+            expected = None
+        try:
+            got = column_bytes(parse_trace(text, "t", NT.WIFI, TM.FOOT))
+        except TraceError:
+            got = None
+        assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(column_traces())
+    def test_serialize_roundtrip(self, trace):
+        text = serialize_trace(trace)
+        assert text == oracle_serialize(trace.samples)
+        back = parse_trace(text, trace.id, trace.network_type, trace.transport_mode)
+        assert back == trace
+        assert column_bytes(back) == column_bytes(trace)
+        assert serialize_trace(back) == text
 
     def test_roundtrip_with_generator(self):
         fam = SynthFamily(mean_kbps=900, amplitude_kbps=200, noise_std_kbps=50,
@@ -53,6 +238,47 @@ class TestParseTrace:
         assert tr.duration == 300
         back = parse_trace(serialize_trace(tr), tr.id, tr.network_type, tr.transport_mode)
         assert back == tr
+
+
+class TestTraceColumns:
+    def test_columns_are_read_only_float64(self):
+        tr = Trace("c", [0, 1, 2], [5, 6, 7], NT.WIFI, TM.FOOT, loss=[0.1, np.nan, 0.2])
+        for col in (tr.times, tr.bandwidth, tr.loss):
+            assert col.dtype == np.float64 and not col.flags.writeable
+        with pytest.raises(ValueError):
+            tr.bandwidth[0] = 1.0
+
+    def test_all_missing_column_is_none(self):
+        tr = Trace("c", [0, 1], [5, 6], NT.WIFI, TM.FOOT, rtt=[np.nan, np.nan])
+        assert tr.rtt is None
+
+    def test_samples_view(self):
+        tr = Trace("c", [0, 1], [5, 6], NT.WIFI, TM.FOOT, rtt=[20, np.nan])
+        assert tr.samples == (TraceSample(0.0, 5.0, 20.0, None), TraceSample(1.0, 6.0, None, None))
+
+    @pytest.mark.parametrize("columns, message", [
+        (dict(times=[0, 1, 1], bandwidth=[1, 2, 3]), r"got 1\.0 after 1\.0"),
+        (dict(times=[0, 1, 2, 3], bandwidth=[1, -1, -2, 1]), r"bandwidth -1\.0 at t=1\.0"),
+        (dict(times=[0, 1, 2], bandwidth=[1, 2, 3], rtt=[1, 2, np.inf]), r"rtt inf at t=2\.0"),
+        (dict(times=[0, 1, 2], bandwidth=[1, 2, 3], loss=[np.nan, 1.5, 2]), r"loss 1\.5 at t=1\.0"),
+        (dict(times=[0, 1, 2], bandwidth=[1, 2]), "2 bandwidth values for 3 timestamps"),
+    ])
+    def test_check_names_first_offending_t(self, columns, message):
+        with pytest.raises(TraceError, match=message):
+            Trace("c", network_type=NT.WIFI, transport_mode=TM.FOOT, **columns)
+
+    def test_equality(self):
+        def make(**kw):
+            args = dict(times=[0, 1], bandwidth=[5, 6], rtt=[20, np.nan])
+            args.update(kw)
+            return Trace("c", network_type=NT.WIFI, transport_mode=TM.FOOT, **args)
+
+        assert make() == make()
+        assert make() != make(rtt=[np.nan, 20])
+        assert make() != make(rtt=None)
+        assert make() != make(bandwidth=[5, 6.000000000000001])
+        assert make(bandwidth=[0.0, 1]) != make(bandwidth=[-0.0, 1])
+        assert make() != Trace("d", [0, 1], [5, 6], NT.WIFI, TM.FOOT, rtt=[20, np.nan])
 
 
 class TestBandwidthAt:
@@ -193,6 +419,13 @@ class TestManifest:
         manifest = write_manifest([constant_trace(trace_id="gone")], tmp_path)
         (tmp_path / "gone.csv").unlink()
         with pytest.raises(TraceError, match="'gone'.*gone.csv"):
+            load_manifest(manifest)
+
+    def test_duplicate_id(self, tmp_path):
+        manifest = write_manifest([constant_trace(trace_id="a"), constant_trace(trace_id="b")],
+                                  tmp_path)
+        manifest.write_text(manifest.read_text().replace("id: b", "id: a"))
+        with pytest.raises(TraceError, match="duplicate trace id 'a'"):
             load_manifest(manifest)
 
     def test_missing_manifest(self, tmp_path):
