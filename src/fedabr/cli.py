@@ -15,7 +15,7 @@ from .config import ConfigError, build_scheme_config, load_config
 from .env import QoESummary
 from .metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
                       qoe_report, speedup_percent)
-from .net import DivergenceError, load_checkpoint, save_checkpoint
+from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
 from .schemes import Scheme, SchemeError, run_scheme
 from .traces import Trace, TraceError, load_manifest, split_corpus
@@ -35,7 +35,7 @@ def _command_body(fn):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 return fn(*args, **kwargs)
-            except (ConfigError, TraceError, SchemeError) as e:
+            except (ConfigError, TraceError, SchemeError, NetError) as e:
                 raise click.ClickException(str(e)) from None
     return wrapper
 

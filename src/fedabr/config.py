@@ -12,44 +12,33 @@ from .env import EnvConfig
 from .net import TrainHyper
 from .pretrain import PretrainConfig
 from .schemes import ClientSpec, Scheme, SchemeConfig
-from .traces import parse_network_type, parse_transport_mode
+from .traces import YAML_LOADER, parse_network_type, parse_transport_mode
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _build(cls, data: dict, **overrides):
-    data = dict(data)
-    data.update(overrides)
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    for key, val in data.items():
-        if isinstance(val, list):
-            data[key] = tuple(val)
+# The keys each section accepts. `hyper` serves pretraining and runs alike, and
+# `pretrain.hidden` sets the one architecture. The `run` keys other than
+# `clients`, and the `federation` keys, are SchemeConfig keywords, defaulted there.
+SECTIONS = {
+    "corpus": ("manifest",),
+    "split": ("seed",),
+    "env": tuple(f.name for f in fields(EnvConfig)),
+    "hyper": tuple(f.name for f in fields(TrainHyper)),
+    "pretrain": tuple(f.name for f in fields(PretrainConfig) if f.name != "hyper"),
+    "federation": ("mix", "server_lr", "poll_period_s"),
+    "run": ("epochs", "seed", "frozen_layers", "clients"),
+}
+
+
+def _build(cls, data: dict, **extra):
     try:
-        return cls(**data)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()},
+                   **extra)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid {cls.__name__}: {e}") from None
-
-
-# Settings that feed a SchemeConfig take their defaults from it.
-@dataclass(frozen=True)
-class FederationSettings:
-    mix: float = SchemeConfig.mix
-    server_lr: float | None = SchemeConfig.server_lr
-    poll_period_s: float = SchemeConfig.poll_period_s
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    epochs: int = 50
-    seed: int = 0
-    clients: tuple[dict, ...] | str = "auto"
-    frozen_layers: int = SchemeConfig.frozen_layers
-    hidden: tuple[int, ...] = SchemeConfig.hidden
 
 
 @dataclass(frozen=True)
@@ -59,8 +48,8 @@ class ExperimentConfig:
     env: EnvConfig
     hyper: TrainHyper
     pretrain: PretrainConfig
-    federation: FederationSettings
-    run: RunSettings
+    clients: list | str  # run.clients: "auto" or a list of client records
+    scheme_args: dict    # the other run and federation keys, as SchemeConfig keywords
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -69,32 +58,39 @@ def _section(raw: dict, name: str) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config section {name!r} must be a mapping, got {data!r}")
+    unknown = [str(k) for k in data if k not in SECTIONS[name]]
+    if unknown:
+        raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
     return data
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     with open(path) as f:
-        raw = yaml.safe_load(f) or {}
+        raw = yaml.load(f, Loader=YAML_LOADER) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping of sections")
-    corpus = _section(raw, "corpus")
-    if not isinstance(corpus.get("manifest"), str):
+    unknown = [str(k) for k in raw if k not in SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown config sections: {unknown}")
+    sec = {name: _section(raw, name) for name in SECTIONS}
+    if not isinstance(sec["corpus"].get("manifest"), str):
         raise ConfigError("config must set corpus.manifest to a path")
-    seed = _section(raw, "split").get("seed", 0)
+    seed = sec["split"].get("seed", 0)
     try:
         seed = int(seed)
     except (TypeError, ValueError):
         raise ConfigError(f"split.seed must be an integer, got {seed!r}") from None
-    hyper = _build(TrainHyper, _section(raw, "hyper"))
+    hyper = _build(TrainHyper, sec["hyper"])
+    scheme_args = {**sec["run"], **sec["federation"]}
     return ExperimentConfig(
-        manifest=(path.parent / corpus["manifest"]).resolve(),
+        manifest=(path.parent / sec["corpus"]["manifest"]).resolve(),
         split_seed=seed,
-        env=_build(EnvConfig, _section(raw, "env")),
+        env=_build(EnvConfig, sec["env"]),
         hyper=hyper,
-        pretrain=_build(PretrainConfig, _section(raw, "pretrain"), hyper=hyper),
-        federation=_build(FederationSettings, _section(raw, "federation")),
-        run=_build(RunSettings, _section(raw, "run")),
+        pretrain=_build(PretrainConfig, sec["pretrain"], hyper=hyper),
+        clients=scheme_args.pop("clients", "auto"),
+        scheme_args=scheme_args,
     )
 
 
@@ -130,7 +126,7 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
     With `run.clients: auto`, one client is created per finetune trace for the
     federated scheme, and a single client over all finetune traces otherwise.
     """
-    if cfg.run.clients == "auto":
+    if cfg.clients == "auto":
         if not finetune_ids:
             raise ConfigError("split has no finetune traces to assign to clients")
         ids = sorted(finetune_ids)
@@ -138,22 +134,14 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
             clients = tuple(ClientSpec(f"client-{i}", (tid,)) for i, tid in enumerate(ids))
         else:
             clients = (ClientSpec("client-0", tuple(ids)),)
-    elif isinstance(cfg.run.clients, tuple):
-        clients = tuple(_client_spec(rec) for rec in cfg.run.clients)
+    elif isinstance(cfg.clients, list):
+        clients = tuple(_client_spec(rec) for rec in cfg.clients)
     else:
         raise ConfigError(f"run.clients must be 'auto' or a list of records, "
-                          f"got {cfg.run.clients!r}")
-    return SchemeConfig(
-        scheme=scheme,
-        clients=clients,
-        epochs=cfg.run.epochs,
-        test_trace_ids=tuple(sorted(test_ids)),
-        seed=cfg.run.seed,
-        env=cfg.env,
-        hyper=cfg.hyper,
-        frozen_layers=cfg.run.frozen_layers,
-        mix=cfg.federation.mix,
-        server_lr=cfg.federation.server_lr,
-        poll_period_s=cfg.federation.poll_period_s,
-        hidden=cfg.run.hidden,
-    )
+                          f"got {cfg.clients!r}")
+    try:
+        return SchemeConfig(scheme=scheme, clients=clients, test_trace_ids=tuple(sorted(test_ids)),
+                            env=cfg.env, hyper=cfg.hyper, hidden=cfg.pretrain.hidden,
+                            **cfg.scheme_args)
+    except TypeError as e:
+        raise ConfigError(f"invalid run or federation value: {e}") from None

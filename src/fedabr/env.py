@@ -177,11 +177,3 @@ class StreamEnv:
     @property
     def done(self) -> bool:
         return self._started and self._steps_left <= 0
-
-
-OUTCOME_CSV_HEADER = "t,action_kbps,capacity_kbps,achieved_kbps,delay_ms,stall_s,reward"
-
-
-def outcome_csv_row(o: StepOutcome) -> str:
-    return ",".join(repr(v) for v in (o.t, o.action_kbps, o.capacity_kbps,
-                                      o.achieved_kbps, o.delay_ms, o.stall_s, o.reward))

@@ -20,9 +20,7 @@ class FederationError(ValueError):
 
 
 class UpdateRejected(FederationError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    pass
 
 
 @dataclass
@@ -48,7 +46,7 @@ def personalize(local_prev: ModelParams, global_params: ModelParams,
     if local_prev.layout != global_params.layout:
         raise FederationError("shape mismatch between local and global params")
     return ModelParams(mix * local_prev.flat + (1.0 - mix) * global_params.flat,
-                       local_prev.layout, local_prev.activations)
+                       local_prev.layout)
 
 
 class Coordinator:
@@ -61,7 +59,6 @@ class Coordinator:
         self._groups: dict[int, GroupModel] = {}
         self._members: dict[int, set[str]] = {}
         self._pending: dict[int, dict[str, Gradients]] = {}
-        self._client_params: dict[str, ModelParams] = {}
         self._transcript = open(transcript_path, "w") if transcript_path else None
 
     def close(self):

@@ -1,8 +1,8 @@
 """Actor-critic network with explicit forward pass and analytic gradients.
 
-Parameters are one float64 vector with per-layer views: a stack of hidden
-layers followed by a policy head (one logit per ladder rate) and a scalar
-value head. Updates are plain SGD so that averaging gradients across clients
+Parameters are one float64 vector with per-layer views: a stack of ReLU
+hidden layers followed by a policy head (one logit per ladder rate) and a
+scalar value head. Updates are plain SGD so that averaging gradients across clients
 and stepping equals stepping on the averaged gradient.
 """
 
@@ -22,19 +22,6 @@ class NetError(ValueError):
 
 class DivergenceError(FloatingPointError):
     """Non-finite value encountered; the caller should reduce the learning rate."""
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: str = "relu"  # "relu" | "identity"
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise NetError("layer dims must be >= 1")
-        if self.activation not in ("relu", "identity"):
-            raise NetError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -60,35 +47,26 @@ class Layout:
         return tuple(weights), tuple(biases)
 
 
-class _Vector:
-    """One float64 vector; `weights`/`biases` are tuples of per-layer views into it."""
+class ModelParams:
+    """One float64 vector; `weights`/`biases` are tuples of per-layer views into it.
+
+    Layers are ordered hidden layers first, then policy head, then value head.
+    Gradients share the class, since they have the same layout.
+    """
 
     def __init__(self, flat: np.ndarray, layout: Layout):
         self.flat = flat
         self.layout = layout
         self.weights, self.biases = layout.views(flat)
 
-
-class Gradients(_Vector):
-    def copy(self) -> "Gradients":
-        return Gradients(self.flat.copy(), self.layout)
-
-
-class ModelParams(_Vector):
-    """Layers ordered hidden layers first, then policy head, then value head."""
-
-    def __init__(self, flat: np.ndarray, layout: Layout, activations: tuple[str, ...]):
-        super().__init__(flat, layout)
-        self.activations = tuple(activations)  # per hidden layer
-
     @classmethod
-    def from_layers(cls, weights, biases, activations) -> "ModelParams":
+    def from_layers(cls, weights, biases) -> "ModelParams":
         """Pack per-layer weight matrices and bias vectors into one new vector."""
         if len(weights) != len(biases) or any(
                 np.ndim(w) != 2 or np.shape(b) != np.shape(w)[:1] for w, b in zip(weights, biases)):
             raise NetError("each layer needs a 2-D weight and a bias of its output size")
         flat = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb], dtype=float)
-        return cls(flat, Layout(tuple(np.shape(w) for w in weights)), activations)
+        return cls(flat, Layout(tuple(np.shape(w) for w in weights)))
 
     @property
     def n_layers(self) -> int:
@@ -96,7 +74,12 @@ class ModelParams(_Vector):
 
     @property
     def n_hidden(self) -> int:
-        return len(self.activations)
+        return len(self.weights) - 2
+
+    @property
+    def hidden(self) -> tuple[int, ...]:
+        """Widths of the hidden layers."""
+        return tuple(w.shape[0] for w in self.weights[:-2])
 
     @property
     def input_dim(self) -> int:
@@ -107,7 +90,10 @@ class ModelParams(_Vector):
         return self.weights[-2].shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), self.layout, self.activations)
+        return ModelParams(self.flat.copy(), self.layout)
+
+
+Gradients = ModelParams
 
 
 @dataclass(frozen=True)
@@ -159,30 +145,24 @@ class TrainHyper:
             raise NetError("lr must be positive")
 
 
-def init_params(arch: list[LayerSpec], ladder_size: int, seed: int) -> ModelParams:
-    """Glorot-uniform weights (+-sqrt(6/(in+out))), zero biases; both heads on the last layer."""
-    for prev, nxt in zip(arch, arch[1:]):
-        if prev.out_dim != nxt.in_dim:
-            raise NetError(f"incompatible dims: {prev.out_dim} -> {nxt.in_dim}")
+def init_params(dims: tuple[int, ...], ladder_size: int, seed: int) -> ModelParams:
+    """Glorot-uniform weights (+-sqrt(6/(in+out))), zero biases; both heads on the last layer.
+
+    `dims` is the input size followed by the hidden layer widths.
+    """
+    if len(dims) < 2 or min(dims) < 1:
+        raise NetError(f"dims must be the input size and one or more hidden widths, "
+                       f"all >= 1, got {dims}")
     if ladder_size < 2:
         raise NetError("ladder_size must be >= 2")
     rng = np.random.default_rng(seed)
-    weights, biases, acts = [], [], []
-    for spec in arch:
-        limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        weights.append(rng.uniform(-limit, limit, size=(spec.out_dim, spec.in_dim)))
-        biases.append(np.zeros(spec.out_dim))
-        acts.append(spec.activation)
-    feat = arch[-1].out_dim
-    for out_dim in (ladder_size, 1):
-        limit = np.sqrt(6.0 / (feat + out_dim))
-        weights.append(rng.uniform(-limit, limit, size=(out_dim, feat)))
+    weights, biases = [], []
+    layers = [*zip(dims, dims[1:]), (dims[-1], ladder_size), (dims[-1], 1)]
+    for in_dim, out_dim in layers:
+        limit = np.sqrt(6.0 / (in_dim + out_dim))
+        weights.append(rng.uniform(-limit, limit, size=(out_dim, in_dim)))
         biases.append(np.zeros(out_dim))
-    return ModelParams.from_layers(weights, biases, acts)
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else z
+    return ModelParams.from_layers(weights, biases)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -200,10 +180,10 @@ def _forward_full(params: ModelParams, x: np.ndarray):
     """
     pre, post = [], [x]
     h = x
-    for i, act in enumerate(params.activations):
-        z = h @ params.weights[i].T + params.biases[i]
+    for w, b in zip(params.weights[:-2], params.biases[:-2]):
+        z = h @ w.T + b
         pre.append(z)
-        h = _activate(z, act)
+        h = np.maximum(z, 0.0)
         post.append(h)
     logits = h @ params.weights[-2].T + params.biases[-2]
     value = (h @ params.weights[-1].T + params.biases[-1])[..., 0]
@@ -236,34 +216,15 @@ def discounted_returns(rewards: list[float], bootstrap: float, gamma: float) -> 
     return out
 
 
-def a3c_loss(params: ModelParams, traj: Trajectory, hyper: TrainHyper,
-             advantages: np.ndarray | None = None) -> float:
-    """Rollout loss: -sum log pi(a)*A + c_v*(R-V)^2 - beta*H.
-
-    `advantages` may be supplied externally (e.g. frozen at a base parameter
-    point for finite-difference checks); by default they are recomputed from
-    `params`, matching what a3c_gradients differentiates.
-    """
-    returns = discounted_returns(traj.rewards, traj.bootstrap_value, hyper.gamma)
-    total = 0.0
-    for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
-        probs, value = forward(params, s)
-        adv = returns[t] - value if advantages is None else advantages[t]
-        entropy = -float(np.sum(probs * np.log(probs)))
-        total += (-np.log(probs[a]) * adv
-                  + hyper.value_coef * (returns[t] - value) ** 2
-                  - hyper.entropy_coef * entropy)
-    return float(total)
-
-
 def zero_gradients(params: ModelParams) -> Gradients:
     return Gradients(np.zeros_like(params.flat), params.layout)
 
 
 def a3c_gradients(params: ModelParams, traj: Trajectory,
                   hyper: TrainHyper) -> tuple[Gradients, float]:
-    """Analytic gradients of the rollout loss, with the advantage held constant
-    in the policy term. Clips the global gradient norm at hyper.clip_norm.
+    """Analytic gradients of the rollout loss -sum log pi(a)*A + c_v*(R-V)^2 - beta*H,
+    with the advantage A = R - V held constant in the policy term. Clips the
+    global gradient norm at hyper.clip_norm.
 
     One batched forward and backward pass over the (T, d) matrix of rollout
     states; each layer's gradient sums its per-step outer products as one
@@ -301,7 +262,7 @@ def a3c_gradients(params: ModelParams, traj: Trajectory,
     gb[-1][:] = dvalue.sum()
     dh = dlogits @ params.weights[-2] + dvalue[:, None] * params.weights[-1][0]
     for i in range(params.n_hidden - 1, -1, -1):
-        dz = dh * (pre[i] > 0) if params.activations[i] == "relu" else dh
+        dz = dh * (pre[i] > 0)
         gw[i][:] = dz.T @ post[i]
         gb[i][:] = dz.sum(axis=0)
         if i > 0:
@@ -332,7 +293,7 @@ def apply_update(params: ModelParams, grads: Gradients, lr: float,
     out[k:] -= lr * grads.flat[k:]
     if not np.all(np.isfinite(out[k:])):
         raise DivergenceError("non-finite update")
-    return ModelParams(out, params.layout, params.activations)
+    return ModelParams(out, params.layout)
 
 
 def mean_gradients(grad_list: list[Gradients]) -> Gradients:
@@ -358,7 +319,7 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     arrays = {"version": np.array(CHECKPOINT_VERSION),
               "n_layers": np.array(params.n_layers),
-              "activations": np.array(params.activations)}
+              "activations": np.array(("relu",) * params.n_hidden)}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
@@ -370,11 +331,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         if int(data["version"]) != CHECKPOINT_VERSION:
             raise NetError(f"unsupported checkpoint version {int(data['version'])}")
         n = int(data["n_layers"])
+        activations = [str(a) for a in data["activations"]]
+        if activations != ["relu"] * (n - 2):
+            raise NetError(f"checkpoint activations {activations}: every hidden layer "
+                           "must be relu")
         return ModelParams.from_layers([data[f"w{i}"] for i in range(n)],
-                                       [data[f"b{i}"] for i in range(n)],
-                                       [str(a) for a in data["activations"]])
-
-
-def params_close(a: ModelParams, b: ModelParams, tol: float = 0.0) -> bool:
-    """Elementwise max |a-b| <= tol (tol 0 means bit-identical values)."""
-    return a.layout == b.layout and np.max(np.abs(a.flat - b.flat), initial=0.0) <= tol
+                                       [data[f"b{i}"] for i in range(n)])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvConfig, StreamEnv
-from .net import (DivergenceError, FreezeMask, LayerSpec, ModelParams, TrainHyper,
+from .net import (DivergenceError, FreezeMask, ModelParams, TrainHyper,
                   Trajectory, a3c_gradients, all_trainable, apply_update, forward,
                   init_params, sample_action)
 from .traces import Trace
@@ -15,9 +15,9 @@ from .traces import Trace
 DEFAULT_ARCH_HIDDEN = (64, 32)
 
 
-def default_arch(input_dim: int, hidden: tuple[int, ...] = DEFAULT_ARCH_HIDDEN) -> list[LayerSpec]:
-    dims = (input_dim,) + tuple(hidden)
-    return [LayerSpec(a, b, "relu") for a, b in zip(dims, dims[1:])]
+def default_arch(input_dim: int, hidden: tuple[int, ...] = DEFAULT_ARCH_HIDDEN) -> tuple[int, ...]:
+    """The `init_params` dims: the input size, then the hidden layer widths."""
+    return (input_dim, *hidden)
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class PretrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.episodes_per_epoch < 1:
             raise ValueError("epochs must be >= 0 and episodes_per_epoch >= 1")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must list one or more widths >= 1, got {self.hidden!r}")
 
 
 def make_freeze_mask(n_hidden: int, frozen_layers: int) -> FreezeMask:

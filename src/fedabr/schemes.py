@@ -3,7 +3,8 @@ transfer-only, and grouped federated transfer.
 
 All online schemes share one code path: every client trains against its own
 simulated session and exchanges gradients with a synchronous coordinator; the
-non-federated schemes simply run each client in a group of one.
+non-federated schemes simply run each client in a group of one, which steps
+at the client learning rate and hands the client model back unmixed.
 """
 
 from __future__ import annotations
@@ -52,26 +53,35 @@ class ClientSpec:
 
 @dataclass(frozen=True)
 class SchemeConfig:
+    """One scheme run; `mix`, `server_lr` and `poll_period_s` apply only to `full_federated`."""
     scheme: Scheme
     clients: tuple[ClientSpec, ...]
-    epochs: int
-    test_trace_ids: tuple[str, ...]
+    epochs: int = 50
+    test_trace_ids: tuple[str, ...] = ()
     seed: int = 0
     env: EnvConfig = EnvConfig()
     hyper: TrainHyper = TrainHyper()
     frozen_layers: int = 1
     mix: float = 0.5
-    server_lr: float | None = None
+    server_lr: float | None = None  # None: hyper.lr
     poll_period_s: float = 30.0
     hidden: tuple[int, ...] = DEFAULT_ARCH_HIDDEN
 
     def __post_init__(self):
         if not self.clients:
             raise SchemeError("at least one client required")
-        if self.epochs < 1:
-            raise SchemeError("epochs must be >= 1")
         if len({c.id for c in self.clients}) != len(self.clients):
             raise SchemeError("duplicate client ids")
+        n = len(self.hidden)
+        # Each check is written so that it holds, which NaN never does.
+        for name, ok, rule in (
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("frozen_layers", 0 <= self.frozen_layers <= n, f"in [0, {n}] (hidden layers)"),
+                ("mix", 0.0 <= self.mix <= 1.0, "in [0, 1]"),
+                ("server_lr", self.server_lr is None or self.server_lr > 0, "positive"),
+                ("poll_period_s", self.poll_period_s > 0, "positive")):
+            if not ok:
+                raise SchemeError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -99,8 +109,11 @@ def _initial_params(config: SchemeConfig, pretrained: ModelParams | None) -> Mod
                            len(config.env.ladder), config.seed)
     if pretrained is None:
         raise SchemeError(f"scheme {config.scheme.value} requires a pretrained checkpoint")
-    if pretrained.input_dim != config.env.state_dim:
-        raise SchemeError("pretrained checkpoint does not match the environment state size")
+    have = (pretrained.input_dim, pretrained.hidden, pretrained.ladder_size)
+    need = (config.env.state_dim, tuple(config.hidden), len(config.env.ladder))
+    if have != need:
+        raise SchemeError(f"pretrained checkpoint has (inputs, hidden widths, rates) {have}, "
+                          f"the config needs {need}")
     return pretrained.copy()
 
 
@@ -252,12 +265,13 @@ def _group_for(spec: ClientSpec, trace: Trace, sim_t: float) -> int:
 
 def _run_online(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
                 mask: FreezeMask, out_dir: Path | None):
-    federated = config.scheme is Scheme.FULL_FEDERATED
-    server_lr = config.server_lr if config.server_lr is not None else config.hyper.lr
-    transcript = (out_dir / "transcript.jsonl") if (out_dir and federated) else None
+    server_lr, mix, transcript = config.hyper.lr, 1.0, None
+    if config.scheme is Scheme.FULL_FEDERATED:
+        server_lr, mix = config.server_lr or config.hyper.lr, config.mix
+        transcript = out_dir / "transcript.jsonl" if out_dir else None
     coord = Coordinator(server_lr, server_mask=mask, transcript_path=transcript)
     try:
-        rewards, final_clients = _train_rounds(config, traces, params0, mask, coord)
+        rewards, final_clients = _train_rounds(config, traces, params0, mask, coord, mix)
     finally:
         coord.close()
     final_groups = {gid: coord.fetch(gid)[0] for gid in coord.group_ids()}
@@ -265,7 +279,7 @@ def _run_online(config: SchemeConfig, traces: dict[str, Trace], params0: ModelPa
 
 
 def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
-                  mask: FreezeMask, coord: Coordinator):
+                  mask: FreezeMask, coord: Coordinator, mix: float):
     federated = config.scheme is Scheme.FULL_FEDERATED
     clients: list[_Client] = []
     synthetic_gid = 100  # isolated per-client groups for the non-federated schemes
@@ -321,7 +335,7 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                                           f"{coord.current_round(gid)}: {e}") from None
             for c in clients:
                 global_params, _ = coord.fetch(c.group)
-                c.model = personalize(c.model, global_params, config.mix)
+                c.model = personalize(c.model, global_params, mix)
             steps_done += round_steps
             # Round boundary: apply any due group changes.
             sim_t = (epoch * episode_steps + steps_done) * config.env.step_s
@@ -333,7 +347,7 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                         coord.seed_group(change.to_group, params0)
                     target = coord.migrate(c.spec.id, c.group, change.to_group)
                     c.group = change.to_group
-                    c.model = personalize(c.model, target, config.mix)
+                    c.model = personalize(c.model, target, mix)
         rewards.append(epoch_reward / (len(clients) * episode_steps))
     return rewards, {c.spec.id: c.model for c in clients}
 

@@ -13,6 +13,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+# libyaml's loader when PyYAML is built with it: the same documents, about 10x faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class NetworkType(enum.Enum):
     THREE_G = "3g"
@@ -30,8 +33,6 @@ class TransportMode(enum.Enum):
 # Column-major over (network type, transport mode): 3g/foot=1 ... wifi/train=12.
 _NETWORK_ORDER = [NetworkType.THREE_G, NetworkType.FOUR_G, NetworkType.WIFI]
 _TRANSPORT_ORDER = [TransportMode.FOOT, TransportMode.CAR, TransportMode.FERRY, TransportMode.TRAIN]
-
-N_GROUPS = len(_NETWORK_ORDER) * len(_TRANSPORT_ORDER)
 
 
 def group_of(nt: NetworkType, tm: TransportMode) -> int:
@@ -128,10 +129,6 @@ class Trace:
                     [None if math.isnan(v) else v for v in col.tolist()]
                     for col in (self.rtt, self.loss))
         return tuple(map(TraceSample, self.times.tolist(), self.bandwidth.tolist(), *optional))
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
 
     @property
     def group(self) -> int:
@@ -332,7 +329,7 @@ def load_manifest(path: str | Path) -> list[Trace]:
     path = Path(path)
     try:
         with open(path) as f:
-            records = yaml.safe_load(f)
+            records = yaml.load(f, Loader=YAML_LOADER)
     except OSError as e:
         raise TraceError(f"cannot read manifest {path}: {e.strerror}") from None
     if not isinstance(records, list):

@@ -5,6 +5,11 @@ from fedabr.env import EnvConfig
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 
 
+def params_close(a, b, tol=0.0):
+    """Same layout and elementwise max |a-b| <= tol (tol 0 means equal values)."""
+    return a.layout == b.layout and np.max(np.abs(a.flat - b.flat), initial=0.0) <= tol
+
+
 def constant_trace(bandwidth=1000.0, duration=400, trace_id="const",
                    nt=NetworkType.FOUR_G, tm=TransportMode.CAR):
     times = np.arange(duration + 1, dtype=float)

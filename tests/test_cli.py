@@ -2,6 +2,7 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -249,6 +250,48 @@ class TestInputErrors:
         assert result.exit_code == 1
         assert result.output.startswith("Error: run.clients ")
         assert result.output.count("\n") == 1 and message in result.output
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("federation", "mix", 1.5, "mix must be in [0, 1], got 1.5"),
+        ("federation", "mix", -0.5, "mix must be in [0, 1], got -0.5"),
+        ("federation", "server_lr", 0.0, "server_lr must be positive, got 0.0"),
+        ("federation", "server_lr", -1.0, "server_lr must be positive, got -1.0"),
+        ("federation", "poll_period_s", 0.0, "poll_period_s must be positive, got 0.0"),
+        ("run", "frozen_layers", 3, "frozen_layers must be in [0, 2] (hidden layers), got 3"),
+        ("run", "epochs", 0, "epochs must be >= 1"),
+        ("pretrain", "hidden", [16], "(19, (64, 32), 4), the config needs (19, (16,), 4)"),
+        ("env", "ladder", [300, 750, 1200], "4), the config needs (19, (64, 32), 3)"),
+    ])
+    def test_bad_setting(self, workspace, split_file, checkpoint, section, key, value,
+                         message):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config.setdefault(section, {})[key] = value
+        bad = workspace / "config-setting.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        for scheme in ("offline_only", "transfer_only"):
+            result = CliRunner().invoke(main, [str(a) for a in (
+                "run", "--scheme", scheme, "--config", bad, "--split", split_file,
+                "--checkpoint", checkpoint, "--out", workspace / "run-setting")])
+            assert isinstance(result.exception, SystemExit)
+            assert result.exit_code == 1
+            assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+            assert message in result.output
+            assert not (workspace / "run-setting").exists()
+
+    def test_checkpoint_with_other_activation(self, workspace, split_file, checkpoint):
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        arrays["activations"] = np.array(["relu", "identity"])
+        bad = workspace / "ckpt-identity.npz"
+        np.savez(bad, **arrays)
+        result = CliRunner().invoke(main, [str(a) for a in (
+            "run", "--scheme", "transfer_only", "--config", workspace / "config.yaml",
+            "--split", split_file, "--checkpoint", bad, "--out", workspace / "run-identity")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == ("Error: checkpoint activations ['relu', 'identity']: "
+                                 "every hidden layer must be relu\n")
+        assert not (workspace / "run-identity").exists()
 
     def test_scheme_error(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())

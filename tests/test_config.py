@@ -1,0 +1,99 @@
+import re
+from pathlib import Path
+
+import pytest
+import yaml
+
+from fedabr.config import SECTIONS, ConfigError, build_scheme_config, load_config
+from fedabr.schemes import Scheme
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Every key load_config accepts, with a value other than its default.
+KEYS = [
+    ("corpus", "manifest", "other/manifest.yaml"),
+    ("split", "seed", 7),
+    ("env", "ladder", [300.0, 750.0]),
+    ("env", "step_s", 2.0),
+    ("env", "base_rtt_ms", 60.0),
+    ("env", "deadline_ms", 500.0),
+    ("env", "history_len", 4),
+    ("env", "w_bitrate", 2.0),
+    ("env", "w_stall", 1.0),
+    ("env", "w_delay", 1.0),
+    ("env", "w_switch", 1.0),
+    ("env", "episode_len", 100),
+    ("hyper", "gamma", 0.9),
+    ("hyper", "entropy_coef", 0.05),
+    ("hyper", "value_coef", 0.1),
+    ("hyper", "lr", 0.002),
+    ("hyper", "rollout_len", 8),
+    ("hyper", "clip_norm", 10.0),
+    ("pretrain", "epochs", 3),
+    ("pretrain", "episodes_per_epoch", 2),
+    ("pretrain", "hidden", [16]),
+    ("pretrain", "seed", 4),
+    ("federation", "mix", 0.25),
+    ("federation", "server_lr", 0.004),
+    ("federation", "poll_period_s", 10.0),
+    ("run", "epochs", 7),
+    ("run", "seed", 3),
+    ("run", "frozen_layers", 0),
+    ("run", "clients", [{"id": "a", "traces": ["t0"]}]),
+]
+
+
+def write_config(path, config):
+    config = {"corpus": {"manifest": "corpus/manifest.yaml"}, **config}
+    path.write_text(yaml.safe_dump(config))
+    return load_config(path)
+
+
+def resolved(cfg, scheme=Scheme.FULL_FEDERATED):
+    """What a config sets: the manifest, the split seed, and what the library
+    takes for pretraining and for a run of `scheme`."""
+    return (cfg.manifest, cfg.split_seed, cfg.env, cfg.hyper, cfg.pretrain,
+            build_scheme_config(cfg, scheme, ["t0", "t1"], ["t2"]))
+
+
+def test_table_lists_exactly_the_accepted_keys():
+    assert sorted((s, k) for s, k, _ in KEYS) == sorted(
+        (s, k) for s, keys in SECTIONS.items() for k in keys)
+
+
+@pytest.mark.parametrize("section, key, value", KEYS)
+def test_every_key_changes_what_is_resolved(tmp_path, section, key, value):
+    default = resolved(write_config(tmp_path / "default.yaml", {}))
+    cfg = write_config(tmp_path / "config.yaml", {section: {key: value}})
+    assert resolved(cfg) != default
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"envv": {"episode_len": 3}}, "envv"),
+    ({"corpus": {"manifest": "corpus/manifest.yaml", "pack": "c.npz"}}, "pack"),
+    ({"split": {"sead": 3}}, "sead"),
+    ({"pretrain": {"hyper": {"lr": 0.5}}}, "hyper"),
+    ({"run": {"hidden": [16]}}, "hidden"),
+    ({"federation": {"mode": "params"}}, "mode"),
+])
+def test_unknown_keys_rejected(tmp_path, config, message):
+    with pytest.raises(ConfigError, match=message):
+        write_config(tmp_path / "config.yaml", config)
+
+
+def readme_config_block() -> str:
+    section = README.read_text().split("\n## Config\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```yaml\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    block = yaml.safe_load(readme_config_block())
+    assert ({s: set(keys) for s, keys in block.items()}
+            == {s: set(keys) for s, keys in SECTIONS.items()})
+    (tmp_path / "readme.yaml").write_text(readme_config_block())
+    cfg = load_config(tmp_path / "readme.yaml")
+    default = write_config(tmp_path / "default.yaml", {"corpus": block["corpus"]})
+    for scheme in Scheme:
+        assert resolved(cfg, scheme) == resolved(default, scheme)

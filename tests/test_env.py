@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedabr.env import (DEFAULT_LADDER, EnvConfig, EnvError, StreamEnv, episode_qoe,
-                        outcome_csv_row, OUTCOME_CSV_HEADER)
+from fedabr.env import DEFAULT_LADDER, EnvConfig, EnvError, StreamEnv, episode_qoe
 from fedabr.traces import NetworkType, Trace, TransportMode, bandwidth_at
 from tests.conftest import constant_trace
 
@@ -219,12 +218,3 @@ class TestLookupOracle:
             # Python floats, so that outcome CSV rows written with repr() keep their bytes.
             assert type(out.capacity_kbps) is float and type(bandwidth_at(trace, t)) is float
             t += step_s
-
-
-def test_outcome_csv(noisy_trace, small_env_config):
-    env = StreamEnv(noisy_trace, small_env_config)
-    env.reset()
-    _, _, out = env.step(2)
-    row = outcome_csv_row(out)
-    assert len(row.split(",")) == len(OUTCOME_CSV_HEADER.split(","))
-    assert float(row.split(",")[1]) == out.action_kbps

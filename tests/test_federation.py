@@ -5,15 +5,15 @@ import pytest
 
 from fedabr.federation import (Coordinator, FederationError, UpdateMessage,
                                UpdateRejected, personalize)
-from fedabr.net import (LayerSpec, TrainHyper, Trajectory, a3c_gradients,
-                        all_trainable, apply_update, init_params, params_close,
-                        zero_gradients)
+from fedabr.net import (TrainHyper, Trajectory, a3c_gradients, all_trainable, apply_update,
+                        init_params, zero_gradients)
+from tests.conftest import params_close
 
 HYPER = TrainHyper(clip_norm=0.0)
 
 
 def make_params(seed=0):
-    return init_params([LayerSpec(4, 6)], 3, seed=seed)
+    return init_params((4, 6), 3, seed=seed)
 
 
 def make_grads(params, seed=1):
@@ -114,7 +114,7 @@ class TestSubmit:
 
     def test_shape_mismatch(self):
         coord, p = self._setup()
-        bad = make_grads(init_params([LayerSpec(4, 5)], 3, seed=0))
+        bad = make_grads(init_params((4, 5), 3, seed=0))
         with pytest.raises(UpdateRejected, match="shape"):
             coord.submit(UpdateMessage("a", 1, 0, bad))
 

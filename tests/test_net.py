@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import personalize
-from fedabr.net import (DivergenceError, FreezeMask, LayerSpec, ModelParams, NetError,
-                        TrainHyper, Trajectory, a3c_gradients, a3c_loss, all_trainable,
-                        apply_update, discounted_returns, forward, init_params,
-                        load_checkpoint, mean_gradients, params_close, sample_action,
-                        save_checkpoint, zero_frozen, zero_gradients)
+from fedabr.net import (DivergenceError, FreezeMask, ModelParams, NetError, TrainHyper,
+                        Trajectory, a3c_gradients, all_trainable, apply_update,
+                        discounted_returns, forward, init_params, load_checkpoint,
+                        mean_gradients, sample_action, save_checkpoint, zero_frozen,
+                        zero_gradients)
 from fedabr.pretrain import collect_rollout
-from tests.conftest import constant_trace
+from tests.conftest import constant_trace, params_close
 
-ARCH = [LayerSpec(5, 8), LayerSpec(8, 6)]
+ARCH = (5, 8, 6)
 
 
 def small_params(seed=0):
@@ -27,6 +27,25 @@ def random_trajectory(params, rng, length=6):
     actions = [int(rng.integers(params.ladder_size)) for _ in range(length)]
     rewards = [float(rng.normal()) for _ in range(length)]
     return Trajectory(states, actions, rewards, float(rng.normal()))
+
+
+def a3c_loss(params, traj, hyper, advantages=None):
+    """Rollout loss: -sum log pi(a)*A + c_v*(R-V)^2 - beta*H.
+
+    `advantages` may be supplied externally (e.g. frozen at a base parameter
+    point for finite-difference checks); by default they are recomputed from
+    `params`, matching what a3c_gradients differentiates.
+    """
+    returns = discounted_returns(traj.rewards, traj.bootstrap_value, hyper.gamma)
+    total = 0.0
+    for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
+        probs, value = forward(params, s)
+        adv = returns[t] - value if advantages is None else advantages[t]
+        entropy = -float(np.sum(probs * np.log(probs)))
+        total += (-np.log(probs[a]) * adv
+                  + hyper.value_coef * (returns[t] - value) ** 2
+                  - hyper.entropy_coef * entropy)
+    return float(total)
 
 
 def fd_gradient(params, traj, hyper, h=1e-5):
@@ -68,12 +87,13 @@ class TestInitParams:
         assert all(np.all(b == 0) for b in p.biases)
 
     def test_weight_mean(self):
-        p = init_params([LayerSpec(100, 100)], 4, seed=1)
+        p = init_params((100, 100), 4, seed=1)
         assert abs(np.mean(p.weights[0])) < 0.01
 
     def test_incompatible_dims(self):
-        with pytest.raises(NetError):
-            init_params([LayerSpec(5, 8), LayerSpec(9, 6)], 4, seed=0)
+        for dims in ((5,), (5, 0), (0, 8), (5, 8, 0)):
+            with pytest.raises(NetError):
+                init_params(dims, 4, seed=0)
 
 
 class TestForward:
@@ -188,7 +208,7 @@ class TestApplyUpdate:
     def test_scalar_arithmetic(self):
         p = ModelParams.from_layers(
             [np.array([[1.0]]), np.array([[1.0], [1.0]]), np.array([[1.0]])],
-            [np.zeros(1), np.zeros(2), np.zeros(1)], ["identity"])
+            [np.zeros(1), np.zeros(2), np.zeros(1)])
         g = zero_gradients(p)
         g.weights[0][0, 0] = 2.0
         updated = apply_update(p, g, 0.1, all_trainable(p))
@@ -196,7 +216,7 @@ class TestApplyUpdate:
 
     def test_shape_mismatch(self, rng):
         p = small_params()
-        grads = zero_gradients(init_params([LayerSpec(5, 8), LayerSpec(8, 5)], 4, seed=0))
+        grads = zero_gradients(init_params((5, 8, 5), 4, seed=0))
         with pytest.raises(NetError):
             apply_update(p, grads, 0.1, all_trainable(p))
 
@@ -243,7 +263,18 @@ class TestCheckpoint:
         save_checkpoint(p, path)
         loaded = load_checkpoint(path)
         assert params_close(loaded, p)
-        assert loaded.activations == p.activations
+
+    @pytest.mark.parametrize("activations", [("identity", "relu"), ("relu", "identity"),
+                                             ("relu",), ("relu", "relu", "relu")])
+    def test_only_relu_layers_load(self, tmp_path, activations):
+        p = small_params(9)
+        arrays = {"version": np.array(1), "n_layers": np.array(p.n_layers),
+                  "activations": np.array(activations)}
+        for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+            arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+        np.savez(tmp_path / "model.npz", **arrays)
+        with pytest.raises(NetError, match="relu"):
+            load_checkpoint(tmp_path / "model.npz")
 
 
 class TestTrajectoryValidation:
@@ -269,11 +300,10 @@ class TestHyperValidation:
 @st.composite
 def flat_cases(draw):
     """A random architecture, a frozen prefix of its layers and a value seed."""
-    dims = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    dims = tuple(draw(st.lists(st.integers(1, 9), min_size=2, max_size=4)))
     ladder = draw(st.integers(2, 9))
-    arch = [LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
-    frozen = draw(st.integers(0, len(arch) + 2))
-    return arch, ladder, frozen, draw(st.integers(0, 2**32 - 1))
+    frozen = draw(st.integers(0, len(dims) + 1))
+    return dims, ladder, frozen, draw(st.integers(0, 2**32 - 1))
 
 
 def random_grads(params, rng):
@@ -353,12 +383,13 @@ class TestFlatLayout:
             assert set(data.files) == ({"version", "n_layers", "activations"}
                                        | {f"w{i}" for i in range(n)}
                                        | {f"b{i}" for i in range(n)})
+            assert data["activations"].tolist() == ["relu"] * p.n_hidden
             assert all(same_bits(data[f"w{i}"], p.weights[i]) for i in range(n))
             assert all(same_bits(data[f"b{i}"], p.biases[i]) for i in range(n))
         buf.seek(0)
         loaded = load_checkpoint(buf)
         assert same_bits(loaded.flat, p.flat)
-        assert loaded.activations == p.activations
+        assert loaded.hidden == arch[1:]
 
     @settings(max_examples=30, deadline=None)
     @given(flat_cases(), st.integers(0, 3))
@@ -366,9 +397,9 @@ class TestFlatLayout:
         arch, ladder, _, seed = case
         p = init_params(arch, ladder, seed=seed)
         # Same number of layers, one dimension larger somewhere.
-        dims = [arch[0].in_dim] + [s.out_dim for s in arch]
+        dims = list(arch)
         dims[min(grow, len(dims) - 1)] += 1
-        other = init_params([LayerSpec(a, b) for a, b in zip(dims, dims[1:])], ladder, seed)
+        other = init_params(tuple(dims), ladder, seed)
         with pytest.raises(NetError, match="shape"):
             apply_update(p, zero_gradients(other), 0.1, all_trainable(p))
 
@@ -382,9 +413,9 @@ def loop_gradients(params, traj, hyper):
     loss = 0.0
     for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
         pre, post = [], [np.asarray(s, dtype=float)]
-        for w, b, act in zip(params.weights, params.biases, params.activations):
+        for w, b in zip(params.weights[:-2], params.biases[:-2]):
             pre.append(w @ post[-1] + b)
-            post.append(np.maximum(pre[-1], 0.0) if act == "relu" else pre[-1])
+            post.append(np.maximum(pre[-1], 0.0))
         feat = post[-1]
         logits = params.weights[-2] @ feat + params.biases[-2]
         probs = np.exp(logits - logits.max())
@@ -404,7 +435,7 @@ def loop_gradients(params, traj, hyper):
         gb[-1][:] += dvalue
         dh = params.weights[-2].T @ dlogits + dvalue * params.weights[-1][0]
         for i in range(params.n_hidden - 1, -1, -1):
-            dz = dh * (pre[i] > 0) if params.activations[i] == "relu" else dh
+            dz = dh * (pre[i] > 0)
             gw[i][:] += np.outer(dz, post[i])
             gb[i][:] += dz
             dh = params.weights[i].T @ dz
@@ -425,11 +456,8 @@ def assert_matches_loop(params, traj, hyper):
 
 @st.composite
 def arch_cases(draw):
-    """A random architecture and activations, hyperparameters and a value seed."""
-    dims = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
-    acts = draw(st.lists(st.sampled_from(["relu", "identity"]),
-                         min_size=len(dims) - 1, max_size=len(dims) - 1))
-    arch = [LayerSpec(a, b, act) for a, b, act in zip(dims, dims[1:], acts)]
+    """A random architecture, hyperparameters and a value seed."""
+    arch = tuple(draw(st.lists(st.integers(1, 9), min_size=2, max_size=4)))
     hyper = TrainHyper(gamma=draw(st.sampled_from([0.9, 0.99, 1.0])),
                        entropy_coef=draw(st.sampled_from([0.0, 0.01, 0.5])),
                        value_coef=draw(st.sampled_from([0.0, 0.1, 0.5])),
@@ -455,8 +483,7 @@ class TestBatchedGradients:
         arch, ladder, hyper, seed = case
         env_config = EnvConfig(ladder=tuple(300.0 * (i + 1) for i in range(ladder)),
                                history_len=history_len, episode_len=episode_len)
-        arch = [LayerSpec(env_config.state_dim, arch[0].out_dim, arch[0].activation),
-                *arch[1:]]
+        arch = (env_config.state_dim, *arch[1:])
         p = init_params(arch, ladder, seed=seed)
         rng = np.random.default_rng(seed)
         env = StreamEnv(constant_trace(1000.0, duration=60), env_config)

@@ -3,10 +3,10 @@ import pytest
 
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.net import (FreezeMask, TrainHyper, a3c_gradients, all_trainable, apply_update,
-                        forward, init_params, params_close)
+                        forward, init_params)
 from fedabr.pretrain import (PretrainConfig, collect_rollout, default_arch, make_freeze_mask,
                              offline_train, run_training_episode)
-from tests.conftest import constant_trace
+from tests.conftest import constant_trace, params_close
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 

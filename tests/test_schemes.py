@@ -1,16 +1,20 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedabr.discriminator import ClientCondition
 from fedabr.env import EnvConfig
 from fedabr.net import (DivergenceError, TrainHyper, all_trainable, apply_update,
-                        a3c_gradients, init_params, params_close)
+                        a3c_gradients, init_params)
 from fedabr.pretrain import PretrainConfig, collect_rollout, default_arch, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError,
                             run_scheme)
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
+from tests.conftest import params_close
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 ENV = EnvConfig(ladder=LADDER4, episode_len=32)
@@ -48,9 +52,9 @@ def pretrained():
     return pretrained_model()
 
 
-def base_config(scheme, clients, epochs=4):
+def base_config(scheme, clients, epochs=4, **kwargs):
     return SchemeConfig(scheme=scheme, clients=clients, epochs=epochs,
-                        test_trace_ids=("test0",), seed=5, env=ENV, hyper=HYPER)
+                        test_trace_ids=("test0",), seed=5, env=ENV, hyper=HYPER, **kwargs)
 
 
 class TestOfflineOnly:
@@ -168,6 +172,54 @@ class TestValidation:
         cfg = base_config(Scheme.TRANSFER_ONLY, (ClientSpec("c0", ("ft0",)),))
         with pytest.raises(SchemeError):
             run_scheme(cfg, corpus, bad)
+
+    @pytest.mark.parametrize("scheme", [Scheme.OFFLINE_ONLY, Scheme.TRANSFER_ONLY,
+                                        Scheme.FULL_FEDERATED])
+    @pytest.mark.parametrize("hidden, ladder", [
+        ((64,), LADDER4), ((64, 16), LADDER4), ((64, 32, 8), LADDER4),
+        ((64, 32), LADDER4[:2]), ((64, 32), LADDER4 + (2850.0, 4300.0))])
+    def test_checkpoint_architecture_must_match(self, corpus, pretrained, scheme, hidden,
+                                                ladder, tmp_path):
+        clients = tuple(ClientSpec(f"c{i}", (f"ft{i}",)) for i in range(2))
+        cfg = replace(base_config(scheme, clients), hidden=hidden,
+                      env=replace(ENV, ladder=ladder))
+        needs = re.escape(f"(19, (64, 32), 4), the config needs {(19, hidden, len(ladder))}")
+        with pytest.raises(SchemeError, match=needs):
+            run_scheme(cfg, corpus, pretrained, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scratch_model_has_the_config_widths(self, corpus):
+        cfg = replace(base_config(Scheme.ONLINE_SCRATCH, (ClientSpec("c0", ("ft0",)),),
+                                  epochs=1), hidden=(8, 4, 4))
+        assert run_scheme(cfg, corpus).final_client_params["c0"].hidden == (8, 4, 4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mix", 1.01), ("mix", -0.01), ("mix", float("nan")), ("server_lr", 0.0),
+        ("server_lr", -4e-3), ("poll_period_s", 0.0), ("frozen_layers", 3),
+        ("frozen_layers", -1), ("epochs", 0)])
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(SchemeError, match=field):
+            base_config(Scheme.FULL_FEDERATED, (ClientSpec("c0", ("ft0",)),),
+                        **{field: value})
+
+
+class TestFederationSettingsScope:
+    """`mix`, `server_lr` and `poll_period_s` reach only the federated scheme."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(scheme=st.sampled_from([Scheme.ONLINE_SCRATCH, Scheme.TRANSFER_ONLY]),
+           mix=st.floats(0.0, 1.0), server_lr=st.floats(1e-6, 1.0),
+           poll_period_s=st.floats(1e-3, 1e3))
+    def test_non_federated_runs_ignore_them(self, corpus, pretrained, scheme, mix,
+                                            server_lr, poll_period_s):
+        clients = (ClientSpec("c0", ("ft0", "ft1")),)
+        cfg = base_config(scheme, clients, epochs=2)
+        runs = [run_scheme(c, corpus, pretrained) for c in (
+            cfg, replace(cfg, mix=mix, server_lr=server_lr, poll_period_s=poll_period_s))]
+        assert runs[0].rewards == runs[1].rewards
+        assert runs[0].mean_test_reward == runs[1].mean_test_reward
+        assert (runs[0].final_client_params["c0"].flat.tobytes()
+                == runs[1].final_client_params["c0"].flat.tobytes())
 
 
 class TestRunDirectory:

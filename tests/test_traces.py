@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedabr import traces as traces_module
 from fedabr.traces import (NetworkType, SynthFamily, Trace, TraceError, TraceSample,
                            TransportMode, bandwidth_at, group_of, load_manifest,
                            parse_trace, parse_transport_mode, serialize_trace,
@@ -235,7 +237,7 @@ class TestParseTrace:
         fam = SynthFamily(mean_kbps=900, amplitude_kbps=200, noise_std_kbps=50,
                           duration_s=300)
         tr = synthesize_trace(fam, "synth", NT.THREE_G, TM.TRAIN, seed=5)
-        assert tr.duration == 300
+        assert tr.times[-1] - tr.times[0] == 300
         back = parse_trace(serialize_trace(tr), tr.id, tr.network_type, tr.transport_mode)
         assert back == tr
 
@@ -427,6 +429,18 @@ class TestManifest:
         manifest.write_text(manifest.read_text().replace("id: b", "id: a"))
         with pytest.raises(TraceError, match="duplicate trace id 'a'"):
             load_manifest(manifest)
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+    def test_libyaml_and_python_loaders_agree(self, tmp_path, noisy_trace, monkeypatch):
+        assert traces_module.YAML_LOADER is yaml.CSafeLoader
+        traces = [noisy_trace, constant_trace(trace_id="007", nt=NT.WIFI, tm=TM.TRAIN),
+                  constant_trace(trace_id="yes: no", nt=NT.THREE_G, tm=TM.FOOT)]
+        manifest = write_manifest(traces, tmp_path)
+        loaded = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(traces_module, "YAML_LOADER", loader)
+            loaded.append(load_manifest(manifest))
+        assert loaded[0] == loaded[1] == traces
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(TraceError, match="nowhere.yaml"):
