@@ -17,7 +17,7 @@ from .metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
                       qoe_report, speedup_percent)
 from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
-from .schemes import Scheme, SchemeError, run_scheme
+from .schemes import Scheme, SchemeError, run_scheme, write_rewards_csv
 from .traces import Trace, TraceError, load_manifest, split_corpus
 
 
@@ -95,11 +95,7 @@ def pretrain(config_path, split_path, out_path):
     except DivergenceError as e:
         raise click.ClickException(f"pretraining diverged: {e}") from None
     save_checkpoint(params, out_path)
-    rewards_csv = Path(out_path).with_suffix(".rewards.csv")
-    with open(rewards_csv, "w") as f:
-        f.write("epoch,mean_reward\n")
-        for i, r in enumerate(rewards, start=1):
-            f.write(f"{i},{r!r}\n")
+    write_rewards_csv(rewards, Path(out_path).with_suffix(".rewards.csv"))
     click.echo(f"pretrained {cfg.pretrain.epochs} epochs -> {out_path}")
 
 

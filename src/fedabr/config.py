@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -33,6 +34,23 @@ SECTIONS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(where: str, data: dict, hints: dict) -> None:
+    """Reject a value that is not an integer (booleans included) for a key whose
+    type in `hints` is an integer, an optional integer or a tuple of integers."""
+    for key, value in data.items():
+        hint = hints.get(key)
+        if hint == tuple[int, ...]:
+            if not (isinstance(value, list) and all(map(_is_int, value))):
+                raise ConfigError(f"{where}.{key} must be a list of integers, got {value!r}")
+        elif hint in (int, int | None) and not (
+                _is_int(value) or (value is None and hint != int)):
+            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+
+
 def _build(cls, data: dict, **extra):
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()},
@@ -48,7 +66,7 @@ class ExperimentConfig:
     env: EnvConfig
     hyper: TrainHyper
     pretrain: PretrainConfig
-    clients: list | str  # run.clients: "auto" or a list of client records
+    clients: tuple[ClientSpec, ...] | str  # run.clients: "auto" or the client records
     scheme_args: dict    # the other run and federation keys, as SchemeConfig keywords
 
 
@@ -76,20 +94,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
     sec = {name: _section(raw, name) for name in SECTIONS}
     if not isinstance(sec["corpus"].get("manifest"), str):
         raise ConfigError("config must set corpus.manifest to a path")
-    seed = sec["split"].get("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(f"split.seed must be an integer, got {seed!r}") from None
+    _check_integers("split", sec["split"], {"seed": int})
+    for name, cls in (("env", EnvConfig), ("hyper", TrainHyper),
+                      ("pretrain", PretrainConfig), ("run", SchemeConfig)):
+        _check_integers(name, sec[name], get_type_hints(cls))
     hyper = _build(TrainHyper, sec["hyper"])
     scheme_args = {**sec["run"], **sec["federation"]}
+    clients = scheme_args.pop("clients", "auto")
+    if isinstance(clients, list):
+        clients = tuple(_client_spec(i, rec) for i, rec in enumerate(clients))
+    elif clients != "auto":
+        raise ConfigError(f"run.clients must be 'auto' or a list of records, got {clients!r}")
     return ExperimentConfig(
         manifest=(path.parent / sec["corpus"]["manifest"]).resolve(),
-        split_seed=seed,
+        split_seed=sec["split"].get("seed", 0),
         env=_build(EnvConfig, sec["env"]),
         hyper=hyper,
         pretrain=_build(PretrainConfig, sec["pretrain"], hyper=hyper),
-        clients=scheme_args.pop("clients", "auto"),
+        clients=clients,
         scheme_args=scheme_args,
     )
 
@@ -102,11 +124,12 @@ def _parse_schedule(entries, client_id: str):
     return tuple(schedule)
 
 
-def _client_spec(rec) -> ClientSpec:
+def _client_spec(index: int, rec) -> ClientSpec:
     """One `run.clients` record: `{id, traces[, seed][, condition_schedule]}`."""
     if not (isinstance(rec, dict) and "id" in rec and "traces" in rec):
         raise ConfigError(f"run.clients record must be a mapping with keys id and traces: "
                           f"{rec!r}")
+    _check_integers(f"run.clients[{index}]", rec, {"seed": int | None})
     try:
         return ClientSpec(
             str(rec["id"]),
@@ -130,15 +153,12 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
         if not finetune_ids:
             raise ConfigError("split has no finetune traces to assign to clients")
         ids = sorted(finetune_ids)
-        if scheme is Scheme.FULL_FEDERATED and len(ids) > 1:
+        if scheme is Scheme.FULL_FEDERATED:
             clients = tuple(ClientSpec(f"client-{i}", (tid,)) for i, tid in enumerate(ids))
         else:
             clients = (ClientSpec("client-0", tuple(ids)),)
-    elif isinstance(cfg.clients, list):
-        clients = tuple(_client_spec(rec) for rec in cfg.clients)
     else:
-        raise ConfigError(f"run.clients must be 'auto' or a list of records, "
-                          f"got {cfg.clients!r}")
+        clients = cfg.clients
     try:
         return SchemeConfig(scheme=scheme, clients=clients, test_trace_ids=tuple(sorted(test_ids)),
                             env=cfg.env, hyper=cfg.hyper, hidden=cfg.pretrain.hidden,

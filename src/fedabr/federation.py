@@ -2,8 +2,9 @@
 
 Holds one versioned global model per group, distributes it to registering
 clients, averages client gradients at a synchronous round barrier, and applies
-the averaged gradient with the shared freeze mask. Personalization (client-side
-convex mixing of local and global models) is a pure function.
+the averaged gradient with the shared number of frozen bottom layers.
+Personalization (client-side convex mixing of local and global models) is a
+pure function.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .net import FreezeMask, Gradients, ModelParams, apply_update, mean_gradients
+from .net import Gradients, ModelParams, apply_update, mean_gradients
 
 
 class FederationError(ValueError):
@@ -52,10 +53,10 @@ def personalize(local_prev: ModelParams, global_params: ModelParams,
 class Coordinator:
     """Synchronous per-group parameter server. Single-executor scheduling only."""
 
-    def __init__(self, server_lr: float, server_mask: FreezeMask = FreezeMask(),
+    def __init__(self, server_lr: float, frozen_layers: int = 0,
                  transcript_path: str | Path | None = None):
         self.server_lr = server_lr
-        self.server_mask = server_mask
+        self.frozen_layers = frozen_layers
         self._groups: dict[int, GroupModel] = {}
         self._members: dict[int, set[str]] = {}
         self._pending: dict[int, dict[str, Gradients]] = {}
@@ -106,10 +107,6 @@ class Coordinator:
         self._log("register", client=client, group=group, version=gm.version)
         return gm.params.copy()
 
-    def members(self, group: int) -> set[str]:
-        self._require_group(group)
-        return set(self._members[group])
-
     def submit(self, update: UpdateMessage) -> None:
         gm = self._require_group(update.group)
         if update.client not in self._members[update.group]:
@@ -134,7 +131,7 @@ class Coordinator:
             raise FederationError(f"group {group} has no submissions to aggregate")
         payloads = [self._pending[group][c] for c in sorted(self._pending[group])]
         gm.params = apply_update(gm.params, mean_gradients(payloads), self.server_lr,
-                                 self.server_mask)
+                                 self.frozen_layers)
         gm.version += 1
         self._pending[group] = {}
         self._log("aggregate", group=group, version=gm.version, clients=len(payloads))

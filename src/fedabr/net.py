@@ -8,6 +8,7 @@ and stepping equals stepping on the averaged gradient.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -96,21 +97,11 @@ class ModelParams:
 Gradients = ModelParams
 
 
-@dataclass(frozen=True)
-class FreezeMask:
-    """The number of leading layers kept fixed; heads count as the last two layers."""
-    frozen_layers: int = 0
-
-
-def all_trainable(params: ModelParams) -> FreezeMask:
-    return FreezeMask()
-
-
-def _frozen_end(layout: Layout, mask: FreezeMask) -> int:
-    """Offset where the trainable part of a vector with `layout` starts."""
-    if not 0 <= mask.frozen_layers <= len(layout.shapes):
-        raise NetError(f"mask freezes {mask.frozen_layers} of {len(layout.shapes)} layers")
-    return layout.offsets[mask.frozen_layers]
+def _frozen_end(layout: Layout, frozen_layers: int) -> int:
+    """Offset where the trainable part starts when the first `frozen_layers` are fixed."""
+    if not 0 <= frozen_layers <= len(layout.shapes):
+        raise NetError(f"cannot freeze {frozen_layers} of {len(layout.shapes)} layers")
+    return layout.offsets[frozen_layers]
 
 
 @dataclass(frozen=True)
@@ -284,11 +275,11 @@ def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
 
 
 def apply_update(params: ModelParams, grads: Gradients, lr: float,
-                 mask: FreezeMask) -> ModelParams:
-    """SGD step on trainable layers; frozen layers are copied bit-identically."""
+                 frozen_layers: int = 0) -> ModelParams:
+    """SGD step; the first `frozen_layers` layers are copied bit-identically."""
     if grads.layout != params.layout:
         raise NetError("gradient shape mismatch")
-    k = _frozen_end(params.layout, mask)
+    k = _frozen_end(params.layout, frozen_layers)
     out = params.flat.copy()
     out[k:] -= lr * grads.flat[k:]
     if not np.all(np.isfinite(out[k:])):
@@ -306,10 +297,10 @@ def mean_gradients(grad_list: list[Gradients]) -> Gradients:
     return Gradients(total, grad_list[0].layout)
 
 
-def zero_frozen(grads: Gradients, mask: FreezeMask) -> Gradients:
-    """Zero gradient entries of frozen layers (aggregation payloads carry zeros there)."""
+def zero_frozen(grads: Gradients, frozen_layers: int) -> Gradients:
+    """Zero the first `frozen_layers` layers (aggregation payloads carry zeros there)."""
     out = grads.copy()
-    out.flat[:_frozen_end(grads.layout, mask)] = 0.0
+    out.flat[:_frozen_end(grads.layout, frozen_layers)] = 0.0
     return out
 
 
@@ -327,13 +318,21 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["version"]) != CHECKPOINT_VERSION:
-            raise NetError(f"unsupported checkpoint version {int(data['version'])}")
-        n = int(data["n_layers"])
-        activations = [str(a) for a in data["activations"]]
-        if activations != ["relu"] * (n - 2):
-            raise NetError(f"checkpoint activations {activations}: every hidden layer "
-                           "must be relu")
-        return ModelParams.from_layers([data[f"w{i}"] for i in range(n)],
-                                       [data[f"b{i}"] for i in range(n)])
+    """Read a `save_checkpoint` file; one that cannot be read as such raises NetError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data)
+        version, n = int(arrays["version"]), int(arrays["n_layers"])
+        activations = [str(a) for a in arrays["activations"]]
+        weights = [arrays[f"w{i}"] for i in range(n)]
+        biases = [arrays[f"b{i}"] for i in range(n)]
+    except KeyError as e:
+        raise NetError(f"checkpoint {path} has no array {e}") from None
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        raise NetError(f"cannot read checkpoint {path}: {e}") from None
+    if version != CHECKPOINT_VERSION:
+        raise NetError(f"unsupported checkpoint version {version}")
+    if activations != ["relu"] * (n - 2):
+        raise NetError(f"checkpoint activations {activations}: every hidden layer "
+                       "must be relu")
+    return ModelParams.from_layers(weights, biases)

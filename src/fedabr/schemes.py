@@ -15,9 +15,8 @@ import os
 import shutil
 import time
 import uuid
-import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from contextlib import closing, contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +24,9 @@ import numpy as np
 from .discriminator import ClientCondition, GroupChange, classify, condition_at, poll
 from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
 from .federation import Coordinator, UpdateMessage, personalize
-from .net import (DivergenceError, FreezeMask, ModelParams, TrainHyper, all_trainable,
-                  apply_update, a3c_gradients, forward, init_params, save_checkpoint,
-                  zero_frozen)
-from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout, default_arch, make_freeze_mask
+from .net import (DivergenceError, ModelParams, TrainHyper, apply_update, a3c_gradients,
+                  forward, init_params, save_checkpoint, zero_frozen)
+from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout
 from .traces import Trace
 
 
@@ -105,8 +103,8 @@ def _client_rng(config: SchemeConfig, spec: ClientSpec, index: int) -> np.random
 
 def _initial_params(config: SchemeConfig, pretrained: ModelParams | None) -> ModelParams:
     if config.scheme is Scheme.ONLINE_SCRATCH:
-        return init_params(default_arch(config.env.state_dim, config.hidden),
-                           len(config.env.ladder), config.seed)
+        return init_params((config.env.state_dim, *config.hidden), len(config.env.ladder),
+                           config.seed)
     if pretrained is None:
         raise SchemeError(f"scheme {config.scheme.value} requires a pretrained checkpoint")
     have = (pretrained.input_dim, pretrained.hidden, pretrained.ladder_size)
@@ -115,12 +113,6 @@ def _initial_params(config: SchemeConfig, pretrained: ModelParams | None) -> Mod
         raise SchemeError(f"pretrained checkpoint has (inputs, hidden widths, rates) {have}, "
                           f"the config needs {need}")
     return pretrained.copy()
-
-
-def _mask_for(config: SchemeConfig, params: ModelParams) -> FreezeMask:
-    if config.scheme in (Scheme.TRANSFER_ONLY, Scheme.FULL_FEDERATED):
-        return make_freeze_mask(params.n_hidden, config.frozen_layers)
-    return all_trainable(params)
 
 
 def evaluate_greedy(params: ModelParams, trace: Trace, env_config: EnvConfig
@@ -145,16 +137,15 @@ def _mean_qoe(summaries: list[QoESummary]) -> QoESummary:
     )
 
 
+@dataclass
 class _Client:
-    def __init__(self, spec: ClientSpec, model: ModelParams, group: int,
-                 rng: np.random.Generator):
-        self.spec = spec
-        self.model = model
-        self.group = group
-        self.rng = rng
-        self.env: StreamEnv | None = None
-        self.state: np.ndarray | None = None
-        self.pending_changes: list[GroupChange] = []
+    spec: ClientSpec
+    model: ModelParams
+    group: int
+    rng: np.random.Generator
+    env: StreamEnv | None = None
+    state: np.ndarray | None = None
+    pending_changes: list[GroupChange] = field(default_factory=list)
 
 
 def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
@@ -162,9 +153,6 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
                out_dir: str | Path | None = None) -> RunMetrics:
     """Execute a scheme end-to-end. Deterministic under (config, traces, seeds)."""
     t0 = time.perf_counter()
-    if config.scheme is Scheme.FULL_FEDERATED and len(config.clients) == 1:
-        warnings.warn("full_federated with a single client demoted to transfer_only")
-        config = replace(config, scheme=Scheme.TRANSFER_ONLY)
     for spec in config.clients:
         for tid in spec.trace_ids:
             if tid not in traces:
@@ -174,14 +162,13 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
             raise SchemeError(f"unknown test trace id {tid!r}")
 
     params0 = _initial_params(config, pretrained)
-    mask = _mask_for(config, params0)
     with _staged_dir(Path(out_dir) if out_dir is not None else None) as work_dir:
         if config.scheme is Scheme.OFFLINE_ONLY:
             rewards = _run_offline_only(config, traces, params0)
             clients = {spec.id: params0.copy() for spec in config.clients}
             groups: dict[int, ModelParams] = {}
         else:
-            rewards, clients, groups = _run_online(config, traces, params0, mask, work_dir)
+            rewards, clients, groups = _train_rounds(config, traces, params0, work_dir)
 
         # Test-set evaluation: greedy episodes of every client's final model.
         per_trace: dict[str, QoESummary] = {}
@@ -263,101 +250,96 @@ def _group_for(spec: ClientSpec, trace: Trace, sim_t: float) -> int:
     return trace.group
 
 
-def _run_online(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
-                mask: FreezeMask, out_dir: Path | None):
+def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
+                  out_dir: Path | None):
+    """Train every client online; returns (epoch rewards, client models, group models)."""
+    federated = config.scheme is Scheme.FULL_FEDERATED
+    frozen = 0 if config.scheme is Scheme.ONLINE_SCRATCH else config.frozen_layers
     server_lr, mix, transcript = config.hyper.lr, 1.0, None
-    if config.scheme is Scheme.FULL_FEDERATED:
+    if federated:
         server_lr, mix = config.server_lr or config.hyper.lr, config.mix
         transcript = out_dir / "transcript.jsonl" if out_dir else None
-    coord = Coordinator(server_lr, server_mask=mask, transcript_path=transcript)
-    try:
-        rewards, final_clients = _train_rounds(config, traces, params0, mask, coord, mix)
-    finally:
-        coord.close()
-    final_groups = {gid: coord.fetch(gid)[0] for gid in coord.group_ids()}
-    return rewards, final_clients, final_groups
+    with closing(Coordinator(server_lr, frozen, transcript)) as coord:
+        clients: list[_Client] = []
+        synthetic_gid = 100  # isolated per-client groups for the non-federated schemes
+        for i, spec in enumerate(config.clients):
+            gid = (_group_for(spec, traces[spec.trace_ids[0]], 0.0) if federated
+                   else synthetic_gid + i)
+            if not coord.has_group(gid):
+                coord.seed_group(gid, params0)
+            model = coord.register(spec.id, gid)
+            c = _Client(spec, model, gid, _client_rng(config, spec, i))
+            if federated and spec.condition_schedule:
+                total_sim = config.epochs * config.env.episode_len * config.env.step_s
+                c.pending_changes = poll(list(spec.condition_schedule), config.poll_period_s,
+                                         until=total_sim)
+            clients.append(c)
+
+        episode_steps = config.env.episode_len
+        rewards = []
+        for epoch in range(config.epochs):
+            for c in clients:
+                trace = traces[c.spec.trace_ids[epoch % len(c.spec.trace_ids)]]
+                c.env = StreamEnv(trace, config.env)
+                c.state = c.env.reset(0.0)
+            steps_done = 0
+            epoch_reward = 0.0
+            while not clients[0].env.done:
+                # Rollout phase: every client computes one local gradient and steps on it.
+                round_steps = 0
+                for c in clients:
+                    traj, c.state = collect_rollout(c.env, c.model, c.state,
+                                                    config.hyper.rollout_len, c.rng)
+                    try:
+                        grads, _ = a3c_gradients(c.model, traj, config.hyper)
+                        c.model = apply_update(c.model, grads, config.hyper.lr, frozen)
+                    except DivergenceError as e:
+                        raise DivergenceError(
+                            f"client {c.spec.id!r} in group {c.group}, epoch {epoch + 1}, "
+                            f"round {coord.current_round(c.group)}: {e}") from None
+                    coord.submit(UpdateMessage(c.spec.id, c.group,
+                                               coord.current_round(c.group),
+                                               zero_frozen(grads, frozen)))
+                    epoch_reward += sum(traj.rewards)
+                    round_steps = len(traj.rewards)
+                # Barrier: aggregate every group that received submissions this round.
+                for gid in sorted({c.group for c in clients}):
+                    try:
+                        coord.aggregate_round(gid)
+                    except DivergenceError as e:
+                        raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
+                                              f"{coord.current_round(gid)}: {e}") from None
+                for c in clients:
+                    global_params, _ = coord.fetch(c.group)
+                    c.model = personalize(c.model, global_params, mix)
+                steps_done += round_steps
+                # Round boundary: apply any due group changes.
+                sim_t = (epoch * episode_steps + steps_done) * config.env.step_s
+                for c in clients:
+                    while c.pending_changes and c.pending_changes[0].at <= sim_t:
+                        change = c.pending_changes.pop(0)
+                        if not coord.has_group(change.to_group):
+                            # A freshly entered group starts from the pretrained model.
+                            coord.seed_group(change.to_group, params0)
+                        target = coord.migrate(c.spec.id, c.group, change.to_group)
+                        c.group = change.to_group
+                        c.model = personalize(c.model, target, mix)
+            rewards.append(epoch_reward / (len(clients) * episode_steps))
+    groups = {gid: coord.fetch(gid)[0] for gid in coord.group_ids()}
+    return rewards, {c.spec.id: c.model for c in clients}, groups
 
 
-def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
-                  mask: FreezeMask, coord: Coordinator, mix: float):
-    federated = config.scheme is Scheme.FULL_FEDERATED
-    clients: list[_Client] = []
-    synthetic_gid = 100  # isolated per-client groups for the non-federated schemes
-    for i, spec in enumerate(config.clients):
-        first_trace = traces[spec.trace_ids[0]]
-        if federated:
-            gid = _group_for(spec, first_trace, 0.0)
-        else:
-            gid = synthetic_gid + i
-        if not coord.has_group(gid):
-            coord.seed_group(gid, params0)
-        model = coord.register(spec.id, gid)
-        c = _Client(spec, model, gid, _client_rng(config, spec, i))
-        if federated and spec.condition_schedule:
-            total_sim = config.epochs * config.env.episode_len * config.env.step_s
-            c.pending_changes = poll(list(spec.condition_schedule), config.poll_period_s,
-                                     until=total_sim)
-        clients.append(c)
-
-    episode_steps = config.env.episode_len
-    rewards = []
-    for epoch in range(config.epochs):
-        for c in clients:
-            trace = traces[c.spec.trace_ids[epoch % len(c.spec.trace_ids)]]
-            c.env = StreamEnv(trace, config.env)
-            c.state = c.env.reset(0.0)
-        steps_done = 0
-        epoch_reward = 0.0
-        while not clients[0].env.done:
-            # Rollout phase: every client computes one local gradient and steps on it.
-            round_steps = 0
-            for c in clients:
-                traj, c.state = collect_rollout(c.env, c.model, c.state,
-                                                config.hyper.rollout_len, c.rng)
-                try:
-                    grads, _ = a3c_gradients(c.model, traj, config.hyper)
-                    c.model = apply_update(c.model, grads, config.hyper.lr, mask)
-                except DivergenceError as e:
-                    raise DivergenceError(f"client {c.spec.id!r} in group {c.group}, epoch "
-                                          f"{epoch + 1}, round {coord.current_round(c.group)}: "
-                                          f"{e}") from None
-                coord.submit(UpdateMessage(c.spec.id, c.group,
-                                           coord.current_round(c.group),
-                                           zero_frozen(grads, mask)))
-                epoch_reward += sum(traj.rewards)
-                round_steps = len(traj.rewards)
-            # Barrier: aggregate every group that received submissions this round.
-            for gid in sorted({c.group for c in clients}):
-                try:
-                    coord.aggregate_round(gid)
-                except DivergenceError as e:
-                    raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
-                                          f"{coord.current_round(gid)}: {e}") from None
-            for c in clients:
-                global_params, _ = coord.fetch(c.group)
-                c.model = personalize(c.model, global_params, mix)
-            steps_done += round_steps
-            # Round boundary: apply any due group changes.
-            sim_t = (epoch * episode_steps + steps_done) * config.env.step_s
-            for c in clients:
-                while c.pending_changes and c.pending_changes[0].at <= sim_t:
-                    change = c.pending_changes.pop(0)
-                    if not coord.has_group(change.to_group):
-                        # A freshly entered group starts from the pretrained model.
-                        coord.seed_group(change.to_group, params0)
-                    target = coord.migrate(c.spec.id, c.group, change.to_group)
-                    c.group = change.to_group
-                    c.model = personalize(c.model, target, mix)
-        rewards.append(epoch_reward / (len(clients) * episode_steps))
-    return rewards, {c.spec.id: c.model for c in clients}
+def write_rewards_csv(rewards: list[float], path: str | Path) -> None:
+    """Write the per-epoch mean rewards as `epoch,mean_reward` rows, epochs from 1."""
+    with open(path, "w") as f:
+        f.write("epoch,mean_reward\n")
+        for i, r in enumerate(rewards, start=1):
+            f.write(f"{i},{r!r}\n")
 
 
 def _write_outputs(metrics: RunMetrics, per_trace_rewards: dict[str, float],
                    config: SchemeConfig, out_dir: Path) -> None:
-    with open(out_dir / "rewards.csv", "w") as f:
-        f.write("epoch,mean_reward\n")
-        for i, r in enumerate(metrics.rewards, start=1):
-            f.write(f"{i},{r!r}\n")
+    write_rewards_csv(metrics.rewards, out_dir / "rewards.csv")
     with open(out_dir / "qoe.csv", "w") as f:
         f.write("trace_id,mean_bitrate_kbps,stall_rate,mean_delay_ms,mean_reward\n")
         for tid in sorted(metrics.qoe_per_trace):

@@ -37,8 +37,8 @@ from fedabr.metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
                             qoe_report, speedup_percent)
 from fedabr.net import (TrainHyper, a3c_gradients, apply_update, init_params,
                         zero_frozen)
-from fedabr.pretrain import (PretrainConfig, collect_rollout, default_arch,
-                             make_freeze_mask, offline_train)
+from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
+                             offline_train)
 from fedabr.schemes import ClientSpec, Scheme, SchemeConfig, run_scheme
 from fedabr.traces import (NetworkType, SynthFamily, TransportMode, group_of,
                            synthesize_trace, write_manifest)
@@ -108,7 +108,7 @@ def test_3_gradient_fidelity():
         hidden = int(rng.integers(4, 10))
         actions = int(rng.integers(2, 7))
         inputs = int(rng.integers(3, 9))
-        arch = default_arch(inputs, (hidden,))
+        arch = (inputs, hidden)
         params = init_params(arch, actions, seed=trial)
         traj = random_trajectory(params, rng, length=int(rng.integers(2, 8)))
         grads, _ = a3c_gradients(params, traj, hyper)
@@ -129,7 +129,7 @@ def _equivalence_trace():
     return synthesize_trace(fam, "eq", NetworkType.FOUR_G, TransportMode.CAR, seed=11)
 
 
-def _centralized_trajectory(params0, trace, mask, rounds):
+def _centralized_trajectory(params0, trace, frozen, rounds):
     params = params0.copy()
     rng = np.random.default_rng(77)
     env = StreamEnv(trace, EQ_ENV)
@@ -140,13 +140,13 @@ def _centralized_trajectory(params0, trace, mask, rounds):
             state = env.reset()
         traj, state = collect_rollout(env, params, state, HYPER.rollout_len, rng)
         grads, _ = a3c_gradients(params, traj, HYPER)
-        params = apply_update(params, grads, HYPER.lr, mask)
+        params = apply_update(params, grads, HYPER.lr, frozen)
         out.append(params)
     return out
 
 
-def _federated_trajectory(k, params0, trace, mask, rounds):
-    coord = Coordinator(HYPER.lr, server_mask=mask)
+def _federated_trajectory(k, params0, trace, frozen, rounds):
+    coord = Coordinator(HYPER.lr, frozen_layers=frozen)
     gid = trace.group
     coord.seed_group(gid, params0)
     clients = []
@@ -163,9 +163,9 @@ def _federated_trajectory(k, params0, trace, mask, rounds):
             traj, c["state"] = collect_rollout(c["env"], c["model"], c["state"],
                                                HYPER.rollout_len, c["rng"])
             grads, _ = a3c_gradients(c["model"], traj, HYPER)
-            c["model"] = apply_update(c["model"], grads, HYPER.lr, mask)
+            c["model"] = apply_update(c["model"], grads, HYPER.lr, frozen)
             coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid),
-                                       zero_frozen(grads, mask)))
+                                       zero_frozen(grads, frozen)))
         coord.aggregate_round(gid)
         global_params, _ = coord.fetch(gid)
         for c in clients:
@@ -176,12 +176,11 @@ def _federated_trajectory(k, params0, trace, mask, rounds):
 
 def test_4_federated_equivalence():
     trace = _equivalence_trace()
-    params0 = init_params(default_arch(EQ_ENV.state_dim), len(EQ_ENV.ladder), seed=4)
-    mask = make_freeze_mask(params0.n_hidden, 1)
-    central = _centralized_trajectory(params0, trace, mask, rounds=50)
+    params0 = init_params((EQ_ENV.state_dim, *DEFAULT_ARCH_HIDDEN), len(EQ_ENV.ladder), seed=4)
+    central = _centralized_trajectory(params0, trace, 1, rounds=50)
     worst = 0.0
     for k in (2, 4, 8):
-        fed = _federated_trajectory(k, params0, trace, mask, rounds=50)
+        fed = _federated_trajectory(k, params0, trace, 1, rounds=50)
         for c, f in zip(central, fed):
             for ca, fa in zip(c.weights + c.biases, f.weights + f.biases):
                 worst = max(worst, float(np.max(np.abs(ca - fa))))
@@ -204,7 +203,7 @@ def test_5_freeze_invariance():
     test = synthesize_trace(fam, "fztest", NetworkType.FOUR_G, TransportMode.CAR,
                             seed=399)
     traces[test.id] = test
-    pretrained = init_params(default_arch(EQ_ENV.state_dim), len(EQ_ENV.ladder), seed=5)
+    pretrained = init_params((EQ_ENV.state_dim, *DEFAULT_ARCH_HIDDEN), len(EQ_ENV.ladder), seed=5)
     clients = tuple(ClientSpec(f"c{i}", (f"fz{i}",)) for i in range(4))
     # episode_len 32 / rollout 16 -> 2 rounds per epoch -> 200 rounds total
     cfg = SchemeConfig(scheme=Scheme.FULL_FEDERATED, clients=clients, epochs=100,

@@ -261,6 +261,10 @@ class TestInputErrors:
         ("run", "epochs", 0, "epochs must be >= 1"),
         ("pretrain", "hidden", [16], "(19, (64, 32), 4), the config needs (19, (16,), 4)"),
         ("env", "ladder", [300, 750, 1200], "4), the config needs (19, (64, 32), 3)"),
+        ("run", "seed", "x", "run.seed must be an integer, got 'x'"),
+        ("run", "epochs", True, "run.epochs must be an integer, got True"),
+        ("env", "episode_len", 10.5, "env.episode_len must be an integer, got 10.5"),
+        ("pretrain", "hidden", [8.5], "pretrain.hidden must be a list of integers, got [8.5]"),
     ])
     def test_bad_setting(self, workspace, split_file, checkpoint, section, key, value,
                          message):
@@ -292,6 +296,26 @@ class TestInputErrors:
         assert result.output == ("Error: checkpoint activations ['relu', 'identity']: "
                                  "every hidden layer must be relu\n")
         assert not (workspace / "run-identity").exists()
+
+    @pytest.mark.parametrize("case", ["text", "empty", "missing-array"])
+    def test_unreadable_checkpoint(self, workspace, split_file, checkpoint, case):
+        bad = workspace / f"ckpt-{case}.npz"
+        if case == "missing-array":
+            with np.load(checkpoint) as data:
+                arrays = dict(data)
+            del arrays["w1"]
+            np.savez(bad, **arrays)
+            message = f"Error: checkpoint {bad} has no array 'w1'\n"
+        else:
+            bad.write_text("epoch,mean_reward\n1,0.5\n" if case == "text" else "")
+            message = f"Error: cannot read checkpoint {bad}: "
+        result = CliRunner().invoke(main, [str(a) for a in (
+            "run", "--scheme", "transfer_only", "--config", workspace / "config.yaml",
+            "--split", split_file, "--checkpoint", bad, "--out", workspace / "run-unreadable")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith(message) and result.output.count("\n") == 1
+        assert not (workspace / "run-unreadable").exists()
 
     def test_scheme_error(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())

@@ -81,6 +81,33 @@ def test_unknown_keys_rejected(tmp_path, config, message):
         write_config(tmp_path / "config.yaml", config)
 
 
+INTEGER_KEYS = [("split", "seed"), ("env", "history_len"), ("env", "episode_len"),
+                ("hyper", "rollout_len"), ("pretrain", "epochs"),
+                ("pretrain", "episodes_per_epoch"), ("pretrain", "seed"), ("run", "epochs"),
+                ("run", "seed"), ("run", "frozen_layers")]
+
+
+@pytest.mark.parametrize("section, key", INTEGER_KEYS)
+@pytest.mark.parametrize("value", [2.5, "x", True, None])
+def test_integer_keys_reject_other_values(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be an integer")):
+        write_config(tmp_path / "config.yaml", {section: {key: value}})
+
+
+@pytest.mark.parametrize("value", [[8.5], ["x"], [16, True], 16])
+def test_hidden_rejects_other_than_a_list_of_integers(tmp_path, value):
+    with pytest.raises(ConfigError, match=re.escape("pretrain.hidden must be a list of integers")):
+        write_config(tmp_path / "config.yaml", {"pretrain": {"hidden": value}})
+
+
+@pytest.mark.parametrize("value", [2.5, "x", True])
+def test_client_seed_rejects_other_values(tmp_path, value):
+    clients = [{"id": "a", "traces": ["t0"], "seed": 1},
+               {"id": "b", "traces": ["t1"], "seed": value}]
+    with pytest.raises(ConfigError, match=re.escape("run.clients[1].seed must be an integer")):
+        write_config(tmp_path / "config.yaml", {"run": {"clients": clients}})
+
+
 def readme_config_block() -> str:
     section = README.read_text().split("\n## Config\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```yaml\n(.*?)```", section, re.S)

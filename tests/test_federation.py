@@ -5,8 +5,8 @@ import pytest
 
 from fedabr.federation import (Coordinator, FederationError, UpdateMessage,
                                UpdateRejected, personalize)
-from fedabr.net import (TrainHyper, Trajectory, a3c_gradients, all_trainable, apply_update,
-                        init_params, zero_gradients)
+from fedabr.net import (TrainHyper, Trajectory, a3c_gradients, apply_update, init_params,
+                        zero_gradients)
 from tests.conftest import params_close
 
 HYPER = TrainHyper(clip_norm=0.0)
@@ -129,7 +129,7 @@ class TestAggregate:
             coord.register(c, 1)
             coord.submit(UpdateMessage(c, 1, 0, g.copy()))
         gm = coord.aggregate_round(1)
-        expected = apply_update(p, g, 0.05, all_trainable(p))
+        expected = apply_update(p, g, 0.05)
         assert params_close(gm.params, expected, tol=1e-15)
         assert gm.version == 1
 
@@ -171,7 +171,7 @@ class TestAggregate:
                 for i in range(k):
                     coord.submit(UpdateMessage(f"c{i}", 1, rnd, g.copy()))
                 coord.aggregate_round(1)
-                central = apply_update(central, g, 0.05, all_trainable(central))
+                central = apply_update(central, g, 0.05)
             assert params_close(coord.fetch(1)[0], central, tol=1e-12)
 
     def test_group_isolation(self):
@@ -237,14 +237,18 @@ class TestMigrate:
         coord.migrate("b", 1, 2)
         coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
         coord.aggregate_round(1)  # barrier satisfied without b
-        assert coord.members(1) == {"a"}
-        assert coord.members(2) == {"b"}
+        with pytest.raises(UpdateRejected, match="not enrolled in group 1"):
+            coord.submit(UpdateMessage("b", 1, 1, make_grads(p)))
+        coord.submit(UpdateMessage("b", 2, 0, make_grads(p)))
+        assert coord.aggregate_round(2).version == 1
 
     def test_migrate_same_group_noop(self):
         coord, p = self._setup()
         out = coord.migrate("a", 1, 1)
         assert params_close(out, p)
-        assert coord.members(1) == {"a", "b"}
+        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
+        with pytest.raises(FederationError, match=r"missing \['b'\]"):
+            coord.aggregate_round(1)
 
     def test_migrate_version_matches_target(self):
         coord, p = self._setup()

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import personalize
-from fedabr.net import (DivergenceError, FreezeMask, ModelParams, NetError, TrainHyper,
-                        Trajectory, a3c_gradients, all_trainable, apply_update,
+from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper,
+                        Trajectory, a3c_gradients, apply_update,
                         discounted_returns, forward, init_params, load_checkpoint,
                         mean_gradients, sample_action, save_checkpoint, zero_frozen,
                         zero_gradients)
@@ -197,13 +197,21 @@ class TestApplyUpdate:
         p = small_params()
         traj = random_trajectory(p, rng)
         grads, _ = a3c_gradients(p, traj, TrainHyper())
-        frozen = FreezeMask(p.n_layers)
-        assert params_close(apply_update(p, grads, 0.1, frozen), p)
+        assert params_close(apply_update(p, grads, 0.1, p.n_layers), p)
+
+    @pytest.mark.parametrize("frozen", [-1, 5])
+    def test_freeze_out_of_range(self, rng, frozen):
+        p = small_params()
+        grads, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
+        with pytest.raises(NetError, match=f"cannot freeze {frozen} of 4 layers"):
+            apply_update(p, grads, 0.1, frozen)
+        with pytest.raises(NetError, match=f"cannot freeze {frozen} of 4 layers"):
+            zero_frozen(grads, frozen)
 
     def test_zero_lr(self, rng):
         p = small_params()
         grads, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
-        assert params_close(apply_update(p, grads, 0.0, all_trainable(p)), p)
+        assert params_close(apply_update(p, grads, 0.0), p)
 
     def test_scalar_arithmetic(self):
         p = ModelParams.from_layers(
@@ -211,14 +219,14 @@ class TestApplyUpdate:
             [np.zeros(1), np.zeros(2), np.zeros(1)])
         g = zero_gradients(p)
         g.weights[0][0, 0] = 2.0
-        updated = apply_update(p, g, 0.1, all_trainable(p))
+        updated = apply_update(p, g, 0.1)
         assert updated.weights[0][0, 0] == pytest.approx(0.8)
 
     def test_shape_mismatch(self, rng):
         p = small_params()
         grads = zero_gradients(init_params((5, 8, 5), 4, seed=0))
         with pytest.raises(NetError):
-            apply_update(p, grads, 0.1, all_trainable(p))
+            apply_update(p, grads, 0.1)
 
 
 class TestEntropyEffect:
@@ -232,7 +240,7 @@ class TestEntropyEffect:
             for beta in (0.0, 1.0):
                 hyper = TrainHyper(entropy_coef=beta, lr=1e-3, clip_norm=0.0)
                 grads, _ = a3c_gradients(p, traj, hyper)
-                updated = apply_update(p, grads, hyper.lr, all_trainable(p))
+                updated = apply_update(p, grads, hyper.lr)
                 probs, _ = forward(updated, state)
                 entropies.append(float(-np.sum(probs * np.log(probs))))
             assert entropies[1] > entropies[0]
@@ -250,8 +258,7 @@ class TestHelpers:
     def test_zero_frozen(self, rng):
         p = small_params()
         g, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
-        mask = FreezeMask(1)
-        z = zero_frozen(g, mask)
+        z = zero_frozen(g, 1)
         assert np.all(z.weights[0] == 0)
         assert np.array_equal(z.weights[1], g.weights[1])
 
@@ -327,10 +334,8 @@ class TestFlatLayout:
         p = init_params(arch, ladder, seed=seed)
         p.flat[:] = rng.normal(size=p.flat.size)
         grads = [random_grads(p, rng) for _ in range(3)]
-        mask = FreezeMask(frozen)
-
-        updated = apply_update(p, grads[0], 0.1, mask)
-        zeroed = zero_frozen(grads[0], mask)
+        updated = apply_update(p, grads[0], 0.1, frozen)
+        zeroed = zero_frozen(grads[0], frozen)
         for i in range(p.n_layers):
             for got, zg, pa, ga in ((updated.weights[i], zeroed.weights[i],
                                      p.weights[i], grads[0].weights[i]),
@@ -401,7 +406,7 @@ class TestFlatLayout:
         dims[min(grow, len(dims) - 1)] += 1
         other = init_params(tuple(dims), ladder, seed)
         with pytest.raises(NetError, match="shape"):
-            apply_update(p, zero_gradients(other), 0.1, all_trainable(p))
+            apply_update(p, zero_gradients(other), 0.1)
 
 
 def loop_gradients(params, traj, hyper):

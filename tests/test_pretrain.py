@@ -2,34 +2,28 @@ import numpy as np
 import pytest
 
 from fedabr.env import EnvConfig, StreamEnv
-from fedabr.net import (FreezeMask, TrainHyper, a3c_gradients, all_trainable, apply_update,
-                        forward, init_params)
-from fedabr.pretrain import (PretrainConfig, collect_rollout, default_arch, make_freeze_mask,
-                             offline_train, run_training_episode)
+from fedabr.net import TrainHyper, a3c_gradients, apply_update, forward, init_params
+from fedabr.pretrain import DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout, offline_train
 from tests.conftest import constant_trace, params_close
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 
 
-class TestFreezeMask:
-    def test_none_frozen(self):
-        assert make_freeze_mask(2, 0) == FreezeMask(0)
-
-    def test_default_arch_one_frozen(self):
-        assert make_freeze_mask(2, 1) == FreezeMask(1)
-
-    def test_cannot_freeze_everything(self):
-        with pytest.raises(ValueError):
-            make_freeze_mask(2, 4)
-        with pytest.raises(ValueError):
-            make_freeze_mask(2, 3)  # would freeze a head
+def plain_episode(env, params, hyper, rng, frozen_layers=0):
+    """Reference: one episode of rollout -> gradient -> SGD step cycles."""
+    state = env.reset()
+    while not env.done:
+        traj, state = collect_rollout(env, params, state, hyper.rollout_len, rng)
+        grads, _ = a3c_gradients(params, traj, hyper)
+        params = apply_update(params, grads, hyper.lr, frozen_layers)
+    return params
 
 
 class TestOfflineTrain:
     def test_zero_epochs_is_init(self, small_env_config):
         cfg = PretrainConfig(epochs=0, seed=4)
         params, rewards = offline_train([constant_trace()], cfg, small_env_config)
-        expected = init_params(default_arch(small_env_config.state_dim),
+        expected = init_params((small_env_config.state_dim, *DEFAULT_ARCH_HIDDEN),
                                len(small_env_config.ladder), seed=4)
         assert params_close(params, expected)
         assert rewards == []
@@ -40,6 +34,16 @@ class TestOfflineTrain:
         _, r1 = offline_train([constant_trace()], cfg, ec)
         _, r2 = offline_train([constant_trace()], cfg, ec)
         assert r1 == r2
+
+    def test_one_episode_equals_plain_loop(self):
+        ec = EnvConfig(ladder=LADDER4, episode_len=40)
+        hyper = TrainHyper(rollout_len=8)
+        cfg = PretrainConfig(epochs=1, episodes_per_epoch=1, hyper=hyper, seed=3)
+        trained, _ = offline_train([constant_trace(1000.0)], cfg, ec)
+        params = init_params((ec.state_dim, *cfg.hidden), len(ec.ladder), seed=3)
+        expected = plain_episode(StreamEnv(constant_trace(1000.0), ec), params, hyper,
+                                 np.random.default_rng(3))
+        assert params_close(trained, expected)
 
     def test_empty_trace_set(self):
         with pytest.raises(ValueError):
@@ -70,46 +74,14 @@ class TestOfflineTrain:
 
 
 class TestFineTune:
-    def _setup(self):
-        ec = EnvConfig(ladder=LADDER4, episode_len=40)
-        params = init_params(default_arch(ec.state_dim), len(ec.ladder), seed=2)
-        env = StreamEnv(constant_trace(1000.0), ec)
-        return params, env
-
     def test_freeze_invariance_through_long_tuning(self):
-        params, env = self._setup()
-        mask = make_freeze_mask(params.n_hidden, 1)
-        hyper = TrainHyper(rollout_len=8)
+        ec = EnvConfig(ladder=LADDER4, episode_len=40)
+        params = init_params((ec.state_dim, *DEFAULT_ARCH_HIDDEN), len(ec.ladder), seed=2)
+        env = StreamEnv(constant_trace(1000.0), ec)
         rng = np.random.default_rng(0)
-        frozen_w = params.weights[0].copy()
-        frozen_b = params.biases[0].copy()
         tuned = params
         for _ in range(20):  # 20 episodes of 5 rollouts = 100 updates
-            tuned, _ = run_training_episode(env, tuned, hyper, mask, rng)
-        assert np.array_equal(tuned.weights[0], frozen_w)
-        assert np.array_equal(tuned.biases[0], frozen_b)
+            tuned = plain_episode(env, tuned, TrainHyper(rollout_len=8), rng, frozen_layers=1)
+        assert np.array_equal(tuned.weights[0], params.weights[0])
+        assert np.array_equal(tuned.biases[0], params.biases[0])
         assert not params_close(tuned, params)  # upper layers did move
-
-    def test_deterministic(self):
-        params, env = self._setup()
-        mask = make_freeze_mask(params.n_hidden, 1)
-        hyper = TrainHyper(rollout_len=8)
-        runs = [run_training_episode(env, params, hyper, mask, np.random.default_rng(3))
-                for _ in range(2)]
-        assert params_close(runs[0][0], runs[1][0])
-        assert runs[0][1] == runs[1][1]
-
-    def test_all_trainable_equals_plain_step(self):
-        params, env = self._setup()
-        hyper = TrainHyper(rollout_len=8)
-        mask = all_trainable(params)
-        out1, _ = run_training_episode(env, params, hyper, mask, np.random.default_rng(3))
-
-        rng = np.random.default_rng(3)
-        out2 = params
-        state = env.reset()
-        while not env.done:
-            traj, state = collect_rollout(env, out2, state, hyper.rollout_len, rng)
-            grads, _ = a3c_gradients(out2, traj, hyper)
-            out2 = apply_update(out2, grads, hyper.lr, mask)
-        assert params_close(out1, out2)

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -8,9 +9,8 @@ from hypothesis import strategies as st
 
 from fedabr.discriminator import ClientCondition
 from fedabr.env import EnvConfig
-from fedabr.net import (DivergenceError, TrainHyper, all_trainable, apply_update,
-                        a3c_gradients, init_params)
-from fedabr.pretrain import PretrainConfig, collect_rollout, default_arch, offline_train
+from fedabr.net import DivergenceError, TrainHyper, apply_update, a3c_gradients, init_params
+from fedabr.pretrain import PretrainConfig, collect_rollout, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError,
                             run_scheme)
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
@@ -94,14 +94,18 @@ class TestDeterminism:
 
 
 class TestContainment:
-    def test_single_client_federated_demotes_to_transfer(self, corpus, pretrained):
-        transfer = base_config(Scheme.TRANSFER_ONLY, (ClientSpec("c0", ("ft0",)),))
+    def test_single_client_federated_is_a_group_of_one(self, corpus, pretrained, tmp_path):
         fed = base_config(Scheme.FULL_FEDERATED, (ClientSpec("c0", ("ft0",)),))
-        m1 = run_scheme(transfer, corpus, pretrained)
-        with pytest.warns(UserWarning, match="demoted"):
-            m2 = run_scheme(fed, corpus, pretrained)
-        assert m1.rewards == m2.rewards
-        assert params_close(m1.final_client_params["c0"], m2.final_client_params["c0"])
+        metrics = run_scheme(fed, corpus, pretrained, tmp_path / "fed")
+        assert metrics.scheme is Scheme.FULL_FEDERATED
+        events = [json.loads(line)["event"]
+                  for line in (tmp_path / "fed" / "transcript.jsonl").read_text().splitlines()]
+        rounds = fed.epochs * ENV.episode_len // HYPER.rollout_len
+        assert events.count("aggregate") == rounds
+        faster = run_scheme(replace(fed, server_lr=4 * HYPER.lr), corpus, pretrained)
+        group = corpus["ft0"].group
+        assert not params_close(faster.final_group_params[group],
+                                metrics.final_group_params[group])
 
 
 class TestFederatedEquivalence:
@@ -113,8 +117,6 @@ class TestFederatedEquivalence:
         metrics = run_scheme(cfg, corpus, pretrained)
 
         from fedabr.env import StreamEnv
-        from fedabr.pretrain import make_freeze_mask
-        mask = make_freeze_mask(pretrained.n_hidden, cfg.frozen_layers)
         central = pretrained.copy()
         rng = np.random.default_rng(77)
         for _ in range(cfg.epochs):
@@ -123,7 +125,7 @@ class TestFederatedEquivalence:
             while not env.done:
                 traj, state = collect_rollout(env, central, state, HYPER.rollout_len, rng)
                 grads, _ = a3c_gradients(central, traj, HYPER)
-                central = apply_update(central, grads, HYPER.lr, mask)
+                central = apply_update(central, grads, HYPER.lr, cfg.frozen_layers)
         group = corpus["ft0"].group
         assert params_close(metrics.final_group_params[group], central, tol=1e-12)
         for cid in ("c0", "c1"):
@@ -168,7 +170,7 @@ class TestValidation:
         assert m1.rewards == m2.rewards
 
     def test_mismatched_checkpoint(self, corpus):
-        bad = init_params(default_arch(7), len(ENV.ladder), seed=0)
+        bad = init_params((7, 64, 32), len(ENV.ladder), seed=0)
         cfg = base_config(Scheme.TRANSFER_ONLY, (ClientSpec("c0", ("ft0",)),))
         with pytest.raises(SchemeError):
             run_scheme(cfg, corpus, bad)
