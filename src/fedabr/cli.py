@@ -13,12 +13,16 @@ import numpy as np
 
 from .config import ConfigError, build_scheme_config, load_config
 from .env import QoESummary
-from .metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
+from .metrics import (QOE_METRICS, ConvergenceRule, convergence_epoch, efficiency_gain,
                       qoe_report, speedup_percent)
 from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
 from .schemes import Scheme, SchemeError, run_scheme, write_rewards_csv
 from .traces import Trace, TraceError, load_manifest, split_corpus
+
+
+class RunDirError(ValueError):
+    """A directory given to `report` is not a finished run."""
 
 
 @click.group()
@@ -35,7 +39,7 @@ def _command_body(fn):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 return fn(*args, **kwargs)
-            except (ConfigError, TraceError, SchemeError, NetError) as e:
+            except (ConfigError, TraceError, SchemeError, NetError, RunDirError) as e:
                 raise click.ClickException(str(e)) from None
     return wrapper
 
@@ -127,22 +131,23 @@ def run(scheme_name, config_path, split_path, ckpt_path, out_dir):
 
 
 def _read_run_dir(run_dir: Path):
-    with open(run_dir / "run_meta.json") as f:
-        meta = json.load(f)
-    rewards = []
-    with open(run_dir / "rewards.csv") as f:
-        for row in csv.DictReader(f):
-            rewards.append(float(row["mean_reward"]))
-    qoe_rows = []
-    with open(run_dir / "qoe.csv") as f:
-        for row in csv.DictReader(f):
-            qoe_rows.append(row)
-    n = len(qoe_rows)
-    qoe = QoESummary(
-        mean_bitrate_kbps=sum(float(r["mean_bitrate_kbps"]) for r in qoe_rows) / n,
-        stall_rate=sum(float(r["stall_rate"]) for r in qoe_rows) / n,
-        mean_delay_ms=sum(float(r["mean_delay_ms"]) for r in qoe_rows) / n,
-    )
+    """A run's meta record, epoch rewards and QoE averaged over its test traces."""
+    def read(name, parse):
+        try:
+            with open(run_dir / name) as f:
+                return parse(f)
+        except (OSError, ValueError, KeyError) as e:
+            raise RunDirError(f"run directory {run_dir}: cannot read {name}: {e}") from None
+
+    meta = read("run_meta.json", json.load)
+    rewards = read("rewards.csv",
+                   lambda f: [float(row["mean_reward"]) for row in csv.DictReader(f)])
+    qoe_rows = read("qoe.csv", lambda f: [[float(row[m]) for m in QOE_METRICS]
+                                          for row in csv.DictReader(f)])
+    if not qoe_rows:
+        raise RunDirError(f"run directory {run_dir}: qoe.csv has no test trace rows")
+    qoe = QoESummary(**{m: sum(column) / len(qoe_rows)
+                        for m, column in zip(QOE_METRICS, zip(*qoe_rows))})
     return meta, rewards, qoe
 
 
@@ -155,12 +160,10 @@ def _read_run_dir(run_dir: Path):
 @click.option("--sustain", default=10, type=int)
 @click.argument("run_dirs", nargs=-1, required=True,
                 type=click.Path(exists=True, file_okay=False))
+@_command_body
 def report(out_dir, anchor, window, epsilon, sustain, run_dirs):
     """Summarize finished runs: convergence, efficiency, normalized QoE."""
     rule = ConvergenceRule(window, epsilon, sustain)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     runs = {}
     for d in run_dirs:
         d = Path(d)
@@ -169,6 +172,8 @@ def report(out_dir, anchor, window, epsilon, sustain, run_dirs):
         if label in runs:
             label = f"{label}:{d.name}"
         runs[label] = (meta, rewards, qoe)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     conv: dict[str, int | None] = {}
     with open(out_dir / "convergence.csv", "w") as f:
@@ -200,13 +205,12 @@ def report(out_dir, anchor, window, epsilon, sustain, run_dirs):
     summaries = {label: qoe for label, (_, _, qoe) in runs.items()}
     rows = qoe_report(summaries, anchor_label)
     with open(out_dir / "qoe.csv", "w") as f:
-        f.write("scheme,mean_bitrate_kbps,stall_rate,mean_delay_ms,flags\n")
+        f.write(f"scheme,{','.join(QOE_METRICS)},flags\n")
         for row in rows:
-            flags = ";".join(f"{m}={row[f'{m}_flag']}" for m in
-                             ("mean_bitrate_kbps", "stall_rate", "mean_delay_ms")
+            flags = ";".join(f"{m}={row[f'{m}_flag']}" for m in QOE_METRICS
                              if row[f"{m}_flag"])
-            f.write(f"{row['scheme']},{row['mean_bitrate_kbps']!r},"
-                    f"{row['stall_rate']!r},{row['mean_delay_ms']!r},{flags}\n")
+            values = ",".join(repr(row[m]) for m in QOE_METRICS)
+            f.write(f"{row['scheme']},{values},{flags}\n")
     click.echo(f"report written to {out_dir}")
 
 

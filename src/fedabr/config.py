@@ -40,7 +40,8 @@ def _is_int(value) -> bool:
 
 def _check_integers(where: str, data: dict, hints: dict) -> None:
     """Reject a value that is not an integer (booleans included) for a key whose
-    type in `hints` is an integer, an optional integer or a tuple of integers."""
+    type in `hints` is an integer, an optional integer or a tuple of integers,
+    and a negative `seed`, which numpy's generators refuse."""
     for key, value in data.items():
         hint = hints.get(key)
         if hint == tuple[int, ...]:
@@ -49,6 +50,8 @@ def _check_integers(where: str, data: dict, hints: dict) -> None:
         elif hint in (int, int | None) and not (
                 _is_int(value) or (value is None and hint != int)):
             raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        elif key == "seed" and value is not None and value < 0:
+            raise ConfigError(f"{where}.{key} must be an integer >= 0, got {value!r}")
 
 
 def _build(cls, data: dict, **extra):

@@ -39,9 +39,9 @@ def condition_at(schedule: list[tuple[float, ClientCondition]], t: float) -> Cli
 
 
 def poll(schedule: list[tuple[float, ClientCondition]], period: float,
-         until: float | None = None) -> list[GroupChange]:
-    """Sample the schedule at t = 0, period, 2*period, ... and emit a GroupChange
-    whenever the sampled group differs from the previously sampled one.
+         until: float) -> list[GroupChange]:
+    """Sample the schedule at t = 0, period, 2*period, ... up to `until` and emit a
+    GroupChange whenever the sampled group differs from the previously sampled one.
 
     Changes that revert between two sampling points are invisible.
     """
@@ -51,11 +51,10 @@ def poll(schedule: list[tuple[float, ClientCondition]], period: float,
         raise ValueError("empty schedule")
     if any(b[0] < a[0] for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be time-sorted")
-    end = schedule[-1][0] if until is None else until
     changes = []
     prev_group = None
     t = 0.0
-    while t <= end + 1e-9:
+    while t <= until + 1e-9:
         cond = condition_at(schedule, t)
         g = classify(cond)
         if prev_group is not None and g != prev_group:

@@ -1,8 +1,9 @@
 """Intra-group synchronous federated coordinator.
 
-Holds one versioned global model per group, distributes it to registering
-clients, averages client gradients at a synchronous round barrier, and applies
-the averaged gradient with the shared number of frozen bottom layers.
+Holds one versioned global model per group, started from a copy of the run's
+starting model when the first client joins or migrates into the group,
+averages client gradients at a synchronous round barrier, and applies the
+averaged gradient with the shared number of frozen bottom layers.
 Personalization (client-side convex mixing of local and global models) is a
 pure function.
 """
@@ -10,7 +11,7 @@ pure function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .net import Gradients, ModelParams, apply_update, mean_gradients
@@ -24,19 +25,20 @@ class UpdateRejected(FederationError):
     pass
 
 
-@dataclass
-class GroupModel:
-    group: int
-    params: ModelParams
-    version: int = 0
-
-
 @dataclass(frozen=True)
 class UpdateMessage:
     client: str
     group: int
     round: int
     gradients: Gradients
+
+
+@dataclass
+class _Group:
+    params: ModelParams
+    version: int = 0
+    members: set[str] = field(default_factory=set)
+    pending: dict[str, Gradients] = field(default_factory=dict)
 
 
 def personalize(local_prev: ModelParams, global_params: ModelParams,
@@ -53,13 +55,12 @@ def personalize(local_prev: ModelParams, global_params: ModelParams,
 class Coordinator:
     """Synchronous per-group parameter server. Single-executor scheduling only."""
 
-    def __init__(self, server_lr: float, frozen_layers: int = 0,
+    def __init__(self, initial: ModelParams, server_lr: float, frozen_layers: int = 0,
                  transcript_path: str | Path | None = None):
+        self._initial = initial.copy()
         self.server_lr = server_lr
         self.frozen_layers = frozen_layers
-        self._groups: dict[int, GroupModel] = {}
-        self._members: dict[int, set[str]] = {}
-        self._pending: dict[int, dict[str, Gradients]] = {}
+        self._groups: dict[int, _Group] = {}
         self._transcript = open(transcript_path, "w") if transcript_path else None
 
     def close(self):
@@ -71,82 +72,74 @@ class Coordinator:
         if self._transcript:
             self._transcript.write(json.dumps({"event": kind, **fields}) + "\n")
 
-    def seed_group(self, group: int, pretrained: ModelParams) -> GroupModel:
-        if group in self._groups:
-            raise FederationError(f"group {group} already seeded")
-        gm = GroupModel(group, pretrained.copy(), version=0)
-        self._groups[group] = gm
-        self._members[group] = set()
-        self._pending[group] = {}
-        self._log("seed", group=group)
-        return gm
-
-    def _require_group(self, group: int) -> GroupModel:
+    def _group(self, group: int) -> _Group:
         if group not in self._groups:
-            raise FederationError(f"group {group} not seeded")
+            raise FederationError(f"group {group} has no model: no client has joined it")
         return self._groups[group]
 
-    def has_group(self, group: int) -> bool:
-        return group in self._groups
+    def _join(self, group: int) -> _Group:
+        """The group, started from the initial model the first time a client enters it."""
+        if group not in self._groups:
+            self._groups[group] = _Group(self._initial.copy())
+            self._log("seed", group=group)
+        return self._groups[group]
 
     def group_ids(self) -> list[int]:
         return sorted(self._groups)
 
     def current_round(self, group: int) -> int:
-        return self._require_group(group).version
+        return self._group(group).version
 
-    def fetch(self, group: int) -> tuple[ModelParams, int]:
-        gm = self._require_group(group)
-        return gm.params.copy(), gm.version
+    def fetch(self, group: int) -> ModelParams:
+        return self._group(group).params.copy()
 
     def register(self, client: str, group: int) -> ModelParams:
-        gm = self._require_group(group)
-        if client in self._members[group]:
+        g = self._join(group)
+        if client in g.members:
             raise FederationError(f"client {client!r} already registered in group {group}")
-        self._members[group].add(client)
-        self._log("register", client=client, group=group, version=gm.version)
-        return gm.params.copy()
+        g.members.add(client)
+        self._log("register", client=client, group=group, version=g.version)
+        return g.params.copy()
 
     def submit(self, update: UpdateMessage) -> None:
-        gm = self._require_group(update.group)
-        if update.client not in self._members[update.group]:
+        g = self._group(update.group)
+        if update.client not in g.members:
             raise UpdateRejected(f"client {update.client!r} not enrolled in group {update.group}")
-        if update.round != gm.version:
-            raise UpdateRejected(f"stale round {update.round} (current {gm.version})")
-        if update.client in self._pending[update.group]:
+        if update.round != g.version:
+            raise UpdateRejected(f"stale round {update.round} (current {g.version})")
+        if update.client in g.pending:
             raise UpdateRejected(f"duplicate submission from {update.client!r} "
                                  f"for round {update.round}")
-        if update.gradients.layout != gm.params.layout:
+        if update.gradients.layout != g.params.layout:
             raise UpdateRejected("gradient shape mismatch")
-        self._pending[update.group][update.client] = update.gradients
+        g.pending[update.client] = update.gradients
         self._log("submit", client=update.client, group=update.group, round=update.round)
 
-    def aggregate_round(self, group: int) -> GroupModel:
-        gm = self._require_group(group)
-        missing = self._members[group] - set(self._pending[group])
+    def aggregate_round(self, group: int) -> None:
+        g = self._group(group)
+        missing = g.members - g.pending.keys()
         if missing:
             raise FederationError(f"round barrier not satisfied for group {group}: "
                                   f"missing {sorted(missing)}")
-        if not self._pending[group]:
+        if not g.pending:
             raise FederationError(f"group {group} has no submissions to aggregate")
-        payloads = [self._pending[group][c] for c in sorted(self._pending[group])]
-        gm.params = apply_update(gm.params, mean_gradients(payloads), self.server_lr,
-                                 self.frozen_layers)
-        gm.version += 1
-        self._pending[group] = {}
-        self._log("aggregate", group=group, version=gm.version, clients=len(payloads))
-        return gm
+        payloads = [g.pending[c] for c in sorted(g.pending)]
+        g.params = apply_update(g.params, mean_gradients(payloads), self.server_lr,
+                                self.frozen_layers)
+        g.version += 1
+        g.pending = {}
+        self._log("aggregate", group=group, version=g.version, clients=len(payloads))
 
     def migrate(self, client: str, from_group: int, to_group: int) -> ModelParams:
-        target = self._require_group(to_group)
-        self._require_group(from_group)
+        source = self._group(from_group)
         if from_group == to_group:
-            return target.params.copy()
-        if self._pending[from_group].get(client) is not None:
+            return source.params.copy()
+        if client in source.pending:
             raise FederationError(f"client {client!r} has a pending submission; "
                                   "migrate only at round boundaries")
-        self._members[from_group].discard(client)
-        self._members[to_group].add(client)
+        target = self._join(to_group)
+        source.members.discard(client)
+        target.members.add(client)
         self._log("migrate", client=client, from_group=from_group, to_group=to_group,
                   version=target.version)
         return target.params.copy()

@@ -62,12 +62,23 @@ class ModelParams:
 
     @classmethod
     def from_layers(cls, weights, biases) -> "ModelParams":
-        """Pack per-layer weight matrices and bias vectors into one new vector."""
-        if len(weights) != len(biases) or any(
-                np.ndim(w) != 2 or np.shape(b) != np.shape(w)[:1] for w, b in zip(weights, biases)):
-            raise NetError("each layer needs a 2-D weight and a bias of its output size")
+        """Pack per-layer weight matrices and bias vectors into one new vector. The
+        layers must chain, both heads read the last hidden layer, the value head is scalar."""
+        shapes = [np.shape(w) for w in weights]
+        if len(shapes) != len(biases) or len(shapes) < 3 or any(
+                len(s) != 2 or np.shape(b) != s[:1] for s, b in zip(shapes, biases)):
+            raise NetError("need hidden layers and two heads, each a 2-D weight and a bias "
+                           "of its output size")
+        for i, (_, inputs) in enumerate(shapes[1:], start=1):
+            src = min(i - 1, len(shapes) - 3)
+            if inputs != shapes[src][0]:
+                raise NetError(f"layer {i} takes {inputs} inputs, but layer {src} has "
+                               f"{shapes[src][0]} outputs")
+        if shapes[-1][0] != 1:
+            raise NetError(f"layer {len(shapes) - 1}, the value head, has {shapes[-1][0]} "
+                           "outputs, not 1")
         flat = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb], dtype=float)
-        return cls(flat, Layout(tuple(np.shape(w) for w in weights)))
+        return cls(flat, Layout(tuple(shapes)))
 
     @property
     def n_layers(self) -> int:

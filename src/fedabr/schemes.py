@@ -16,7 +16,7 @@ import shutil
 import time
 import uuid
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .discriminator import ClientCondition, GroupChange, classify, condition_at, poll
 from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
 from .federation import Coordinator, UpdateMessage, personalize
+from .metrics import QOE_METRICS
 from .net import (DivergenceError, ModelParams, TrainHyper, apply_update, a3c_gradients,
                   forward, init_params, save_checkpoint, zero_frozen)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout
@@ -81,12 +82,15 @@ class SchemeConfig:
             if not ok:
                 raise SchemeError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
+    @property
+    def sim_time_s(self) -> float:  # one episode per epoch
+        return self.epochs * self.env.episode_len * self.env.step_s
+
 
 @dataclass
 class RunMetrics:
     scheme: Scheme
     rewards: list[float]
-    sim_time_s: float
     wall_time_s: float
     qoe_per_trace: dict[str, QoESummary]
     qoe: QoESummary
@@ -130,11 +134,8 @@ def evaluate_greedy(params: ModelParams, trace: Trace, env_config: EnvConfig
 
 
 def _mean_qoe(summaries: list[QoESummary]) -> QoESummary:
-    return QoESummary(
-        mean_bitrate_kbps=float(np.mean([s.mean_bitrate_kbps for s in summaries])),
-        stall_rate=float(np.mean([s.stall_rate for s in summaries])),
-        mean_delay_ms=float(np.mean([s.mean_delay_ms for s in summaries])),
-    )
+    return QoESummary(**{m: float(np.mean([getattr(s, m) for s in summaries]))
+                         for m in QOE_METRICS})
 
 
 @dataclass
@@ -143,9 +144,9 @@ class _Client:
     model: ModelParams
     group: int
     rng: np.random.Generator
+    pending_changes: list[GroupChange]
     env: StreamEnv | None = None
     state: np.ndarray | None = None
-    pending_changes: list[GroupChange] = field(default_factory=list)
 
 
 def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
@@ -186,11 +187,9 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
         mean_test_reward = (float(np.mean(list(per_trace_rewards.values())))
                             if per_trace_rewards else 0.0)
 
-        sim_time = config.epochs * config.env.episode_len * config.env.step_s
         metrics = RunMetrics(
             scheme=config.scheme,
             rewards=rewards,
-            sim_time_s=sim_time,
             wall_time_s=time.perf_counter() - t0,
             qoe_per_trace=per_trace,
             qoe=overall_qoe,
@@ -244,12 +243,6 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
     return rewards
 
 
-def _group_for(spec: ClientSpec, trace: Trace, sim_t: float) -> int:
-    if spec.condition_schedule:
-        return classify(condition_at(list(spec.condition_schedule), sim_t))
-    return trace.group
-
-
 def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
                   out_dir: Path | None):
     """Train every client online; returns (epoch rewards, client models, group models)."""
@@ -259,21 +252,20 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
     if federated:
         server_lr, mix = config.server_lr or config.hyper.lr, config.mix
         transcript = out_dir / "transcript.jsonl" if out_dir else None
-    with closing(Coordinator(server_lr, frozen, transcript)) as coord:
+    with closing(Coordinator(params0, server_lr, frozen, transcript)) as coord:
         clients: list[_Client] = []
-        synthetic_gid = 100  # isolated per-client groups for the non-federated schemes
         for i, spec in enumerate(config.clients):
-            gid = (_group_for(spec, traces[spec.trace_ids[0]], 0.0) if federated
-                   else synthetic_gid + i)
-            if not coord.has_group(gid):
-                coord.seed_group(gid, params0)
-            model = coord.register(spec.id, gid)
-            c = _Client(spec, model, gid, _client_rng(config, spec, i))
-            if federated and spec.condition_schedule:
-                total_sim = config.epochs * config.env.episode_len * config.env.step_s
-                c.pending_changes = poll(list(spec.condition_schedule), config.poll_period_s,
-                                         until=total_sim)
-            clients.append(c)
+            changes = []
+            if not federated:
+                gid = 100 + i  # isolated per-client groups for the non-federated schemes
+            elif spec.condition_schedule:
+                schedule = list(spec.condition_schedule)
+                gid = classify(condition_at(schedule, 0.0))
+                changes = poll(schedule, config.poll_period_s, config.sim_time_s)
+            else:
+                gid = traces[spec.trace_ids[0]].group
+            clients.append(_Client(spec, coord.register(spec.id, gid), gid,
+                                   _client_rng(config, spec, i), changes))
 
         episode_steps = config.env.episode_len
         rewards = []
@@ -310,22 +302,18 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                         raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
                                               f"{coord.current_round(gid)}: {e}") from None
                 for c in clients:
-                    global_params, _ = coord.fetch(c.group)
-                    c.model = personalize(c.model, global_params, mix)
+                    c.model = personalize(c.model, coord.fetch(c.group), mix)
                 steps_done += round_steps
                 # Round boundary: apply any due group changes.
                 sim_t = (epoch * episode_steps + steps_done) * config.env.step_s
                 for c in clients:
                     while c.pending_changes and c.pending_changes[0].at <= sim_t:
                         change = c.pending_changes.pop(0)
-                        if not coord.has_group(change.to_group):
-                            # A freshly entered group starts from the pretrained model.
-                            coord.seed_group(change.to_group, params0)
                         target = coord.migrate(c.spec.id, c.group, change.to_group)
                         c.group = change.to_group
                         c.model = personalize(c.model, target, mix)
             rewards.append(epoch_reward / (len(clients) * episode_steps))
-    groups = {gid: coord.fetch(gid)[0] for gid in coord.group_ids()}
+    groups = {gid: coord.fetch(gid) for gid in coord.group_ids()}
     return rewards, {c.spec.id: c.model for c in clients}, groups
 
 
@@ -341,15 +329,14 @@ def _write_outputs(metrics: RunMetrics, per_trace_rewards: dict[str, float],
                    config: SchemeConfig, out_dir: Path) -> None:
     write_rewards_csv(metrics.rewards, out_dir / "rewards.csv")
     with open(out_dir / "qoe.csv", "w") as f:
-        f.write("trace_id,mean_bitrate_kbps,stall_rate,mean_delay_ms,mean_reward\n")
+        f.write(f"trace_id,{','.join(QOE_METRICS)},mean_reward\n")
         for tid in sorted(metrics.qoe_per_trace):
-            q = metrics.qoe_per_trace[tid]
-            f.write(f"{tid},{q.mean_bitrate_kbps!r},{q.stall_rate!r},"
-                    f"{q.mean_delay_ms!r},{per_trace_rewards[tid]!r}\n")
+            values = ",".join(repr(getattr(metrics.qoe_per_trace[tid], m)) for m in QOE_METRICS)
+            f.write(f"{tid},{values},{per_trace_rewards[tid]!r}\n")
     meta = {
         "scheme": metrics.scheme.value,
         "epochs": len(metrics.rewards),
-        "sim_time_s": metrics.sim_time_s,
+        "sim_time_s": config.sim_time_s,
         "clients": [c.id for c in config.clients],
     }
     with open(out_dir / "run_meta.json", "w") as f:

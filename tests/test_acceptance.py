@@ -146,9 +146,8 @@ def _centralized_trajectory(params0, trace, frozen, rounds):
 
 
 def _federated_trajectory(k, params0, trace, frozen, rounds):
-    coord = Coordinator(HYPER.lr, frozen_layers=frozen)
+    coord = Coordinator(params0, HYPER.lr, frozen_layers=frozen)
     gid = trace.group
-    coord.seed_group(gid, params0)
     clients = []
     for i in range(k):
         model = coord.register(f"c{i}", gid)
@@ -167,7 +166,7 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
             coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid),
                                        zero_frozen(grads, frozen)))
         coord.aggregate_round(gid)
-        global_params, _ = coord.fetch(gid)
+        global_params = coord.fetch(gid)
         for c in clients:
             c["model"] = personalize(c["model"], global_params, 0.5)
         out.append(global_params)

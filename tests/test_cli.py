@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -297,15 +298,27 @@ class TestInputErrors:
                                  "every hidden layer must be relu\n")
         assert not (workspace / "run-identity").exists()
 
-    @pytest.mark.parametrize("case", ["text", "empty", "missing-array"])
+    @pytest.mark.parametrize("case", ["text", "empty", "missing-array", "unchained",
+                                      "heads-apart", "wide-value-head"])
     def test_unreadable_checkpoint(self, workspace, split_file, checkpoint, case):
         bad = workspace / f"ckpt-{case}.npz"
-        if case == "missing-array":
+        # The default architecture: w0 (64, 19), w1 (32, 64), policy head w2 (4, 32),
+        # value head w3 (1, 32).
+        edits = {"missing-array": ({}, f"checkpoint {bad} has no array 'w1'"),
+                 "unchained": ({"w1": np.zeros((32, 10))},
+                               "layer 1 takes 10 inputs, but layer 0 has 64 outputs"),
+                 "heads-apart": ({"w3": np.zeros((1, 4))},
+                                 "layer 3 takes 4 inputs, but layer 1 has 32 outputs"),
+                 "wide-value-head": ({"w3": np.zeros((2, 32)), "b3": np.zeros(2)},
+                                     "layer 3, the value head, has 2 outputs, not 1")}
+        if case in edits:
             with np.load(checkpoint) as data:
                 arrays = dict(data)
-            del arrays["w1"]
+            if case == "missing-array":
+                del arrays["w1"]
+            arrays.update(edits[case][0])
             np.savez(bad, **arrays)
-            message = f"Error: checkpoint {bad} has no array 'w1'\n"
+            message = f"Error: {edits[case][1]}\n"
         else:
             bad.write_text("epoch,mean_reward\n1,0.5\n" if case == "text" else "")
             message = f"Error: cannot read checkpoint {bad}: "
@@ -351,6 +364,53 @@ class TestReport:
         anchor_row = next(r for r in qoe[1:] if r.startswith("offline_only,"))
         assert anchor_row.split(",")[1] == "1.0"
         assert (out / "efficiency.csv").exists()
+
+    @pytest.mark.parametrize("case", ["empty", "no-qoe", "bad-meta", "bad-rewards"])
+    def test_not_a_finished_run(self, workspace, split_file, checkpoint, case):
+        d = workspace / f"report-in-{case}"
+        if case == "empty":
+            d.mkdir()
+        else:
+            run = workspace / "run-report-source"
+            if not run.exists():
+                invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
+                       "--split", split_file, "--checkpoint", checkpoint, "--out", run)
+            shutil.copytree(run, d)
+        message = {
+            "empty": "cannot read run_meta.json: [Errno 2] No such file or directory",
+            "no-qoe": "cannot read qoe.csv: [Errno 2] No such file or directory",
+            "bad-meta": "cannot read run_meta.json: Expecting value",
+            "bad-rewards": "cannot read rewards.csv: could not convert string to float",
+        }[case]
+        if case == "no-qoe":
+            (d / "qoe.csv").unlink()
+        elif case == "bad-meta":
+            (d / "run_meta.json").write_text("")
+        elif case == "bad-rewards":
+            (d / "rewards.csv").write_text("epoch,mean_reward\n1,x\n")
+        out = workspace / f"report-{case}"
+        result = CliRunner().invoke(main, ["report", "--out", str(out), str(d)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: run directory {d}: {message}")
+        assert result.output.count("\n") == 1
+        assert not out.exists()
+
+    def test_run_without_test_traces(self, workspace, split_file, checkpoint):
+        data = json.loads(split_file.read_text())
+        data["test"] = []
+        no_test = workspace / "split-no-test.json"
+        no_test.write_text(json.dumps(data))
+        run = workspace / "run-no-test"
+        result = invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
+                        "--split", no_test, "--checkpoint", checkpoint, "--out", run)
+        assert result.exit_code == 0
+        result = CliRunner().invoke(main, ["report", "--out", str(workspace / "report-no-test"),
+                                           str(run)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: run directory {run}: qoe.csv has no test trace "
+                                 "rows\n")
 
     def test_bad_anchor_fails(self, workspace, split_file, checkpoint):
         d = workspace / "run-transfer_only"

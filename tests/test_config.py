@@ -87,8 +87,9 @@ INTEGER_KEYS = [("split", "seed"), ("env", "history_len"), ("env", "episode_len"
                 ("run", "seed"), ("run", "frozen_layers")]
 
 
-@pytest.mark.parametrize("section, key", INTEGER_KEYS)
-@pytest.mark.parametrize("value", [2.5, "x", True, None])
+@pytest.mark.parametrize("value, section, key", [
+    *((value, section, key) for value in (2.5, "x", True, None) for section, key in INTEGER_KEYS),
+    *((-1, section, "seed") for section in ("split", "pretrain", "run"))])
 def test_integer_keys_reject_other_values(tmp_path, section, key, value):
     with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be an integer")):
         write_config(tmp_path / "config.yaml", {section: {key: value}})
@@ -100,7 +101,7 @@ def test_hidden_rejects_other_than_a_list_of_integers(tmp_path, value):
         write_config(tmp_path / "config.yaml", {"pretrain": {"hidden": value}})
 
 
-@pytest.mark.parametrize("value", [2.5, "x", True])
+@pytest.mark.parametrize("value", [2.5, "x", True, -1])
 def test_client_seed_rejects_other_values(tmp_path, value):
     clients = [{"id": "a", "traces": ["t0"], "seed": 1},
                {"id": "b", "traces": ["t1"], "seed": value}]

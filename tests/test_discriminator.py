@@ -50,16 +50,16 @@ class TestPoll:
 
     def test_empty_schedule(self):
         with pytest.raises(ValueError):
-            poll([], period=5.0)
+            poll([], period=5.0, until=10.0)
 
     def test_unsorted_schedule(self):
         schedule = [(5.0, cond(NT.WIFI, TM.CAR)), (1.0, cond(NT.FOUR_G, TM.CAR))]
         with pytest.raises(ValueError):
-            poll(schedule, period=5.0)
+            poll(schedule, period=5.0, until=10.0)
 
     def test_bad_period(self):
         with pytest.raises(ValueError):
-            poll([(0.0, cond(NT.WIFI, TM.CAR))], period=0.0)
+            poll([(0.0, cond(NT.WIFI, TM.CAR))], period=0.0, until=10.0)
 
 
 def test_condition_at():

@@ -33,60 +33,63 @@ def neg(grads):
 
 class TestSeedAndRegister:
     def test_seed_then_fetch(self):
-        coord = Coordinator(server_lr=0.01)
         p = make_params()
-        coord.seed_group(1, p)
-        fetched, version = coord.fetch(1)
-        assert params_close(fetched, p) and version == 0
-
-    def test_double_seed(self):
-        coord = Coordinator(server_lr=0.01)
-        coord.seed_group(1, make_params())
-        with pytest.raises(FederationError):
-            coord.seed_group(1, make_params())
+        coord = Coordinator(p, server_lr=0.01)
+        coord.register("a", 1)
+        assert params_close(coord.fetch(1), p) and coord.current_round(1) == 0
 
     def test_seed_all_twelve_groups_independent(self):
-        coord = Coordinator(server_lr=0.01)
         p = make_params()
+        coord = Coordinator(p, server_lr=0.01)
         for g in range(1, 13):
-            coord.seed_group(g, p)
-        coord.register("c", 3)
-        coord.submit(UpdateMessage("c", 3, 0, make_grads(p)))
+            coord.register(f"c{g}", g)
+        coord.submit(UpdateMessage("c3", 3, 0, make_grads(p)))
         coord.aggregate_round(3)
         for g in range(1, 13):
-            _, v = coord.fetch(g)
-            assert v == (1 if g == 3 else 0)
+            assert coord.current_round(g) == (1 if g == 3 else 0)
             if g != 3:
-                assert params_close(coord.fetch(g)[0], p)
+                assert params_close(coord.fetch(g), p)
 
     def test_register_returns_current_params(self):
-        coord = Coordinator(server_lr=0.01)
         p = make_params()
-        coord.seed_group(1, p)
+        coord = Coordinator(p, server_lr=0.01)
         assert params_close(coord.register("a", 1), p)
         coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
         coord.aggregate_round(1)
         later = coord.register("b", 1)
-        assert params_close(later, coord.fetch(1)[0])
+        assert params_close(later, coord.fetch(1))
         assert not params_close(later, p)
 
-    def test_register_unseeded(self):
-        with pytest.raises(FederationError):
-            Coordinator(server_lr=0.01).register("a", 5)
-
     def test_duplicate_registration(self):
-        coord = Coordinator(server_lr=0.01)
-        coord.seed_group(1, make_params())
+        coord = Coordinator(make_params(), server_lr=0.01)
         coord.register("a", 1)
         with pytest.raises(FederationError):
             coord.register("a", 1)
 
+    def test_group_no_client_joined(self):
+        p = make_params()
+        coord = Coordinator(p, server_lr=0.01)
+        coord.register("a", 1)
+        for call in (lambda: coord.submit(UpdateMessage("a", 2, 0, make_grads(p))),
+                     lambda: coord.aggregate_round(2),
+                     lambda: coord.fetch(2),
+                     lambda: coord.current_round(2)):
+            with pytest.raises(FederationError, match="group 2 has no model"):
+                call()
+        assert coord.group_ids() == [1]
+
+    def test_later_group_starts_from_the_model_at_construction(self):
+        p = make_params()
+        coord = Coordinator(p, server_lr=0.01)
+        p.flat[:] = 0.0
+        coord.register("a", 4)
+        assert params_close(coord.fetch(4), make_params())
+
 
 class TestSubmit:
     def _setup(self):
-        coord = Coordinator(server_lr=0.01)
         p = make_params()
-        coord.seed_group(1, p)
+        coord = Coordinator(p, server_lr=0.01)
         coord.register("a", 1)
         return coord, p
 
@@ -123,33 +126,30 @@ class TestAggregate:
     def test_identical_gradients_equal_single_step(self):
         p = make_params()
         g = make_grads(p)
-        coord = Coordinator(server_lr=0.05)
-        coord.seed_group(1, p)
+        coord = Coordinator(p, server_lr=0.05)
         for c in ("a", "b"):
             coord.register(c, 1)
             coord.submit(UpdateMessage(c, 1, 0, g.copy()))
-        gm = coord.aggregate_round(1)
+        coord.aggregate_round(1)
         expected = apply_update(p, g, 0.05)
-        assert params_close(gm.params, expected, tol=1e-15)
-        assert gm.version == 1
+        assert params_close(coord.fetch(1), expected, tol=1e-15)
+        assert coord.current_round(1) == 1
 
     def test_cancelling_gradients(self):
         p = make_params()
         g = make_grads(p)
-        coord = Coordinator(server_lr=0.05)
-        coord.seed_group(1, p)
+        coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
         coord.register("b", 1)
         coord.submit(UpdateMessage("a", 1, 0, g))
         coord.submit(UpdateMessage("b", 1, 0, neg(g)))
-        gm = coord.aggregate_round(1)
-        assert params_close(gm.params, p, tol=1e-15)
-        assert gm.version == 1
+        coord.aggregate_round(1)
+        assert params_close(coord.fetch(1), p, tol=1e-15)
+        assert coord.current_round(1) == 1
 
     def test_barrier_unsatisfied(self):
         p = make_params()
-        coord = Coordinator(server_lr=0.05)
-        coord.seed_group(1, p)
+        coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
         coord.register("b", 1)
         coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
@@ -162,8 +162,7 @@ class TestAggregate:
         for k in (2, 4):
             fed = p.copy()
             central = p.copy()
-            coord = Coordinator(server_lr=0.05)
-            coord.seed_group(1, fed)
+            coord = Coordinator(fed, server_lr=0.05)
             for i in range(k):
                 coord.register(f"c{i}", 1)
             for rnd in range(10):
@@ -172,19 +171,18 @@ class TestAggregate:
                     coord.submit(UpdateMessage(f"c{i}", 1, rnd, g.copy()))
                 coord.aggregate_round(1)
                 central = apply_update(central, g, 0.05)
-            assert params_close(coord.fetch(1)[0], central, tol=1e-12)
+            assert params_close(coord.fetch(1), central, tol=1e-12)
 
     def test_group_isolation(self):
         p = make_params()
-        coord = Coordinator(server_lr=0.05)
-        coord.seed_group(1, p)
-        coord.seed_group(2, p)
+        coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
+        coord.register("b", 2)
         for _ in range(3):
             coord.submit(UpdateMessage("a", 1, coord.current_round(1), make_grads(p)))
             coord.aggregate_round(1)
-        assert params_close(coord.fetch(2)[0], p)
-        assert coord.fetch(2)[1] == 0
+        assert params_close(coord.fetch(2), p)
+        assert coord.current_round(2) == 0
 
     def test_linearity(self):
         p = make_params()
@@ -193,12 +191,12 @@ class TestAggregate:
         mean = mean_gradients(grads)
 
         def run(payloads):
-            coord = Coordinator(server_lr=0.05)
-            coord.seed_group(1, p)
+            coord = Coordinator(p, server_lr=0.05)
             for i, g in enumerate(payloads):
                 coord.register(f"c{i}", 1)
                 coord.submit(UpdateMessage(f"c{i}", 1, 0, g))
-            return coord.aggregate_round(1).params
+            coord.aggregate_round(1)
+            return coord.fetch(1)
 
         a = run(grads)
         b = run([mean.copy() for _ in grads])
@@ -225,9 +223,7 @@ class TestPersonalize:
 class TestMigrate:
     def _setup(self):
         p = make_params()
-        coord = Coordinator(server_lr=0.05)
-        coord.seed_group(1, p)
-        coord.seed_group(2, p)
+        coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
         coord.register("b", 1)
         return coord, p
@@ -240,7 +236,8 @@ class TestMigrate:
         with pytest.raises(UpdateRejected, match="not enrolled in group 1"):
             coord.submit(UpdateMessage("b", 1, 1, make_grads(p)))
         coord.submit(UpdateMessage("b", 2, 0, make_grads(p)))
-        assert coord.aggregate_round(2).version == 1
+        coord.aggregate_round(2)
+        assert coord.current_round(2) == 1
 
     def test_migrate_same_group_noop(self):
         coord, p = self._setup()
@@ -256,20 +253,29 @@ class TestMigrate:
         coord.submit(UpdateMessage("c", 2, 0, make_grads(p)))
         coord.aggregate_round(2)
         out = coord.migrate("a", 1, 2)
-        assert params_close(out, coord.fetch(2)[0])
-        assert coord.fetch(2)[1] == 1
+        assert params_close(out, coord.fetch(2))
+        assert coord.current_round(2) == 1
 
-    def test_migrate_unseeded_target(self):
-        coord, _ = self._setup()
-        with pytest.raises(FederationError):
-            coord.migrate("a", 1, 7)
+    def test_migrate_unseeded_target(self, tmp_path):
+        p = make_params()
+        path = tmp_path / "transcript.jsonl"
+        coord = Coordinator(p, server_lr=0.05, transcript_path=path)
+        coord.register("a", 1)
+        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
+        coord.aggregate_round(1)
+        out = coord.migrate("a", 1, 7)
+        coord.close()
+        assert params_close(out, p) and params_close(coord.fetch(7), p)
+        assert coord.current_round(7) == 0
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["event"] for e in events[-2:]] == ["seed", "migrate"]
+        assert events[-2]["group"] == 7 and events[-1]["to_group"] == 7
 
 
 def test_transcript_replayable(tmp_path):
     p = make_params()
     path = tmp_path / "transcript.jsonl"
-    coord = Coordinator(server_lr=0.05, transcript_path=path)
-    coord.seed_group(1, p)
+    coord = Coordinator(p, server_lr=0.05, transcript_path=path)
     coord.register("a", 1)
     coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
     coord.aggregate_round(1)
@@ -281,12 +287,11 @@ def test_transcript_replayable(tmp_path):
 
 def test_version_monotonic():
     p = make_params()
-    coord = Coordinator(server_lr=0.05)
-    coord.seed_group(1, p)
+    coord = Coordinator(p, server_lr=0.05)
     coord.register("a", 1)
-    seen = [coord.fetch(1)[1]]
+    seen = [coord.current_round(1)]
     for rnd in range(5):
         coord.submit(UpdateMessage("a", 1, rnd, make_grads(p, seed=rnd)))
         coord.aggregate_round(1)
-        seen.append(coord.fetch(1)[1])
+        seen.append(coord.current_round(1))
     assert seen == sorted(seen) == list(range(6))
