@@ -118,8 +118,6 @@ def run(scheme_name, config_path, split_path, ckpt_path, out_dir):
     split_data = _load_split(Path(split_path), corpus)
     scheme = Scheme(scheme_name)
     pretrained = load_checkpoint(ckpt_path) if ckpt_path else None
-    if pretrained is None and scheme is not Scheme.ONLINE_SCRATCH:
-        raise click.ClickException(f"scheme {scheme.value} requires --checkpoint")
     sc = build_scheme_config(cfg, scheme, split_data["finetune"], split_data["test"])
     try:
         metrics = run_scheme(sc, corpus, pretrained, out_dir)
@@ -144,6 +142,19 @@ def _read_run_dir(run_dir: Path):
                    lambda f: [float(row["mean_reward"]) for row in csv.DictReader(f)])
     qoe_rows = read("qoe.csv", lambda f: [[float(row[m]) for m in QOE_METRICS]
                                           for row in csv.DictReader(f)])
+    if not isinstance(meta, dict):
+        raise RunDirError(f"run directory {run_dir}: run_meta.json is not a mapping")
+    epochs, sim_time = meta.get("epochs"), meta.get("sim_time_s")
+    for key, ok, rule in (
+            ("scheme", isinstance(meta.get("scheme"), str) and meta["scheme"] != "",
+             "a non-empty string"),
+            ("epochs", type(epochs) is int and epochs == len(rewards) >= 1,
+             f"an integer >= 1 equal to the {len(rewards)} rows of rewards.csv"),
+            ("sim_time_s", type(sim_time) in (int, float) and 0 < sim_time < float("inf"),
+             "a finite number > 0")):
+        if not ok:
+            raise RunDirError(f"run directory {run_dir}: run_meta.json: {key!r} must be "
+                              f"{rule}, got {meta.get(key)!r}")
     if not qoe_rows:
         raise RunDirError(f"run directory {run_dir}: qoe.csv has no test trace rows")
     qoe = QoESummary(**{m: sum(column) / len(qoe_rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .traces import NetworkType, TransportMode, group_of
@@ -14,51 +15,27 @@ class ClientCondition:
     transport_mode: TransportMode
 
 
-@dataclass(frozen=True)
-class GroupChange:
-    client: str
-    from_group: int
-    to_group: int
-    at: float
-
-
-def classify(condition: ClientCondition) -> int:
-    return group_of(condition.network_type, condition.transport_mode)
-
-
-def condition_at(schedule: list[tuple[float, ClientCondition]], t: float) -> ClientCondition:
-    """Condition in effect at time t: the last scheduled entry with time <= t."""
-    if not schedule:
-        raise ValueError("empty schedule")
-    current = schedule[0][1]
-    for when, cond in schedule:
-        if when > t:
-            break
-        current = cond
-    return current
-
-
 def poll(schedule: list[tuple[float, ClientCondition]], period: float,
-         until: float) -> list[GroupChange]:
-    """Sample the schedule at t = 0, period, 2*period, ... up to `until` and emit a
-    GroupChange whenever the sampled group differs from the previously sampled one.
-
-    Changes that revert between two sampling points are invisible.
+         until: float) -> list[tuple[float, int]]:
+    """The client's group timeline `[(t, group), ...]` from sampling the schedule
+    at t = 0, period, 2*period, ... up to `until`: the t = 0 sample, then each
+    sample whose group differs from the one before it. A sample reads the last
+    entry with time <= t (the first entry before the schedule starts), so
+    changes that revert between two samples are invisible.
     """
     if period <= 0:
         raise ValueError("period must be positive")
     if not schedule:
         raise ValueError("empty schedule")
-    if any(b[0] < a[0] for a, b in zip(schedule, schedule[1:])):
+    times = [when for when, _ in schedule]
+    if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("schedule must be time-sorted")
-    changes = []
-    prev_group = None
+    timeline: list[tuple[float, int]] = []
     t = 0.0
     while t <= until + 1e-9:
-        cond = condition_at(schedule, t)
-        g = classify(cond)
-        if prev_group is not None and g != prev_group:
-            changes.append(GroupChange(cond.client, prev_group, g, t))
-        prev_group = g
+        _, cond = schedule[max(bisect.bisect_right(times, t) - 1, 0)]
+        g = group_of(cond.network_type, cond.transport_mode)
+        if not timeline or g != timeline[-1][1]:
+            timeline.append((t, g))
         t += period
-    return changes
+    return timeline

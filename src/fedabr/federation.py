@@ -10,9 +10,7 @@ pure function.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .net import Gradients, ModelParams, apply_update, mean_gradients
 
@@ -55,22 +53,15 @@ def personalize(local_prev: ModelParams, global_params: ModelParams,
 class Coordinator:
     """Synchronous per-group parameter server. Single-executor scheduling only."""
 
-    def __init__(self, initial: ModelParams, server_lr: float, frozen_layers: int = 0,
-                 transcript_path: str | Path | None = None):
+    def __init__(self, initial: ModelParams, server_lr: float, frozen_layers: int = 0):
         self._initial = initial.copy()
         self.server_lr = server_lr
         self.frozen_layers = frozen_layers
         self._groups: dict[int, _Group] = {}
-        self._transcript = open(transcript_path, "w") if transcript_path else None
-
-    def close(self):
-        if self._transcript:
-            self._transcript.close()
-            self._transcript = None
+        self.events: list[dict] = []  # the transcript, one dict per event in order
 
     def _log(self, kind: str, **fields):
-        if self._transcript:
-            self._transcript.write(json.dumps({"event": kind, **fields}) + "\n")
+        self.events.append({"event": kind, **fields})
 
     def _group(self, group: int) -> _Group:
         if group not in self._groups:

@@ -15,13 +15,13 @@ import os
 import shutil
 import time
 import uuid
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .discriminator import ClientCondition, GroupChange, classify, condition_at, poll
+from .discriminator import ClientCondition, poll
 from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS
@@ -97,6 +97,7 @@ class RunMetrics:
     mean_test_reward: float
     final_client_params: dict[str, ModelParams]
     final_group_params: dict[int, ModelParams]
+    transcript: list[dict]  # the coordinator's events in order; [] for offline_only
 
 
 def _client_rng(config: SchemeConfig, spec: ClientSpec, index: int) -> np.random.Generator:
@@ -144,7 +145,7 @@ class _Client:
     model: ModelParams
     group: int
     rng: np.random.Generator
-    pending_changes: list[GroupChange]
+    pending_changes: list[tuple[float, int]]  # (t, group) migrations still to come
     env: StreamEnv | None = None
     state: np.ndarray | None = None
 
@@ -168,8 +169,9 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
             rewards = _run_offline_only(config, traces, params0)
             clients = {spec.id: params0.copy() for spec in config.clients}
             groups: dict[int, ModelParams] = {}
+            transcript: list[dict] = []
         else:
-            rewards, clients, groups = _train_rounds(config, traces, params0, work_dir)
+            rewards, clients, groups, transcript = _train_rounds(config, traces, params0)
 
         # Test-set evaluation: greedy episodes of every client's final model.
         per_trace: dict[str, QoESummary] = {}
@@ -196,6 +198,7 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
             mean_test_reward=mean_test_reward,
             final_client_params=clients,
             final_group_params=groups,
+            transcript=transcript,
         )
         if work_dir is not None:
             _write_outputs(metrics, per_trace_rewards, config, work_dir)
@@ -243,78 +246,75 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
     return rewards
 
 
-def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams,
-                  out_dir: Path | None):
-    """Train every client online; returns (epoch rewards, client models, group models)."""
+def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams):
+    """Train every client online; returns (epoch rewards, client and group models, events)."""
     federated = config.scheme is Scheme.FULL_FEDERATED
     frozen = 0 if config.scheme is Scheme.ONLINE_SCRATCH else config.frozen_layers
-    server_lr, mix, transcript = config.hyper.lr, 1.0, None
+    server_lr, mix = config.hyper.lr, 1.0
     if federated:
         server_lr, mix = config.server_lr or config.hyper.lr, config.mix
-        transcript = out_dir / "transcript.jsonl" if out_dir else None
-    with closing(Coordinator(params0, server_lr, frozen, transcript)) as coord:
-        clients: list[_Client] = []
-        for i, spec in enumerate(config.clients):
-            changes = []
-            if not federated:
-                gid = 100 + i  # isolated per-client groups for the non-federated schemes
-            elif spec.condition_schedule:
-                schedule = list(spec.condition_schedule)
-                gid = classify(condition_at(schedule, 0.0))
-                changes = poll(schedule, config.poll_period_s, config.sim_time_s)
-            else:
-                gid = traces[spec.trace_ids[0]].group
-            clients.append(_Client(spec, coord.register(spec.id, gid), gid,
-                                   _client_rng(config, spec, i), changes))
+    coord = Coordinator(params0, server_lr, frozen)
+    clients: list[_Client] = []
+    for i, spec in enumerate(config.clients):
+        changes = []
+        if not federated:
+            gid = 100 + i  # isolated per-client groups for the non-federated schemes
+        elif spec.condition_schedule:
+            (_, gid), *changes = poll(list(spec.condition_schedule), config.poll_period_s,
+                                      config.sim_time_s)
+        else:
+            gid = traces[spec.trace_ids[0]].group
+        clients.append(_Client(spec, coord.register(spec.id, gid), gid,
+                               _client_rng(config, spec, i), changes))
 
-        episode_steps = config.env.episode_len
-        rewards = []
-        for epoch in range(config.epochs):
+    episode_steps = config.env.episode_len
+    rewards = []
+    for epoch in range(config.epochs):
+        for c in clients:
+            trace = traces[c.spec.trace_ids[epoch % len(c.spec.trace_ids)]]
+            c.env = StreamEnv(trace, config.env)
+            c.state = c.env.reset(0.0)
+        steps_done = 0
+        epoch_reward = 0.0
+        while not clients[0].env.done:
+            # Rollout phase: every client computes one local gradient and steps on it.
+            round_steps = 0
             for c in clients:
-                trace = traces[c.spec.trace_ids[epoch % len(c.spec.trace_ids)]]
-                c.env = StreamEnv(trace, config.env)
-                c.state = c.env.reset(0.0)
-            steps_done = 0
-            epoch_reward = 0.0
-            while not clients[0].env.done:
-                # Rollout phase: every client computes one local gradient and steps on it.
-                round_steps = 0
-                for c in clients:
-                    traj, c.state = collect_rollout(c.env, c.model, c.state,
-                                                    config.hyper.rollout_len, c.rng)
-                    try:
-                        grads, _ = a3c_gradients(c.model, traj, config.hyper)
-                        c.model = apply_update(c.model, grads, config.hyper.lr, frozen)
-                    except DivergenceError as e:
-                        raise DivergenceError(
-                            f"client {c.spec.id!r} in group {c.group}, epoch {epoch + 1}, "
-                            f"round {coord.current_round(c.group)}: {e}") from None
-                    coord.submit(UpdateMessage(c.spec.id, c.group,
-                                               coord.current_round(c.group),
-                                               zero_frozen(grads, frozen)))
-                    epoch_reward += sum(traj.rewards)
-                    round_steps = len(traj.rewards)
-                # Barrier: aggregate every group that received submissions this round.
-                for gid in sorted({c.group for c in clients}):
-                    try:
-                        coord.aggregate_round(gid)
-                    except DivergenceError as e:
-                        raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
-                                              f"{coord.current_round(gid)}: {e}") from None
-                for c in clients:
-                    c.model = personalize(c.model, coord.fetch(c.group), mix)
-                steps_done += round_steps
-                # Round boundary: apply any due group changes.
-                sim_t = (epoch * episode_steps + steps_done) * config.env.step_s
-                for c in clients:
-                    while c.pending_changes and c.pending_changes[0].at <= sim_t:
-                        change = c.pending_changes.pop(0)
-                        target = coord.migrate(c.spec.id, c.group, change.to_group)
-                        c.group = change.to_group
-                        c.model = personalize(c.model, target, mix)
-            rewards.append(epoch_reward / (len(clients) * episode_steps))
+                traj, c.state = collect_rollout(c.env, c.model, c.state,
+                                                config.hyper.rollout_len, c.rng)
+                try:
+                    grads, _ = a3c_gradients(c.model, traj, config.hyper)
+                    c.model = apply_update(c.model, grads, config.hyper.lr, frozen)
+                except DivergenceError as e:
+                    raise DivergenceError(
+                        f"client {c.spec.id!r} in group {c.group}, epoch {epoch + 1}, "
+                        f"round {coord.current_round(c.group)}: {e}") from None
+                coord.submit(UpdateMessage(c.spec.id, c.group,
+                                           coord.current_round(c.group),
+                                           zero_frozen(grads, frozen)))
+                epoch_reward += sum(traj.rewards)
+                round_steps = len(traj.rewards)
+            # Barrier: aggregate every group that received submissions this round.
+            for gid in sorted({c.group for c in clients}):
+                try:
+                    coord.aggregate_round(gid)
+                except DivergenceError as e:
+                    raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
+                                          f"{coord.current_round(gid)}: {e}") from None
+            for c in clients:
+                c.model = personalize(c.model, coord.fetch(c.group), mix)
+            steps_done += round_steps
+            # Round boundary: apply any due group changes.
+            sim_t = (epoch * episode_steps + steps_done) * config.env.step_s
+            for c in clients:
+                while c.pending_changes and c.pending_changes[0][0] <= sim_t:
+                    _, to_group = c.pending_changes.pop(0)
+                    target = coord.migrate(c.spec.id, c.group, to_group)
+                    c.group = to_group
+                    c.model = personalize(c.model, target, mix)
+        rewards.append(epoch_reward / (len(clients) * episode_steps))
     groups = {gid: coord.fetch(gid) for gid in coord.group_ids()}
-    return rewards, {c.spec.id: c.model for c in clients}, groups
+    return rewards, {c.spec.id: c.model for c in clients}, groups, coord.events
 
 
 def write_rewards_csv(rewards: list[float], path: str | Path) -> None:
@@ -342,5 +342,8 @@ def _write_outputs(metrics: RunMetrics, per_trace_rewards: dict[str, float],
     with open(out_dir / "run_meta.json", "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
+    if metrics.scheme is Scheme.FULL_FEDERATED:
+        with open(out_dir / "transcript.jsonl", "w") as f:
+            f.writelines(json.dumps(e) + "\n" for e in metrics.transcript)
     first = min(metrics.final_client_params)
     save_checkpoint(metrics.final_client_params[first], out_dir / "checkpoint.npz")

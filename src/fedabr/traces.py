@@ -161,26 +161,17 @@ def parse_trace(text: str, trace_id: str, network_type: NetworkType,
 
 def _parse_uniform(text: str) -> dict[str, np.ndarray] | None:
     """Columns of a file whose lines are all data rows with the same 2-4
-    fields, in one conversion; None if any line is not such a row, or a field
-    is empty, not a number or not finite."""
-    body = text.strip()
-    # Byte offsets of the separators; no other UTF-8 character contains their bytes.
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    commas, ends = np.flatnonzero(raw == ord(",")), np.flatnonzero(raw == ord("\n"))
-    rows = len(ends) + 1
-    width = len(commas) // rows + 1
-    # Each row has width - 1 commas: k * (width - 1) of them precede the end of row k.
-    if not (2 <= width <= 4 and len(commas) == rows * (width - 1) and np.array_equal(
-            np.searchsorted(commas, ends), (width - 1) * np.arange(1, rows))):
-        return None
+    fields, in one call to numpy's reader; None if any line is not such a
+    row, or a field is empty, not a number or not finite."""
+    if not text.strip():
+        return None  # loadtxt warns on a file without data
     try:
-        # Converts each field as float() does, surrounding whitespace included.
-        values = np.array(body.replace("\n", ",").split(","), dtype=np.float64)
+        values = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
+    if not (2 <= values.shape[1] <= 4 and np.isfinite(values).all()):
         return None
-    return dict(zip(_COLUMNS, values.reshape(-1, width).T))
+    return dict(zip(_COLUMNS, values.T))
 
 
 def _parse_lines(text: str) -> dict[str, np.ndarray]:

@@ -153,7 +153,10 @@ class TestRun:
             "run", "--scheme", "transfer_only", "--config",
             str(workspace / "config.yaml"), "--split", str(split_file),
             "--out", str(workspace / "run-fail")])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert result.output == ("Error: scheme transfer_only requires a pretrained "
+                                 "checkpoint\n")
+        assert not (workspace / "run-fail").exists()
 
 
 class TestInputErrors:
@@ -394,6 +397,43 @@ class TestReport:
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: run directory {d}: {message}")
         assert result.output.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["epochs-zero", "not-a-mapping", "no-sim-time",
+                                      "scheme-number", "epochs-string", "no-reward-rows"])
+    def test_bad_run_meta(self, workspace, split_file, checkpoint, case):
+        run = workspace / "run-report-source"
+        if not run.exists():
+            invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
+                   "--split", split_file, "--checkpoint", checkpoint, "--out", run)
+        d = workspace / f"report-in-{case}"
+        shutil.copytree(run, d)
+        meta = json.loads((d / "run_meta.json").read_text())
+        epochs_rule = "'epochs' must be an integer >= 1 equal to the {} rows of rewards.csv"
+        if case == "epochs-zero":
+            meta["epochs"] = 0
+            message = "run_meta.json: " + epochs_rule.format(14) + ", got 0"
+        elif case == "not-a-mapping":
+            meta = []
+            message = "run_meta.json is not a mapping"
+        elif case == "no-sim-time":
+            del meta["sim_time_s"]
+            message = "run_meta.json: 'sim_time_s' must be a finite number > 0, got None"
+        elif case == "scheme-number":
+            meta["scheme"] = 5
+            message = "run_meta.json: 'scheme' must be a non-empty string, got 5"
+        elif case == "epochs-string":
+            meta["epochs"] = "1"
+            message = "run_meta.json: " + epochs_rule.format(14) + ", got '1'"
+        else:
+            (d / "rewards.csv").write_text("epoch,mean_reward\n")
+            message = "run_meta.json: " + epochs_rule.format(0) + ", got 14"
+        (d / "run_meta.json").write_text(json.dumps(meta))
+        out = workspace / f"report-{case}"
+        result = CliRunner().invoke(main, ["report", "--out", str(out), str(d)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == f"Error: run directory {d}: {message}\n"
         assert not out.exists()
 
     def test_run_without_test_traces(self, workspace, split_file, checkpoint):

@@ -256,33 +256,31 @@ class TestMigrate:
         assert params_close(out, coord.fetch(2))
         assert coord.current_round(2) == 1
 
-    def test_migrate_unseeded_target(self, tmp_path):
+    def test_migrate_unseeded_target(self):
         p = make_params()
-        path = tmp_path / "transcript.jsonl"
-        coord = Coordinator(p, server_lr=0.05, transcript_path=path)
+        coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
         coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
         coord.aggregate_round(1)
         out = coord.migrate("a", 1, 7)
-        coord.close()
         assert params_close(out, p) and params_close(coord.fetch(7), p)
         assert coord.current_round(7) == 0
-        events = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [e["event"] for e in events[-2:]] == ["seed", "migrate"]
-        assert events[-2]["group"] == 7 and events[-1]["to_group"] == 7
+        assert [e["event"] for e in coord.events[-2:]] == ["seed", "migrate"]
+        assert coord.events[-2]["group"] == 7 and coord.events[-1]["to_group"] == 7
 
 
-def test_transcript_replayable(tmp_path):
+def test_transcript_replayable():
     p = make_params()
-    path = tmp_path / "transcript.jsonl"
-    coord = Coordinator(p, server_lr=0.05, transcript_path=path)
+    coord = Coordinator(p, server_lr=0.05)
     coord.register("a", 1)
     coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
     coord.aggregate_round(1)
-    coord.close()
-    events = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [e["event"] for e in events] == ["seed", "register", "submit", "aggregate"]
-    assert events[-1]["version"] == 1
+    assert coord.events == [
+        {"event": "seed", "group": 1},
+        {"event": "register", "client": "a", "group": 1, "version": 0},
+        {"event": "submit", "client": "a", "group": 1, "round": 0},
+        {"event": "aggregate", "group": 1, "version": 1, "clients": 1}]
+    assert [json.loads(json.dumps(e)) for e in coord.events] == coord.events
 
 
 def test_version_monotonic():

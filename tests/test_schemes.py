@@ -107,6 +107,19 @@ class TestContainment:
         assert not params_close(faster.final_group_params[group],
                                 metrics.final_group_params[group])
 
+    @pytest.mark.parametrize("scheme", [Scheme.OFFLINE_ONLY, Scheme.TRANSFER_ONLY,
+                                        Scheme.FULL_FEDERATED])
+    def test_only_federated_runs_write_a_transcript(self, corpus, pretrained, scheme,
+                                                    tmp_path):
+        cfg = base_config(scheme, (ClientSpec("c0", ("ft0",)),), epochs=1)
+        metrics = run_scheme(cfg, corpus, pretrained, tmp_path / "run")
+        files = {"checkpoint.npz", "qoe.csv", "rewards.csv", "run_meta.json"}
+        if scheme is Scheme.FULL_FEDERATED:
+            files.add("transcript.jsonl")
+            lines = (tmp_path / "run" / "transcript.jsonl").read_text().splitlines()
+            assert [json.loads(line) for line in lines] == metrics.transcript
+        assert {f.name for f in (tmp_path / "run").iterdir()} == files
+
 
 class TestFederatedEquivalence:
     def test_identical_clients_match_centralized(self, corpus, pretrained):
