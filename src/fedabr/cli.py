@@ -13,8 +13,8 @@ import numpy as np
 
 from .config import ConfigError, build_scheme_config, load_config
 from .env import QoESummary
-from .metrics import (QOE_METRICS, ConvergenceRule, convergence_epoch, efficiency_gain,
-                      qoe_report, speedup_percent)
+from .metrics import (QOE_METRICS, ConvergenceRule, MetricError, convergence_epoch,
+                      efficiency_gain, qoe_report, speedup_percent)
 from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
 from .schemes import Scheme, SchemeError, run_scheme, write_rewards_csv
@@ -39,7 +39,7 @@ def _command_body(fn):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 return fn(*args, **kwargs)
-            except (ConfigError, TraceError, SchemeError, NetError, RunDirError) as e:
+            except (ConfigError, TraceError, SchemeError, NetError, MetricError, RunDirError) as e:
                 raise click.ClickException(str(e)) from None
     return wrapper
 
@@ -175,14 +175,20 @@ def _read_run_dir(run_dir: Path):
 def report(out_dir, anchor, window, epsilon, sustain, run_dirs):
     """Summarize finished runs: convergence, efficiency, normalized QoE."""
     rule = ConvergenceRule(window, epsilon, sustain)
-    runs = {}
+    runs, sources = {}, {}
     for d in run_dirs:
         d = Path(d)
         meta, rewards, qoe = _read_run_dir(d)
         label = meta["scheme"]
         if label in runs:
             label = f"{label}:{d.name}"
-        runs[label] = (meta, rewards, qoe)
+        if label in runs:
+            raise RunDirError(f"run directories {sources[label]} and {d} both get the label "
+                              f"{label!r}: give runs of one scheme different directory names")
+        runs[label], sources[label] = (meta, rewards, qoe), d
+    anchor_label = next((lbl for lbl in sorted(runs) if lbl.split(":")[0] == anchor), None)
+    if anchor_label is None:
+        raise click.ClickException(f"anchor scheme {anchor!r} not among runs")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -210,9 +216,6 @@ def report(out_dir, anchor, window, epsilon, sustain, run_dirs):
                 pct = speedup_percent(conv[base], conv[new])
                 f.write(f"{base},{new},{gain!r},{pct!r}\n")
 
-    anchor_label = next((lbl for lbl in sorted(runs) if lbl.split(":")[0] == anchor), None)
-    if anchor_label is None:
-        raise click.ClickException(f"anchor scheme {anchor!r} not among runs")
     summaries = {label: qoe for label, (_, _, qoe) in runs.items()}
     rows = qoe_report(summaries, anchor_label)
     with open(out_dir / "qoe.csv", "w") as f:

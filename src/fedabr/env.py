@@ -7,7 +7,6 @@ whose end-to-end delay exceeds the interactive deadline counts as stalled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,31 +101,28 @@ class StreamEnv:
     def reset(self, start: float = 0.0) -> np.ndarray:
         cfg = self.config
         needed = start + cfg.episode_len * cfg.step_s
-        self._end = self.trace.times.item(-1)
-        if needed > self._end:
+        end = self.trace.times.item(-1)
+        if needed > end:
             raise EnvError(f"trace {self.trace.id!r} too short: episode needs "
-                           f"{needed}s, trace ends at {self._end}s")
-        self._t = start
-        self._steps_left = cfg.episode_len
+                           f"{needed}s, trace ends at {end}s")
+        bw0 = bandwidth_at(self.trace, start)
+        # Step j starts at times[j] (the sum rounds as `t += step_s`) and reads the
+        # last sample at or before it: the step's capacity, and the loss in the state.
+        times = np.cumsum(np.r_[start, np.full(cfg.episode_len, cfg.step_s)])
+        idx = self.trace.times.searchsorted(times, side="right") - 1
+        loss = self.trace.loss
+        self._times = times.tolist()
+        self._capacity = self.trace.bandwidth[idx].tolist()
+        self._loss = ([0.0] * len(idx) if loss is None
+                      else np.where(np.isnan(loss[idx]), 0.0, loss[idx]).tolist())
+        self._j = 0
         self._backlog_kbit = 0.0
         self._queue_delay_ms = 0.0
         self._prev_bitrate = cfg.ladder[0]
-        bw0 = bandwidth_at(self.trace, start)
         self._thr_hist = [_clamp01(bw0 / cfg.max_rate)] * cfg.history_len
         self._delay_hist = [_clamp01(cfg.base_rtt_ms / cfg.delay_norm_ms)] * cfg.history_len
-        self._seek(start)
         self._started = True
         return self._state()
-
-    def _seek(self, t: float) -> None:
-        """Read the last sample at or before `t`: its loss, and its bandwidth as
-        the capacity of the step that starts at `t`. `reset` has checked that
-        every step start lies within the trace."""
-        trace = self.trace
-        i = int(trace.times.searchsorted(t, side="right")) - 1
-        self._capacity = trace.bandwidth.item(i)
-        loss = trace.loss
-        self._loss = 0.0 if loss is None or math.isnan(loss[i]) else loss.item(i)
 
     def _state(self) -> np.ndarray:
         cfg = self.config
@@ -134,7 +130,7 @@ class StreamEnv:
             self._thr_hist + self._delay_hist + [
                 _clamp01(self._prev_bitrate / cfg.max_rate),
                 _clamp01(self._queue_delay_ms / cfg.delay_norm_ms),
-                self._loss,
+                self._loss[self._j],
             ],
             dtype=float,
         )
@@ -145,11 +141,12 @@ class StreamEnv:
         cfg = self.config
         if not 0 <= action < len(cfg.ladder):
             raise EnvError(f"action index {action} out of range")
-        if self._steps_left <= 0:
+        j = self._j
+        if j >= cfg.episode_len:
             raise EnvError("episode exhausted")
 
         bitrate = cfg.ladder[action]
-        capacity = self._capacity
+        capacity = self._capacity[j]
         old_backlog = self._backlog_kbit
         new_backlog = max(0.0, old_backlog + (bitrate - capacity) * cfg.step_s)
         drained = max(0.0, old_backlog - new_backlog)
@@ -162,18 +159,21 @@ class StreamEnv:
                   - cfg.w_delay * (delay / cfg.deadline_ms)
                   - cfg.w_switch * abs(bitrate - self._prev_bitrate) / cfg.max_rate)
 
-        outcome = StepOutcome(self._t, bitrate, capacity, achieved, delay, stall, reward)
+        outcome = StepOutcome(self._times[j], bitrate, capacity, achieved, delay, stall, reward)
 
         self._backlog_kbit = new_backlog
         self._queue_delay_ms = queue_delay_ms
         self._thr_hist = self._thr_hist[1:] + [_clamp01(achieved / cfg.max_rate)]
         self._delay_hist = self._delay_hist[1:] + [_clamp01(delay / cfg.delay_norm_ms)]
         self._prev_bitrate = bitrate
-        self._t += cfg.step_s
-        self._seek(min(self._t, self._end))
-        self._steps_left -= 1
+        self._j = j + 1
         return self._state(), reward, outcome
 
     @property
+    def steps_left(self) -> int:
+        """Steps before the episode ends; 0 before the first `reset`."""
+        return self.config.episode_len - self._j if self._started else 0
+
+    @property
     def done(self) -> bool:
-        return self._started and self._steps_left <= 0
+        return self._started and self._j >= self.config.episode_len

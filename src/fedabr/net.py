@@ -40,11 +40,13 @@ class Layout:
         return tuple(accumulate((out * (inp + 1) for out, inp in self.shapes), initial=0))
 
     def views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per-layer views; a (K, n) stack gives (K, out, in) weights, (K, out) biases."""
+        lead = flat.shape[:-1]
         weights, biases = [], []
         for (out_dim, in_dim), start in zip(self.shapes, self.offsets):
             mid = start + out_dim * in_dim
-            weights.append(flat[start:mid].reshape(out_dim, in_dim))
-            biases.append(flat[mid:mid + out_dim])
+            weights.append(flat[..., start:mid].reshape(*lead, out_dim, in_dim))
+            biases.append(flat[..., mid:mid + out_dim])
         return tuple(weights), tuple(biases)
 
 
@@ -203,10 +205,11 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     return probs, float(value)
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample from a categorical distribution."""
-    r = rng.random()
-    return int(min(np.searchsorted(np.cumsum(probs), r), len(probs) - 1))
+def sample_actions(probs: np.ndarray, draws) -> np.ndarray:
+    """Inverse-CDF sample of each row of the (K, A) `probs` from its draw in [0, 1):
+    the count of the row's first A - 1 cumulative sums below the draw."""
+    below = np.cumsum(probs, axis=1)[:, :-1] < np.asarray(draws)[:, None]
+    return below.sum(axis=1)
 
 
 def discounted_returns(rewards: list[float], bootstrap: float, gamma: float) -> np.ndarray:

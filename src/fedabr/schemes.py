@@ -27,7 +27,7 @@ from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS
 from .net import (DivergenceError, ModelParams, TrainHyper, apply_update, a3c_gradients,
                   forward, init_params, save_checkpoint, zero_frozen)
-from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout
+from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollouts
 from .traces import Trace
 
 
@@ -146,8 +146,6 @@ class _Client:
     group: int
     rng: np.random.Generator
     pending_changes: list[tuple[float, int]]  # (t, group) migrations still to come
-    env: StreamEnv | None = None
-    state: np.ndarray | None = None
 
 
 def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
@@ -236,13 +234,12 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
     rewards = []
     rngs = [_client_rng(config, spec, i) for i, spec in enumerate(config.clients)]
     for epoch in range(config.epochs):
-        epoch_rewards = []
-        for spec, rng in zip(config.clients, rngs):
-            trace = traces[spec.trace_ids[epoch % len(spec.trace_ids)]]
-            env = StreamEnv(trace, config.env)
-            traj, _ = collect_rollout(env, params, env.reset(0.0), config.env.episode_len, rng)
-            epoch_rewards.append(sum(traj.rewards) / config.env.episode_len)
-        rewards.append(float(np.mean(epoch_rewards)))
+        envs = [StreamEnv(traces[spec.trace_ids[epoch % len(spec.trace_ids)]], config.env)
+                for spec in config.clients]
+        trajs, _ = collect_rollouts(envs, [params] * len(envs), [e.reset(0.0) for e in envs],
+                                    config.env.episode_len, rngs)
+        rewards.append(float(np.mean([sum(t.rewards) / config.env.episode_len
+                                      for t in trajs])))
     return rewards
 
 
@@ -270,18 +267,16 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
     episode_steps = config.env.episode_len
     rewards = []
     for epoch in range(config.epochs):
-        for c in clients:
-            trace = traces[c.spec.trace_ids[epoch % len(c.spec.trace_ids)]]
-            c.env = StreamEnv(trace, config.env)
-            c.state = c.env.reset(0.0)
-        steps_done = 0
+        envs = [StreamEnv(traces[c.spec.trace_ids[epoch % len(c.spec.trace_ids)]], config.env)
+                for c in clients]
+        states = [env.reset(0.0) for env in envs]
         epoch_reward = 0.0
-        while not clients[0].env.done:
-            # Rollout phase: every client computes one local gradient and steps on it.
-            round_steps = 0
-            for c in clients:
-                traj, c.state = collect_rollout(c.env, c.model, c.state,
-                                                config.hyper.rollout_len, c.rng)
+        while not envs[0].done:
+            # Rollout phase: the clients' sessions step together; then every
+            # client computes one local gradient and steps on it.
+            trajs, states = collect_rollouts(envs, [c.model for c in clients], states,
+                                             config.hyper.rollout_len, [c.rng for c in clients])
+            for c, traj in zip(clients, trajs):
                 try:
                     grads, _ = a3c_gradients(c.model, traj, config.hyper)
                     c.model = apply_update(c.model, grads, config.hyper.lr, frozen)
@@ -293,7 +288,6 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                                            coord.current_round(c.group),
                                            zero_frozen(grads, frozen)))
                 epoch_reward += sum(traj.rewards)
-                round_steps = len(traj.rewards)
             # Barrier: aggregate every group that received submissions this round.
             for gid in sorted({c.group for c in clients}):
                 try:
@@ -303,9 +297,8 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                                           f"{coord.current_round(gid)}: {e}") from None
             for c in clients:
                 c.model = personalize(c.model, coord.fetch(c.group), mix)
-            steps_done += round_steps
             # Round boundary: apply any due group changes.
-            sim_t = (epoch * episode_steps + steps_done) * config.env.step_s
+            sim_t = ((epoch + 1) * episode_steps - envs[0].steps_left) * config.env.step_s
             for c in clients:
                 while c.pending_changes and c.pending_changes[0][0] <= sim_t:
                     _, to_group = c.pending_changes.pop(0)

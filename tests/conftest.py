@@ -10,6 +10,12 @@ def params_close(a, b, tol=0.0):
     return a.layout == b.layout and np.max(np.abs(a.flat - b.flat), initial=0.0) <= tol
 
 
+def sample_action(probs, rng):
+    """Reference sampler: one inverse-CDF sample from a categorical distribution."""
+    r = rng.random()
+    return int(min(np.searchsorted(np.cumsum(probs), r), len(probs) - 1))
+
+
 def constant_trace(bandwidth=1000.0, duration=400, trace_id="const",
                    nt=NetworkType.FOUR_G, tm=TransportMode.CAR):
     times = np.arange(duration + 1, dtype=float)

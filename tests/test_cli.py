@@ -452,9 +452,45 @@ class TestReport:
         assert result.output == (f"Error: run directory {run}: qoe.csv has no test trace "
                                  "rows\n")
 
+    @pytest.mark.parametrize("case", ["window-zero", "sustain-zero", "epsilon-one",
+                                      "duplicate-label"])
+    def test_bad_rule_or_labels(self, workspace, split_file, checkpoint, case):
+        run = workspace / "run-report-source"
+        if not run.exists():
+            invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
+                   "--split", split_file, "--checkpoint", checkpoint, "--out", run)
+        dirs, options = [run], []
+        if case == "duplicate-label":
+            # offline_only, offline_only:offline_only, then offline_only:offline_only again
+            dirs = [workspace / f"labels-{c}" / "offline_only" for c in "acd"]
+            for d in dirs:
+                if not d.exists():
+                    shutil.copytree(run, d)
+            message = (f"run directories {dirs[1]} and {dirs[2]} both get the label "
+                       "'offline_only:offline_only': give runs of one scheme different "
+                       "directory names")
+        else:
+            option, value = {"window-zero": ("--window", 0), "sustain-zero": ("--sustain", 0),
+                             "epsilon-one": ("--epsilon", 1)}[case]
+            options = [option, str(value)]
+            message = ("epsilon must be in (0, 1)" if case == "epsilon-one"
+                       else "window and sustain must be >= 1")
+        out = workspace / f"report-{case}"
+        result = CliRunner().invoke(main, ["report", "--out", str(out), *options,
+                                           *map(str, dirs)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+        assert not out.exists()
+
     def test_bad_anchor_fails(self, workspace, split_file, checkpoint):
-        d = workspace / "run-transfer_only"
+        d = workspace / "run-report-source"
+        if not d.exists():
+            invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
+                   "--split", split_file, "--checkpoint", checkpoint, "--out", d)
         out = workspace / "report-bad"
         result = CliRunner().invoke(main, ["report", "--out", str(out),
                                            "--anchor", "nonexistent", str(d)])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert result.output == "Error: anchor scheme 'nonexistent' not among runs\n"
+        assert not out.exists()

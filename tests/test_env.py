@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedabr.env import DEFAULT_LADDER, EnvConfig, EnvError, StreamEnv, episode_qoe
+from fedabr.env import (_EPS_KBPS, DEFAULT_LADDER, EnvConfig, EnvError, StepOutcome, StreamEnv,
+                        _clamp01, episode_qoe)
 from fedabr.traces import NetworkType, Trace, TransportMode, bandwidth_at
 from tests.conftest import constant_trace
 
@@ -218,3 +219,85 @@ class TestLookupOracle:
             # Python floats, so that outcome CSV rows written with repr() keep their bytes.
             assert type(out.capacity_kbps) is float and type(bandwidth_at(trace, t)) is float
             t += step_s
+
+
+class SeekEnv:
+    """Reference simulator that searches the trace at every step: after each
+    step it adds `step_s` to the clock and reads the last sample at or before
+    the new time (clamped to the trace end)."""
+
+    def __init__(self, trace, config):
+        self.trace, self.config = trace, config
+
+    def reset(self, start):
+        cfg = self.config
+        self._end = self.trace.times.item(-1)
+        self._t = start
+        self._steps_left = cfg.episode_len
+        self._backlog_kbit = 0.0
+        self._queue_delay_ms = 0.0
+        self._prev_bitrate = cfg.ladder[0]
+        bw0 = bandwidth_at(self.trace, start)
+        self._thr_hist = [_clamp01(bw0 / cfg.max_rate)] * cfg.history_len
+        self._delay_hist = [_clamp01(cfg.base_rtt_ms / cfg.delay_norm_ms)] * cfg.history_len
+        self._seek(start)
+        return self._state()
+
+    def _seek(self, t):
+        trace = self.trace
+        i = int(trace.times.searchsorted(t, side="right")) - 1
+        self._capacity = trace.bandwidth.item(i)
+        loss = trace.loss
+        self._loss = 0.0 if loss is None or np.isnan(loss[i]) else loss.item(i)
+
+    def _state(self):
+        cfg = self.config
+        return np.array(self._thr_hist + self._delay_hist + [
+            _clamp01(self._prev_bitrate / cfg.max_rate),
+            _clamp01(self._queue_delay_ms / cfg.delay_norm_ms), self._loss], dtype=float)
+
+    def step(self, action):
+        cfg = self.config
+        bitrate, capacity, old_backlog = cfg.ladder[action], self._capacity, self._backlog_kbit
+        new_backlog = max(0.0, old_backlog + (bitrate - capacity) * cfg.step_s)
+        drained = max(0.0, old_backlog - new_backlog)
+        achieved = min(bitrate, capacity + drained / cfg.step_s)
+        queue_delay_ms = 1000.0 * new_backlog / max(capacity, _EPS_KBPS)
+        delay = cfg.base_rtt_ms + queue_delay_ms
+        stall = cfg.step_s if delay > cfg.deadline_ms else 0.0
+        reward = (cfg.w_bitrate * (bitrate / cfg.max_rate)
+                  - cfg.w_stall * (stall / cfg.step_s)
+                  - cfg.w_delay * (delay / cfg.deadline_ms)
+                  - cfg.w_switch * abs(bitrate - self._prev_bitrate) / cfg.max_rate)
+        outcome = StepOutcome(self._t, bitrate, capacity, achieved, delay, stall, reward)
+        self._backlog_kbit = new_backlog
+        self._queue_delay_ms = queue_delay_ms
+        self._thr_hist = self._thr_hist[1:] + [_clamp01(achieved / cfg.max_rate)]
+        self._delay_hist = self._delay_hist[1:] + [_clamp01(delay / cfg.delay_norm_ms)]
+        self._prev_bitrate = bitrate
+        self._t += cfg.step_s
+        self._seek(min(self._t, self._end))
+        self._steps_left -= 1
+        return self._state(), reward, outcome
+
+
+class TestEpisodeLookup:
+    """`reset`'s one lookup for the whole episode against a search at every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lookup_cases())
+    def test_matches_per_step_search(self, case):
+        trace, step_s, start, episode_len, seed = case
+        cfg = EnvConfig(step_s=step_s, episode_len=episode_len, history_len=3)
+        rng = np.random.default_rng(seed)
+        env, ref = StreamEnv(trace, cfg), SeekEnv(trace, cfg)
+        state, ref_state = env.reset(start), ref.reset(start)
+        assert np.array_equal(state, ref_state)
+        for _ in range(episode_len):
+            action = int(rng.integers(len(cfg.ladder)))
+            (state, reward, out), (ref_state, ref_reward, ref_out) = (env.step(action),
+                                                                      ref.step(action))
+            assert np.array_equal(state, ref_state)
+            assert reward == ref_reward and out == ref_out
+            assert type(out.t) is float and type(out.capacity_kbps) is float
+        assert env.done and env.steps_left == 0

@@ -10,10 +10,10 @@ from fedabr.federation import personalize
 from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper,
                         Trajectory, a3c_gradients, apply_update,
                         discounted_returns, forward, init_params, load_checkpoint,
-                        mean_gradients, sample_action, save_checkpoint, zero_frozen,
+                        mean_gradients, sample_actions, save_checkpoint, zero_frozen,
                         zero_gradients)
 from fedabr.pretrain import collect_rollout
-from tests.conftest import constant_trace, params_close
+from tests.conftest import constant_trace, params_close, sample_action
 
 ARCH = (5, 8, 6)
 
@@ -132,22 +132,61 @@ class TestForward:
             forward(small_params(), np.array([1, 2, np.nan, 4, 5.0]))
 
 
+def sample_one(probs, rng):
+    """`sample_actions` on one row, with one draw from `rng`."""
+    return int(sample_actions(probs[None], [rng.random()])[0])
+
+
+@st.composite
+def sampler_cases(draw):
+    """Probability rows and one draw per row; some draws equal a cumulative sum
+    of their row, and some rows hold zeros, so ties are drawn too."""
+    k, a = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(a), size=k)
+    probs[rng.random((k, a)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    probs[probs.sum(axis=1) == 0.0, -1] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    draws = rng.random(k)
+    on_entry = rng.random(k) < 0.5
+    cums = np.cumsum(probs, axis=1)[np.arange(k), rng.integers(a, size=k)]
+    draws[on_entry] = np.minimum(cums[on_entry], np.nextafter(1.0, 0.0))
+    return probs, draws
+
+
+class SeqDraws:
+    """Stands in for a generator: `random()` returns the given draws in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return float(next(self._draws))
+
+
 class TestSampleAction:
     def test_one_hot(self, rng):
         probs = np.array([0.0, 0.0, 1.0, 0.0])
-        assert all(sample_action(probs, rng) == 2 for _ in range(50))
+        assert all(sample_one(probs, rng) == 2 for _ in range(50))
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(5)
-        probs = np.full(4, 0.25)
-        counts = np.bincount([sample_action(probs, rng) for _ in range(100_000)], minlength=4)
+        probs = np.full((100_000, 4), 0.25)
+        counts = np.bincount(sample_actions(probs, rng.random(100_000)), minlength=4)
         assert np.allclose(counts / 100_000, 0.25, atol=0.01)
 
     def test_deterministic(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
-        a = sample_action(probs, np.random.default_rng(3))
-        b = sample_action(probs, np.random.default_rng(3))
+        a = sample_one(probs, np.random.default_rng(3))
+        b = sample_one(probs, np.random.default_rng(3))
         assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampler_cases())
+    def test_matches_scalar_sampler(self, case):
+        probs, draws = case
+        expected = [sample_action(row, SeqDraws([r])) for row, r in zip(probs, draws)]
+        assert sample_actions(probs, draws).tolist() == expected
 
 
 class TestGradients:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedabr.env import EnvConfig, StreamEnv
-from fedabr.net import TrainHyper, a3c_gradients, apply_update, forward, init_params
-from fedabr.pretrain import DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout, offline_train
-from tests.conftest import constant_trace, params_close
+from fedabr.env import EnvConfig, EnvError, StreamEnv
+from fedabr.net import (NetError, TrainHyper, Trajectory, a3c_gradients, apply_update, forward,
+                        init_params)
+from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
+                             collect_rollouts, offline_train)
+from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
+from tests.conftest import constant_trace, params_close, sample_action
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 
@@ -85,3 +90,94 @@ class TestFineTune:
         assert np.array_equal(tuned.weights[0], params.weights[0])
         assert np.array_equal(tuned.biases[0], params.biases[0])
         assert not params_close(tuned, params)  # upper layers did move
+
+
+def reference_rollout(env, params, state, n_steps, rng):
+    """One client's rollout, step by step: scalar `forward`, the scalar
+    sampler and `env.step`; bootstraps with V of the successor state."""
+    states, actions, rewards = [], [], []
+    for _ in range(n_steps):
+        if env.done:
+            break
+        probs, _ = forward(params, state)
+        a = sample_action(probs, rng)
+        next_state, reward, _ = env.step(a)
+        states.append(state)
+        actions.append(a)
+        rewards.append(reward)
+        state = next_state
+    _, bootstrap = forward(params, state)
+    return Trajectory(states, actions, rewards, bootstrap), state
+
+
+@st.composite
+def lockstep_cases(draw):
+    """K clients with their own model, trace and seed; one architecture, an
+    episode length and a rollout length that need not divide it."""
+    k = draw(st.integers(1, 6))
+    hidden = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=3)))
+    ladder = tuple(300.0 * (i + 1) for i in range(draw(st.integers(2, 7))))
+    env_config = EnvConfig(ladder=ladder, episode_len=draw(st.integers(1, 30)),
+                           history_len=draw(st.integers(1, 4)))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=k, max_size=k))
+    return env_config, hidden, seeds, draw(st.integers(1, 20))
+
+
+def client_inputs(env_config, hidden, seed):
+    """A perturbed random model (so probabilities are far from uniform), a
+    noisy trace and a generator, all from `seed`."""
+    params = init_params((env_config.state_dim, *hidden), len(env_config.ladder), seed)
+    params.flat[:] += np.random.default_rng(seed).normal(scale=0.5, size=params.flat.size)
+    fam = SynthFamily(mean_kbps=1200, amplitude_kbps=400, period_s=20, noise_std_kbps=300,
+                      duration_s=40)
+    trace = synthesize_trace(fam, f"t{seed}", NetworkType.FOUR_G, TransportMode.CAR, seed)
+    return params, trace
+
+
+class TestLockstepRollouts:
+    """`collect_rollouts` against each client's own step-by-step rollout."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(lockstep_cases())
+    def test_matches_per_client_loop(self, case):
+        env_config, hidden, seeds, n_steps = case
+        inputs = [client_inputs(env_config, hidden, s) for s in seeds]
+        models = [params for params, _ in inputs]
+        envs = [StreamEnv(trace, env_config) for _, trace in inputs]
+        ref_envs = [StreamEnv(trace, env_config) for _, trace in inputs]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        ref_rngs = [np.random.default_rng(s) for s in seeds]
+        states = [env.reset() for env in envs]
+        ref_states = [env.reset() for env in ref_envs]
+        while not envs[0].done:  # rollouts that cross the episode end included
+            trajs, states = collect_rollouts(envs, models, states, n_steps, rngs)
+            for i, traj in enumerate(trajs):
+                ref, ref_states[i] = reference_rollout(ref_envs[i], models[i], ref_states[i],
+                                                       n_steps, ref_rngs[i])
+                assert np.array_equal(np.asarray(traj.states), np.asarray(ref.states))
+                assert traj.actions == ref.actions
+                assert traj.rewards == ref.rewards
+                assert traj.bootstrap_value == ref.bootstrap_value
+                assert np.array_equal(states[i], ref_states[i])
+        assert all(env.done for env in ref_envs)
+        for rng, ref_rng in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_envs_out_of_lockstep_rejected(self):
+        ec = EnvConfig(ladder=LADDER4, episode_len=10)
+        params = init_params((ec.state_dim, 4), len(ec.ladder), seed=0)
+        envs = [StreamEnv(constant_trace(), ec) for _ in range(2)]
+        states = [env.reset() for env in envs]
+        envs[1].step(0)
+        with pytest.raises(EnvError, match=r"not in lockstep: steps left \[9, 10\]"):
+            collect_rollouts(envs, [params, params], states, 4,
+                             [np.random.default_rng(0), np.random.default_rng(1)])
+
+    def test_non_finite_state_rejected(self):
+        ec = EnvConfig(ladder=LADDER4, episode_len=10)
+        params = init_params((ec.state_dim, 4), len(ec.ladder), seed=0)
+        env = StreamEnv(constant_trace(), ec)
+        state = env.reset()
+        state[0] = np.nan
+        with pytest.raises(NetError, match="non-finite state input"):
+            collect_rollout(env, params, state, 4, np.random.default_rng(0))
