@@ -7,7 +7,8 @@ whose end-to-end delay exceeds the interactive deadline counts as stalled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,7 @@ class EnvConfig:
         return 4.0 * self.deadline_ms
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     t: float
     action_kbps: float
     capacity_kbps: float

@@ -39,19 +39,10 @@ class Layout:
         """Start of each layer's block, then the vector length."""
         return tuple(accumulate((out * (inp + 1) for out, inp in self.shapes), initial=0))
 
-    def views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Per-layer views; a (K, n) stack gives (K, out, in) weights, (K, out) biases."""
-        lead = flat.shape[:-1]
-        weights, biases = [], []
-        for (out_dim, in_dim), start in zip(self.shapes, self.offsets):
-            mid = start + out_dim * in_dim
-            weights.append(flat[..., start:mid].reshape(*lead, out_dim, in_dim))
-            biases.append(flat[..., mid:mid + out_dim])
-        return tuple(weights), tuple(biases)
-
 
 class ModelParams:
-    """One float64 vector; `weights`/`biases` are tuples of per-layer views into it.
+    """One float64 vector, or a (K, n) stack of K models; `weights`/`biases` are
+    tuples of per-layer views into it, built on first read.
 
     Layers are ordered hidden layers first, then policy head, then value head.
     Gradients share the class, since they have the same layout.
@@ -60,7 +51,32 @@ class ModelParams:
     def __init__(self, flat: np.ndarray, layout: Layout):
         self.flat = flat
         self.layout = layout
-        self.weights, self.biases = layout.views(flat)
+
+    @cached_property
+    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per-layer views; a (K, n) stack gives (K, out, in) weights, (K, out) biases."""
+        lead, weights, biases = self.flat.shape[:-1], [], []
+        for (out_dim, in_dim), start in zip(self.layout.shapes, self.layout.offsets):
+            mid = start + out_dim * in_dim
+            weights.append(self.flat[..., start:mid].reshape(*lead, out_dim, in_dim))
+            biases.append(self.flat[..., mid:mid + out_dim])
+        return tuple(weights), tuple(biases)
+
+    weights = property(lambda self: self._views[0])
+    biases = property(lambda self: self._views[1])
+
+    @cached_property
+    def _operands(self):
+        """(W^T, b) to apply as `h @ wt + b` for the hidden layers, then each head;
+        h is (d,) or (T, d), or (K, T, d) for a stack."""
+        stacked = self.flat.ndim == 2
+        ops = [(w.swapaxes(-1, -2), b[:, None] if stacked else b) for w, b in zip(*self._views)]
+        return ops[:-2], ops[-2], ops[-1]
+
+    @classmethod
+    def stack(cls, models: list["ModelParams"]) -> "ModelParams":
+        """The (K, n) stack of K models of one layout, copied."""
+        return cls(np.stack([m.flat for m in models]), models[0].layout)
 
     @classmethod
     def from_layers(cls, weights, biases) -> "ModelParams":
@@ -84,24 +100,24 @@ class ModelParams:
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layout.shapes)
 
     @property
     def n_hidden(self) -> int:
-        return len(self.weights) - 2
+        return len(self.layout.shapes) - 2
 
     @property
     def hidden(self) -> tuple[int, ...]:
         """Widths of the hidden layers."""
-        return tuple(w.shape[0] for w in self.weights[:-2])
+        return tuple(out for out, _ in self.layout.shapes[:-2])
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layout.shapes[0][1]
 
     @property
     def ladder_size(self) -> int:
-        return self.weights[-2].shape[0]
+        return self.layout.shapes[-2][0]
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy(), self.layout)
@@ -119,13 +135,13 @@ def _frozen_end(layout: Layout, frozen_layers: int) -> int:
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: list[np.ndarray]
+    states: np.ndarray  # (T, d), one state per row
     actions: list[int]
     rewards: list[float]
     bootstrap_value: float
 
     def __post_init__(self):
-        if not self.states:
+        if len(self.states) == 0:
             raise NetError("empty trajectory")
         if not len(self.states) == len(self.actions) == len(self.rewards):
             raise NetError("trajectory field lengths differ")
@@ -143,10 +159,16 @@ class TrainHyper:
     clip_norm: float = 40.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise NetError("gamma must be in (0, 1]")
-        if self.lr <= 0:
-            raise NetError("lr must be positive")
+        # Each check is written so that it holds, which NaN never does.
+        for name, ok, rule in (
+                ("gamma", 0.0 < self.gamma <= 1.0, "in (0, 1]"),
+                ("entropy_coef", 0.0 <= self.entropy_coef < np.inf, "finite and >= 0"),
+                ("value_coef", 0.0 <= self.value_coef < np.inf, "finite and >= 0"),
+                ("lr", 0.0 < self.lr < np.inf, "finite and positive"),
+                ("rollout_len", self.rollout_len >= 1, ">= 1"),
+                ("clip_norm", self.clip_norm >= 0.0, ">= 0 (0 turns clipping off)")):
+            if not ok:
+                raise NetError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def init_params(dims: tuple[int, ...], ladder_size: int, seed: int) -> ModelParams:
@@ -170,46 +192,58 @@ def init_params(dims: tuple[int, ...], ladder_size: int, seed: int) -> ModelPara
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis. The ufuncs are called directly: on a rollout
+    step's few values the ndarray methods' Python wrappers cost as much as the math."""
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
-def _forward_full(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping intermediates for backprop.
+def _forward_full(params: ModelParams, x: np.ndarray, value: bool = True):
+    """Forward pass keeping intermediates for backprop: (pre-activations,
+    activations from `x` on, policy probabilities, values or, if not `value`, None).
 
-    `x` is one state or a (T, d) matrix of states, one per row. For one
-    state, `x @ W.T` rounds exactly as `W @ x`.
+    `x` is one state or a (T, d) matrix of states, one per row, or for a (K, n)
+    stack of models the (..., K, T, d) stack of their states. For one state, `x @ W.T`
+    rounds exactly as `W @ x`, and `np.matmul` makes each model's product of a
+    stack on its own, so a stacked pass gives the bits of K separate ones.
     """
-    pre, post = [], [x]
-    h = x
-    for w, b in zip(params.weights[:-2], params.biases[:-2]):
-        z = h @ w.T + b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
+    hidden, (w_pi, b_pi), (w_v, b_v) = params._operands
+    pre, post, h = [], [x], x
+    for w, b in hidden:
+        pre.append(h @ w + b)
+        h = np.maximum(pre[-1], 0.0)
         post.append(h)
-    logits = h @ params.weights[-2].T + params.biases[-2]
-    value = (h @ params.weights[-1].T + params.biases[-1])[..., 0]
-    return pre, post, logits, _softmax(logits), value
+    return pre, post, _softmax(h @ w_pi + b_pi), (h @ w_v + b_v)[..., 0] if value else None
 
 
 def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return (policy probabilities, value estimate) for one state."""
+    """Return (policy probabilities, value estimate) for one state. For a (K, n) stack
+    of models, states of shape (..., K, d), row k for model k, give (..., K, A)
+    probabilities and (..., K) values. Only a single state is checked for finite
+    values: stacked states come from the lockstep loops, whose simulator keeps every
+    state in [0, 1]."""
     state = np.asarray(state, dtype=float)
-    if state.shape != (params.input_dim,):
-        raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
-    if not np.all(np.isfinite(state)):
-        raise NetError("non-finite state input")
-    _, _, _, probs, value = _forward_full(params, state)
-    return probs, float(value)
+    if params.flat.ndim == 1:
+        if state.shape != (params.input_dim,):
+            raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
+        if not np.all(np.isfinite(state)):
+            raise NetError("non-finite state input")
+        _, _, probs, value = _forward_full(params, state)
+        return probs, float(value)
+    need = (len(params.flat), params.input_dim)
+    if state.shape[-2:] != need:
+        raise NetError(f"state shape {state.shape} != (..., {need[0]}, {need[1]})")
+    _, _, probs, values = _forward_full(params, state[..., None, :])
+    return probs[..., 0, :], values[..., 0]
 
 
 def sample_actions(probs: np.ndarray, draws) -> np.ndarray:
     """Inverse-CDF sample of each row of the (K, A) `probs` from its draw in [0, 1):
     the count of the row's first A - 1 cumulative sums below the draw."""
-    below = np.cumsum(probs, axis=1)[:, :-1] < np.asarray(draws)[:, None]
-    return below.sum(axis=1)
+    below = np.add.accumulate(probs, axis=1)[:, :-1] < np.asarray(draws)[:, None]
+    return np.add.reduce(below, axis=1)
 
 
 def discounted_returns(rewards: list[float], bootstrap: float, gamma: float) -> np.ndarray:
@@ -225,67 +259,86 @@ def zero_gradients(params: ModelParams) -> Gradients:
     return Gradients(np.zeros_like(params.flat), params.layout)
 
 
-def a3c_gradients(params: ModelParams, traj: Trajectory,
-                  hyper: TrainHyper) -> tuple[Gradients, float]:
-    """Analytic gradients of the rollout loss -sum log pi(a)*A + c_v*(R-V)^2 - beta*H,
-    with the advantage A = R - V held constant in the policy term. Clips the
-    global gradient norm at hyper.clip_norm.
+def require_finite(grads: Gradients, loss) -> None:
+    """Raise DivergenceError unless the loss and every gradient entry are finite."""
+    if not (np.isfinite(loss).all() and np.isfinite(grads.flat).all()):
+        raise DivergenceError("non-finite loss or gradient")
 
-    One batched forward and backward pass over the (T, d) matrix of rollout
-    states; each layer's gradient sums its per-step outer products as one
-    matrix product.
+
+def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper):
+    """Analytic gradients of the rollout loss -sum log pi(a)*A + c_v*(R-V)^2 - beta*H,
+    with the advantage A = R - V held constant in the policy term, each model's
+    global norm clipped at hyper.clip_norm: (gradients, loss) for one model and
+    trajectory, DivergenceError if either is not finite; for a (K, n) stack and K
+    trajectories of one length, the (K, n) gradients and K losses, unchecked.
+
+    One pass over the (T, d) or (K, T, d) states: each layer's gradient sums its
+    per-step outer products as one matrix product per model.
     """
+    stacked = params.flat.ndim == 2
+    batch = trajs if stacked else [trajs]
     try:
-        x = np.asarray(traj.states, dtype=float)
+        x = np.array([t.states for t in batch], dtype=float)
     except ValueError:
-        raise NetError("rollout states differ in shape") from None
-    if x.shape[1:] != (params.input_dim,):
-        raise NetError(f"state shape {x.shape[1:]} != ({params.input_dim},)")
-    returns = discounted_returns(traj.rewards, traj.bootstrap_value, hyper.gamma)
-    pre, post, _, probs, values = _forward_full(params, x)
-    steps = np.arange(len(x))
-    actions = np.asarray(traj.actions)
+        raise NetError("rollout states differ in shape or length") from None
+    if x.shape[2:] != (params.input_dim,) or len(x) != (len(params.flat) if stacked else 1):
+        raise NetError(f"states of shape {x.shape} for models of shape {params.flat.shape}")
+    returns = np.array([discounted_returns(t.rewards, t.bootstrap_value, hyper.gamma)
+                        for t in batch])
+    actions = np.array([t.actions for t in batch])
+    if not stacked:
+        x, returns, actions = x[0], returns[0], actions[0]
+    taken = (*np.indices(actions.shape, sparse=True), actions)  # each step's action
+    pre, post, probs, values = _forward_full(params, x)
     log_probs = np.log(probs)
     adv = returns - values
-    entropy = -np.sum(probs * log_probs, axis=1)
-    loss = np.sum(-log_probs[steps, actions] * adv
+    entropy = -np.sum(probs * log_probs, axis=-1)
+    loss = np.sum(-log_probs[taken] * adv
                   + hyper.value_coef * adv ** 2
-                  - hyper.entropy_coef * entropy)
+                  - hyper.entropy_coef * entropy, axis=-1)
 
     # d/dlogits of the policy term (advantage constant) plus entropy term
-    dlogits = adv[:, None] * probs
-    dlogits[steps, actions] -= adv
-    dlogits += hyper.entropy_coef * probs * (log_probs + entropy[:, None])
+    dlogits = adv[..., None] * probs
+    dlogits[taken] -= adv
+    dlogits += hyper.entropy_coef * probs * (log_probs + entropy[..., None])
     dvalue = -2.0 * hyper.value_coef * adv
 
     grads = zero_gradients(params)
     gw, gb = grads.weights, grads.biases
-    feat = post[-1]
-    gw[-2][:] = dlogits.T @ feat
-    gb[-2][:] = dlogits.sum(axis=0)
-    gw[-1][:] = dvalue @ feat
-    gb[-1][:] = dvalue.sum()
-    dh = dlogits @ params.weights[-2] + dvalue[:, None] * params.weights[-1][0]
+    weights = params.weights
+    # Each layer's activations are dropped once the pass down has used them, and
+    # the gradient at its pre-activation is formed in place, so that a stack of K
+    # models keeps less memory alive at once.
+    feat = post.pop()
+    gw[-2][:] = dlogits.swapaxes(-1, -2) @ feat
+    gb[-2][:] = dlogits.sum(axis=-2)
+    gw[-1][:] = dvalue[..., None, :] @ feat
+    gb[-1][:] = dvalue.sum(axis=-1)[..., None]
+    dh = dlogits @ weights[-2] + dvalue[..., None] * weights[-1]
     for i in range(params.n_hidden - 1, -1, -1):
-        dz = dh * (pre[i] > 0)
-        gw[i][:] = dz.T @ post[i]
-        gb[i][:] = dz.sum(axis=0)
+        dh *= pre.pop() > 0  # now the gradient at layer i's pre-activation
+        gw[i][:] = dh.swapaxes(-1, -2) @ post.pop()
+        gb[i][:] = dh.sum(axis=-2)
         if i > 0:
-            dh = dz @ params.weights[i]
-    if not np.isfinite(loss) or not np.all(np.isfinite(grads.flat)):
-        raise DivergenceError("non-finite loss or gradient")
+            dh = dh @ weights[i]
     _clip_global_norm(grads, hyper.clip_norm)
+    if stacked:
+        return grads, loss
+    require_finite(grads, loss)
     return grads, float(loss)
 
 
 def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
-    if max_norm <= 0:
+    """Scale each model's gradient to norm at most `max_norm` (0: off); a gradient
+    that is not finite stays so."""
+    if max_norm == 0:
         return
+    lead = grads.flat.shape[:-1]
     # Summed layer by layer, weights then biases: the order fixes the rounding.
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.weights)
-                    + sum(float(np.sum(g * g)) for g in grads.biases))
-    if total > max_norm:
-        grads.flat *= max_norm / total
+    total = np.sqrt(sum((g * g).reshape(*lead, -1).sum(axis=-1) for g in grads.weights)
+                    + sum((g * g).reshape(*lead, -1).sum(axis=-1) for g in grads.biases))
+    if (total > max_norm).any():  # a row within the bound is scaled by exactly 1.0
+        grads.flat *= (max_norm / np.maximum(total, max_norm))[..., None]
 
 
 def apply_update(params: ModelParams, grads: Gradients, lr: float,

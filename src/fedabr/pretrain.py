@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvConfig, EnvError, StreamEnv
-from .net import (DivergenceError, ModelParams, NetError, TrainHyper, Trajectory, _softmax,
-                  a3c_gradients, apply_update, init_params, sample_actions)
+from .net import (DivergenceError, ModelParams, NetError, TrainHyper, Trajectory,
+                  _forward_full, a3c_gradients, apply_update, forward, init_params,
+                  sample_actions)
 from .traces import Trace
 
 DEFAULT_ARCH_HIDDEN = (64, 32)
@@ -33,40 +34,34 @@ def collect_rollouts(envs: list[StreamEnv], models: list[ModelParams], states,
                      n_steps: int, rngs: list[np.random.Generator]):
     """Roll K clients with the same steps left forward in lockstep; returns the K
     trajectories, each bootstrapped with V of its successor state, and the (K, d)
-    successor states. A step is one stacked policy forward, one draw from each
-    generator in client order and one `env.step` per client. `np.matmul` makes
-    each client's vector-matrix product on its own, so the bits are those of K
-    separate loops over `forward` and `env.step`."""
+    successor states. A step is one stacked policy pass (`_forward_full` without
+    the value head, which no step reads), one draw from each generator in client
+    order and one `env.step` per client; one `forward` of the successor states
+    gives the bootstrap values. The bits are those of K separate loops over
+    `forward` and `env.step`."""
     left = sorted({env.steps_left for env in envs})
     if len(left) != 1:
         raise EnvError(f"envs are not in lockstep: steps left {left}")
-    layout = models[0].layout
-    n, k, d = min(n_steps, left[0]), len(envs), layout.shapes[0][1]
+    stack = ModelParams.stack(models)
+    n, k, d = min(n_steps, left[0]), len(envs), stack.input_dim
     buf = np.empty((k, n + 1, d))  # each client's states, then its successor state
     x = np.asarray(states, dtype=float)
     if x.shape != (k, d):
         raise NetError(f"states have shape {x.shape}, need ({k}, {d})")
     buf[:, 0] = x
-    weights, biases = layout.views(np.stack([m.flat for m in models]))
-    layers = [(w.transpose(0, 2, 1), b[:, None]) for w, b in zip(weights, biases)]
-    (w_pi, b_pi), (w_v, b_v) = layers[-2:]
     actions, rewards = [[] for _ in envs], [[] for _ in envs]
-    for t in range(n + 1):
-        h = buf[:, t, None]  # (K, 1, d)
-        for w, b in layers[:-2]:
-            h = np.maximum(h @ w + b, 0.0)
-        if t == n:  # h is the successor states' last hidden layer
-            break
-        probs = _softmax((h @ w_pi + b_pi)[:, 0])
-        chosen = sample_actions(probs, [rng.random() for rng in rngs]).tolist()
+    for t in range(n):
+        _, _, probs, _ = _forward_full(stack, buf[:, t, None], value=False)
+        chosen = sample_actions(probs[:, 0], [rng.random() for rng in rngs]).tolist()
         for i, (env, a) in enumerate(zip(envs, chosen)):
             buf[i, t + 1], reward, _ = env.step(a)
             actions[i].append(a)
             rewards[i].append(reward)
-    if not np.all(np.isfinite(buf)):
+    if not np.isfinite(buf).all():
         raise NetError("non-finite state input")
-    values = (h @ w_v + b_v)[:, 0, 0].tolist()
-    trajs = [Trajectory(list(buf[i, :n]), actions[i], rewards[i], values[i]) for i in range(k)]
+    _, values = forward(stack, buf[:, n])
+    trajs = [Trajectory(buf[i, :n], actions[i], rewards[i], v)
+             for i, v in enumerate(values.tolist())]
     return trajs, buf[:, n]
 
 

@@ -25,8 +25,9 @@ from .discriminator import ClientCondition, poll
 from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS
-from .net import (DivergenceError, ModelParams, TrainHyper, apply_update, a3c_gradients,
-                  forward, init_params, save_checkpoint, zero_frozen)
+from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, apply_update,
+                  a3c_gradients, forward, init_params, require_finite, save_checkpoint,
+                  zero_frozen)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollouts
 from .traces import Trace
 
@@ -120,18 +121,26 @@ def _initial_params(config: SchemeConfig, pretrained: ModelParams | None) -> Mod
     return pretrained.copy()
 
 
-def evaluate_greedy(params: ModelParams, trace: Trace, env_config: EnvConfig
-                    ) -> tuple[QoESummary, float]:
-    """Run one greedy (argmax) episode; returns (QoE summary, mean step reward)."""
-    env = StreamEnv(trace, env_config)
-    state = env.reset(0.0)
-    outcomes = []
-    while not env.done:
-        probs, _ = forward(params, state)
-        state, _, outcome = env.step(int(np.argmax(probs)))
-        outcomes.append(outcome)
-    qoe = episode_qoe(outcomes, env_config.step_s)
-    return qoe, float(np.mean([o.reward for o in outcomes]))
+def evaluate_greedy(models: list[ModelParams], traces: list[Trace], env_config: EnvConfig
+                    ) -> list[list[tuple[QoESummary, float]]]:
+    """Greedy (argmax) episodes of every model on every trace, all in lockstep: a
+    step is one `forward` of the stacked models on the (traces, models, d) states,
+    an argmax per session and one `env.step` per session. Returns, per trace, each
+    model's (QoE summary, mean step reward)."""
+    if not traces:
+        return []
+    envs = [StreamEnv(trace, env_config) for trace in traces for _ in models]
+    stack = ModelParams.stack(models)
+    states = np.array([env.reset(0.0) for env in envs])
+    outcomes = [[] for _ in envs]
+    for _ in range(env_config.episode_len):
+        probs, _ = forward(stack, states.reshape(len(traces), len(models), -1))
+        for i, (env, a) in enumerate(zip(envs, probs.argmax(axis=-1).ravel().tolist())):
+            states[i], _, outcome = env.step(a)
+            outcomes[i].append(outcome)
+    results = [(episode_qoe(o, env_config.step_s), float(np.mean([s.reward for s in o])))
+               for o in outcomes]
+    return [results[j:j + len(models)] for j in range(0, len(results), len(models))]
 
 
 def _mean_qoe(summaries: list[QoESummary]) -> QoESummary:
@@ -172,16 +181,12 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
             rewards, clients, groups, transcript = _train_rounds(config, traces, params0)
 
         # Test-set evaluation: greedy episodes of every client's final model.
-        per_trace: dict[str, QoESummary] = {}
-        per_trace_rewards: dict[str, float] = {}
-        for tid in config.test_trace_ids:
-            qoes, rs = [], []
-            for cid in sorted(clients):
-                q, r = evaluate_greedy(clients[cid], traces[tid], config.env)
-                qoes.append(q)
-                rs.append(r)
-            per_trace[tid] = _mean_qoe(qoes)
-            per_trace_rewards[tid] = float(np.mean(rs))
+        results = dict(zip(config.test_trace_ids, evaluate_greedy(
+            [clients[cid] for cid in sorted(clients)],
+            [traces[tid] for tid in config.test_trace_ids], config.env)))
+        per_trace = {tid: _mean_qoe([q for q, _ in rows]) for tid, rows in results.items()}
+        per_trace_rewards = {tid: float(np.mean([r for _, r in rows]))
+                             for tid, rows in results.items()}
         overall_qoe = (_mean_qoe(list(per_trace.values())) if per_trace
                        else QoESummary(0.0, 0.0, 0.0))
         mean_test_reward = (float(np.mean(list(per_trace_rewards.values())))
@@ -272,22 +277,27 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
         states = [env.reset(0.0) for env in envs]
         epoch_reward = 0.0
         while not envs[0].done:
-            # Rollout phase: the clients' sessions step together; then every
-            # client computes one local gradient and steps on it.
+            # Rollout phase: the clients' sessions step together, and one batched
+            # pass gives every client's gradient; then each client in turn (so the
+            # first one that fails is named) checks its gradient and steps on it.
             trajs, states = collect_rollouts(envs, [c.model for c in clients], states,
                                              config.hyper.rollout_len, [c.rng for c in clients])
-            for c, traj in zip(clients, trajs):
+            grads, losses = a3c_gradients(ModelParams.stack([c.model for c in clients]), trajs,
+                                          config.hyper)
+            for c, traj, row, loss in zip(clients, trajs, grads.flat, losses):
+                g = Gradients(row, grads.layout)
                 try:
-                    grads, _ = a3c_gradients(c.model, traj, config.hyper)
-                    c.model = apply_update(c.model, grads, config.hyper.lr, frozen)
+                    require_finite(g, loss)
+                    c.model = apply_update(c.model, g, config.hyper.lr, frozen)
                 except DivergenceError as e:
                     raise DivergenceError(
                         f"client {c.spec.id!r} in group {c.group}, epoch {epoch + 1}, "
                         f"round {coord.current_round(c.group)}: {e}") from None
                 coord.submit(UpdateMessage(c.spec.id, c.group,
                                            coord.current_round(c.group),
-                                           zero_frozen(grads, frozen)))
+                                           zero_frozen(g, frozen)))
                 epoch_reward += sum(traj.rewards)
+            del grads, row, g  # free the round's (K, n) gradients before the next rollout
             # Barrier: aggregate every group that received submissions this round.
             for gid in sorted({c.group for c in clients}):
                 try:

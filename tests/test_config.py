@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 import yaml
+from click.testing import CliRunner
 
+from fedabr.cli import main
 from fedabr.config import SECTIONS, ConfigError, build_scheme_config, load_config
 from fedabr.schemes import Scheme
 
@@ -79,6 +81,26 @@ def test_every_key_changes_what_is_resolved(tmp_path, section, key, value):
 def test_unknown_keys_rejected(tmp_path, config, message):
     with pytest.raises(ConfigError, match=message):
         write_config(tmp_path / "config.yaml", config)
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("rollout_len", 0, ">= 1"),
+    ("clip_norm", -1.0, ">= 0 (0 turns clipping off)"),
+    ("entropy_coef", -0.5, "finite and >= 0"),
+    ("value_coef", float("nan"), "finite and >= 0"),
+    ("lr", float("nan"), "finite and positive"),
+    ("lr", float("inf"), "finite and positive"),
+    ("lr", 0.0, "finite and positive"),
+])
+def test_bad_hyper_values_give_one_error_line(tmp_path, key, value, rule):
+    """Each bad `hyper` value stops every command where the YAML is read, with
+    one line that names the key, before any trace is read or trained on."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"corpus": {"manifest": "none.yaml"}, "hyper": {key: value}}))
+    result = CliRunner().invoke(main, ["split", "--config", str(path),
+                                       "--out", str(tmp_path / "split.json")])
+    assert result.exit_code == 1
+    assert result.output == f"Error: invalid TrainHyper: {key} must be {rule}, got {value!r}\n"
 
 
 INTEGER_KEYS = [("split", "seed"), ("env", "history_len"), ("env", "episode_len"),

@@ -12,7 +12,7 @@ from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper,
                         discounted_returns, forward, init_params, load_checkpoint,
                         mean_gradients, sample_actions, save_checkpoint, zero_frozen,
                         zero_gradients)
-from fedabr.pretrain import collect_rollout
+from fedabr.pretrain import collect_rollout, collect_rollouts
 from tests.conftest import constant_trace, params_close, sample_action
 
 ARCH = (5, 8, 6)
@@ -342,6 +342,24 @@ class TestHyperValidation:
         with pytest.raises(NetError):
             TrainHyper(lr=-1.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", np.nan), ("entropy_coef", -0.1), ("entropy_coef", np.nan),
+        ("entropy_coef", np.inf), ("value_coef", -1.0), ("value_coef", np.nan),
+        ("lr", 0.0), ("lr", np.nan), ("lr", np.inf), ("rollout_len", 0),
+        ("rollout_len", -3), ("clip_norm", -1.0), ("clip_norm", np.nan)])
+    def test_each_field_checked_nan_included(self, key, value):
+        with pytest.raises(NetError, match=f"^{key} must be .*, got {value!r}$"):
+            TrainHyper(**{key: value})
+
+    def test_zero_clip_norm_turns_clipping_off(self, rng):
+        p = small_params()
+        traj = random_trajectory(p, rng, length=10)
+        big = Trajectory(traj.states, traj.actions, [r * 1e4 for r in traj.rewards], 0.0)
+        grads, _ = a3c_gradients(p, big, TrainHyper(clip_norm=0.0))
+        ref, _ = loop_gradients(p, big, TrainHyper(clip_norm=0.0))
+        assert np.sqrt(np.sum(grads.flat ** 2)) > 40.0
+        assert np.max(np.abs(grads.flat - ref.flat)) <= 1e-12 * np.max(np.abs(ref.flat))
+
 
 @st.composite
 def flat_cases(draw):
@@ -538,3 +556,160 @@ class TestBatchedGradients:
             lengths.append(len(traj.states))
             assert_matches_loop(p, traj, hyper)
         assert lengths == [16] * (episode_len // 16) + [episode_len % 16] * (episode_len % 16 > 0)
+
+
+def per_client_gradients(params, traj, hyper):
+    """Reference: one client's learner on its own, in the per-client form that
+    the stacked pass replaces: 2-D products over its (T, d) states, sums over
+    the step axis, and the clip norm summed layer by layer as Python floats."""
+    x = np.asarray(traj.states, dtype=float)
+    returns = discounted_returns(traj.rewards, traj.bootstrap_value, hyper.gamma)
+    pre, post = [], [x]
+    h = x
+    for w, b in zip(params.weights[:-2], params.biases[:-2]):
+        pre.append(h @ w.T + b)
+        h = np.maximum(pre[-1], 0.0)
+        post.append(h)
+    logits = h @ params.weights[-2].T + params.biases[-2]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    values = (h @ params.weights[-1].T + params.biases[-1])[..., 0]
+    steps, actions = np.arange(len(x)), np.asarray(traj.actions)
+    log_probs = np.log(probs)
+    adv = returns - values
+    entropy = -np.sum(probs * log_probs, axis=1)
+    loss = np.sum(-log_probs[steps, actions] * adv + hyper.value_coef * adv ** 2
+                  - hyper.entropy_coef * entropy)
+    dlogits = adv[:, None] * probs
+    dlogits[steps, actions] -= adv
+    dlogits += hyper.entropy_coef * probs * (log_probs + entropy[:, None])
+    dvalue = -2.0 * hyper.value_coef * adv
+    grads = zero_gradients(params)
+    gw, gb = grads.weights, grads.biases
+    gw[-2][:] = dlogits.T @ h
+    gb[-2][:] = dlogits.sum(axis=0)
+    gw[-1][:] = dvalue @ h
+    gb[-1][:] = dvalue.sum()
+    dh = dlogits @ params.weights[-2] + dvalue[:, None] * params.weights[-1][0]
+    for i in range(params.n_hidden - 1, -1, -1):
+        dz = dh * (pre[i] > 0)
+        gw[i][:] = dz.T @ post[i]
+        gb[i][:] = dz.sum(axis=0)
+        dh = dz @ params.weights[i]
+    if hyper.clip_norm > 0:
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in gw)
+                        + sum(float(np.sum(g * g)) for g in gb))
+        if total > hyper.clip_norm:
+            grads.flat *= hyper.clip_norm / total
+    return grads, float(loss)
+
+
+@st.composite
+def stacked_cases(draw):
+    """K models of one random architecture (hidden widths up to 64), K
+    trajectories of one length, hyperparameters with clipping off, tight or
+    loose, and a value seed."""
+    k = draw(st.integers(1, 8))
+    arch = (draw(st.integers(1, 9)), *draw(st.lists(st.integers(1, 64), min_size=1, max_size=2)))
+    hyper = TrainHyper(gamma=draw(st.sampled_from([0.9, 0.99, 1.0])),
+                       entropy_coef=draw(st.sampled_from([0.0, 0.01, 0.5])),
+                       value_coef=draw(st.sampled_from([0.0, 0.1, 0.5])),
+                       clip_norm=draw(st.sampled_from([0.0, 0.5, 40.0])))
+    return (k, arch, draw(st.integers(2, 9)), draw(st.integers(1, 16)), hyper,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def stacked_inputs(k, arch, ladder, length, seed):
+    """K perturbed random models (probabilities far from uniform) and a random
+    trajectory for each."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for i in range(k):
+        p = init_params(arch, ladder, seed=seed + i)
+        p.flat[:] += rng.normal(scale=0.3, size=p.flat.size)
+        models.append(p)
+    return models, [random_trajectory(p, rng, length) for p in models]
+
+
+class TestStackedGradients:
+    """One `a3c_gradients` call for K clients against the per-client loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_cases())
+    def test_matches_per_client_loop_bit_for_bit(self, case):
+        k, arch, ladder, length, hyper, seed = case
+        models, trajs = stacked_inputs(k, arch, ladder, length, seed)
+        grads, losses = a3c_gradients(ModelParams.stack(models), trajs, hyper)
+        assert grads.flat.shape == (k, models[0].flat.size) and losses.shape == (k,)
+        for i, (p, traj) in enumerate(zip(models, trajs)):
+            ref, ref_loss = per_client_gradients(p, traj, hyper)
+            assert same_bits(grads.flat[i], ref.flat)
+            assert losses[i].hex() == ref_loss.hex()
+            single, single_loss = a3c_gradients(p, traj, hyper)  # the one-client call
+            assert same_bits(single.flat, ref.flat) and single_loss.hex() == ref_loss.hex()
+
+    def test_non_finite_row_is_returned_for_the_caller(self):
+        models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=1)
+        models[1].flat[0] = np.nan
+        hyper = TrainHyper()
+        with np.errstate(invalid="ignore"):
+            grads, losses = a3c_gradients(ModelParams.stack(models), trajs, hyper)
+            with pytest.raises(DivergenceError, match="non-finite loss or gradient"):
+                a3c_gradients(models[1], trajs[1], hyper)
+        assert not np.isfinite(grads.flat[1]).all()
+        for i in (0, 2):
+            ref, ref_loss = per_client_gradients(models[i], trajs[i], hyper)
+            assert same_bits(grads.flat[i], ref.flat) and losses[i] == ref_loss
+
+    def test_trajectories_must_match_the_stack(self, rng):
+        models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=2)
+        stack = ModelParams.stack(models)
+        with pytest.raises(NetError, match="for models of shape"):
+            a3c_gradients(stack, trajs[:2], TrainHyper())
+        short = Trajectory(trajs[2].states[:4], trajs[2].actions[:4], trajs[2].rewards[:4], 0.0)
+        with pytest.raises(NetError, match="differ in shape or length"):
+            a3c_gradients(stack, [*trajs[:2], short], TrainHyper())
+
+
+class TestStackedForward:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 3), st.lists(st.integers(1, 64), min_size=1,
+                                                          max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_rows_match_one_model_calls(self, k, m, hidden, seed):
+        """(K, d) states, or (M, K, d) with M states per model, as in evaluation."""
+        rng = np.random.default_rng(seed)
+        models = [init_params((7, *hidden), 5, seed=seed + i) for i in range(k)]
+        lead = (m,) if m else ()
+        states = rng.normal(size=(*lead, k, 7))
+        probs, values = forward(ModelParams.stack(models), states)
+        assert probs.shape == (*lead, k, 5) and values.shape == (*lead, k)
+        for idx in np.ndindex(*lead, k):
+            ref_probs, ref_value = forward(models[idx[-1]], states[idx])
+            assert same_bits(probs[idx], ref_probs) and values[idx].hex() == ref_value.hex()
+
+    def test_stack_shape_checked(self):
+        stack = ModelParams.stack([small_params(0), small_params(1)])
+        with pytest.raises(NetError, match=r"state shape \(3, 5\) != \(\.\.\., 2, 5\)"):
+            forward(stack, np.ones((3, 5)))
+        with pytest.raises(NetError, match=r"state shape \(5,\) != \(\.\.\., 2, 5\)"):
+            forward(stack, np.ones(5))
+
+
+class TestLazyViews:
+    def test_views_built_on_first_read(self):
+        p = small_params()
+        updated = apply_update(p, zero_gradients(p), 0.1)
+        assert "_views" not in vars(updated)
+        assert updated.n_layers == 4 and updated.input_dim == 5 and updated.ladder_size == 4
+        assert "_views" not in vars(updated)
+        assert np.shares_memory(updated.weights[0], updated.flat)
+        assert "_views" in vars(updated)
+
+    def test_in_place_edits_reach_forward(self):
+        p = small_params()
+        state = np.ones(5)
+        before, _ = forward(p, state)
+        p.weights[-2][:] = 0.0  # after the first forward has cached its operands
+        after, _ = forward(p, state)
+        assert not np.array_equal(before, after) and np.allclose(after, 0.25)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedabr import schemes
 from fedabr.discriminator import ClientCondition
-from fedabr.env import EnvConfig
-from fedabr.net import DivergenceError, TrainHyper, apply_update, a3c_gradients, init_params
+from fedabr.env import EnvConfig, StreamEnv, episode_qoe
+from fedabr.net import (DivergenceError, TrainHyper, apply_update, a3c_gradients, forward,
+                        init_params)
 from fedabr.pretrain import PretrainConfig, collect_rollout, offline_train
-from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError,
+from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError, evaluate_greedy,
                             run_scheme)
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
 from tests.conftest import params_close
@@ -256,3 +258,82 @@ class TestRunDirectory:
         assert (out / "rewards.csv").read_text().startswith("epoch,mean_reward\n")
         assert (out / "notes.txt").read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+def scalar_greedy(params, trace, env_config):
+    """Reference: one greedy episode, one scalar `forward` and `env.step` at a time."""
+    env = StreamEnv(trace, env_config)
+    state = env.reset(0.0)
+    outcomes = []
+    while not env.done:
+        probs, _ = forward(params, state)
+        state, _, outcome = env.step(int(np.argmax(probs)))
+        outcomes.append(outcome)
+    return episode_qoe(outcomes, env_config.step_s), float(np.mean([o.reward for o in outcomes]))
+
+
+def bits(qoe_and_reward):
+    qoe, reward = qoe_and_reward
+    return [float(v).hex() for v in (qoe.mean_bitrate_kbps, qoe.stall_rate,
+                                     qoe.mean_delay_ms, reward)]
+
+
+class TestLockstepEvaluation:
+    """`evaluate_greedy` runs every (model, trace) session in lockstep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.lists(st.integers(1, 64), min_size=1,
+                                                          max_size=2),
+           st.integers(2, 6), st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**31))
+    def test_matches_scalar_loop(self, k, m, hidden, rates, episode_len, history_len, seed):
+        env_config = EnvConfig(ladder=tuple(300.0 * (i + 1) for i in range(rates)),
+                               episode_len=episode_len, history_len=history_len)
+        rng = np.random.default_rng(seed)
+        models = []
+        for i in range(k):
+            p = init_params((env_config.state_dim, *hidden), rates, seed + i)
+            p.flat[:] += rng.normal(scale=0.5, size=p.flat.size)
+            models.append(p)
+        fam = SynthFamily(mean_kbps=1200, amplitude_kbps=400, period_s=20,
+                          noise_std_kbps=300, duration_s=40)
+        traces = [synthesize_trace(fam, f"t{j}", NetworkType.FOUR_G, TransportMode.CAR,
+                                   seed + j) for j in range(m)]
+        got = evaluate_greedy(models, traces, env_config)
+        assert [len(row) for row in got] == [k] * m
+        for trace, row in zip(traces, got):
+            for params, result in zip(models, row):
+                assert bits(result) == bits(scalar_greedy(params, trace, env_config))
+
+    def test_no_test_traces(self, pretrained):
+        assert evaluate_greedy([pretrained], [], ENV) == []
+
+
+class TestDivergenceOrder:
+    """One gradient pass serves all clients of a round, but they are checked and
+    stepped in client order, so a DivergenceError names the first client that
+    fails, as a per-client loop does."""
+
+    def diverge(self, corpus, pretrained, monkeypatch, bootstraps, **kwargs):
+        real = schemes.collect_rollouts
+
+        def spoiled(*args):  # non-finite or huge returns for the given clients
+            trajs, states = real(*args)
+            return [replace(t, bootstrap_value=bootstraps.get(i, t.bootstrap_value))
+                    for i, t in enumerate(trajs)], states
+
+        monkeypatch.setattr(schemes, "collect_rollouts", spoiled)
+        clients = tuple(ClientSpec(f"c{i}", (f"ft{i}",)) for i in range(3))
+        cfg = replace(base_config(Scheme.FULL_FEDERATED, clients, epochs=1), **kwargs)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            run_scheme(cfg, corpus, pretrained)
+        return str(info.value)
+
+    def test_names_the_client_whose_gradient_diverges(self, corpus, pretrained, monkeypatch):
+        assert self.diverge(corpus, pretrained, monkeypatch, {2: np.inf}) == (
+            "client 'c2' in group 6, epoch 1, round 0: non-finite loss or gradient")
+
+    def test_earlier_failed_update_named_before_later_gradient(self, corpus, pretrained,
+                                                                monkeypatch):
+        message = self.diverge(corpus, pretrained, monkeypatch, {0: 1e6, 2: np.inf},
+                               hyper=replace(HYPER, lr=1e308))
+        assert message == "client 'c0' in group 6, epoch 1, round 0: non-finite update"
