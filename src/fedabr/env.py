@@ -75,19 +75,16 @@ class QoESummary:
     mean_delay_ms: float
 
 
-def episode_qoe(outcomes: list[StepOutcome], step_s: float = 1.0) -> QoESummary:
-    """Summarize an episode: mean achieved bitrate, stall-time fraction, mean delay."""
-    if not outcomes:
-        raise EnvError("empty outcome list")
+def episode_qoe(achieved_kbps, delay_ms, stall_s, step_s: float = 1.0) -> QoESummary:
+    """Summarize an episode from its per-step achieved bitrates, delays and stall
+    times: mean achieved bitrate, stall-time fraction, mean delay."""
+    if len(achieved_kbps) == 0:
+        raise EnvError("empty episode")
     return QoESummary(
-        mean_bitrate_kbps=float(np.mean([o.achieved_kbps for o in outcomes])),
-        stall_rate=float(sum(o.stall_s for o in outcomes) / (len(outcomes) * step_s)),
-        mean_delay_ms=float(np.mean([o.delay_ms for o in outcomes])),
+        mean_bitrate_kbps=float(np.mean(achieved_kbps)),
+        stall_rate=float(sum(stall_s) / (len(stall_s) * step_s)),
+        mean_delay_ms=float(np.mean(delay_ms)),
     )
-
-
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
 
 
 class StreamEnv:
@@ -115,25 +112,22 @@ class StreamEnv:
         self._capacity = self.trace.bandwidth[idx].tolist()
         self._loss = ([0.0] * len(idx) if loss is None
                       else np.where(np.isnan(loss[idx]), 0.0, loss[idx]).tolist())
+        self._max_rate, self._delay_norm = cfg.max_rate, cfg.delay_norm_ms
         self._j = 0
         self._backlog_kbit = 0.0
         self._queue_delay_ms = 0.0
         self._prev_bitrate = cfg.ladder[0]
-        self._thr_hist = [_clamp01(bw0 / cfg.max_rate)] * cfg.history_len
-        self._delay_hist = [_clamp01(cfg.base_rtt_ms / cfg.delay_norm_ms)] * cfg.history_len
+        h = cfg.history_len  # the throughput history, then the delay history, oldest first
+        self._hist = ([min(1.0, max(0.0, bw0 / self._max_rate))] * h
+                      + [min(1.0, max(0.0, cfg.base_rtt_ms / self._delay_norm))] * h)
         self._started = True
         return self._state()
 
     def _state(self) -> np.ndarray:
-        cfg = self.config
-        return np.array(
-            self._thr_hist + self._delay_hist + [
-                _clamp01(self._prev_bitrate / cfg.max_rate),
-                _clamp01(self._queue_delay_ms / cfg.delay_norm_ms),
-                self._loss[self._j],
-            ],
-            dtype=float,
-        )
+        return np.array(self._hist + [
+            min(1.0, max(0.0, self._prev_bitrate / self._max_rate)),
+            min(1.0, max(0.0, self._queue_delay_ms / self._delay_norm)),
+            self._loss[self._j]], dtype=float)
 
     def step(self, action: int) -> tuple[np.ndarray, float, StepOutcome]:
         if not self._started:
@@ -147,24 +141,28 @@ class StreamEnv:
 
         bitrate = cfg.ladder[action]
         capacity = self._capacity[j]
+        max_rate, step_s = self._max_rate, cfg.step_s
         old_backlog = self._backlog_kbit
-        new_backlog = max(0.0, old_backlog + (bitrate - capacity) * cfg.step_s)
+        new_backlog = max(0.0, old_backlog + (bitrate - capacity) * step_s)
         drained = max(0.0, old_backlog - new_backlog)
-        achieved = min(bitrate, capacity + drained / cfg.step_s)
+        achieved = min(bitrate, capacity + drained / step_s)
         queue_delay_ms = 1000.0 * new_backlog / max(capacity, _EPS_KBPS)
         delay = cfg.base_rtt_ms + queue_delay_ms
-        stall = cfg.step_s if delay > cfg.deadline_ms else 0.0
-        reward = (cfg.w_bitrate * (bitrate / cfg.max_rate)
-                  - cfg.w_stall * (stall / cfg.step_s)
+        stall = step_s if delay > cfg.deadline_ms else 0.0
+        reward = (cfg.w_bitrate * (bitrate / max_rate)
+                  - cfg.w_stall * (stall / step_s)
                   - cfg.w_delay * (delay / cfg.deadline_ms)
-                  - cfg.w_switch * abs(bitrate - self._prev_bitrate) / cfg.max_rate)
+                  - cfg.w_switch * abs(bitrate - self._prev_bitrate) / max_rate)
 
         outcome = StepOutcome(self._times[j], bitrate, capacity, achieved, delay, stall, reward)
 
         self._backlog_kbit = new_backlog
         self._queue_delay_ms = queue_delay_ms
-        self._thr_hist = self._thr_hist[1:] + [_clamp01(achieved / cfg.max_rate)]
-        self._delay_hist = self._delay_hist[1:] + [_clamp01(delay / cfg.delay_norm_ms)]
+        hist, h = self._hist, cfg.history_len
+        del hist[0]  # each history drops its oldest entry and appends the new one
+        hist.insert(h - 1, min(1.0, max(0.0, achieved / max_rate)))
+        del hist[h]
+        hist.append(min(1.0, max(0.0, delay / self._delay_norm)))
         self._prev_bitrate = bitrate
         self._j = j + 1
         return self._state(), reward, outcome

@@ -4,8 +4,8 @@ Holds one versioned global model per group, started from a copy of the run's
 starting model when the first client joins or migrates into the group,
 averages client gradients at a synchronous round barrier, and applies the
 averaged gradient with the shared number of frozen bottom layers.
-Personalization (client-side convex mixing of local and global models) is a
-pure function.
+Personalization (client-side convex mixing of local and global models) mixes
+the local model in place.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ class _Group:
     pending: dict[str, Gradients] = field(default_factory=dict)
 
 
-def personalize(local_prev: ModelParams, global_params: ModelParams,
-                mix: float) -> ModelParams:
-    """Convex mixing: mix*local_prev + (1-mix)*global, elementwise."""
+def personalize(local: ModelParams, global_params: ModelParams, mix: float) -> None:
+    """Convex mixing in place, elementwise: local <- mix*local + (1-mix)*global."""
     if not 0.0 <= mix <= 1.0:
         raise FederationError("mix must be in [0, 1]")
-    if local_prev.layout != global_params.layout:
+    if local.layout != global_params.layout:
         raise FederationError("shape mismatch between local and global params")
-    return ModelParams(mix * local_prev.flat + (1.0 - mix) * global_params.flat,
-                       local_prev.layout)
+    local.flat *= mix
+    local.flat += (1.0 - mix) * global_params.flat
 
 
 class Coordinator:
@@ -115,8 +114,7 @@ class Coordinator:
         if not g.pending:
             raise FederationError(f"group {group} has no submissions to aggregate")
         payloads = [g.pending[c] for c in sorted(g.pending)]
-        g.params = apply_update(g.params, mean_gradients(payloads), self.server_lr,
-                                self.frozen_layers)
+        apply_update(g.params, mean_gradients(payloads), self.server_lr, self.frozen_layers)
         g.version += 1
         g.pending = {}
         self._log("aggregate", group=group, version=g.version, clients=len(payloads))

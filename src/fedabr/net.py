@@ -201,8 +201,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_full(params: ModelParams, x: np.ndarray, value: bool = True):
-    """Forward pass keeping intermediates for backprop: (pre-activations,
-    activations from `x` on, policy probabilities, values or, if not `value`, None).
+    """Forward pass keeping intermediates for backprop: (activations from `x` on,
+    policy probabilities, values or, if not `value`, None). An activation is
+    positive where its pre-activation is, so backprop needs no pre-activations.
 
     `x` is one state or a (T, d) matrix of states, one per row, or for a (K, n)
     stack of models the (..., K, T, d) stack of their states. For one state, `x @ W.T`
@@ -210,12 +211,13 @@ def _forward_full(params: ModelParams, x: np.ndarray, value: bool = True):
     stack on its own, so a stacked pass gives the bits of K separate ones.
     """
     hidden, (w_pi, b_pi), (w_v, b_v) = params._operands
-    pre, post, h = [], [x], x
+    post, h = [x], x
     for w, b in hidden:
-        pre.append(h @ w + b)
-        h = np.maximum(pre[-1], 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         post.append(h)
-    return pre, post, _softmax(h @ w_pi + b_pi), (h @ w_v + b_v)[..., 0] if value else None
+    return post, _softmax(h @ w_pi + b_pi), (h @ w_v + b_v)[..., 0] if value else None
 
 
 def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
@@ -230,12 +232,12 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
             raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
         if not np.all(np.isfinite(state)):
             raise NetError("non-finite state input")
-        _, _, probs, value = _forward_full(params, state)
+        _, probs, value = _forward_full(params, state)
         return probs, float(value)
     need = (len(params.flat), params.input_dim)
     if state.shape[-2:] != need:
         raise NetError(f"state shape {state.shape} != (..., {need[0]}, {need[1]})")
-    _, _, probs, values = _forward_full(params, state[..., None, :])
+    _, probs, values = _forward_full(params, state[..., None, :])
     return probs[..., 0, :], values[..., 0]
 
 
@@ -259,13 +261,8 @@ def zero_gradients(params: ModelParams) -> Gradients:
     return Gradients(np.zeros_like(params.flat), params.layout)
 
 
-def require_finite(grads: Gradients, loss) -> None:
-    """Raise DivergenceError unless the loss and every gradient entry are finite."""
-    if not (np.isfinite(loss).all() and np.isfinite(grads.flat).all()):
-        raise DivergenceError("non-finite loss or gradient")
-
-
-def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper):
+def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper,
+                  out: Gradients | None = None):
     """Analytic gradients of the rollout loss -sum log pi(a)*A + c_v*(R-V)^2 - beta*H,
     with the advantage A = R - V held constant in the policy term, each model's
     global norm clipped at hyper.clip_norm: (gradients, loss) for one model and
@@ -273,7 +270,8 @@ def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper):
     trajectories of one length, the (K, n) gradients and K losses, unchecked.
 
     One pass over the (T, d) or (K, T, d) states: each layer's gradient sums its
-    per-step outer products as one matrix product per model.
+    per-step outer products as one matrix product per model. A given `out` (of the
+    shape of `params`) receives the gradients instead of a new array.
     """
     stacked = params.flat.ndim == 2
     batch = trajs if stacked else [trajs]
@@ -289,7 +287,7 @@ def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper):
     if not stacked:
         x, returns, actions = x[0], returns[0], actions[0]
     taken = (*np.indices(actions.shape, sparse=True), actions)  # each step's action
-    pre, post, probs, values = _forward_full(params, x)
+    post, probs, values = _forward_full(params, x)
     log_probs = np.log(probs)
     adv = returns - values
     entropy = -np.sum(probs * log_probs, axis=-1)
@@ -303,28 +301,30 @@ def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper):
     dlogits += hyper.entropy_coef * probs * (log_probs + entropy[..., None])
     dvalue = -2.0 * hyper.value_coef * adv
 
-    grads = zero_gradients(params)
+    grads = zero_gradients(params) if out is None else out
     gw, gb = grads.weights, grads.biases
     weights = params.weights
     # Each layer's activations are dropped once the pass down has used them, and
     # the gradient at its pre-activation is formed in place, so that a stack of K
     # models keeps less memory alive at once.
-    feat = post.pop()
-    gw[-2][:] = dlogits.swapaxes(-1, -2) @ feat
+    h = post.pop()
+    gw[-2][:] = dlogits.swapaxes(-1, -2) @ h
     gb[-2][:] = dlogits.sum(axis=-2)
-    gw[-1][:] = dvalue[..., None, :] @ feat
+    gw[-1][:] = dvalue[..., None, :] @ h
     gb[-1][:] = dvalue.sum(axis=-1)[..., None]
     dh = dlogits @ weights[-2] + dvalue[..., None] * weights[-1]
     for i in range(params.n_hidden - 1, -1, -1):
-        dh *= pre.pop() > 0  # now the gradient at layer i's pre-activation
-        gw[i][:] = dh.swapaxes(-1, -2) @ post.pop()
+        dh *= h > 0  # now the gradient at layer i's pre-activation
+        h = post.pop()  # layer i's input
+        np.matmul(dh.swapaxes(-1, -2), h, out=gw[i])
         gb[i][:] = dh.sum(axis=-2)
         if i > 0:
             dh = dh @ weights[i]
     _clip_global_norm(grads, hyper.clip_norm)
     if stacked:
         return grads, loss
-    require_finite(grads, loss)
+    if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):
+        raise DivergenceError("non-finite loss or gradient")
     return grads, float(loss)
 
 
@@ -342,16 +342,17 @@ def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
 
 
 def apply_update(params: ModelParams, grads: Gradients, lr: float,
-                 frozen_layers: int = 0) -> ModelParams:
-    """SGD step; the first `frozen_layers` layers are copied bit-identically."""
+                 frozen_layers: int = 0) -> None:
+    """SGD step in place, over the last axis (one model or a (K, n) stack); the first
+    `frozen_layers` layers keep their bits. DivergenceError, after the step, if an
+    updated entry is not finite."""
     if grads.layout != params.layout:
         raise NetError("gradient shape mismatch")
     k = _frozen_end(params.layout, frozen_layers)
-    out = params.flat.copy()
-    out[k:] -= lr * grads.flat[k:]
-    if not np.all(np.isfinite(out[k:])):
+    trained = params.flat[..., k:]
+    trained -= lr * grads.flat[..., k:]
+    if not np.isfinite(trained).all():
         raise DivergenceError("non-finite update")
-    return ModelParams(out, params.layout)
 
 
 def mean_gradients(grad_list: list[Gradients]) -> Gradients:
@@ -364,11 +365,9 @@ def mean_gradients(grad_list: list[Gradients]) -> Gradients:
     return Gradients(total, grad_list[0].layout)
 
 
-def zero_frozen(grads: Gradients, frozen_layers: int) -> Gradients:
-    """Zero the first `frozen_layers` layers (aggregation payloads carry zeros there)."""
-    out = grads.copy()
-    out.flat[:_frozen_end(grads.layout, frozen_layers)] = 0.0
-    return out
+def zero_frozen(grads: Gradients, frozen_layers: int) -> None:
+    """Zero the first `frozen_layers` layers in place (aggregation payloads carry zeros)."""
+    grads.flat[..., :_frozen_end(grads.layout, frozen_layers)] = 0.0
 
 
 CHECKPOINT_VERSION = 1

@@ -30,36 +30,34 @@ class PretrainConfig:
             raise ValueError(f"hidden must list one or more widths >= 1, got {self.hidden!r}")
 
 
-def collect_rollouts(envs: list[StreamEnv], models: list[ModelParams], states,
+def collect_rollouts(envs: list[StreamEnv], models: ModelParams, states,
                      n_steps: int, rngs: list[np.random.Generator]):
-    """Roll K clients with the same steps left forward in lockstep; returns the K
-    trajectories, each bootstrapped with V of its successor state, and the (K, d)
-    successor states. A step is one stacked policy pass (`_forward_full` without
-    the value head, which no step reads), one draw from each generator in client
-    order and one `env.step` per client; one `forward` of the successor states
-    gives the bootstrap values. The bits are those of K separate loops over
-    `forward` and `env.step`."""
+    """Roll K clients with the same steps left forward in lockstep, client k with row k
+    of the (K, n) stack `models`; returns the K trajectories, each bootstrapped with V
+    of its successor state, and the (K, d) successor states. A step is one stacked
+    policy pass (no value head: no step reads it), one draw from each generator's
+    block of draws for the call and one `env.step` per client. The bits are those of
+    K separate loops over `forward` and `env.step`."""
     left = sorted({env.steps_left for env in envs})
     if len(left) != 1:
         raise EnvError(f"envs are not in lockstep: steps left {left}")
-    stack = ModelParams.stack(models)
-    n, k, d = min(n_steps, left[0]), len(envs), stack.input_dim
+    n, k, d = min(n_steps, left[0]), len(envs), models.input_dim
     buf = np.empty((k, n + 1, d))  # each client's states, then its successor state
     x = np.asarray(states, dtype=float)
     if x.shape != (k, d):
         raise NetError(f"states have shape {x.shape}, need ({k}, {d})")
     buf[:, 0] = x
+    draws = np.array([rng.random(n) for rng in rngs]).T
     actions, rewards = [[] for _ in envs], [[] for _ in envs]
     for t in range(n):
-        _, _, probs, _ = _forward_full(stack, buf[:, t, None], value=False)
-        chosen = sample_actions(probs[:, 0], [rng.random() for rng in rngs]).tolist()
-        for i, (env, a) in enumerate(zip(envs, chosen)):
+        _, probs, _ = _forward_full(models, buf[:, t, None], value=False)
+        for i, (env, a) in enumerate(zip(envs, sample_actions(probs[:, 0], draws[t]).tolist())):
             buf[i, t + 1], reward, _ = env.step(a)
             actions[i].append(a)
             rewards[i].append(reward)
     if not np.isfinite(buf).all():
         raise NetError("non-finite state input")
-    _, values = forward(stack, buf[:, n])
+    _, values = forward(models, buf[:, n])
     trajs = [Trajectory(buf[i, :n], actions[i], rewards[i], v)
              for i, v in enumerate(values.tolist())]
     return trajs, buf[:, n]
@@ -68,7 +66,7 @@ def collect_rollouts(envs: list[StreamEnv], models: list[ModelParams], states,
 def collect_rollout(env: StreamEnv, params: ModelParams, state: np.ndarray,
                     n_steps: int, rng: np.random.Generator):
     """One client's rollout: `collect_rollouts` with K = 1."""
-    (traj,), states = collect_rollouts([env], [params], [state], n_steps, [rng])
+    (traj,), states = collect_rollouts([env], ModelParams.stack([params]), [state], n_steps, [rng])
     return traj, states[0]
 
 
@@ -96,7 +94,7 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
                 traj, state = collect_rollout(env, params, state, hyper.rollout_len, rng)
                 try:
                     grads, _ = a3c_gradients(params, traj, hyper)
-                    params = apply_update(params, grads, hyper.lr)
+                    apply_update(params, grads, hyper.lr)
                 except DivergenceError as e:
                     raise DivergenceError(f"epoch {epoch + 1}, trace {env.trace.id!r}: "
                                           f"{e}") from None

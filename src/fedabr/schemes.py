@@ -15,7 +15,7 @@ import os
 import shutil
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +26,8 @@ from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS
 from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, apply_update,
-                  a3c_gradients, forward, init_params, require_finite, save_checkpoint,
-                  zero_frozen)
+                  a3c_gradients, forward, init_params, save_checkpoint, zero_frozen,
+                  zero_gradients)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollouts
 from .traces import Trace
 
@@ -132,14 +132,15 @@ def evaluate_greedy(models: list[ModelParams], traces: list[Trace], env_config: 
     envs = [StreamEnv(trace, env_config) for trace in traces for _ in models]
     stack = ModelParams.stack(models)
     states = np.array([env.reset(0.0) for env in envs])
-    outcomes = [[] for _ in envs]
-    for _ in range(env_config.episode_len):
+    # Per session and step: achieved bitrate, delay, stall time, reward (`o[3:]`).
+    achieved, delay, stall, reward = np.empty((4, len(envs), env_config.episode_len))
+    for t in range(env_config.episode_len):
         probs, _ = forward(stack, states.reshape(len(traces), len(models), -1))
         for i, (env, a) in enumerate(zip(envs, probs.argmax(axis=-1).ravel().tolist())):
-            states[i], _, outcome = env.step(a)
-            outcomes[i].append(outcome)
-    results = [(episode_qoe(o, env_config.step_s), float(np.mean([s.reward for s in o])))
-               for o in outcomes]
+            states[i], _, o = env.step(a)
+            achieved[i, t], delay[i, t], stall[i, t], reward[i, t] = o[3:]
+    results = [(episode_qoe(achieved[i], delay[i], stall[i], env_config.step_s),
+                float(np.mean(reward[i]))) for i in range(len(envs))]
     return [results[j:j + len(models)] for j in range(0, len(results), len(models))]
 
 
@@ -151,7 +152,6 @@ def _mean_qoe(summaries: list[QoESummary]) -> QoESummary:
 @dataclass
 class _Client:
     spec: ClientSpec
-    model: ModelParams
     group: int
     rng: np.random.Generator
     pending_changes: list[tuple[float, int]]  # (t, group) migrations still to come
@@ -238,10 +238,11 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
     """Evaluation-only reward series: the model never updates."""
     rewards = []
     rngs = [_client_rng(config, spec, i) for i, spec in enumerate(config.clients)]
+    models = ModelParams.stack([params] * len(config.clients))
     for epoch in range(config.epochs):
         envs = [StreamEnv(traces[spec.trace_ids[epoch % len(spec.trace_ids)]], config.env)
                 for spec in config.clients]
-        trajs, _ = collect_rollouts(envs, [params] * len(envs), [e.reset(0.0) for e in envs],
+        trajs, _ = collect_rollouts(envs, models, [e.reset(0.0) for e in envs],
                                     config.env.episode_len, rngs)
         rewards.append(float(np.mean([sum(t.rewards) / config.env.episode_len
                                       for t in trajs])))
@@ -266,8 +267,12 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                                       config.sim_time_s)
         else:
             gid = traces[spec.trace_ids[0]].group
-        clients.append(_Client(spec, coord.register(spec.id, gid), gid,
-                               _client_rng(config, spec, i), changes))
+        clients.append(_Client(spec, gid, _client_rng(config, spec, i), changes))
+    # Client i's model is row i of this stack, updated in place every round; the
+    # round's gradients and the group models to mix in keep one array each too.
+    models = ModelParams.stack([coord.register(c.spec.id, c.group) for c in clients])
+    layout = models.layout
+    grads, mixin = zero_gradients(models), np.empty_like(models.flat)
 
     episode_steps = config.env.episode_len
     rewards = []
@@ -277,47 +282,49 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
         states = [env.reset(0.0) for env in envs]
         epoch_reward = 0.0
         while not envs[0].done:
-            # Rollout phase: the clients' sessions step together, and one batched
-            # pass gives every client's gradient; then each client in turn (so the
-            # first one that fails is named) checks its gradient and steps on it.
-            trajs, states = collect_rollouts(envs, [c.model for c in clients], states,
-                                             config.hyper.rollout_len, [c.rng for c in clients])
-            grads, losses = a3c_gradients(ModelParams.stack([c.model for c in clients]), trajs,
-                                          config.hyper)
-            for c, traj, row, loss in zip(clients, trajs, grads.flat, losses):
-                g = Gradients(row, grads.layout)
-                try:
-                    require_finite(g, loss)
-                    c.model = apply_update(c.model, g, config.hyper.lr, frozen)
-                except DivergenceError as e:
-                    raise DivergenceError(
-                        f"client {c.spec.id!r} in group {c.group}, epoch {epoch + 1}, "
-                        f"round {coord.current_round(c.group)}: {e}") from None
-                coord.submit(UpdateMessage(c.spec.id, c.group,
-                                           coord.current_round(c.group),
-                                           zero_frozen(g, frozen)))
+            # The clients' sessions step together, one batched pass gives every
+            # gradient and one SGD step moves every model; a divergence names the
+            # first client, in client order, whose gradient or update is not finite.
+            trajs, states = collect_rollouts(envs, models, states, config.hyper.rollout_len,
+                                             [c.rng for c in clients])
+            _, losses = a3c_gradients(models, trajs, config.hyper, out=grads)
+            grad_ok = np.isfinite(losses) & np.isfinite(grads.flat).all(axis=1)
+            with suppress(DivergenceError):  # each client's update is checked below
+                apply_update(models, grads, config.hyper.lr, frozen)
+            ok = grad_ok & np.isfinite(models.flat[:, layout.offsets[frozen]:]).all(axis=1)
+            if not ok.all():
+                i = ok.argmin()
+                c, what = clients[i], "update" if grad_ok[i] else "loss or gradient"
+                raise DivergenceError(
+                    f"client {c.spec.id!r} in group {c.group}, epoch {epoch + 1}, "
+                    f"round {coord.current_round(c.group)}: non-finite {what}")
+            zero_frozen(grads, frozen)
+            for c, traj, row in zip(clients, trajs, grads.flat):
+                coord.submit(UpdateMessage(c.spec.id, c.group, coord.current_round(c.group),
+                                           Gradients(row, layout)))
                 epoch_reward += sum(traj.rewards)
-            del grads, row, g  # free the round's (K, n) gradients before the next rollout
-            # Barrier: aggregate every group that received submissions this round.
+            # Barrier: aggregate every group that received submissions this round,
+            # then mix each client's model with its group's.
             for gid in sorted({c.group for c in clients}):
                 try:
                     coord.aggregate_round(gid)
                 except DivergenceError as e:
                     raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
                                           f"{coord.current_round(gid)}: {e}") from None
-            for c in clients:
-                c.model = personalize(c.model, coord.fetch(c.group), mix)
+            group_models = {gid: coord.fetch(gid).flat for gid in {c.group for c in clients}}
+            np.stack([group_models[c.group] for c in clients], out=mixin)
+            personalize(models, ModelParams(mixin, layout), mix)
             # Round boundary: apply any due group changes.
             sim_t = ((epoch + 1) * episode_steps - envs[0].steps_left) * config.env.step_s
-            for c in clients:
+            for c, row in zip(clients, models.flat):
                 while c.pending_changes and c.pending_changes[0][0] <= sim_t:
                     _, to_group = c.pending_changes.pop(0)
                     target = coord.migrate(c.spec.id, c.group, to_group)
                     c.group = to_group
-                    c.model = personalize(c.model, target, mix)
+                    personalize(ModelParams(row, layout), target, mix)
         rewards.append(epoch_reward / (len(clients) * episode_steps))
-    groups = {gid: coord.fetch(gid) for gid in coord.group_ids()}
-    return rewards, {c.spec.id: c.model for c in clients}, groups, coord.events
+    final = {c.spec.id: ModelParams(row, layout) for c, row in zip(clients, models.flat)}
+    return rewards, final, {gid: coord.fetch(gid) for gid in coord.group_ids()}, coord.events
 
 
 def write_rewards_csv(rewards: list[float], path: str | Path) -> None:

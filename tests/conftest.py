@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedabr.env import EnvConfig
+from fedabr.env import EnvConfig, episode_qoe
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 
 
@@ -14,6 +14,12 @@ def sample_action(probs, rng):
     """Reference sampler: one inverse-CDF sample from a categorical distribution."""
     r = rng.random()
     return int(min(np.searchsorted(np.cumsum(probs), r), len(probs) - 1))
+
+
+def qoe_of(outcomes, step_s=1.0):
+    """`episode_qoe` of a list of `StepOutcome`s."""
+    return episode_qoe([o.achieved_kbps for o in outcomes], [o.delay_ms for o in outcomes],
+                       [o.stall_s for o in outcomes], step_s)
 
 
 def constant_trace(bandwidth=1000.0, duration=400, trace_id="const",

@@ -140,8 +140,8 @@ def _centralized_trajectory(params0, trace, frozen, rounds):
             state = env.reset()
         traj, state = collect_rollout(env, params, state, HYPER.rollout_len, rng)
         grads, _ = a3c_gradients(params, traj, HYPER)
-        params = apply_update(params, grads, HYPER.lr, frozen)
-        out.append(params)
+        apply_update(params, grads, HYPER.lr, frozen)
+        out.append(params.copy())
     return out
 
 
@@ -162,13 +162,13 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
             traj, c["state"] = collect_rollout(c["env"], c["model"], c["state"],
                                                HYPER.rollout_len, c["rng"])
             grads, _ = a3c_gradients(c["model"], traj, HYPER)
-            c["model"] = apply_update(c["model"], grads, HYPER.lr, frozen)
-            coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid),
-                                       zero_frozen(grads, frozen)))
+            apply_update(c["model"], grads, HYPER.lr, frozen)
+            zero_frozen(grads, frozen)
+            coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid), grads))
         coord.aggregate_round(gid)
         global_params = coord.fetch(gid)
         for c in clients:
-            c["model"] = personalize(c["model"], global_params, 0.5)
+            personalize(c["model"], global_params, 0.5)
         out.append(global_params)
     return out
 

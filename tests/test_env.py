@@ -4,9 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedabr.env import (_EPS_KBPS, DEFAULT_LADDER, EnvConfig, EnvError, StepOutcome, StreamEnv,
-                        _clamp01, episode_qoe)
+                        episode_qoe)
 from fedabr.traces import NetworkType, Trace, TransportMode, bandwidth_at
-from tests.conftest import constant_trace
+from tests.conftest import constant_trace, qoe_of
+
+
+def _clamp01(x):
+    return min(1.0, max(0.0, x))
 
 
 class TestReset:
@@ -96,7 +100,7 @@ class TestEpisodeQoe:
 
     def test_no_stalls(self):
         outcomes = self._run([0] * 10)
-        assert episode_qoe(outcomes).stall_rate == 0
+        assert qoe_of(outcomes).stall_rate == 0
 
     def test_stall_fraction(self):
         cfg = EnvConfig(episode_len=300)
@@ -104,7 +108,7 @@ class TestEpisodeQoe:
         env.reset()
         outcomes = [env.step(5)[2] for _ in range(270)]  # overload: stalls quickly
         stalled = sum(1 for o in outcomes if o.stall_s > 0)
-        qoe = episode_qoe(outcomes, cfg.step_s)
+        qoe = qoe_of(outcomes, cfg.step_s)
         assert qoe.stall_rate == pytest.approx(stalled / len(outcomes))
 
     def test_resummation_oracle(self, noisy_trace, rng):
@@ -112,7 +116,7 @@ class TestEpisodeQoe:
         env = StreamEnv(noisy_trace, cfg)
         env.reset()
         outcomes = [env.step(int(rng.integers(len(cfg.ladder))))[2] for _ in range(100)]
-        qoe = episode_qoe(outcomes, cfg.step_s)
+        qoe = qoe_of(outcomes, cfg.step_s)
         assert qoe.mean_bitrate_kbps == pytest.approx(
             sum(o.achieved_kbps for o in outcomes) / len(outcomes))
         assert qoe.mean_delay_ms == pytest.approx(
@@ -122,7 +126,7 @@ class TestEpisodeQoe:
 
     def test_empty(self):
         with pytest.raises(EnvError):
-            episode_qoe([])
+            episode_qoe([], [], [])
 
 
 class TestInvariants:
@@ -301,3 +305,112 @@ class TestEpisodeLookup:
             assert reward == ref_reward and out == ref_out
             assert type(out.t) is float and type(out.capacity_kbps) is float
         assert env.done and env.steps_left == 0
+
+
+class TwoListEnv(StreamEnv):
+    """Reference: `reset`, `_state` and `step` as they were before the step kept one
+    history list and its config ratios, with separate throughput and delay
+    histories and `_clamp01` calls."""
+
+    def reset(self, start=0.0):
+        cfg = self.config
+        needed = start + cfg.episode_len * cfg.step_s
+        end = self.trace.times.item(-1)
+        if needed > end:
+            raise EnvError(f"trace {self.trace.id!r} too short: episode needs "
+                           f"{needed}s, trace ends at {end}s")
+        bw0 = bandwidth_at(self.trace, start)
+        times = np.cumsum(np.r_[start, np.full(cfg.episode_len, cfg.step_s)])
+        idx = self.trace.times.searchsorted(times, side="right") - 1
+        loss = self.trace.loss
+        self._times = times.tolist()
+        self._capacity = self.trace.bandwidth[idx].tolist()
+        self._loss = ([0.0] * len(idx) if loss is None
+                      else np.where(np.isnan(loss[idx]), 0.0, loss[idx]).tolist())
+        self._j = 0
+        self._backlog_kbit = 0.0
+        self._queue_delay_ms = 0.0
+        self._prev_bitrate = cfg.ladder[0]
+        self._thr_hist = [_clamp01(bw0 / cfg.max_rate)] * cfg.history_len
+        self._delay_hist = [_clamp01(cfg.base_rtt_ms / cfg.delay_norm_ms)] * cfg.history_len
+        self._started = True
+        return self._state()
+
+    def _state(self):
+        cfg = self.config
+        return np.array(
+            self._thr_hist + self._delay_hist + [
+                _clamp01(self._prev_bitrate / cfg.max_rate),
+                _clamp01(self._queue_delay_ms / cfg.delay_norm_ms),
+                self._loss[self._j],
+            ],
+            dtype=float,
+        )
+
+    def step(self, action):
+        if not self._started:
+            raise EnvError("call reset() before step()")
+        cfg = self.config
+        if not 0 <= action < len(cfg.ladder):
+            raise EnvError(f"action index {action} out of range")
+        j = self._j
+        if j >= cfg.episode_len:
+            raise EnvError("episode exhausted")
+
+        bitrate = cfg.ladder[action]
+        capacity = self._capacity[j]
+        old_backlog = self._backlog_kbit
+        new_backlog = max(0.0, old_backlog + (bitrate - capacity) * cfg.step_s)
+        drained = max(0.0, old_backlog - new_backlog)
+        achieved = min(bitrate, capacity + drained / cfg.step_s)
+        queue_delay_ms = 1000.0 * new_backlog / max(capacity, _EPS_KBPS)
+        delay = cfg.base_rtt_ms + queue_delay_ms
+        stall = cfg.step_s if delay > cfg.deadline_ms else 0.0
+        reward = (cfg.w_bitrate * (bitrate / cfg.max_rate)
+                  - cfg.w_stall * (stall / cfg.step_s)
+                  - cfg.w_delay * (delay / cfg.deadline_ms)
+                  - cfg.w_switch * abs(bitrate - self._prev_bitrate) / cfg.max_rate)
+
+        outcome = StepOutcome(self._times[j], bitrate, capacity, achieved, delay, stall, reward)
+
+        self._backlog_kbit = new_backlog
+        self._queue_delay_ms = queue_delay_ms
+        self._thr_hist = self._thr_hist[1:] + [_clamp01(achieved / cfg.max_rate)]
+        self._delay_hist = self._delay_hist[1:] + [_clamp01(delay / cfg.delay_norm_ms)]
+        self._prev_bitrate = bitrate
+        self._j = j + 1
+        return self._state(), reward, outcome
+
+
+@st.composite
+def step_configs(draw):
+    """A random ladder, link and reward setting; deadlines near the base rtt and
+    bitrates far above capacity make stalls, clamped delays and switches common."""
+    rungs = draw(st.lists(st.floats(1.0, 9000.0), min_size=2, max_size=7, unique=True))
+    base_rtt = draw(st.floats(1.0, 300.0))
+    weight = st.floats(0.0, 3.0)
+    return dict(ladder=tuple(sorted(rungs)), base_rtt_ms=base_rtt,
+                deadline_ms=base_rtt + draw(st.floats(0.5, 600.0)),
+                history_len=draw(st.integers(1, 10)), w_bitrate=draw(weight),
+                w_stall=draw(weight), w_delay=draw(weight), w_switch=draw(weight))
+
+
+class TestStepReference:
+    """The step with one history list against the step with two, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lookup_cases(), step_configs())
+    def test_matches_two_list_step(self, case, settings_):
+        trace, step_s, start, episode_len, seed = case
+        cfg = EnvConfig(step_s=step_s, episode_len=episode_len, **settings_)
+        rng = np.random.default_rng(seed)
+        env, ref = StreamEnv(trace, cfg), TwoListEnv(trace, cfg)
+        assert env.reset(start).tobytes() == ref.reset(start).tobytes()
+        for _ in range(episode_len):
+            action = int(rng.integers(len(cfg.ladder)))
+            (state, reward, out), (ref_state, ref_reward, ref_out) = (env.step(action),
+                                                                      ref.step(action))
+            assert state.tobytes() == ref_state.tobytes()
+            assert np.array([reward, *out]).tobytes() == np.array([ref_reward, *ref_out]).tobytes()
+        with pytest.raises(EnvError, match="exhausted"):
+            env.step(0)

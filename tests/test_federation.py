@@ -131,7 +131,8 @@ class TestAggregate:
             coord.register(c, 1)
             coord.submit(UpdateMessage(c, 1, 0, g.copy()))
         coord.aggregate_round(1)
-        expected = apply_update(p, g, 0.05)
+        expected = p.copy()
+        apply_update(expected, g, 0.05)
         assert params_close(coord.fetch(1), expected, tol=1e-15)
         assert coord.current_round(1) == 1
 
@@ -170,7 +171,7 @@ class TestAggregate:
                 for i in range(k):
                     coord.submit(UpdateMessage(f"c{i}", 1, rnd, g.copy()))
                 coord.aggregate_round(1)
-                central = apply_update(central, g, 0.05)
+                apply_update(central, g, 0.05)
             assert params_close(coord.fetch(1), central, tol=1e-12)
 
     def test_group_isolation(self):
@@ -206,12 +207,15 @@ class TestAggregate:
 class TestPersonalize:
     def test_extremes(self):
         a, b = make_params(1), make_params(2)
-        assert params_close(personalize(a, b, 1.0), a)
-        assert params_close(personalize(a, b, 0.0), b)
+        for mix, expected in ((1.0, a), (0.0, b)):
+            mixed = a.copy()
+            personalize(mixed, b, mix)
+            assert params_close(mixed, expected)
 
     def test_halfway(self):
         a, b = make_params(1), make_params(2)
-        mixed = personalize(a, b, 0.5)
+        mixed = a.copy()
+        personalize(mixed, b, 0.5)
         for m, wa, wb in zip(mixed.weights, a.weights, b.weights):
             assert np.allclose(m, 0.5 * wa + 0.5 * wb)
 

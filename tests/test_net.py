@@ -236,7 +236,9 @@ class TestApplyUpdate:
         p = small_params()
         traj = random_trajectory(p, rng)
         grads, _ = a3c_gradients(p, traj, TrainHyper())
-        assert params_close(apply_update(p, grads, 0.1, p.n_layers), p)
+        before = p.copy()
+        apply_update(p, grads, 0.1, p.n_layers)
+        assert params_close(p, before)
 
     @pytest.mark.parametrize("frozen", [-1, 5])
     def test_freeze_out_of_range(self, rng, frozen):
@@ -250,7 +252,9 @@ class TestApplyUpdate:
     def test_zero_lr(self, rng):
         p = small_params()
         grads, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
-        assert params_close(apply_update(p, grads, 0.0), p)
+        before = p.copy()
+        apply_update(p, grads, 0.0)
+        assert params_close(p, before)
 
     def test_scalar_arithmetic(self):
         p = ModelParams.from_layers(
@@ -258,8 +262,8 @@ class TestApplyUpdate:
             [np.zeros(1), np.zeros(2), np.zeros(1)])
         g = zero_gradients(p)
         g.weights[0][0, 0] = 2.0
-        updated = apply_update(p, g, 0.1)
-        assert updated.weights[0][0, 0] == pytest.approx(0.8)
+        apply_update(p, g, 0.1)
+        assert p.weights[0][0, 0] == pytest.approx(0.8)
 
     def test_shape_mismatch(self, rng):
         p = small_params()
@@ -279,7 +283,8 @@ class TestEntropyEffect:
             for beta in (0.0, 1.0):
                 hyper = TrainHyper(entropy_coef=beta, lr=1e-3, clip_norm=0.0)
                 grads, _ = a3c_gradients(p, traj, hyper)
-                updated = apply_update(p, grads, hyper.lr)
+                updated = p.copy()
+                apply_update(updated, grads, hyper.lr)
                 probs, _ = forward(updated, state)
                 entropies.append(float(-np.sum(probs * np.log(probs))))
             assert entropies[1] > entropies[0]
@@ -297,7 +302,8 @@ class TestHelpers:
     def test_zero_frozen(self, rng):
         p = small_params()
         g, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
-        z = zero_frozen(g, 1)
+        z = g.copy()
+        zero_frozen(z, 1)
         assert np.all(z.weights[0] == 0)
         assert np.array_equal(z.weights[1], g.weights[1])
 
@@ -391,8 +397,9 @@ class TestFlatLayout:
         p = init_params(arch, ladder, seed=seed)
         p.flat[:] = rng.normal(size=p.flat.size)
         grads = [random_grads(p, rng) for _ in range(3)]
-        updated = apply_update(p, grads[0], 0.1, frozen)
-        zeroed = zero_frozen(grads[0], frozen)
+        updated, zeroed = p.copy(), grads[0].copy()
+        apply_update(updated, grads[0], 0.1, frozen)
+        zero_frozen(zeroed, frozen)
         for i in range(p.n_layers):
             for got, zg, pa, ga in ((updated.weights[i], zeroed.weights[i],
                                      p.weights[i], grads[0].weights[i]),
@@ -415,7 +422,8 @@ class TestFlatLayout:
                 assert same_bits(getattr(mean, part)[i], ref)
 
         other = init_params(arch, ladder, seed=seed + 1)
-        mixed = personalize(p, other, 0.3)
+        mixed = p.copy()
+        personalize(mixed, other, 0.3)
         for part in ("weights", "biases"):
             for got, a, b in zip(getattr(mixed, part), getattr(p, part), getattr(other, part)):
                 assert same_bits(got, 0.3 * a + (1.0 - 0.3) * b)
@@ -464,6 +472,42 @@ class TestFlatLayout:
         other = init_params(tuple(dims), ladder, seed)
         with pytest.raises(NetError, match="shape"):
             apply_update(p, zero_gradients(other), 0.1)
+
+
+class TestInPlaceStack:
+    """`apply_update`, `zero_frozen` and `personalize` change their first argument in
+    place, over the last axis: on a (K, n) stack each row gets the bits of the same
+    call on that row alone, and the other arguments keep theirs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(flat_cases(), st.integers(1, 5), st.floats(0.0, 1.0))
+    def test_stack_equals_row_by_row(self, case, k, mix):
+        arch, ladder, frozen, seed = case
+        rng = np.random.default_rng(seed)
+        layout = init_params(arch, ladder, seed=seed).layout
+        rows = [random_grads(init_params(arch, ladder, seed=seed), rng) for _ in range(3 * k)]
+        models, grads, groups = (ModelParams.stack(rows[i::3]) for i in range(3))
+        args = [m.copy() for m in (grads, groups)]
+        stacked = [m.copy() for m in (models, grads, models)]
+        assert apply_update(stacked[0], grads, 0.1, frozen) is None
+        assert zero_frozen(stacked[1], frozen) is None
+        assert personalize(stacked[2], groups, mix) is None
+        for i in range(k):
+            row = [ModelParams(m.flat[i].copy(), layout) for m in (models, grads, models)]
+            apply_update(row[0], ModelParams(grads.flat[i], layout), 0.1, frozen)
+            zero_frozen(row[1], frozen)
+            personalize(row[2], ModelParams(groups.flat[i], layout), mix)
+            for got, want in zip(stacked, row):
+                assert same_bits(got.flat[i], want.flat)
+        assert same_bits(grads.flat, args[0].flat) and same_bits(groups.flat, args[1].flat)
+
+    def test_divergent_stack_is_updated_then_reported(self):
+        models = ModelParams.stack([small_params(0), small_params(1)])
+        grads = zero_gradients(models)
+        grads.flat[1, -1] = np.inf
+        with pytest.raises(DivergenceError, match="non-finite update"):
+            apply_update(models, grads, 0.1)
+        assert np.isfinite(models.flat[0]).all() and not np.isfinite(models.flat[1, -1])
 
 
 def loop_gradients(params, traj, hyper):
@@ -698,8 +742,8 @@ class TestStackedForward:
 
 class TestLazyViews:
     def test_views_built_on_first_read(self):
-        p = small_params()
-        updated = apply_update(p, zero_gradients(p), 0.1)
+        updated = small_params()
+        apply_update(updated, zero_gradients(updated), 0.1)
         assert "_views" not in vars(updated)
         assert updated.n_layers == 4 and updated.input_dim == 5 and updated.ladder_size == 4
         assert "_views" not in vars(updated)

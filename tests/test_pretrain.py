@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, EnvError, StreamEnv
-from fedabr.net import (NetError, TrainHyper, Trajectory, a3c_gradients, apply_update, forward,
-                        init_params)
+from fedabr.net import (ModelParams, NetError, TrainHyper, Trajectory, a3c_gradients,
+                        apply_update, forward, init_params)
 from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
                              collect_rollouts, offline_train)
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
@@ -15,12 +15,13 @@ LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 
 
 def plain_episode(env, params, hyper, rng, frozen_layers=0):
-    """Reference: one episode of rollout -> gradient -> SGD step cycles."""
+    """Reference: one episode of rollout -> gradient -> SGD step cycles, which
+    update `params` in place."""
     state = env.reset()
     while not env.done:
         traj, state = collect_rollout(env, params, state, hyper.rollout_len, rng)
         grads, _ = a3c_gradients(params, traj, hyper)
-        params = apply_update(params, grads, hyper.lr, frozen_layers)
+        apply_update(params, grads, hyper.lr, frozen_layers)
     return params
 
 
@@ -84,7 +85,7 @@ class TestFineTune:
         params = init_params((ec.state_dim, *DEFAULT_ARCH_HIDDEN), len(ec.ladder), seed=2)
         env = StreamEnv(constant_trace(1000.0), ec)
         rng = np.random.default_rng(0)
-        tuned = params
+        tuned = params.copy()
         for _ in range(20):  # 20 episodes of 5 rollouts = 100 updates
             tuned = plain_episode(env, tuned, TrainHyper(rollout_len=8), rng, frozen_layers=1)
         assert np.array_equal(tuned.weights[0], params.weights[0])
@@ -150,7 +151,8 @@ class TestLockstepRollouts:
         states = [env.reset() for env in envs]
         ref_states = [env.reset() for env in ref_envs]
         while not envs[0].done:  # rollouts that cross the episode end included
-            trajs, states = collect_rollouts(envs, models, states, n_steps, rngs)
+            trajs, states = collect_rollouts(envs, ModelParams.stack(models), states, n_steps,
+                                             rngs)
             for i, traj in enumerate(trajs):
                 ref, ref_states[i] = reference_rollout(ref_envs[i], models[i], ref_states[i],
                                                        n_steps, ref_rngs[i])
@@ -170,7 +172,7 @@ class TestLockstepRollouts:
         states = [env.reset() for env in envs]
         envs[1].step(0)
         with pytest.raises(EnvError, match=r"not in lockstep: steps left \[9, 10\]"):
-            collect_rollouts(envs, [params, params], states, 4,
+            collect_rollouts(envs, ModelParams.stack([params, params]), states, 4,
                              [np.random.default_rng(0), np.random.default_rng(1)])
 
     def test_non_finite_state_rejected(self):

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedabr import schemes
-from fedabr.discriminator import ClientCondition
-from fedabr.env import EnvConfig, StreamEnv, episode_qoe
+from fedabr.discriminator import ClientCondition, poll
+from fedabr.env import EnvConfig, StreamEnv
+from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.net import (DivergenceError, TrainHyper, apply_update, a3c_gradients, forward,
-                        init_params)
+                        init_params, zero_frozen)
 from fedabr.pretrain import PretrainConfig, collect_rollout, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError, evaluate_greedy,
                             run_scheme)
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
-from tests.conftest import params_close
+from tests.conftest import params_close, qoe_of
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 ENV = EnvConfig(ladder=LADDER4, episode_len=32)
@@ -140,7 +141,7 @@ class TestFederatedEquivalence:
             while not env.done:
                 traj, state = collect_rollout(env, central, state, HYPER.rollout_len, rng)
                 grads, _ = a3c_gradients(central, traj, HYPER)
-                central = apply_update(central, grads, HYPER.lr, cfg.frozen_layers)
+                apply_update(central, grads, HYPER.lr, cfg.frozen_layers)
         group = corpus["ft0"].group
         assert params_close(metrics.final_group_params[group], central, tol=1e-12)
         for cid in ("c0", "c1"):
@@ -269,7 +270,7 @@ def scalar_greedy(params, trace, env_config):
         probs, _ = forward(params, state)
         state, _, outcome = env.step(int(np.argmax(probs)))
         outcomes.append(outcome)
-    return episode_qoe(outcomes, env_config.step_s), float(np.mean([o.reward for o in outcomes]))
+    return qoe_of(outcomes, env_config.step_s), float(np.mean([o.reward for o in outcomes]))
 
 
 def bits(qoe_and_reward):
@@ -337,3 +338,126 @@ class TestDivergenceOrder:
         message = self.diverge(corpus, pretrained, monkeypatch, {0: 1e6, 2: np.inf},
                                hyper=replace(HYPER, lr=1e308))
         assert message == "client 'c0' in group 6, epoch 1, round 0: non-finite update"
+
+
+def per_client_rounds(config, traces, params0):
+    """Reference: the online round loop with one model per client, each rolled
+    out, given its gradient, checked, stepped, submitted and mixed on its own,
+    in client order (the loop before the clients' models became one stack)."""
+    federated = config.scheme is Scheme.FULL_FEDERATED
+    frozen = 0 if config.scheme is Scheme.ONLINE_SCRATCH else config.frozen_layers
+    server_lr, mix = config.hyper.lr, 1.0
+    if federated:
+        server_lr, mix = config.server_lr or config.hyper.lr, config.mix
+    coord = Coordinator(params0, server_lr, frozen)
+    clients = []
+    for i, spec in enumerate(config.clients):
+        changes = []
+        if not federated:
+            gid = 100 + i
+        elif spec.condition_schedule:
+            (_, gid), *changes = poll(list(spec.condition_schedule), config.poll_period_s,
+                                      config.sim_time_s)
+        else:
+            gid = traces[spec.trace_ids[0]].group
+        clients.append(dict(spec=spec, model=coord.register(spec.id, gid), group=gid,
+                            rng=schemes._client_rng(config, spec, i), changes=changes))
+    steps, rewards = config.env.episode_len, []
+    for epoch in range(config.epochs):
+        for c in clients:
+            c["env"] = StreamEnv(traces[c["spec"].trace_ids[epoch % len(c["spec"].trace_ids)]],
+                                 config.env)
+            c["state"] = c["env"].reset(0.0)
+        total = 0.0
+        while not clients[0]["env"].done:
+            for c in clients:
+                traj, c["state"] = collect_rollout(c["env"], c["model"], c["state"],
+                                                   config.hyper.rollout_len, c["rng"])
+                grads, _ = a3c_gradients(c["model"], traj, config.hyper)
+                apply_update(c["model"], grads, config.hyper.lr, frozen)
+                zero_frozen(grads, frozen)
+                coord.submit(UpdateMessage(c["spec"].id, c["group"],
+                                           coord.current_round(c["group"]), grads))
+                total += sum(traj.rewards)
+            for gid in sorted({c["group"] for c in clients}):
+                coord.aggregate_round(gid)
+            for c in clients:
+                personalize(c["model"], coord.fetch(c["group"]), mix)
+            sim_t = ((epoch + 1) * steps - clients[0]["env"].steps_left) * config.env.step_s
+            for c in clients:
+                while c["changes"] and c["changes"][0][0] <= sim_t:
+                    _, to_group = c["changes"].pop(0)
+                    target = coord.migrate(c["spec"].id, c["group"], to_group)
+                    c["group"] = to_group
+                    personalize(c["model"], target, mix)
+        rewards.append(total / (len(clients) * steps))
+    return (rewards, {c["spec"].id: c["model"] for c in clients},
+            {gid: coord.fetch(gid) for gid in coord.group_ids()}, coord.events)
+
+
+CONDITIONS = [(nt, tm) for nt in (NetworkType.FOUR_G, NetworkType.WIFI)
+              for tm in (TransportMode.CAR, TransportMode.TRAIN)]
+
+
+@st.composite
+def round_cases(draw):
+    """A small online run: scheme, 1-5 clients with one or two traces of random
+    groups, hidden widths, freeze depth, mix, server rate, rollout and episode
+    lengths, and for some clients a schedule of condition changes."""
+    scheme = draw(st.sampled_from([Scheme.ONLINE_SCRATCH, Scheme.TRANSFER_ONLY,
+                                   Scheme.FULL_FEDERATED]))
+    hidden = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=2)))
+    env = EnvConfig(ladder=tuple(300.0 * (i + 1) for i in range(draw(st.integers(2, 5)))),
+                    episode_len=draw(st.integers(1, 20)), history_len=draw(st.integers(1, 3)))
+    epochs = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**31))
+    fam = SynthFamily(mean_kbps=1200, amplitude_kbps=400, period_s=15, noise_std_kbps=300,
+                      duration_s=40)
+    traces, clients = {}, []
+    for i in range(draw(st.integers(1, 5))):
+        ids = []
+        for j in range(draw(st.integers(1, 2))):
+            nt, tm = draw(st.sampled_from(CONDITIONS))
+            tr = synthesize_trace(fam, f"c{i}t{j}", nt, tm, seed + 10 * i + j)
+            traces[tr.id] = tr
+            ids.append(tr.id)
+        schedule = None
+        if draw(st.booleans()):
+            times = sorted(draw(st.lists(st.floats(0.0, epochs * env.episode_len), max_size=3)))
+            schedule = tuple((t, ClientCondition(f"c{i}", *draw(st.sampled_from(CONDITIONS))))
+                             for t in [0.0, *times])
+        clients.append(ClientSpec(f"c{i}", tuple(ids), draw(st.none() | st.integers(0, 99)),
+                                  schedule))
+    config = SchemeConfig(
+        scheme=scheme, clients=tuple(clients), epochs=epochs, seed=seed, env=env,
+        hyper=TrainHyper(lr=draw(st.floats(1e-4, 1e-2)), rollout_len=draw(st.integers(1, 8)),
+                         entropy_coef=0.05, value_coef=0.1, clip_norm=draw(st.sampled_from(
+                             [0.0, 0.5, 10.0]))),
+        frozen_layers=draw(st.integers(0, len(hidden))), mix=draw(st.floats(0.0, 1.0)),
+        server_lr=draw(st.none() | st.floats(1e-4, 1e-2)),
+        poll_period_s=draw(st.floats(1.0, 20.0)), hidden=hidden)
+    pretrained = init_params((env.state_dim, *hidden), len(env.ladder), seed + 1)
+    pretrained.flat[:] += np.random.default_rng(seed).normal(scale=0.5,
+                                                            size=pretrained.flat.size)
+    return config, traces, pretrained
+
+
+class TestRoundLoopOracle:
+    """`run_scheme`'s round loop, one stack of client models updated in place,
+    against a per-client loop: rewards, transcript and every byte of every final
+    client and group model."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(round_cases())
+    def test_matches_per_client_loop(self, case):
+        config, traces, pretrained = case
+        metrics = run_scheme(config, traces, pretrained)
+        rewards, clients, groups, events = per_client_rounds(
+            config, traces, schemes._initial_params(config, pretrained))
+        assert metrics.rewards == rewards
+        assert metrics.transcript == events
+        for got, want in ((metrics.final_client_params, clients),
+                          (metrics.final_group_params, groups)):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].flat.tobytes() == want[key].flat.tobytes()
