@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .net import Gradients, ModelParams, apply_update, mean_gradients
+import numpy as np
+
+from .net import Gradients, ModelParams, apply_update
 
 
 class FederationError(ValueError):
@@ -113,11 +115,14 @@ class Coordinator:
                                   f"missing {sorted(missing)}")
         if not g.pending:
             raise FederationError(f"group {group} has no submissions to aggregate")
-        payloads = [g.pending[c] for c in sorted(g.pending)]
-        apply_update(g.params, mean_gradients(payloads), self.server_lr, self.frozen_layers)
+        # The sum over rows adds them one after another, in client-id order.
+        mean = np.add.reduce([g.pending[c].flat for c in sorted(g.pending)])
+        mean /= len(g.pending)
+        apply_update(g.params, Gradients(mean, g.params.layout), self.server_lr,
+                     self.frozen_layers)
         g.version += 1
+        self._log("aggregate", group=group, version=g.version, clients=len(g.pending))
         g.pending = {}
-        self._log("aggregate", group=group, version=g.version, clients=len(payloads))
 
     def migrate(self, client: str, from_group: int, to_group: int) -> ModelParams:
         source = self._group(from_group)

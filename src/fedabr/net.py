@@ -22,7 +22,12 @@ class NetError(ValueError):
 
 
 class DivergenceError(FloatingPointError):
-    """Non-finite value encountered; the caller should reduce the learning rate."""
+    """Non-finite value encountered; the caller should reduce the learning rate.
+    `row` is the first failing row of a checked (K, n) stack, if any."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -134,19 +139,23 @@ def _frozen_end(layout: Layout, frozen_layers: int) -> int:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray  # (T, d), one state per row
-    actions: list[int]
-    rewards: list[float]
-    bootstrap_value: float
+class Rollout:
+    """K clients' rollouts of T steps each: (K, T, d) states, (K, T) actions and
+    rewards, and the (K,) values of the successor states that bootstrap the returns."""
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    bootstrap_values: np.ndarray
 
     def __post_init__(self):
-        if len(self.states) == 0:
-            raise NetError("empty trajectory")
-        if not len(self.states) == len(self.actions) == len(self.rewards):
-            raise NetError("trajectory field lengths differ")
-        if not all(np.isfinite(self.rewards)):
-            raise NetError("non-finite reward in trajectory")
+        kt = self.states.shape[:2]
+        if not (self.states.ndim == 3 and self.actions.shape == self.rewards.shape == kt
+                and self.bootstrap_values.shape == kt[:1] and 0 not in kt):
+            raise NetError(f"rollout of {self.states.shape} states, {self.actions.shape} actions, "
+                           f"{self.rewards.shape} rewards and {self.bootstrap_values.shape} "
+                           "bootstrap values: need (K, T, d), (K, T), (K, T), (K,), K, T >= 1")
+        if not np.isfinite(self.rewards).all():
+            raise NetError("non-finite reward in rollout")
 
 
 @dataclass(frozen=True)
@@ -261,32 +270,24 @@ def zero_gradients(params: ModelParams) -> Gradients:
     return Gradients(np.zeros_like(params.flat), params.layout)
 
 
-def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper,
-                  out: Gradients | None = None):
+def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
+                  out: Gradients | None = None) -> tuple[Gradients, np.ndarray]:
     """Analytic gradients of the rollout loss -sum log pi(a)*A + c_v*(R-V)^2 - beta*H,
     with the advantage A = R - V held constant in the policy term, each model's
-    global norm clipped at hyper.clip_norm: (gradients, loss) for one model and
-    trajectory, DivergenceError if either is not finite; for a (K, n) stack and K
-    trajectories of one length, the (K, n) gradients and K losses, unchecked.
+    global norm clipped at hyper.clip_norm: the (K, n) gradients and the K losses of
+    the (K, n) stack `params` on the K clients of `rollout`, unchecked (`sgd_step`
+    checks them).
 
-    One pass over the (T, d) or (K, T, d) states: each layer's gradient sums its
-    per-step outer products as one matrix product per model. A given `out` (of the
-    shape of `params`) receives the gradients instead of a new array.
+    One pass over the (K, T, d) states: each layer's gradient sums its per-step outer
+    products as one matrix product per model. A given (K, n) `out` receives the
+    gradients instead of a new array.
     """
-    stacked = params.flat.ndim == 2
-    batch = trajs if stacked else [trajs]
-    try:
-        x = np.array([t.states for t in batch], dtype=float)
-    except ValueError:
-        raise NetError("rollout states differ in shape or length") from None
-    if x.shape[2:] != (params.input_dim,) or len(x) != (len(params.flat) if stacked else 1):
+    x = rollout.states
+    if params.flat.ndim != 2 or (len(x), x.shape[2]) != (len(params.flat), params.input_dim):
         raise NetError(f"states of shape {x.shape} for models of shape {params.flat.shape}")
-    returns = np.array([discounted_returns(t.rewards, t.bootstrap_value, hyper.gamma)
-                        for t in batch])
-    actions = np.array([t.actions for t in batch])
-    if not stacked:
-        x, returns, actions = x[0], returns[0], actions[0]
-    taken = (*np.indices(actions.shape, sparse=True), actions)  # each step's action
+    returns = np.array([discounted_returns(r, v, hyper.gamma) for r, v in
+                        zip(rollout.rewards.tolist(), rollout.bootstrap_values.tolist())])
+    taken = (*np.indices(rollout.actions.shape, sparse=True), rollout.actions)  # steps' actions
     post, probs, values = _forward_full(params, x)
     log_probs = np.log(probs)
     adv = returns - values
@@ -321,11 +322,7 @@ def a3c_gradients(params: ModelParams, trajs, hyper: TrainHyper,
         if i > 0:
             dh = dh @ weights[i]
     _clip_global_norm(grads, hyper.clip_norm)
-    if stacked:
-        return grads, loss
-    if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):
-        raise DivergenceError("non-finite loss or gradient")
-    return grads, float(loss)
+    return grads, loss
 
 
 def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
@@ -355,14 +352,21 @@ def apply_update(params: ModelParams, grads: Gradients, lr: float,
         raise DivergenceError("non-finite update")
 
 
-def mean_gradients(grad_list: list[Gradients]) -> Gradients:
-    if not grad_list:
-        raise NetError("no gradients to average")
-    total = grad_list[0].flat.copy()
-    for g in grad_list[1:]:
-        total += g.flat
-    total /= len(grad_list)
-    return Gradients(total, grad_list[0].layout)
+def sgd_step(models: ModelParams, grads: Gradients, losses: np.ndarray, lr: float,
+             frozen_layers: int = 0) -> None:
+    """`apply_update` of the (K, n) `grads` to the (K, n) stack `models`, checked row
+    by row: every row is stepped, then DivergenceError names (as `row`) the first row
+    whose loss or gradient, or else whose trained part after the step, is not finite."""
+    grad_ok = np.isfinite(losses) & np.isfinite(grads.flat).all(axis=1)
+    try:
+        apply_update(models, grads, lr, frozen_layers)
+        ok = grad_ok
+    except DivergenceError:
+        trained = models.flat[:, models.layout.offsets[frozen_layers]:]
+        ok = grad_ok & np.isfinite(trained).all(axis=1)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise DivergenceError(f"non-finite {'update' if grad_ok[i] else 'loss or gradient'}", i)
 
 
 def zero_frozen(grads: Gradients, frozen_layers: int) -> None:
@@ -401,4 +405,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if activations != ["relu"] * (n - 2):
         raise NetError(f"checkpoint activations {activations}: every hidden layer "
                        "must be relu")
-    return ModelParams.from_layers(weights, biases)
+    params = ModelParams.from_layers(weights, biases)
+    for i, layer in enumerate(zip(params.weights, params.biases)):
+        for kind, a in zip("wb", layer):
+            if not np.isfinite(a).all():
+                raise NetError(f"checkpoint {path} has a non-finite value in {kind}{i}")
+    return params

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvConfig, EnvError, StreamEnv
-from .net import (DivergenceError, ModelParams, NetError, TrainHyper, Trajectory,
-                  _forward_full, a3c_gradients, apply_update, forward, init_params,
-                  sample_actions)
+from .net import (DivergenceError, ModelParams, NetError, Rollout, TrainHyper, _forward_full,
+                  a3c_gradients, forward, init_params, sample_actions, sgd_step,
+                  zero_gradients)
 from .traces import Trace
 
 DEFAULT_ARCH_HIDDEN = (64, 32)
@@ -33,8 +33,8 @@ class PretrainConfig:
 def collect_rollouts(envs: list[StreamEnv], models: ModelParams, states,
                      n_steps: int, rngs: list[np.random.Generator]):
     """Roll K clients with the same steps left forward in lockstep, client k with row k
-    of the (K, n) stack `models`; returns the K trajectories, each bootstrapped with V
-    of its successor state, and the (K, d) successor states. A step is one stacked
+    of the (K, n) stack `models`; returns their `Rollout`, bootstrapped with V of each
+    successor state, and the (K, d) successor states. A step is one stacked
     policy pass (no value head: no step reads it), one draw from each generator's
     block of draws for the call and one `env.step` per client. The bits are those of
     K separate loops over `forward` and `env.step`."""
@@ -58,16 +58,14 @@ def collect_rollouts(envs: list[StreamEnv], models: ModelParams, states,
     if not np.isfinite(buf).all():
         raise NetError("non-finite state input")
     _, values = forward(models, buf[:, n])
-    trajs = [Trajectory(buf[i, :n], actions[i], rewards[i], v)
-             for i, v in enumerate(values.tolist())]
-    return trajs, buf[:, n]
+    return Rollout(buf[:, :n], np.array(actions), np.array(rewards), values), buf[:, n]
 
 
-def collect_rollout(env: StreamEnv, params: ModelParams, state: np.ndarray,
-                    n_steps: int, rng: np.random.Generator):
-    """One client's rollout: `collect_rollouts` with K = 1."""
-    (traj,), states = collect_rollouts([env], ModelParams.stack([params]), [state], n_steps, [rng])
-    return traj, states[0]
+def collect_rollout(env: StreamEnv, models: ModelParams, state: np.ndarray,
+                    n_steps: int, rng: np.random.Generator) -> tuple[Rollout, np.ndarray]:
+    """One client's rollout: `collect_rollouts` with K = 1 and the (1, n) stack `models`."""
+    rollout, states = collect_rollouts([env], models, [state], n_steps, [rng])
+    return rollout, states[0]
 
 
 def offline_train(traces: list[Trace], config: PretrainConfig,
@@ -81,6 +79,8 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
     hyper = config.hyper
     params = init_params((env_config.state_dim, *config.hidden), len(env_config.ladder),
                          config.seed)
+    models = ModelParams(params.flat[None], params.layout)  # `params` as a (1, n) stack
+    grads = zero_gradients(models)
     rng = np.random.default_rng(config.seed)
     envs = [StreamEnv(tr, env_config) for tr in traces]
     rewards = []
@@ -91,15 +91,15 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
             state = env.reset()
             total_reward, steps = 0.0, 0
             while not env.done:
-                traj, state = collect_rollout(env, params, state, hyper.rollout_len, rng)
+                rollout, state = collect_rollout(env, models, state, hyper.rollout_len, rng)
+                _, losses = a3c_gradients(models, rollout, hyper, out=grads)
                 try:
-                    grads, _ = a3c_gradients(params, traj, hyper)
-                    apply_update(params, grads, hyper.lr)
+                    sgd_step(models, grads, losses, hyper.lr)
                 except DivergenceError as e:
                     raise DivergenceError(f"epoch {epoch + 1}, trace {env.trace.id!r}: "
                                           f"{e}") from None
-                total_reward += sum(traj.rewards)
-                steps += len(traj.rewards)
+                total_reward += sum(rollout.rewards[0].tolist())
+                steps += rollout.rewards.shape[1]
             epoch_rewards.append(total_reward / steps)
         rewards.append(float(np.mean(epoch_rewards)))
     return params, rewards

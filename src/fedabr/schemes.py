@@ -15,7 +15,7 @@ import os
 import shutil
 import time
 import uuid
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +25,8 @@ from .discriminator import ClientCondition, poll
 from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS
-from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, apply_update,
-                  a3c_gradients, forward, init_params, save_checkpoint, zero_frozen,
+from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, a3c_gradients,
+                  forward, init_params, save_checkpoint, sgd_step, zero_frozen,
                   zero_gradients)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollouts
 from .traces import Trace
@@ -242,10 +242,10 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
     for epoch in range(config.epochs):
         envs = [StreamEnv(traces[spec.trace_ids[epoch % len(spec.trace_ids)]], config.env)
                 for spec in config.clients]
-        trajs, _ = collect_rollouts(envs, models, [e.reset(0.0) for e in envs],
-                                    config.env.episode_len, rngs)
-        rewards.append(float(np.mean([sum(t.rewards) / config.env.episode_len
-                                      for t in trajs])))
+        rollout, _ = collect_rollouts(envs, models, [e.reset(0.0) for e in envs],
+                                      config.env.episode_len, rngs)
+        rewards.append(float(np.mean([sum(row) / config.env.episode_len
+                                      for row in rollout.rewards.tolist()])))
     return rewards
 
 
@@ -285,24 +285,21 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
             # The clients' sessions step together, one batched pass gives every
             # gradient and one SGD step moves every model; a divergence names the
             # first client, in client order, whose gradient or update is not finite.
-            trajs, states = collect_rollouts(envs, models, states, config.hyper.rollout_len,
-                                             [c.rng for c in clients])
-            _, losses = a3c_gradients(models, trajs, config.hyper, out=grads)
-            grad_ok = np.isfinite(losses) & np.isfinite(grads.flat).all(axis=1)
-            with suppress(DivergenceError):  # each client's update is checked below
-                apply_update(models, grads, config.hyper.lr, frozen)
-            ok = grad_ok & np.isfinite(models.flat[:, layout.offsets[frozen]:]).all(axis=1)
-            if not ok.all():
-                i = ok.argmin()
-                c, what = clients[i], "update" if grad_ok[i] else "loss or gradient"
-                raise DivergenceError(
-                    f"client {c.spec.id!r} in group {c.group}, epoch {epoch + 1}, "
-                    f"round {coord.current_round(c.group)}: non-finite {what}")
+            rollout, states = collect_rollouts(envs, models, states, config.hyper.rollout_len,
+                                               [c.rng for c in clients])
+            _, losses = a3c_gradients(models, rollout, config.hyper, out=grads)
+            try:
+                sgd_step(models, grads, losses, config.hyper.lr, frozen)
+            except DivergenceError as e:
+                c = clients[e.row]
+                raise DivergenceError(f"client {c.spec.id!r} in group {c.group}, epoch "
+                                      f"{epoch + 1}, round {coord.current_round(c.group)}: "
+                                      f"{e}") from None
             zero_frozen(grads, frozen)
-            for c, traj, row in zip(clients, trajs, grads.flat):
+            for c, client_rewards, row in zip(clients, rollout.rewards.tolist(), grads.flat):
                 coord.submit(UpdateMessage(c.spec.id, c.group, coord.current_round(c.group),
                                            Gradients(row, layout)))
-                epoch_reward += sum(traj.rewards)
+                epoch_reward += sum(client_rewards)
             # Barrier: aggregate every group that received submissions this round,
             # then mix each client's model with its group's.
             for gid in sorted({c.group for c in clients}):

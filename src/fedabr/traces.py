@@ -114,13 +114,6 @@ class Trace:
                 raise TraceError(f"trace {self.id!r}: {name} {col[i]} at t={t[i]} "
                                  f"is not {rule}")
 
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return ((self.id, self.network_type, self.transport_mode)
-                == (other.id, other.network_type, other.transport_mode)
-                and all(_same_column(getattr(self, n), getattr(other, n)) for n in _COLUMNS))
-
     @property
     def samples(self) -> tuple[TraceSample, ...]:
         """The trace as rows, built anew on each call; a missing rtt or loss is None."""
@@ -133,15 +126,6 @@ class Trace:
     @property
     def group(self) -> int:
         return group_of(self.network_type, self.transport_mode)
-
-
-def _same_column(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    """Bit-identical values, with NaN (missing) in the same places."""
-    if a is None or b is None:
-        return a is b
-    missing = np.isnan(a)
-    return (a.shape == b.shape and np.array_equal(missing, np.isnan(b))
-            and a[~missing].tobytes() == b[~missing].tobytes())
 
 
 def parse_trace(text: str, trace_id: str, network_type: NetworkType,
@@ -335,6 +319,9 @@ def load_manifest(path: str | Path) -> list[Trace]:
         if str(rec["id"]) in ids:
             raise TraceError(f"{path}: duplicate trace id {rec['id']!r}")
         ids.add(str(rec["id"]))
+        if not isinstance(rec["path"], str):
+            raise TraceError(f"{path}: record {rec['id']!r}: path must be a string, "
+                             f"got {rec['path']!r}")
         nt = parse_network_type(str(rec["network_type"]))
         tm = parse_transport_mode(str(rec["transport_mode"]))
         try:

@@ -1,7 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from fedabr.env import EnvConfig, episode_qoe
+from fedabr.net import Gradients, ModelParams, Rollout, a3c_gradients
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 
 
@@ -14,6 +17,39 @@ def sample_action(probs, rng):
     """Reference sampler: one inverse-CDF sample from a categorical distribution."""
     r = rng.random()
     return int(min(np.searchsorted(np.cumsum(probs), r), len(probs) - 1))
+
+
+class Episode(NamedTuple):
+    """One client's rollout, in the per-client form that the scalar oracles read."""
+    states: list  # T states of shape (d,)
+    actions: list[int]
+    rewards: list[float]
+    bootstrap_value: float
+
+
+def as_rollout(episodes) -> Rollout:
+    """The `Rollout` of K episodes of one length, client k from episode k."""
+    return Rollout(np.array([np.asarray(e.states, dtype=float) for e in episodes]),
+                   np.array([e.actions for e in episodes]),
+                   np.array([e.rewards for e in episodes], dtype=float),
+                   np.array([e.bootstrap_value for e in episodes], dtype=float))
+
+
+def episode_of(rollout, k=0) -> Episode:
+    """Client k's part of a `Rollout`."""
+    return Episode(list(rollout.states[k]), rollout.actions[k].tolist(),
+                   rollout.rewards[k].tolist(), float(rollout.bootstrap_values[k]))
+
+
+def as_stack(params) -> ModelParams:
+    """One model as a (1, n) stack that shares its memory."""
+    return ModelParams(params.flat[None], params.layout)
+
+
+def one_model_gradients(params, episode, hyper):
+    """`a3c_gradients` of one model on one episode: the K = 1 stack, row 0 back."""
+    grads, losses = a3c_gradients(as_stack(params), as_rollout([episode]), hyper)
+    return Gradients(grads.flat[0], params.layout), float(losses[0])
 
 
 def qoe_of(outcomes, step_s=1.0):

@@ -35,7 +35,7 @@ from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
                             qoe_report, speedup_percent)
-from fedabr.net import (TrainHyper, a3c_gradients, apply_update, init_params,
+from fedabr.net import (Gradients, TrainHyper, a3c_gradients, apply_update, init_params,
                         zero_frozen)
 from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
                              offline_train)
@@ -43,6 +43,7 @@ from fedabr.schemes import ClientSpec, Scheme, SchemeConfig, run_scheme
 from fedabr.traces import (NetworkType, SynthFamily, TransportMode, group_of,
                            synthesize_trace, write_manifest)
 
+from tests.conftest import as_stack, one_model_gradients
 from test_net import fd_gradient, max_relative_error, random_trajectory
 
 pytestmark = pytest.mark.acceptance
@@ -111,7 +112,7 @@ def test_3_gradient_fidelity():
         arch = (inputs, hidden)
         params = init_params(arch, actions, seed=trial)
         traj = random_trajectory(params, rng, length=int(rng.integers(2, 8)))
-        grads, _ = a3c_gradients(params, traj, hyper)
+        grads, _ = one_model_gradients(params, traj, hyper)
         worst = max(worst, max_relative_error(grads, fd_gradient(params, traj, hyper)))
     _verdict(3, "gradient-fidelity", worst < 1e-4, f"max rel err {worst:.2e}")
 
@@ -131,6 +132,7 @@ def _equivalence_trace():
 
 def _centralized_trajectory(params0, trace, frozen, rounds):
     params = params0.copy()
+    models = as_stack(params)
     rng = np.random.default_rng(77)
     env = StreamEnv(trace, EQ_ENV)
     state = env.reset()
@@ -138,9 +140,9 @@ def _centralized_trajectory(params0, trace, frozen, rounds):
     for _ in range(rounds):
         if env.done:
             state = env.reset()
-        traj, state = collect_rollout(env, params, state, HYPER.rollout_len, rng)
-        grads, _ = a3c_gradients(params, traj, HYPER)
-        apply_update(params, grads, HYPER.lr, frozen)
+        rollout, state = collect_rollout(env, models, state, HYPER.rollout_len, rng)
+        grads, _ = a3c_gradients(models, rollout, HYPER)
+        apply_update(models, grads, HYPER.lr, frozen)
         out.append(params.copy())
     return out
 
@@ -152,19 +154,20 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
     for i in range(k):
         model = coord.register(f"c{i}", gid)
         env = StreamEnv(trace, EQ_ENV)
-        clients.append({"model": model, "env": env, "state": env.reset(),
-                        "rng": np.random.default_rng(77)})
+        clients.append({"model": model, "stack": as_stack(model), "env": env,
+                        "state": env.reset(), "rng": np.random.default_rng(77)})
     out = []
     for _ in range(rounds):
         for i, c in enumerate(clients):
             if c["env"].done:
                 c["state"] = c["env"].reset()
-            traj, c["state"] = collect_rollout(c["env"], c["model"], c["state"],
-                                               HYPER.rollout_len, c["rng"])
-            grads, _ = a3c_gradients(c["model"], traj, HYPER)
-            apply_update(c["model"], grads, HYPER.lr, frozen)
+            rollout, c["state"] = collect_rollout(c["env"], c["stack"], c["state"],
+                                                  HYPER.rollout_len, c["rng"])
+            grads, _ = a3c_gradients(c["stack"], rollout, HYPER)
+            apply_update(c["stack"], grads, HYPER.lr, frozen)
             zero_frozen(grads, frozen)
-            coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid), grads))
+            coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid),
+                                       Gradients(grads.flat[0], grads.layout)))
         coord.aggregate_round(gid)
         global_params = coord.fetch(gid)
         for c in clients:

@@ -302,7 +302,8 @@ class TestInputErrors:
         assert not (workspace / "run-identity").exists()
 
     @pytest.mark.parametrize("case", ["text", "empty", "missing-array", "unchained",
-                                      "heads-apart", "wide-value-head"])
+                                      "heads-apart", "wide-value-head", "nan-bias",
+                                      "inf-weight"])
     def test_unreadable_checkpoint(self, workspace, split_file, checkpoint, case):
         bad = workspace / f"ckpt-{case}.npz"
         # The default architecture: w0 (64, 19), w1 (32, 64), policy head w2 (4, 32),
@@ -313,7 +314,11 @@ class TestInputErrors:
                  "heads-apart": ({"w3": np.zeros((1, 4))},
                                  "layer 3 takes 4 inputs, but layer 1 has 32 outputs"),
                  "wide-value-head": ({"w3": np.zeros((2, 32)), "b3": np.zeros(2)},
-                                     "layer 3, the value head, has 2 outputs, not 1")}
+                                     "layer 3, the value head, has 2 outputs, not 1"),
+                 "nan-bias": ({"b2": np.array([0.0, np.nan, 0.0, 0.0])},
+                              f"checkpoint {bad} has a non-finite value in b2"),
+                 "inf-weight": ({"w0": np.full((64, 19), -np.inf)},
+                                f"checkpoint {bad} has a non-finite value in w0")}
         if case in edits:
             with np.load(checkpoint) as data:
                 arrays = dict(data)
@@ -332,6 +337,24 @@ class TestInputErrors:
         assert result.exit_code == 1
         assert result.output.startswith(message) and result.output.count("\n") == 1
         assert not (workspace / "run-unreadable").exists()
+
+    @pytest.mark.parametrize("value", ["5", "null"])
+    def test_non_string_manifest_path(self, workspace, value):
+        corpus = workspace / f"corpus-path-{value}"
+        shutil.copytree(workspace / "corpus", corpus)
+        manifest = corpus / "manifest.yaml"
+        manifest.write_text(manifest.read_text().replace("path: tr3.csv", f"path: {value}"))
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["corpus"]["manifest"] = str(manifest)
+        bad = workspace / f"config-path-{value}.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        result = CliRunner().invoke(main, ["split", "--config", str(bad),
+                                           "--out", str(workspace / "split-path.json")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: {manifest}: record 'tr3': path must be a string, "
+                                 f"got {yaml.safe_load(value)!r}\n")
+        assert not (workspace / "split-path.json").exists()
 
     def test_scheme_error(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())

@@ -5,9 +5,8 @@ import pytest
 
 from fedabr.federation import (Coordinator, FederationError, UpdateMessage,
                                UpdateRejected, personalize)
-from fedabr.net import (TrainHyper, Trajectory, a3c_gradients, apply_update, init_params,
-                        zero_gradients)
-from tests.conftest import params_close
+from fedabr.net import Gradients, TrainHyper, apply_update, init_params
+from tests.conftest import Episode, one_model_gradients, params_close
 
 HYPER = TrainHyper(clip_norm=0.0)
 
@@ -18,10 +17,10 @@ def make_params(seed=0):
 
 def make_grads(params, seed=1):
     rng = np.random.default_rng(seed)
-    traj = Trajectory([rng.normal(size=4) for _ in range(4)],
+    episode = Episode([rng.normal(size=4) for _ in range(4)],
                       [int(rng.integers(3)) for _ in range(4)],
                       [float(rng.normal()) for _ in range(4)], 0.0)
-    return a3c_gradients(params, traj, HYPER)[0]
+    return one_model_gradients(params, episode, HYPER)[0]
 
 
 def neg(grads):
@@ -188,8 +187,7 @@ class TestAggregate:
     def test_linearity(self):
         p = make_params()
         grads = [make_grads(p, seed=s) for s in range(3)]
-        from fedabr.net import mean_gradients
-        mean = mean_gradients(grads)
+        mean = Gradients(sum(g.flat for g in grads) / len(grads), p.layout)
 
         def run(payloads):
             coord = Coordinator(p, server_lr=0.05)

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, StreamEnv
-from fedabr.federation import personalize
-from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper,
-                        Trajectory, a3c_gradients, apply_update,
-                        discounted_returns, forward, init_params, load_checkpoint,
-                        mean_gradients, sample_actions, save_checkpoint, zero_frozen,
+from fedabr.federation import Coordinator, UpdateMessage, personalize
+from fedabr.net import (DivergenceError, ModelParams, NetError, Rollout, TrainHyper,
+                        a3c_gradients, apply_update, discounted_returns, forward, init_params,
+                        load_checkpoint, sample_actions, save_checkpoint, sgd_step, zero_frozen,
                         zero_gradients)
-from fedabr.pretrain import collect_rollout, collect_rollouts
-from tests.conftest import constant_trace, params_close, sample_action
+from fedabr.pretrain import collect_rollout
+from tests.conftest import (Episode, as_rollout, as_stack, constant_trace, episode_of,
+                            one_model_gradients, params_close, sample_action)
 
 ARCH = (5, 8, 6)
 
@@ -26,7 +26,7 @@ def random_trajectory(params, rng, length=6):
     states = [rng.normal(size=params.input_dim) for _ in range(length)]
     actions = [int(rng.integers(params.ladder_size)) for _ in range(length)]
     rewards = [float(rng.normal()) for _ in range(length)]
-    return Trajectory(states, actions, rewards, float(rng.normal()))
+    return Episode(states, actions, rewards, float(rng.normal()))
 
 
 def a3c_loss(params, traj, hyper, advantages=None):
@@ -196,7 +196,7 @@ class TestGradients:
         for trial in range(20):
             p = small_params(trial)
             traj = random_trajectory(p, rng)
-            grads, _ = a3c_gradients(p, traj, hyper)
+            grads, _ = one_model_gradients(p, traj, hyper)
             assert max_relative_error(grads, fd_gradient(p, traj, hyper)) < 1e-4
 
     def test_zero_advantage_policy_term(self, rng):
@@ -205,9 +205,9 @@ class TestGradients:
         hyper = TrainHyper(entropy_coef=0.0, value_coef=0.0, clip_norm=0.0)
         state = rng.normal(size=5)
         _, value = forward(p, state)
-        traj = Trajectory([state], [1], [float(value)], 0.0)  # return == V(s)
-        grads, _ = a3c_gradients(p, traj, TrainHyper(gamma=1.0, entropy_coef=0.0,
-                                                     value_coef=0.0, clip_norm=0.0))
+        traj = Episode([state], [1], [float(value)], 0.0)  # return == V(s)
+        grads, _ = one_model_gradients(p, traj, TrainHyper(gamma=1.0, entropy_coef=0.0,
+                                                           value_coef=0.0, clip_norm=0.0))
         assert all(np.allclose(g, 0, atol=1e-12) for g in grads.weights)
 
     def test_single_step_return(self):
@@ -218,15 +218,17 @@ class TestGradients:
         p = small_params()
         traj = random_trajectory(p, rng)
         p.weights[0][0, 0] = np.nan
-        with pytest.raises((DivergenceError, NetError)):
-            a3c_gradients(p, traj, TrainHyper())
+        models = as_stack(p)
+        with np.errstate(invalid="ignore"):
+            grads, losses = a3c_gradients(models, as_rollout([traj]), TrainHyper())
+        with pytest.raises(DivergenceError, match="^non-finite loss or gradient$"):
+            sgd_step(models, grads, losses, 0.1)
 
     def test_clipping_bounds_norm(self, rng):
         p = small_params()
         traj = random_trajectory(p, rng, length=10)
-        big_traj = Trajectory(traj.states, traj.actions,
-                              [r * 1e4 for r in traj.rewards], traj.bootstrap_value)
-        grads, _ = a3c_gradients(p, big_traj, TrainHyper(clip_norm=40.0))
+        big_traj = traj._replace(rewards=[r * 1e4 for r in traj.rewards])
+        grads, _ = one_model_gradients(p, big_traj, TrainHyper(clip_norm=40.0))
         norm = np.sqrt(sum(np.sum(g * g) for g in grads.weights + grads.biases))
         assert norm <= 40.0 + 1e-9
 
@@ -235,7 +237,7 @@ class TestApplyUpdate:
     def test_all_frozen(self, rng):
         p = small_params()
         traj = random_trajectory(p, rng)
-        grads, _ = a3c_gradients(p, traj, TrainHyper())
+        grads, _ = one_model_gradients(p, traj, TrainHyper())
         before = p.copy()
         apply_update(p, grads, 0.1, p.n_layers)
         assert params_close(p, before)
@@ -243,7 +245,7 @@ class TestApplyUpdate:
     @pytest.mark.parametrize("frozen", [-1, 5])
     def test_freeze_out_of_range(self, rng, frozen):
         p = small_params()
-        grads, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
+        grads, _ = one_model_gradients(p, random_trajectory(p, rng), TrainHyper())
         with pytest.raises(NetError, match=f"cannot freeze {frozen} of 4 layers"):
             apply_update(p, grads, 0.1, frozen)
         with pytest.raises(NetError, match=f"cannot freeze {frozen} of 4 layers"):
@@ -251,7 +253,7 @@ class TestApplyUpdate:
 
     def test_zero_lr(self, rng):
         p = small_params()
-        grads, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
+        grads, _ = one_model_gradients(p, random_trajectory(p, rng), TrainHyper())
         before = p.copy()
         apply_update(p, grads, 0.0)
         assert params_close(p, before)
@@ -282,7 +284,7 @@ class TestEntropyEffect:
             entropies = []
             for beta in (0.0, 1.0):
                 hyper = TrainHyper(entropy_coef=beta, lr=1e-3, clip_norm=0.0)
-                grads, _ = a3c_gradients(p, traj, hyper)
+                grads, _ = one_model_gradients(p, traj, hyper)
                 updated = p.copy()
                 apply_update(updated, grads, hyper.lr)
                 probs, _ = forward(updated, state)
@@ -291,17 +293,9 @@ class TestEntropyEffect:
 
 
 class TestHelpers:
-    def test_mean_gradients_linearity(self, rng):
-        p = small_params()
-        g1, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper(clip_norm=0.0))
-        g2, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper(clip_norm=0.0))
-        mean = mean_gradients([g1, g2])
-        for m, a, b in zip(mean.weights, g1.weights, g2.weights):
-            assert np.allclose(m, (a + b) / 2)
-
     def test_zero_frozen(self, rng):
         p = small_params()
-        g, _ = a3c_gradients(p, random_trajectory(p, rng), TrainHyper())
+        g, _ = one_model_gradients(p, random_trajectory(p, rng), TrainHyper())
         z = g.copy()
         zero_frozen(z, 1)
         assert np.all(z.weights[0] == 0)
@@ -309,6 +303,18 @@ class TestHelpers:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("name, index, value", [("w0", (0, 0), np.nan),
+                                                    ("b1", (2,), np.inf),
+                                                    ("w3", (0, 5), -np.inf)])
+    def test_non_finite_weight_rejected(self, tmp_path, name, index, value):
+        p = small_params(9)
+        (p.weights if name[0] == "w" else p.biases)[int(name[1:])][index] = value
+        path = tmp_path / "model.npz"
+        save_checkpoint(p, path)
+        with pytest.raises(NetError, match=f"^checkpoint {path} has a non-finite value "
+                                           f"in {name}$"):
+            load_checkpoint(path)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         p = small_params(9)
         path = tmp_path / "model.npz"
@@ -330,13 +336,25 @@ class TestCheckpoint:
 
 
 class TestTrajectoryValidation:
+    """A `Rollout` checks its fields' shapes and its rewards."""
+
     def test_empty(self):
-        with pytest.raises(NetError):
-            Trajectory([], [], [], 0.0)
+        with pytest.raises(NetError, match="need"):
+            Rollout(np.ones((2, 0, 3)), np.ones((2, 0), int), np.ones((2, 0)), np.zeros(2))
 
     def test_non_finite_reward(self):
-        with pytest.raises(NetError):
-            Trajectory([np.ones(3)], [0], [np.inf], 0.0)
+        with pytest.raises(NetError, match="non-finite reward"):
+            as_rollout([Episode([np.ones(3)], [0], [np.inf], 0.0)])
+
+    @pytest.mark.parametrize("field, shape", [("states", (2, 4)), ("states", (2, 3, 5, 1)),
+                                              ("actions", (2, 4)), ("rewards", (3, 3)),
+                                              ("bootstrap_values", (1,))])
+    def test_field_shapes_agree(self, field, shape):
+        fields = dict(states=np.ones((2, 3, 5)), actions=np.ones((2, 3), int),
+                      rewards=np.ones((2, 3)), bootstrap_values=np.zeros(2))
+        fields[field] = np.ones(shape)
+        with pytest.raises(NetError, match=r"need \(K, T, d\), \(K, T\)"):
+            Rollout(**fields)
 
 
 class TestHyperValidation:
@@ -360,8 +378,8 @@ class TestHyperValidation:
     def test_zero_clip_norm_turns_clipping_off(self, rng):
         p = small_params()
         traj = random_trajectory(p, rng, length=10)
-        big = Trajectory(traj.states, traj.actions, [r * 1e4 for r in traj.rewards], 0.0)
-        grads, _ = a3c_gradients(p, big, TrainHyper(clip_norm=0.0))
+        big = Episode(traj.states, traj.actions, [r * 1e4 for r in traj.rewards], 0.0)
+        grads, _ = one_model_gradients(p, big, TrainHyper(clip_norm=0.0))
         ref, _ = loop_gradients(p, big, TrainHyper(clip_norm=0.0))
         assert np.sqrt(np.sum(grads.flat ** 2)) > 40.0
         assert np.max(np.abs(grads.flat - ref.flat)) <= 1e-12 * np.max(np.abs(ref.flat))
@@ -412,14 +430,24 @@ class TestFlatLayout:
                     assert same_bits(got, pa - 0.1 * ga)
                     assert same_bits(zg, ga)
 
-        mean = mean_gradients(grads)
+        # One round of three clients steps the group model by the mean of their
+        # payloads, summed one after another in client-id order.
+        coord = Coordinator(p, server_lr=0.1, frozen_layers=frozen)
+        mean = zero_gradients(p)
         for i in range(p.n_layers):
             for part in ("weights", "biases"):
-                ref = getattr(grads[0], part)[i].copy()
+                ref = getattr(mean, part)[i]
+                ref[...] = getattr(grads[0], part)[i]
                 for g in grads[1:]:
                     ref += getattr(g, part)[i]
                 ref /= len(grads)
-                assert same_bits(getattr(mean, part)[i], ref)
+        for i in (2, 0, 1):
+            coord.register(f"c{i}", 7)
+            coord.submit(UpdateMessage(f"c{i}", 7, 0, grads[i]))
+        coord.aggregate_round(7)
+        stepped = p.copy()
+        apply_update(stepped, mean, 0.1, frozen)
+        assert same_bits(coord.fetch(7).flat, stepped.flat)
 
         other = init_params(arch, ladder, seed=seed + 1)
         mixed = p.copy()
@@ -553,7 +581,7 @@ def loop_gradients(params, traj, hyper):
 
 
 def assert_matches_loop(params, traj, hyper):
-    grads, loss = a3c_gradients(params, traj, hyper)
+    grads, loss = one_model_gradients(params, traj, hyper)
     ref, ref_loss = loop_gradients(params, traj, hyper)
     scale = np.max(np.abs(ref.flat))
     assert np.max(np.abs(grads.flat - ref.flat)) <= 1e-12 * scale
@@ -596,9 +624,9 @@ class TestBatchedGradients:
         state = env.reset()
         lengths = []
         while not env.done:
-            traj, state = collect_rollout(env, p, state, 16, rng)
-            lengths.append(len(traj.states))
-            assert_matches_loop(p, traj, hyper)
+            rollout, state = collect_rollout(env, as_stack(p), state, 16, rng)
+            lengths.append(rollout.states.shape[1])
+            assert_matches_loop(p, episode_of(rollout), hyper)
         assert lengths == [16] * (episode_len // 16) + [episode_len % 16] * (episode_len % 16 > 0)
 
 
@@ -683,23 +711,19 @@ class TestStackedGradients:
     def test_matches_per_client_loop_bit_for_bit(self, case):
         k, arch, ladder, length, hyper, seed = case
         models, trajs = stacked_inputs(k, arch, ladder, length, seed)
-        grads, losses = a3c_gradients(ModelParams.stack(models), trajs, hyper)
+        grads, losses = a3c_gradients(ModelParams.stack(models), as_rollout(trajs), hyper)
         assert grads.flat.shape == (k, models[0].flat.size) and losses.shape == (k,)
         for i, (p, traj) in enumerate(zip(models, trajs)):
             ref, ref_loss = per_client_gradients(p, traj, hyper)
             assert same_bits(grads.flat[i], ref.flat)
             assert losses[i].hex() == ref_loss.hex()
-            single, single_loss = a3c_gradients(p, traj, hyper)  # the one-client call
-            assert same_bits(single.flat, ref.flat) and single_loss.hex() == ref_loss.hex()
 
     def test_non_finite_row_is_returned_for_the_caller(self):
         models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=1)
         models[1].flat[0] = np.nan
         hyper = TrainHyper()
         with np.errstate(invalid="ignore"):
-            grads, losses = a3c_gradients(ModelParams.stack(models), trajs, hyper)
-            with pytest.raises(DivergenceError, match="non-finite loss or gradient"):
-                a3c_gradients(models[1], trajs[1], hyper)
+            grads, losses = a3c_gradients(ModelParams.stack(models), as_rollout(trajs), hyper)
         assert not np.isfinite(grads.flat[1]).all()
         for i in (0, 2):
             ref, ref_loss = per_client_gradients(models[i], trajs[i], hyper)
@@ -709,10 +733,50 @@ class TestStackedGradients:
         models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=2)
         stack = ModelParams.stack(models)
         with pytest.raises(NetError, match="for models of shape"):
-            a3c_gradients(stack, trajs[:2], TrainHyper())
-        short = Trajectory(trajs[2].states[:4], trajs[2].actions[:4], trajs[2].rewards[:4], 0.0)
-        with pytest.raises(NetError, match="differ in shape or length"):
-            a3c_gradients(stack, [*trajs[:2], short], TrainHyper())
+            a3c_gradients(stack, as_rollout(trajs[:2]), TrainHyper())
+        one_model = r"states of shape \(3, 6, 5\) for models of shape \(137,\)"
+        with pytest.raises(NetError, match=one_model):
+            a3c_gradients(models[0], as_rollout(trajs), TrainHyper())
+        wide = [t._replace(states=[np.append(s, 0.0) for s in t.states]) for t in trajs]
+        with pytest.raises(NetError, match=r"states of shape \(3, 6, 6\)"):
+            a3c_gradients(stack, as_rollout(wide), TrainHyper())
+
+
+class TestSgdStep:
+    """`sgd_step`, the divergence check that pretraining and the round loop share."""
+
+    def test_finite_step_is_apply_update(self, rng):
+        models = ModelParams.stack([small_params(i) for i in range(3)])
+        grads = ModelParams.stack([random_grads(small_params(), rng) for _ in range(3)])
+        want = models.copy()
+        apply_update(want, grads, 0.1, 1)
+        assert sgd_step(models, grads, np.zeros(3), 0.1, 1) is None
+        assert same_bits(models.flat, want.flat)
+
+    @pytest.mark.parametrize("spoiled, row, what", [
+        ({2: "loss"}, 2, "loss or gradient"),
+        ({1: "update", 2: "gradient"}, 1, "update"),
+        ({1: "gradient", 2: "update"}, 1, "loss or gradient"),
+        ({0: "frozen gradient", 1: "update"}, 0, "loss or gradient"),
+    ])
+    def test_names_the_first_failing_row(self, spoiled, row, what):
+        models = ModelParams.stack([small_params(i) for i in range(3)])
+        grads, losses = zero_gradients(models), np.zeros(3)
+        grads.flat[:, -2] = 1.0  # every row's step moves this entry
+        for i, kind in spoiled.items():
+            if kind == "loss":
+                losses[i] = np.nan
+            elif kind == "gradient":
+                grads.flat[i, -1] = np.inf
+            elif kind == "frozen gradient":
+                grads.flat[i, 0] = np.nan
+            else:  # a finite gradient whose step overflows
+                models.flat[i, -1], grads.flat[i, -1] = 1.7e308, -1e308
+        before = models.copy()
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            sgd_step(models, grads, losses, 1.0, frozen_layers=1)
+        assert str(info.value) == f"non-finite {what}" and info.value.row == row
+        assert (models.flat[:, -2] == before.flat[:, -2] - 1.0).all()  # every row stepped
 
 
 class TestStackedForward:

@@ -4,23 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, EnvError, StreamEnv
-from fedabr.net import (ModelParams, NetError, TrainHyper, Trajectory, a3c_gradients,
-                        apply_update, forward, init_params)
+from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper, apply_update,
+                        forward, init_params)
 from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
                              collect_rollouts, offline_train)
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
-from tests.conftest import constant_trace, params_close, sample_action
+from tests.conftest import Episode, as_stack, constant_trace, params_close, sample_action
+from tests.test_net import per_client_gradients
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 
 
 def plain_episode(env, params, hyper, rng, frozen_layers=0):
-    """Reference: one episode of rollout -> gradient -> SGD step cycles, which
-    update `params` in place."""
+    """Reference: one episode of rollout -> gradient -> SGD step cycles of one
+    model, built from the scalar oracles (`reference_rollout`, the per-client
+    gradient), which update `params` in place."""
     state = env.reset()
     while not env.done:
-        traj, state = collect_rollout(env, params, state, hyper.rollout_len, rng)
-        grads, _ = a3c_gradients(params, traj, hyper)
+        episode, state = reference_rollout(env, params, state, hyper.rollout_len, rng)
+        grads, _ = per_client_gradients(params, episode, hyper)
         apply_update(params, grads, hyper.lr, frozen_layers)
     return params
 
@@ -50,6 +52,16 @@ class TestOfflineTrain:
         expected = plain_episode(StreamEnv(constant_trace(1000.0), ec), params, hyper,
                                  np.random.default_rng(3))
         assert params_close(trained, expected)
+
+    @pytest.mark.parametrize("lr, message", [
+        (1e307, "epoch 1, trace 'const': non-finite update"),
+        (10.0, "epoch 1, trace 'const': non-finite loss or gradient")])
+    def test_divergence_names_epoch_and_trace(self, lr, message):
+        ec = EnvConfig(ladder=LADDER4, episode_len=40)
+        cfg = PretrainConfig(epochs=2, hyper=TrainHyper(lr=lr, rollout_len=8, clip_norm=0.0))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            offline_train([constant_trace()], cfg, ec)
+        assert str(info.value) == message
 
     def test_empty_trace_set(self):
         with pytest.raises(ValueError):
@@ -108,7 +120,7 @@ def reference_rollout(env, params, state, n_steps, rng):
         rewards.append(reward)
         state = next_state
     _, bootstrap = forward(params, state)
-    return Trajectory(states, actions, rewards, bootstrap), state
+    return Episode(states, actions, rewards, bootstrap), state
 
 
 @st.composite
@@ -151,15 +163,15 @@ class TestLockstepRollouts:
         states = [env.reset() for env in envs]
         ref_states = [env.reset() for env in ref_envs]
         while not envs[0].done:  # rollouts that cross the episode end included
-            trajs, states = collect_rollouts(envs, ModelParams.stack(models), states, n_steps,
-                                             rngs)
-            for i, traj in enumerate(trajs):
+            rollout, states = collect_rollouts(envs, ModelParams.stack(models), states,
+                                               n_steps, rngs)
+            for i in range(len(envs)):
                 ref, ref_states[i] = reference_rollout(ref_envs[i], models[i], ref_states[i],
                                                        n_steps, ref_rngs[i])
-                assert np.array_equal(np.asarray(traj.states), np.asarray(ref.states))
-                assert traj.actions == ref.actions
-                assert traj.rewards == ref.rewards
-                assert traj.bootstrap_value == ref.bootstrap_value
+                assert np.array_equal(rollout.states[i], np.asarray(ref.states))
+                assert rollout.actions[i].tolist() == ref.actions
+                assert rollout.rewards[i].tolist() == ref.rewards
+                assert rollout.bootstrap_values[i] == ref.bootstrap_value
                 assert np.array_equal(states[i], ref_states[i])
         assert all(env.done for env in ref_envs)
         for rng, ref_rng in zip(rngs, ref_rngs):
@@ -182,4 +194,4 @@ class TestLockstepRollouts:
         state = env.reset()
         state[0] = np.nan
         with pytest.raises(NetError, match="non-finite state input"):
-            collect_rollout(env, params, state, 4, np.random.default_rng(0))
+            collect_rollout(env, as_stack(params), state, 4, np.random.default_rng(0))

@@ -11,13 +11,14 @@ from fedabr import schemes
 from fedabr.discriminator import ClientCondition, poll
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
-from fedabr.net import (DivergenceError, TrainHyper, apply_update, a3c_gradients, forward,
-                        init_params, zero_frozen)
-from fedabr.pretrain import PretrainConfig, collect_rollout, offline_train
+from fedabr.net import DivergenceError, TrainHyper, apply_update, forward, init_params, zero_frozen
+from fedabr.pretrain import PretrainConfig, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError, evaluate_greedy,
                             run_scheme)
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
 from tests.conftest import params_close, qoe_of
+from tests.test_net import per_client_gradients
+from tests.test_pretrain import reference_rollout
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
 ENV = EnvConfig(ladder=LADDER4, episode_len=32)
@@ -139,8 +140,8 @@ class TestFederatedEquivalence:
             env = StreamEnv(corpus["ft0"], ENV)
             state = env.reset()
             while not env.done:
-                traj, state = collect_rollout(env, central, state, HYPER.rollout_len, rng)
-                grads, _ = a3c_gradients(central, traj, HYPER)
+                episode, state = reference_rollout(env, central, state, HYPER.rollout_len, rng)
+                grads, _ = per_client_gradients(central, episode, HYPER)
                 apply_update(central, grads, HYPER.lr, cfg.frozen_layers)
         group = corpus["ft0"].group
         assert params_close(metrics.final_group_params[group], central, tol=1e-12)
@@ -318,9 +319,10 @@ class TestDivergenceOrder:
         real = schemes.collect_rollouts
 
         def spoiled(*args):  # non-finite or huge returns for the given clients
-            trajs, states = real(*args)
-            return [replace(t, bootstrap_value=bootstraps.get(i, t.bootstrap_value))
-                    for i, t in enumerate(trajs)], states
+            rollout, states = real(*args)
+            values = rollout.bootstrap_values.copy()
+            values[list(bootstraps)] = list(bootstraps.values())
+            return replace(rollout, bootstrap_values=values), states
 
         monkeypatch.setattr(schemes, "collect_rollouts", spoiled)
         clients = tuple(ClientSpec(f"c{i}", (f"ft{i}",)) for i in range(3))
@@ -342,8 +344,8 @@ class TestDivergenceOrder:
 
 def per_client_rounds(config, traces, params0):
     """Reference: the online round loop with one model per client, each rolled
-    out, given its gradient, checked, stepped, submitted and mixed on its own,
-    in client order (the loop before the clients' models became one stack)."""
+    out, given its gradient, stepped, submitted and mixed on its own, in client
+    order, from the scalar oracles (`reference_rollout`, the per-client gradient)."""
     federated = config.scheme is Scheme.FULL_FEDERATED
     frozen = 0 if config.scheme is Scheme.ONLINE_SCRATCH else config.frozen_layers
     server_lr, mix = config.hyper.lr, 1.0
@@ -371,14 +373,14 @@ def per_client_rounds(config, traces, params0):
         total = 0.0
         while not clients[0]["env"].done:
             for c in clients:
-                traj, c["state"] = collect_rollout(c["env"], c["model"], c["state"],
-                                                   config.hyper.rollout_len, c["rng"])
-                grads, _ = a3c_gradients(c["model"], traj, config.hyper)
+                episode, c["state"] = reference_rollout(c["env"], c["model"], c["state"],
+                                                        config.hyper.rollout_len, c["rng"])
+                grads, _ = per_client_gradients(c["model"], episode, config.hyper)
                 apply_update(c["model"], grads, config.hyper.lr, frozen)
                 zero_frozen(grads, frozen)
                 coord.submit(UpdateMessage(c["spec"].id, c["group"],
                                            coord.current_round(c["group"]), grads))
-                total += sum(traj.rewards)
+                total += sum(episode.rewards)
             for gid in sorted({c["group"] for c in clients}):
                 coord.aggregate_round(gid)
             for c in clients:
