@@ -18,7 +18,7 @@ from .metrics import (QOE_METRICS, ConvergenceRule, MetricError, convergence_epo
 from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
 from .schemes import Scheme, SchemeError, run_scheme, write_rewards_csv
-from .traces import Trace, TraceError, load_manifest, split_corpus
+from .traces import Corpus, TraceError, load_manifest, split_corpus
 
 
 class RunDirError(ValueError):
@@ -44,7 +44,7 @@ def _command_body(fn):
     return wrapper
 
 
-def _load_split(path: Path, corpus: dict[str, Trace]) -> dict[str, list[str]]:
+def _load_split(path: Path, corpus: Corpus) -> dict[str, list[str]]:
     """Read a split file: each of its three sets is a list of ids from `corpus`."""
     try:
         with open(path) as f:
@@ -69,8 +69,7 @@ def _load_split(path: Path, corpus: dict[str, Trace]) -> dict[str, list[str]]:
 def split(config_path, out_path):
     """Split the corpus into pretrain / finetune / test trace sets."""
     cfg = load_config(config_path)
-    corpus = load_manifest(cfg.manifest)
-    result = split_corpus(corpus, cfg.split_seed)
+    result = split_corpus(list(load_manifest(cfg.manifest).values()), cfg.split_seed)
     data = {"pretrain": sorted(result.pretrain),
             "finetune": sorted(result.finetune),
             "test": sorted(result.test)}
@@ -89,7 +88,7 @@ def split(config_path, out_path):
 def pretrain(config_path, split_path, out_path):
     """Pretrain the shared model offline on the pretrain trace set."""
     cfg = load_config(config_path)
-    corpus = {t.id: t for t in load_manifest(cfg.manifest)}
+    corpus = load_manifest(cfg.manifest)
     ids = _load_split(Path(split_path), corpus)["pretrain"]
     if not ids:
         raise click.ClickException(f"split file {split_path} has no pretrain traces")
@@ -114,13 +113,15 @@ def pretrain(config_path, split_path, out_path):
 def run(scheme_name, config_path, split_path, ckpt_path, out_dir):
     """Run one training scheme end-to-end and write its CSV outputs."""
     cfg = load_config(config_path)
-    corpus = {t.id: t for t in load_manifest(cfg.manifest)}
+    corpus = load_manifest(cfg.manifest)
     split_data = _load_split(Path(split_path), corpus)
     scheme = Scheme(scheme_name)
     pretrained = load_checkpoint(ckpt_path) if ckpt_path else None
     sc = build_scheme_config(cfg, scheme, split_data["finetune"], split_data["test"])
+    used = [tid for spec in sc.clients for tid in spec.trace_ids] + list(sc.test_trace_ids)
+    traces = {tid: corpus[tid] for tid in used if tid in corpus}
     try:
-        metrics = run_scheme(sc, corpus, pretrained, out_dir)
+        metrics = run_scheme(sc, traces, pretrained, out_dir)
     except DivergenceError as e:
         raise click.ClickException(f"{scheme.value} diverged: {e}") from None
     click.echo(f"{scheme.value}: {len(metrics.rewards)} epochs, "

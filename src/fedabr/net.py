@@ -405,9 +405,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if activations != ["relu"] * (n - 2):
         raise NetError(f"checkpoint activations {activations}: every hidden layer "
                        "must be relu")
-    params = ModelParams.from_layers(weights, biases)
-    for i, layer in enumerate(zip(params.weights, params.biases)):
+    for i, layer in enumerate(zip(weights, biases)):
         for kind, a in zip("wb", layer):
+            if a.dtype.kind != "f":
+                raise NetError(f"checkpoint {path}: {kind}{i} holds {a.dtype} values, not floats")
             if not np.isfinite(a).all():
                 raise NetError(f"checkpoint {path} has a non-finite value in {kind}{i}")
-    return params
+    return ModelParams.from_layers(weights, biases)

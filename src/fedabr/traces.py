@@ -7,6 +7,7 @@ import io
 import math
 import sys
 import warnings
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -296,10 +297,35 @@ def parse_transport_mode(label: str) -> TransportMode:
         raise TraceError(f"unknown transport mode {label!r}") from None
 
 
-def load_manifest(path: str | Path) -> list[Trace]:
+class Corpus(Mapping[str, Trace]):
+    """A manifest's traces by id; a CSV is parsed and kept when its id is first indexed."""
+
+    def __init__(self, manifest: Path, records: dict[str, tuple]):
+        self._manifest, self._records, self._traces = manifest, records, {}
+
+    def __getitem__(self, tid: str) -> Trace:
+        if tid not in self._traces:
+            csv, nt, tm = self._records[tid]
+            try:
+                self._traces[tid] = parse_trace(csv.read_text(encoding="utf-8"), tid, nt, tm)
+            except (OSError, TraceError, UnicodeDecodeError) as e:
+                raise TraceError(f"{self._manifest}: record {tid!r}: {csv}: {e}") from None
+        return self._traces[tid]
+
+    def __contains__(self, tid) -> bool:
+        return tid in self._records
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
+def load_manifest(path: str | Path) -> Corpus:
     """Load a YAML manifest of `{id, path, network_type, transport_mode}` records.
 
-    Trace CSV paths are resolved relative to the manifest file.
+    CSV paths, relative to the manifest file, must exist; each is parsed when first used.
     """
     path = Path(path)
     try:
@@ -310,27 +336,25 @@ def load_manifest(path: str | Path) -> list[Trace]:
     if not isinstance(records, list):
         raise TraceError("manifest must be a list of records")
     keys = ("id", "path", "network_type", "transport_mode")
-    traces = []
-    ids = set()
+    entries = {}
     for rec in records:
         if not (isinstance(rec, dict) and all(key in rec for key in keys)):
             raise TraceError(f"{path}: manifest record must be a mapping with keys "
                              f"{', '.join(keys)}: {rec!r}")
-        if str(rec["id"]) in ids:
+        tid = str(rec["id"])
+        if tid in entries:
             raise TraceError(f"{path}: duplicate trace id {rec['id']!r}")
-        ids.add(str(rec["id"]))
         if not isinstance(rec["path"], str):
             raise TraceError(f"{path}: record {rec['id']!r}: path must be a string, "
                              f"got {rec['path']!r}")
-        nt = parse_network_type(str(rec["network_type"]))
-        tm = parse_transport_mode(str(rec["transport_mode"]))
+        entries[tid] = (path.parent / rec["path"], parse_network_type(str(rec["network_type"])),
+                        parse_transport_mode(str(rec["transport_mode"])))
         try:
-            text = (path.parent / rec["path"]).read_text()
+            entries[tid][0].stat()
         except OSError as e:
             raise TraceError(f"{path}: record {rec['id']!r}: cannot read "
                              f"{e.filename}: {e.strerror}") from None
-        traces.append(parse_trace(text, str(rec["id"]), nt, tm))
-    return traces
+    return Corpus(path, entries)
 
 
 def write_manifest(traces: list[Trace], directory: str | Path) -> Path:

@@ -5,6 +5,7 @@ import pytest
 
 from fedabr.env import EnvConfig, episode_qoe
 from fedabr.net import Gradients, ModelParams, Rollout, a3c_gradients
+from fedabr import traces
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 
 
@@ -79,3 +80,16 @@ def noisy_trace():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def parsed_ids(monkeypatch):
+    """The trace id of every `parse_trace` call made while the test runs, in order."""
+    calls = []
+    parse = traces.parse_trace
+
+    def counting(text, trace_id, *labels):
+        calls.append(trace_id)
+        return parse(text, trace_id, *labels)
+    monkeypatch.setattr(traces, "parse_trace", counting)
+    return calls

@@ -303,7 +303,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("case", ["text", "empty", "missing-array", "unchained",
                                       "heads-apart", "wide-value-head", "nan-bias",
-                                      "inf-weight"])
+                                      "inf-weight", "string-weight", "complex-bias"])
     def test_unreadable_checkpoint(self, workspace, split_file, checkpoint, case):
         bad = workspace / f"ckpt-{case}.npz"
         # The default architecture: w0 (64, 19), w1 (32, 64), policy head w2 (4, 32),
@@ -318,7 +318,11 @@ class TestInputErrors:
                  "nan-bias": ({"b2": np.array([0.0, np.nan, 0.0, 0.0])},
                               f"checkpoint {bad} has a non-finite value in b2"),
                  "inf-weight": ({"w0": np.full((64, 19), -np.inf)},
-                                f"checkpoint {bad} has a non-finite value in w0")}
+                                f"checkpoint {bad} has a non-finite value in w0"),
+                 "string-weight": ({"w0": np.full((64, 19), "a")},
+                                   f"checkpoint {bad}: w0 holds <U1 values, not floats"),
+                 "complex-bias": ({"b1": np.zeros(32, dtype=complex)},
+                                  f"checkpoint {bad}: b1 holds complex128 values, not floats")}
         if case in edits:
             with np.load(checkpoint) as data:
                 arrays = dict(data)
@@ -517,3 +521,96 @@ class TestReport:
         assert result.exit_code == 1
         assert result.output == "Error: anchor scheme 'nonexistent' not among runs\n"
         assert not out.exists()
+
+
+def corpus_copy(workspace, name, edits):
+    """A config whose manifest is a copy of the workspace corpus, with the
+    CSVs named in `edits` replaced by the given bytes."""
+    corpus = workspace / f"corpus-{name}"
+    shutil.copytree(workspace / "corpus", corpus)
+    for tid, data in edits.items():
+        (corpus / f"{tid}.csv").write_bytes(data)
+    config = yaml.safe_load((workspace / "config.yaml").read_text())
+    config["corpus"]["manifest"] = str(corpus / "manifest.yaml")
+    path = workspace / f"config-{name}.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return path, corpus
+
+
+class TestTraceReads:
+    """Each command parses only the trace CSVs it uses, and a trace CSV error
+    names the manifest, the record and the file."""
+
+    def test_split_parses_every_trace(self, workspace, parsed_ids):
+        result = invoke("split", "--config", workspace / "config.yaml",
+                        "--out", workspace / "split-count.json")
+        assert result.exit_code == 0
+        assert sorted(parsed_ids) == [f"tr{i}" for i in range(8)]
+
+    def test_pretrain_parses_pretrain_traces(self, workspace, split_file, parsed_ids):
+        result = invoke("pretrain", "--config", workspace / "config.yaml", "--split", split_file,
+                        "--out", workspace / "ckpt-count.npz")
+        assert result.exit_code == 0
+        assert sorted(parsed_ids) == sorted(json.loads(split_file.read_text())["pretrain"])
+
+    @pytest.mark.parametrize("scheme", ["offline_only", "full_federated"])
+    def test_run_parses_client_and_test_traces(self, workspace, split_file, checkpoint,
+                                               parsed_ids, scheme):
+        result = invoke("run", "--scheme", scheme, "--config", workspace / "config.yaml",
+                        "--split", split_file, "--checkpoint", checkpoint,
+                        "--out", workspace / f"run-count-{scheme}")
+        assert result.exit_code == 0
+        split = json.loads(split_file.read_text())
+        assert sorted(parsed_ids) == sorted(split["finetune"] + split["test"])
+
+    def test_run_parses_configured_clients_traces(self, workspace, split_file, checkpoint,
+                                                  parsed_ids):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["run"]["clients"] = [{"id": "a", "traces": ["tr0", "tr1"]},
+                                    {"id": "b", "traces": ["tr1"]}]
+        path = workspace / "config-clients-count.yaml"
+        path.write_text(yaml.safe_dump(config))
+        result = invoke("run", "--scheme", "transfer_only", "--config", path,
+                        "--split", split_file, "--checkpoint", checkpoint,
+                        "--out", workspace / "run-count-clients")
+        assert result.exit_code == 0
+        test = json.loads(split_file.read_text())["test"]
+        assert sorted(parsed_ids) == sorted({"tr0", "tr1", *test})
+
+    def test_split_error_names_file(self, workspace):
+        config, corpus = corpus_copy(workspace, "bad-row", {"tr5": b"0,1000\n1,abc\n"})
+        out = workspace / "split-bad-row.json"
+        result = CliRunner().invoke(main, ["split", "--config", str(config), "--out", str(out)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: {corpus / 'manifest.yaml'}: record 'tr5': "
+                                 f"{corpus / 'tr5.csv'}: line 2: could not convert string "
+                                 "to float: 'abc'\n")
+        assert not out.exists()
+
+    def test_split_rejects_non_utf8_csv(self, workspace):
+        config, corpus = corpus_copy(workspace, "utf16", {"tr2": b"\xff\xfe0\x00,\x001\x00"})
+        result = CliRunner().invoke(main, ["split", "--config", str(config),
+                                           "--out", str(workspace / "split-utf16.json")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {corpus / 'manifest.yaml'}: record 'tr2': "
+                                        f"{corpus / 'tr2.csv'}: 'utf-8' codec can't decode")
+        assert result.output.count("\n") == 1
+
+    def test_bad_test_trace_fails_before_training(self, workspace, split_file, checkpoint,
+                                                  monkeypatch):
+        test_id = json.loads(split_file.read_text())["test"][0]
+        config, corpus = corpus_copy(workspace, "bad-test", {test_id: b"0,1000\n"})
+        started = []
+        monkeypatch.setattr("fedabr.cli.run_scheme", lambda *args: started.append(args))
+        out = workspace / "run-bad-test"
+        result = CliRunner().invoke(main, [str(a) for a in (
+            "run", "--scheme", "transfer_only", "--config", config, "--split", split_file,
+            "--checkpoint", checkpoint, "--out", out)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: {corpus / 'manifest.yaml'}: record {test_id!r}: "
+                                 f"{corpus / f'{test_id}.csv'}: trace {test_id!r}: "
+                                 "needs at least 2 samples\n")
+        assert started == [] and not out.exists()

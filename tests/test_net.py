@@ -315,6 +315,19 @@ class TestCheckpoint:
                                            f"in {name}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, value", [("w0", "a"), ("b1", 1j), ("w2", 1), ("b3", True)])
+    def test_non_float_array_rejected(self, tmp_path, name, value):
+        p = small_params(9)
+        path = tmp_path / "model.npz"
+        save_checkpoint(p, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = np.full(arrays[name].shape, value)
+        np.savez(path, **arrays)
+        with pytest.raises(NetError, match=rf"^checkpoint {path}: {name} holds "
+                                           rf"{arrays[name].dtype} values, not floats$"):
+            load_checkpoint(path)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         p = small_params(9)
         path = tmp_path / "model.npz"

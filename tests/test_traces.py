@@ -409,7 +409,7 @@ class TestManifest:
     def test_roundtrip(self, tmp_path, noisy_trace):
         traces = [noisy_trace, constant_trace(trace_id="c1", nt=NT.THREE_G, tm=TM.FERRY)]
         manifest = write_manifest(traces, tmp_path)
-        loaded = load_manifest(manifest)
+        loaded = list(load_manifest(manifest).values())
         assert same_traces(loaded, traces)
 
     def test_bus_maps_to_car(self, tmp_path):
@@ -417,7 +417,7 @@ class TestManifest:
         manifest = tmp_path / "manifest.yaml"
         manifest.write_text(manifest.read_text().replace("car", "bus"))
         with pytest.warns(UserWarning, match="bus"):
-            loaded = load_manifest(manifest)
+            loaded = list(load_manifest(manifest).values())
         assert loaded[0].transport_mode is TM.CAR
 
     @pytest.mark.parametrize("record", ["- 5", "- idpathnetwork_typetransport_mode",
@@ -458,7 +458,7 @@ class TestManifest:
         loaded = []
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
             monkeypatch.setattr(traces_module, "YAML_LOADER", loader)
-            loaded.append(load_manifest(manifest))
+            loaded.append(list(load_manifest(manifest).values()))
         assert same_traces(loaded[0], traces) and same_traces(loaded[1], traces)
 
     def test_missing_manifest(self, tmp_path):
@@ -468,3 +468,81 @@ class TestManifest:
     def test_parse_transport_unknown(self):
         with pytest.raises(TraceError):
             parse_transport_mode("submarine")
+
+    @pytest.mark.parametrize("text, error", [
+        ("0,1000\n1,abc\n", "line 2: could not convert string to float: 'abc'"),
+        ("# only a comment\n", "empty trace file"),
+        ("0,1000\n", "trace 'b': needs at least 2 samples"),
+        ("0,1000\n1,-5\n", "trace 'b': bandwidth -5.0 at t=1.0 is not finite and non-negative"),
+    ])
+    def test_csv_error_names_file(self, tmp_path, text, error):
+        traces = [constant_trace(trace_id="a"), constant_trace(trace_id="b")]
+        manifest = write_manifest(traces, tmp_path)
+        (tmp_path / "b.csv").write_text(text)
+        corpus = load_manifest(manifest)
+        assert same_traces([corpus["a"]], traces[:1])
+        with pytest.raises(TraceError) as info:
+            corpus["b"]
+        assert str(info.value) == f"{manifest}: record 'b': {tmp_path / 'b.csv'}: {error}"
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe0,1000\n1,1000\n", b"0,1000\n1,10\xe900\n"])
+    def test_csv_not_utf8(self, tmp_path, data):
+        manifest = write_manifest([constant_trace(trace_id="a")], tmp_path)
+        (tmp_path / "a.csv").write_bytes(data)
+        with pytest.raises(TraceError, match=rf"^{re.escape(str(manifest))}: record 'a': "
+                                             rf"{re.escape(str(tmp_path / 'a.csv'))}: "
+                                             "'utf-8' codec can't decode byte"):
+            load_manifest(manifest)["a"]
+
+
+class TestLazyManifest:
+    """`load_manifest` checks every record at once, and parses a CSV only
+    when its trace is first indexed."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, noisy_trace):
+        traces = [noisy_trace, constant_trace(trace_id="c1", nt=NT.THREE_G, tm=TM.FERRY),
+                  constant_trace(trace_id="c2", nt=NT.WIFI, tm=TM.TRAIN)]
+        return traces, write_manifest(traces, tmp_path)
+
+    def test_len_in_and_iteration_parse_nothing(self, corpus, parsed_ids):
+        _, manifest = corpus
+        loaded = load_manifest(manifest)
+        assert len(loaded) == 3
+        assert "c1" in loaded and "c9" not in loaded and 5 not in loaded
+        assert list(loaded) == ["noisy", "c1", "c2"]
+        assert list(loaded.keys()) == ["noisy", "c1", "c2"]
+        assert parsed_ids == []
+
+    def test_each_trace_parsed_once(self, corpus, parsed_ids):
+        _, manifest = corpus
+        loaded = load_manifest(manifest)
+        first = loaded["c1"]
+        assert loaded["c1"] is first and loaded.get("c1") is first
+        assert parsed_ids == ["c1"]
+        assert loaded.get("c9") is None
+        with pytest.raises(KeyError):
+            loaded["c9"]
+        assert parsed_ids == ["c1"]
+
+    def test_same_traces_as_eager_parse(self, corpus, parsed_ids):
+        traces, manifest = corpus
+        loaded = dict(load_manifest(manifest))
+        assert sorted(parsed_ids) == sorted(t.id for t in traces)
+        eager = [parse_trace((manifest.parent / f"{t.id}.csv").read_text(), t.id,
+                             t.network_type, t.transport_mode) for t in traces]
+        assert list(loaded) == [t.id for t in traces]
+        assert same_traces(list(loaded.values()), eager) and same_traces(eager, traces)
+
+    def test_read_only(self, corpus):
+        loaded = load_manifest(corpus[1])
+        with pytest.raises(TypeError):
+            loaded["c1"] = loaded["c2"]
+
+    def test_records_checked_before_any_parse(self, corpus, parsed_ids):
+        _, manifest = corpus
+        (manifest.parent / "c1.csv").write_text("not,a,trace,at,all\n")
+        (manifest.parent / "c2.csv").unlink()
+        with pytest.raises(TraceError, match="'c2'.*c2.csv"):
+            load_manifest(manifest)
+        assert parsed_ids == []
