@@ -12,8 +12,8 @@ import click
 import numpy as np
 
 from .config import ConfigError, build_scheme_config, load_config
-from .env import QoESummary
-from .metrics import (QOE_METRICS, ConvergenceRule, MetricError, convergence_epoch,
+from .env import EnvError
+from .metrics import (QOE_METRICS, ConvergenceRule, MetricError, QoESummary, convergence_epoch,
                       efficiency_gain, qoe_report, speedup_percent)
 from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint
 from .pretrain import offline_train
@@ -39,7 +39,8 @@ def _command_body(fn):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 return fn(*args, **kwargs)
-            except (ConfigError, TraceError, SchemeError, NetError, MetricError, RunDirError) as e:
+            except (ConfigError, TraceError, EnvError, SchemeError, NetError, MetricError,
+                    RunDirError) as e:
                 raise click.ClickException(str(e)) from None
     return wrapper
 

@@ -6,14 +6,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-import yaml
-
 from .discriminator import ClientCondition
 from .env import EnvConfig
 from .net import TrainHyper
 from .pretrain import PretrainConfig
 from .schemes import ClientSpec, Scheme, SchemeConfig
-from .traces import YAML_LOADER, parse_network_type, parse_transport_mode
+from .traces import load_yaml, parse_network_type, parse_transport_mode
 
 
 class ConfigError(ValueError):
@@ -87,8 +85,7 @@ def _section(raw: dict, name: str) -> dict:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    with open(path) as f:
-        raw = yaml.load(f, Loader=YAML_LOADER) or {}
+    raw = load_yaml(path, "config", ConfigError) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping of sections")
     unknown = [str(k) for k in raw if k not in SECTIONS]
@@ -120,11 +117,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _parse_schedule(entries, client_id: str):
-    schedule = []
-    for when, nt, tm in entries:
-        schedule.append((float(when), ClientCondition(
-            client_id, parse_network_type(nt), parse_transport_mode(tm))))
-    return tuple(schedule)
+    """A `condition_schedule`: `[t, network_type, transport_mode]` entries in time order."""
+    if not (isinstance(entries, list) and all(isinstance(e, list) and len(e) == 3 and type(
+            e[0]) in (int, float) for e in entries)):
+        raise ValueError("condition_schedule must be a list of [t, network_type, "
+                         f"transport_mode] entries, got {entries!r}")
+    times = [float(e[0]) for e in entries]
+    if not all(a <= b for a, b in zip(times, times[1:])):  # NaN is never in order
+        raise ValueError(f"condition_schedule times must not decrease, got {times}")
+    return tuple((t, ClientCondition(client_id, parse_network_type(nt), parse_transport_mode(tm)))
+                 for t, (_, nt, tm) in zip(times, entries))
 
 
 def _client_spec(index: int, rec) -> ClientSpec:
@@ -133,10 +135,13 @@ def _client_spec(index: int, rec) -> ClientSpec:
         raise ConfigError(f"run.clients record must be a mapping with keys id and traces: "
                           f"{rec!r}")
     _check_integers(f"run.clients[{index}]", rec, {"seed": int | None})
+    traces = rec["traces"]
     try:
+        if not (isinstance(traces, list) and traces and all(isinstance(t, str) for t in traces)):
+            raise ValueError(f"traces must be a non-empty list of trace ids, got {traces!r}")
         return ClientSpec(
             str(rec["id"]),
-            tuple(rec["traces"]),
+            tuple(traces),
             rec.get("seed"),
             _parse_schedule(rec["condition_schedule"], str(rec["id"]))
             if rec.get("condition_schedule") else None,

@@ -68,25 +68,6 @@ class StepOutcome(NamedTuple):
     reward: float
 
 
-@dataclass(frozen=True)
-class QoESummary:
-    mean_bitrate_kbps: float
-    stall_rate: float
-    mean_delay_ms: float
-
-
-def episode_qoe(achieved_kbps, delay_ms, stall_s, step_s: float = 1.0) -> QoESummary:
-    """Summarize an episode from its per-step achieved bitrates, delays and stall
-    times: mean achieved bitrate, stall-time fraction, mean delay."""
-    if len(achieved_kbps) == 0:
-        raise EnvError("empty episode")
-    return QoESummary(
-        mean_bitrate_kbps=float(np.mean(achieved_kbps)),
-        stall_rate=float(sum(stall_s) / (len(stall_s) * step_s)),
-        mean_delay_ms=float(np.mean(delay_ms)),
-    )
-
-
 class StreamEnv:
     """Single-session environment. Stateful; create one per concurrent client."""
 

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .env import QoESummary
 
 
 class MetricError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class QoESummary:
+    """Mean achieved bitrate, fraction of time stalled, mean delay: of a session or a mean."""
+    mean_bitrate_kbps: float
+    stall_rate: float
+    mean_delay_ms: float
+
+
+QOE_METRICS = tuple(f.name for f in fields(QoESummary))
 
 
 @dataclass(frozen=True)
@@ -69,9 +78,6 @@ def speedup_percent(t_base: float, t_new: float) -> float:
     if t_base <= 0 or t_new <= 0:
         raise MetricError("convergence times must be positive")
     return 100.0 * (t_base - t_new) / t_new
-
-
-QOE_METRICS = ("mean_bitrate_kbps", "stall_rate", "mean_delay_ms")
 
 
 def qoe_report(summaries: dict[str, QoESummary], anchor: str) -> list[dict]:

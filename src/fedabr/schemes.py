@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .discriminator import ClientCondition, poll
-from .env import EnvConfig, QoESummary, StreamEnv, episode_qoe
+from .env import EnvConfig, StreamEnv
 from .federation import Coordinator, UpdateMessage, personalize
-from .metrics import QOE_METRICS
+from .metrics import QOE_METRICS, QoESummary
 from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, a3c_gradients,
                   forward, init_params, save_checkpoint, sgd_step, zero_frozen,
                   zero_gradients)
@@ -122,31 +122,29 @@ def _initial_params(config: SchemeConfig, pretrained: ModelParams | None) -> Mod
 
 
 def evaluate_greedy(models: list[ModelParams], traces: list[Trace], env_config: EnvConfig
-                    ) -> list[list[tuple[QoESummary, float]]]:
+                    ) -> np.ndarray:
     """Greedy (argmax) episodes of every model on every trace, all in lockstep: a
     step is one `forward` of the stacked models on the (traces, models, d) states,
-    an argmax per session and one `env.step` per session. Returns, per trace, each
-    model's (QoE summary, mean step reward)."""
+    an argmax per session and one `env.step` per session. Returns the (4, traces,
+    models) array of per-session means: achieved bitrate, stall rate (stall time
+    over episode time), delay and step reward."""
+    n = env_config.episode_len
     if not traces:
-        return []
+        return np.empty((4, 0, len(models)))
     envs = [StreamEnv(trace, env_config) for trace in traces for _ in models]
     stack = ModelParams.stack(models)
     states = np.array([env.reset(0.0) for env in envs])
     # Per session and step: achieved bitrate, delay, stall time, reward (`o[3:]`).
-    achieved, delay, stall, reward = np.empty((4, len(envs), env_config.episode_len))
-    for t in range(env_config.episode_len):
+    achieved, delay, stall, reward = np.empty((4, len(envs), n))
+    for t in range(n):
         probs, _ = forward(stack, states.reshape(len(traces), len(models), -1))
         for i, (env, a) in enumerate(zip(envs, probs.argmax(axis=-1).ravel().tolist())):
             states[i], _, o = env.step(a)
             achieved[i, t], delay[i, t], stall[i, t], reward[i, t] = o[3:]
-    results = [(episode_qoe(achieved[i], delay[i], stall[i], env_config.step_s),
-                float(np.mean(reward[i]))) for i in range(len(envs))]
-    return [results[j:j + len(models)] for j in range(0, len(results), len(models))]
-
-
-def _mean_qoe(summaries: list[QoESummary]) -> QoESummary:
-    return QoESummary(**{m: float(np.mean([getattr(s, m) for s in summaries]))
-                         for m in QOE_METRICS})
+    # The stall time adds up in step order, as a running total does.
+    stall_rate = np.add.accumulate(stall, axis=1)[:, -1] / (n * env_config.step_s)
+    means = (achieved.mean(axis=1), stall_rate, delay.mean(axis=1), reward.mean(axis=1))
+    return np.stack(means).reshape(4, len(traces), len(models))
 
 
 @dataclass
@@ -162,49 +160,40 @@ def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
                out_dir: str | Path | None = None) -> RunMetrics:
     """Execute a scheme end-to-end. Deterministic under (config, traces, seeds)."""
     t0 = time.perf_counter()
-    for spec in config.clients:
-        for tid in spec.trace_ids:
-            if tid not in traces:
-                raise SchemeError(f"unknown trace id {tid!r} for client {spec.id!r}")
-    for tid in config.test_trace_ids:
+    need = config.env.episode_len * config.env.step_s
+    uses = [(tid, f"trace id {tid!r} for client {spec.id!r}")
+            for spec in config.clients for tid in spec.trace_ids]
+    for tid, what in uses + [(tid, f"test trace id {tid!r}") for tid in config.test_trace_ids]:
         if tid not in traces:
-            raise SchemeError(f"unknown test trace id {tid!r}")
+            raise SchemeError(f"unknown {what}")
+        start, end = traces[tid].times[[0, -1]].tolist()
+        if not (start <= 0.0 and need <= end):  # the span that `StreamEnv.reset(0.0)` reads
+            raise SchemeError(f"{what} spans [{start}, {end}]s, not one episode [0, {need}]s")
 
     params0 = _initial_params(config, pretrained)
+    train = _run_offline_only if config.scheme is Scheme.OFFLINE_ONLY else _train_rounds
     with _staged_dir(Path(out_dir) if out_dir is not None else None) as work_dir:
-        if config.scheme is Scheme.OFFLINE_ONLY:
-            rewards = _run_offline_only(config, traces, params0)
-            clients = {spec.id: params0.copy() for spec in config.clients}
-            groups: dict[int, ModelParams] = {}
-            transcript: list[dict] = []
-        else:
-            rewards, clients, groups, transcript = _train_rounds(config, traces, params0)
-
-        # Test-set evaluation: greedy episodes of every client's final model.
-        results = dict(zip(config.test_trace_ids, evaluate_greedy(
-            [clients[cid] for cid in sorted(clients)],
-            [traces[tid] for tid in config.test_trace_ids], config.env)))
-        per_trace = {tid: _mean_qoe([q for q, _ in rows]) for tid, rows in results.items()}
-        per_trace_rewards = {tid: float(np.mean([r for _, r in rows]))
-                             for tid, rows in results.items()}
-        overall_qoe = (_mean_qoe(list(per_trace.values())) if per_trace
-                       else QoESummary(0.0, 0.0, 0.0))
-        mean_test_reward = (float(np.mean(list(per_trace_rewards.values())))
-                            if per_trace_rewards else 0.0)
-
+        rewards, clients, groups, transcript = train(config, traces, params0)
+        # Test-set evaluation: greedy episodes of every client's final model on each
+        # distinct test trace, averaged over the models, then over the traces.
+        test_ids = list(dict.fromkeys(config.test_trace_ids))
+        per_trace = evaluate_greedy([clients[cid] for cid in sorted(clients)],
+                                    [traces[tid] for tid in test_ids], config.env).mean(axis=2)
+        overall = per_trace.mean(axis=1).tolist() if test_ids else [0.0] * 4
+        rows = dict(zip(test_ids, per_trace.T.tolist()))
         metrics = RunMetrics(
             scheme=config.scheme,
             rewards=rewards,
             wall_time_s=time.perf_counter() - t0,
-            qoe_per_trace=per_trace,
-            qoe=overall_qoe,
-            mean_test_reward=mean_test_reward,
+            qoe_per_trace={tid: QoESummary(*row[:3]) for tid, row in rows.items()},
+            qoe=QoESummary(*overall[:3]),
+            mean_test_reward=overall[3],
             final_client_params=clients,
             final_group_params=groups,
             transcript=transcript,
         )
         if work_dir is not None:
-            _write_outputs(metrics, per_trace_rewards, config, work_dir)
+            _write_outputs(metrics, {tid: row[3] for tid, row in rows.items()}, config, work_dir)
     return metrics
 
 
@@ -233,9 +222,8 @@ def _staged_dir(out_dir: Path | None):
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
-                      params: ModelParams) -> list[float]:
-    """Evaluation-only reward series: the model never updates."""
+def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace], params: ModelParams):
+    """`_train_rounds`'s tuple for a run in which no model ever updates: rewards only."""
     rewards = []
     rngs = [_client_rng(config, spec, i) for i, spec in enumerate(config.clients)]
     models = ModelParams.stack([params] * len(config.clients))
@@ -246,7 +234,7 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace],
                                       config.env.episode_len, rngs)
         rewards.append(float(np.mean([sum(row) / config.env.episode_len
                                       for row in rollout.rewards.tolist()])))
-    return rewards
+    return rewards, {spec.id: params.copy() for spec in config.clients}, {}, []
 
 
 def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams):

@@ -31,14 +31,9 @@ class TransportMode(enum.Enum):
     TRAIN = "train"
 
 
-# Column-major over (network type, transport mode): 3g/foot=1 ... wifi/train=12.
-_NETWORK_ORDER = [NetworkType.THREE_G, NetworkType.FOUR_G, NetworkType.WIFI]
-_TRANSPORT_ORDER = [TransportMode.FOOT, TransportMode.CAR, TransportMode.FERRY, TransportMode.TRAIN]
-
-
 def group_of(nt: NetworkType, tm: TransportMode) -> int:
-    """Map a (network type, transport mode) pair to its group id in [1, 12]."""
-    return 4 * _NETWORK_ORDER.index(nt) + _TRANSPORT_ORDER.index(tm) + 1
+    """The pair's group id, in enum order, transport fastest: 3g/foot=1 ... wifi/train=12."""
+    return 4 * list(NetworkType).index(nt) + list(TransportMode).index(tm) + 1
 
 
 class TraceError(ValueError):
@@ -274,27 +269,34 @@ def synthesize_trace(family: SynthFamily, trace_id: str, network_type: NetworkTy
     return Trace(trace_id, t, np.maximum(bw, 0.0), network_type, transport_mode)
 
 
-_NETWORK_LABELS = {"3g": NetworkType.THREE_G, "4g": NetworkType.FOUR_G, "wifi": NetworkType.WIFI}
-_TRANSPORT_LABELS = {m.value: m for m in TransportMode}
-
-
 def parse_network_type(label: str) -> NetworkType:
     try:
-        return _NETWORK_LABELS[label.lower()]
-    except KeyError:
+        return NetworkType(str(label).lower())
+    except ValueError:
         raise TraceError(f"unknown network type {label!r}") from None
 
 
 def parse_transport_mode(label: str) -> TransportMode:
-    label = label.lower()
+    label = str(label).lower()
     if label == "bus":
         # Group table has no bus column; treat it as car.
         warnings.warn("transport mode 'bus' mapped to 'car'", stacklevel=2)
         return TransportMode.CAR
     try:
-        return _TRANSPORT_LABELS[label]
-    except KeyError:
+        return TransportMode(label)
+    except ValueError:
         raise TraceError(f"unknown transport mode {label!r}") from None
+
+
+def load_yaml(path: Path, what: str, error: type[Exception]):
+    """The document of a UTF-8 YAML file; `error`, naming the file, if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return yaml.load(f, Loader=YAML_LOADER)
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e.strerror}") from None
+    except (yaml.YAMLError, UnicodeDecodeError) as e:  # on one line: YAML's spans several
+        raise error(f"cannot parse {what} {path}: {' '.join(str(e).split())}") from None
 
 
 class Corpus(Mapping[str, Trace]):
@@ -328,11 +330,7 @@ def load_manifest(path: str | Path) -> Corpus:
     CSV paths, relative to the manifest file, must exist; each is parsed when first used.
     """
     path = Path(path)
-    try:
-        with open(path) as f:
-            records = yaml.load(f, Loader=YAML_LOADER)
-    except OSError as e:
-        raise TraceError(f"cannot read manifest {path}: {e.strerror}") from None
+    records = load_yaml(path, "manifest", TraceError)
     if not isinstance(records, list):
         raise TraceError("manifest must be a list of records")
     keys = ("id", "path", "network_type", "transport_mode")

@@ -3,7 +3,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fedabr.env import EnvConfig, episode_qoe
+from fedabr.env import EnvConfig
+from fedabr.metrics import QoESummary
 from fedabr.net import Gradients, ModelParams, Rollout, a3c_gradients
 from fedabr import traces
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
@@ -51,6 +52,14 @@ def one_model_gradients(params, episode, hyper):
     """`a3c_gradients` of one model on one episode: the K = 1 stack, row 0 back."""
     grads, losses = a3c_gradients(as_stack(params), as_rollout([episode]), hyper)
     return Gradients(grads.flat[0], params.layout), float(losses[0])
+
+
+def episode_qoe(achieved_kbps, delay_ms, stall_s, step_s=1.0) -> QoESummary:
+    """Reference per-session QoE of an episode's per-step achieved bitrates, delays
+    and stall times: mean achieved bitrate, stall-time fraction, mean delay."""
+    return QoESummary(mean_bitrate_kbps=float(np.mean(achieved_kbps)),
+                      stall_rate=float(sum(stall_s) / (len(stall_s) * step_s)),
+                      mean_delay_ms=float(np.mean(delay_ms)))
 
 
 def qoe_of(outcomes, step_s=1.0):

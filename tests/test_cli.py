@@ -241,6 +241,21 @@ class TestInputErrors:
         ("c0", "keys id and traces"),
         ({"id": "c0", "traces": ["tr0"], "condition_schedule": [[0, "4g"]]}, "'c0'"),
         (None, "'auto' or a list of records, got 5"),
+        ({"id": "c0", "traces": []},
+         "'c0': traces must be a non-empty list of trace ids, got []"),
+        ({"id": "c0", "traces": "tr0"}, "'c0': traces must be a non-empty list"),
+        ({"id": "c0", "traces": [["tr0"]]}, "'c0': traces must be a non-empty list"),
+        ({"id": "c0", "traces": ["tr0"],
+          "condition_schedule": [[5, "4g", "car"], [0, "wifi", "car"]]},
+         "'c0': condition_schedule times must not decrease, got [5.0, 0.0]"),
+        ({"id": "c0", "traces": ["tr0"], "condition_schedule": [[0, 4, "car"]]},
+         "'c0': unknown network type 4"),
+        ({"id": "c0", "traces": ["tr0"], "condition_schedule": [[0, "4g", "CAR", 1]]},
+         "'c0': condition_schedule must be a list of [t, network_type, transport_mode]"),
+        ({"id": "c0", "traces": ["tr0"], "condition_schedule": [["0", "4g", "car"]]},
+         "'c0': condition_schedule must be a list of"),
+        ({"id": "c0", "traces": ["tr0"], "condition_schedule": {"0": ["4g", "car"]}},
+         "'c0': condition_schedule must be a list of"),
     ])
     def test_malformed_client_record(self, workspace, split_file, checkpoint, record, message):
         config = yaml.safe_load((workspace / "config.yaml").read_text())
@@ -359,6 +374,49 @@ class TestInputErrors:
         assert result.output == (f"Error: {manifest}: record 'tr3': path must be a string, "
                                  f"got {yaml.safe_load(value)!r}\n")
         assert not (workspace / "split-path.json").exists()
+
+    @pytest.mark.parametrize("what, data", [
+        ("config", b"corpus: {manifest: x\n"), ("config", b"corpus: {manifest: \xff}\n"),
+        ("manifest", b"- {id: a\n"), ("manifest", b"- {id: a\xff}\n")])
+    @pytest.mark.parametrize("command", ["split", "pretrain", "run"])
+    def test_unparsable_yaml(self, workspace, split_file, checkpoint, what, data, command):
+        name = f"yaml-{command}-{what}-{len(data)}"
+        config, corpus = corpus_copy(workspace, name, {})
+        bad = config if what == "config" else corpus / "manifest.yaml"
+        bad.write_bytes(data)
+        out = workspace / f"out-{name}"
+        args = {"split": [], "pretrain": ["--split", split_file],
+                "run": ["--scheme", "transfer_only", "--split", split_file,
+                        "--checkpoint", checkpoint]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (
+            command, "--config", config, *args, "--out", out)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: cannot parse {what} {bad}: ")
+        assert result.output.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("pretrain", "too short: episode needs 60.0s, trace ends at 40.0s"),
+        ("run", "for client 'client-0' spans [0.0, 40.0]s, not one episode [0, 60.0]s")])
+    def test_episode_longer_than_traces(self, workspace, split_file, checkpoint, command,
+                                        message, monkeypatch):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["env"]["episode_len"] = 60
+        bad = workspace / "config-long-episode.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        started = []
+        monkeypatch.setattr("fedabr.schemes._train_rounds", lambda *args: started.append(args))
+        out = workspace / f"out-long-episode-{command}"
+        args = [] if command == "pretrain" else ["--scheme", "transfer_only",
+                                                 "--checkpoint", checkpoint]
+        result = CliRunner().invoke(main, [str(a) for a in (
+            command, "--config", bad, "--split", split_file, *args, "--out", out)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert message in result.output
+        assert started == [] and not out.exists()
 
     def test_scheme_error(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedabr.env import (_EPS_KBPS, DEFAULT_LADDER, EnvConfig, EnvError, StepOutcome, StreamEnv,
-                        episode_qoe)
+from fedabr.env import _EPS_KBPS, DEFAULT_LADDER, EnvConfig, EnvError, StepOutcome, StreamEnv
+from fedabr.net import forward, init_params
+from fedabr.schemes import evaluate_greedy
 from fedabr.traces import NetworkType, Trace, TransportMode, bandwidth_at
-from tests.conftest import constant_trace, qoe_of
+from tests.conftest import constant_trace
 
 
 def _clamp01(x):
@@ -91,42 +92,56 @@ class TestStep:
             env.step(0)
 
 
+def greedy_model(cfg, action=None, seed=0):
+    """A small model; with `action`, one whose greedy choice is always that rung."""
+    params = init_params((cfg.state_dim, 8), len(cfg.ladder), seed)
+    if action is not None:
+        params.weights[-2][:] = 0.0  # policy logits = policy bias
+        params.biases[-2][action] = 1.0
+    return params
+
+
 class TestEpisodeQoe:
-    def _run(self, actions, cfg=None):
-        cfg = cfg or EnvConfig(episode_len=len(actions))
-        env = StreamEnv(constant_trace(1000), cfg)
-        env.reset()
-        return [env.step(a)[2] for a in actions]
+    """The per-session QoE that `evaluate_greedy` reduces from an episode's steps:
+    rows (bitrate, stall rate, delay, reward) of a (4, traces, models) array."""
 
     def test_no_stalls(self):
-        outcomes = self._run([0] * 10)
-        assert qoe_of(outcomes).stall_rate == 0
+        cfg = EnvConfig(episode_len=10)
+        qoe = evaluate_greedy([greedy_model(cfg, 0)], [constant_trace(1000)], cfg)
+        assert qoe[:3, 0, 0].tolist() == [DEFAULT_LADDER[0], 0.0, cfg.base_rtt_ms]
 
     def test_stall_fraction(self):
-        cfg = EnvConfig(episode_len=300)
-        env = StreamEnv(constant_trace(1000), cfg)
+        cfg = EnvConfig(episode_len=270, step_s=0.5)
+        env = StreamEnv(constant_trace(4000), cfg)
         env.reset()
-        outcomes = [env.step(5)[2] for _ in range(270)]  # overload: stalls quickly
+        outcomes = [env.step(5)[2] for _ in range(270)]  # overload: the backlog grows
         stalled = sum(1 for o in outcomes if o.stall_s > 0)
-        qoe = qoe_of(outcomes, cfg.step_s)
-        assert qoe.stall_rate == pytest.approx(stalled / len(outcomes))
+        assert 0 < stalled < len(outcomes)
+        qoe = evaluate_greedy([greedy_model(cfg, 5)], [constant_trace(4000)], cfg)
+        assert qoe[1, 0, 0] == pytest.approx(stalled / len(outcomes))
 
-    def test_resummation_oracle(self, noisy_trace, rng):
+    def test_resummation_oracle(self, noisy_trace):
         cfg = EnvConfig(episode_len=100)
-        env = StreamEnv(noisy_trace, cfg)
-        env.reset()
-        outcomes = [env.step(int(rng.integers(len(cfg.ladder))))[2] for _ in range(100)]
-        qoe = qoe_of(outcomes, cfg.step_s)
-        assert qoe.mean_bitrate_kbps == pytest.approx(
-            sum(o.achieved_kbps for o in outcomes) / len(outcomes))
-        assert qoe.mean_delay_ms == pytest.approx(
-            sum(o.delay_ms for o in outcomes) / len(outcomes))
-        assert qoe.stall_rate == pytest.approx(
-            sum(o.stall_s for o in outcomes) / (len(outcomes) * cfg.step_s))
+        models, rng = [greedy_model(cfg, seed=s) for s in range(3)], np.random.default_rng(1)
+        for params in models:
+            params.flat[:] += rng.normal(scale=0.5, size=params.flat.size)
+        got = evaluate_greedy(models, [noisy_trace], cfg)
+        for params, qoe in zip(models, got[:, 0].T):
+            env = StreamEnv(noisy_trace, cfg)
+            state, outcomes = env.reset(), []
+            while not env.done:
+                state, _, out = env.step(int(np.argmax(forward(params, state)[0])))
+                outcomes.append(out)
+            n = len(outcomes)
+            assert qoe.tolist() == pytest.approx([
+                sum(o.achieved_kbps for o in outcomes) / n,
+                sum(o.stall_s for o in outcomes) / (n * cfg.step_s),
+                sum(o.delay_ms for o in outcomes) / n, sum(o.reward for o in outcomes) / n])
 
     def test_empty(self):
-        with pytest.raises(EnvError):
-            episode_qoe([], [], [])
+        cfg = EnvConfig(episode_len=10)
+        models = [greedy_model(cfg, 0), greedy_model(cfg, 1)]
+        assert evaluate_greedy(models, [], cfg).shape == (4, 0, 2)
 
 
 class TestInvariants:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedabr.env import QoESummary
-from fedabr.metrics import (ConvergenceRule, MetricError, convergence_epoch,
-                            efficiency_gain, qoe_report, smooth, speedup_percent)
+from fedabr.metrics import (QOE_METRICS, ConvergenceRule, MetricError, QoESummary,
+                            convergence_epoch, efficiency_gain, qoe_report, smooth,
+                            speedup_percent)
 
 
 def brute_force_convergence(rewards, rule):
@@ -94,6 +94,10 @@ class TestEfficiency:
 
 
 class TestQoeReport:
+    def test_metric_names_are_the_summary_fields_in_order(self):
+        # The column order of every qoe.csv.
+        assert QOE_METRICS == ("mean_bitrate_kbps", "stall_rate", "mean_delay_ms")
+
     def test_anchor_vs_itself(self):
         s = {"anchor": QoESummary(1000.0, 0.1, 80.0)}
         rows = qoe_report(s, "anchor")

@@ -11,11 +11,12 @@ from fedabr import schemes
 from fedabr.discriminator import ClientCondition, poll
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
+from fedabr.metrics import QoESummary
 from fedabr.net import DivergenceError, TrainHyper, apply_update, forward, init_params, zero_frozen
 from fedabr.pretrain import PretrainConfig, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError, evaluate_greedy,
                             run_scheme)
-from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
+from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 from tests.conftest import params_close, qoe_of
 from tests.test_net import per_client_gradients
 from tests.test_pretrain import reference_rollout
@@ -180,6 +181,28 @@ class TestValidation:
         with pytest.raises(SchemeError):
             run_scheme(cfg, corpus, pretrained)
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("where", ["client", "test"])
+    @pytest.mark.parametrize("times, span", [(np.arange(21.0), "[0.0, 20.0]"),
+                                             (np.arange(5.0, 70.0), "[5.0, 69.0]")])
+    def test_trace_not_covering_an_episode(self, corpus, pretrained, monkeypatch, tmp_path,
+                                           scheme, where, times, span):
+        """A client or test trace that ends before one episode, or starts after it,
+        is rejected before any training, not by the simulator once training is over."""
+        bad = Trace("bad", times, np.full_like(times, 1000.0), NetworkType.FOUR_G,
+                    TransportMode.CAR)
+        traces = {**corpus, "bad": bad}
+        client_traces = ("ft0", "bad") if where == "client" else ("ft0",)
+        cfg = base_config(scheme, (ClientSpec("c0", client_traces),))
+        if where == "test":
+            cfg = replace(cfg, test_trace_ids=("test0", "bad"))
+        monkeypatch.setattr(schemes, "collect_rollouts", None)  # any training fails
+        what = {"client": "trace id 'bad' for client 'c0'", "test": "test trace id 'bad'"}[where]
+        with pytest.raises(SchemeError, match=re.escape(
+                f"{what} spans {span}s, not one episode [0, 32.0]s")):
+            run_scheme(cfg, traces, pretrained, tmp_path / "run")
+        assert not any(tmp_path.iterdir())
+
     def test_scratch_ignores_checkpoint(self, corpus, pretrained):
         cfg = base_config(Scheme.ONLINE_SCRATCH, (ClientSpec("c0", ("ft0",)),))
         m1 = run_scheme(cfg, corpus, pretrained)
@@ -286,10 +309,14 @@ class TestLockstepEvaluation:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.lists(st.integers(1, 64), min_size=1,
                                                           max_size=2),
-           st.integers(2, 6), st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**31))
-    def test_matches_scalar_loop(self, k, m, hidden, rates, episode_len, history_len, seed):
+           st.integers(2, 6), st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**31),
+           st.sampled_from([1.0, 0.3, 1.1]))
+    def test_matches_scalar_loop(self, k, m, hidden, rates, episode_len, history_len, seed,
+                                 step_s):
+        # A step of 0.3 s or 1.1 s makes the stall time's sum order show in its bits.
         env_config = EnvConfig(ladder=tuple(300.0 * (i + 1) for i in range(rates)),
-                               episode_len=episode_len, history_len=history_len)
+                               episode_len=episode_len, history_len=history_len,
+                               step_s=step_s)
         rng = np.random.default_rng(seed)
         models = []
         for i in range(k):
@@ -301,13 +328,36 @@ class TestLockstepEvaluation:
         traces = [synthesize_trace(fam, f"t{j}", NetworkType.FOUR_G, TransportMode.CAR,
                                    seed + j) for j in range(m)]
         got = evaluate_greedy(models, traces, env_config)
-        assert [len(row) for row in got] == [k] * m
-        for trace, row in zip(traces, got):
-            for params, result in zip(models, row):
-                assert bits(result) == bits(scalar_greedy(params, trace, env_config))
+        assert got.shape == (4, m, k)
+        for j, trace in enumerate(traces):
+            for i, params in enumerate(models):
+                assert [v.hex() for v in got[:, j, i].tolist()] == bits(
+                    scalar_greedy(params, trace, env_config))
 
     def test_no_test_traces(self, pretrained):
-        assert evaluate_greedy([pretrained], [], ENV) == []
+        assert evaluate_greedy([pretrained], [], ENV).shape == (4, 0, 1)
+
+    def test_run_means_over_models_then_distinct_traces(self, corpus, pretrained):
+        """A run's QoE: per test trace, the mean over the client models of each
+        session's value; overall, the mean over the distinct test traces."""
+        clients = (ClientSpec("c0", ("ft0",)), ClientSpec("c1", ("ft1",)),
+                   ClientSpec("c2", ("ft2",)))
+        cfg = replace(base_config(Scheme.FULL_FEDERATED, clients, epochs=2),
+                      test_trace_ids=("test0", "ft3", "test0"))
+        metrics = run_scheme(cfg, corpus, pretrained)
+        models = [metrics.final_client_params[c] for c in ("c0", "c1", "c2")]
+        per_trace = {}
+        for tid in ("test0", "ft3"):
+            sessions = [(*vars(q).values(), r)
+                        for q, r in (scalar_greedy(p, corpus[tid], ENV) for p in models)]
+            per_trace[tid] = [float(np.mean(col)) for col in zip(*sessions)]
+        overall = [float(np.mean(col)) for col in zip(*per_trace.values())]
+        assert metrics.qoe_per_trace == {tid: QoESummary(*row[:3])
+                                         for tid, row in per_trace.items()}
+        assert metrics.qoe == QoESummary(*overall[:3])
+        assert metrics.mean_test_reward == overall[3]
+        assert all(type(v) is float for v in (*vars(metrics.qoe).values(),
+                                              metrics.mean_test_reward))
 
 
 class TestDivergenceOrder:

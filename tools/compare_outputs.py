@@ -5,7 +5,8 @@
 Each tree runs, in its own process and with its own ``src`` and ``perfbench``:
 
 - one ``fed_multigroup`` and one ``xfer_longtrace`` benchmark operation, with
-  every final client and group model saved as an ``.npz``;
+  every final client and group model saved as an ``.npz`` and the rewards and
+  QoE, overall and per test trace, in ``result.txt``;
 - split -> pretrain -> all four schemes -> report through the CLI on the
   ``cli_pipeline`` corpus.
 
@@ -40,7 +41,8 @@ def write_outputs(out: Path, seed: int) -> None:
                              ("group", result.final_group_params)):
             for key, params in models.items():
                 net.save_checkpoint(params, out / name / f"{kind}-{key}.npz")
-        (out / name / "result.txt").write_text(repr((result.rewards, result.mean_test_reward)))
+        (out / name / "result.txt").write_text(repr((result.rewards, result.mean_test_reward,
+                                                     result.qoe, result.qoe_per_trace)))
 
     root = out / "cli"
     root.mkdir()
