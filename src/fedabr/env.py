@@ -76,13 +76,20 @@ class StreamEnv:
         self.config = config
         self._started = False
 
-    def reset(self, start: float = 0.0) -> np.ndarray:
-        cfg = self.config
-        needed = start + cfg.episode_len * cfg.step_s
-        end = self.trace.times.item(-1)
+    def check_span(self, start: float = 0.0) -> None:
+        """EnvError naming the trace unless it covers one episode from `start`."""
+        first, end = self.trace.times.item(0), self.trace.times.item(-1)
+        needed = start + self.config.episode_len * self.config.step_s
+        if start < first:
+            raise EnvError(f"trace {self.trace.id!r} starts at {first}s, after the episode "
+                           f"start {start}s")
         if needed > end:
             raise EnvError(f"trace {self.trace.id!r} too short: episode needs "
                            f"{needed}s, trace ends at {end}s")
+
+    def reset(self, start: float = 0.0) -> np.ndarray:
+        self.check_span(start)
+        cfg = self.config
         bw0 = bandwidth_at(self.trace, start)
         # Step j starts at times[j] (the sum rounds as `t += step_s`) and reads the
         # last sample at or before it: the step's capacity, and the loss in the state.
@@ -104,35 +111,40 @@ class StreamEnv:
         self._started = True
         return self._state()
 
+    # `step` and `_state` write each min(1.0, max(0.0, x)), max(0.0, x) and min(a, b)
+    # as the comparisons the builtins make, which give the same float for every input
+    # (-0.0 and NaN clamp to 0.0) without the calls, and read each config value once.
     def _state(self) -> np.ndarray:
+        rate, delay = self._prev_bitrate / self._max_rate, self._queue_delay_ms / self._delay_norm
         return np.array(self._hist + [
-            min(1.0, max(0.0, self._prev_bitrate / self._max_rate)),
-            min(1.0, max(0.0, self._queue_delay_ms / self._delay_norm)),
+            (rate if rate < 1.0 else 1.0) if rate > 0.0 else 0.0,
+            (delay if delay < 1.0 else 1.0) if delay > 0.0 else 0.0,
             self._loss[self._j]], dtype=float)
 
     def step(self, action: int) -> tuple[np.ndarray, float, StepOutcome]:
         if not self._started:
             raise EnvError("call reset() before step()")
         cfg = self.config
-        if not 0 <= action < len(cfg.ladder):
+        ladder = cfg.ladder
+        if not 0 <= action < len(ladder):
             raise EnvError(f"action index {action} out of range")
         j = self._j
         if j >= cfg.episode_len:
             raise EnvError("episode exhausted")
 
-        bitrate = cfg.ladder[action]
+        bitrate = ladder[action]
         capacity = self._capacity[j]
-        max_rate, step_s = self._max_rate, cfg.step_s
+        max_rate, step_s, deadline_ms = self._max_rate, cfg.step_s, cfg.deadline_ms
         old_backlog = self._backlog_kbit
-        new_backlog = max(0.0, old_backlog + (bitrate - capacity) * step_s)
-        drained = max(0.0, old_backlog - new_backlog)
-        achieved = min(bitrate, capacity + drained / step_s)
-        queue_delay_ms = 1000.0 * new_backlog / max(capacity, _EPS_KBPS)
+        new_backlog = b if (b := old_backlog + (bitrate - capacity) * step_s) > 0.0 else 0.0
+        drained = d if (d := old_backlog - new_backlog) > 0.0 else 0.0
+        achieved = a if (a := capacity + drained / step_s) < bitrate else bitrate
+        queue_delay_ms = 1000.0 * new_backlog / (_EPS_KBPS if _EPS_KBPS > capacity else capacity)
         delay = cfg.base_rtt_ms + queue_delay_ms
-        stall = step_s if delay > cfg.deadline_ms else 0.0
+        stall = step_s if delay > deadline_ms else 0.0
         reward = (cfg.w_bitrate * (bitrate / max_rate)
                   - cfg.w_stall * (stall / step_s)
-                  - cfg.w_delay * (delay / cfg.deadline_ms)
+                  - cfg.w_delay * (delay / deadline_ms)
                   - cfg.w_switch * abs(bitrate - self._prev_bitrate) / max_rate)
 
         outcome = StepOutcome(self._times[j], bitrate, capacity, achieved, delay, stall, reward)
@@ -141,9 +153,9 @@ class StreamEnv:
         self._queue_delay_ms = queue_delay_ms
         hist, h = self._hist, cfg.history_len
         del hist[0]  # each history drops its oldest entry and appends the new one
-        hist.insert(h - 1, min(1.0, max(0.0, achieved / max_rate)))
+        hist.insert(h - 1, (r if r < 1.0 else 1.0) if (r := achieved / max_rate) > 0.0 else 0.0)
         del hist[h]
-        hist.append(min(1.0, max(0.0, delay / self._delay_norm)))
+        hist.append((f if f < 1.0 else 1.0) if (f := delay / self._delay_norm) > 0.0 else 0.0)
         self._prev_bitrate = bitrate
         self._j = j + 1
         return self._state(), reward, outcome

@@ -202,10 +202,12 @@ def init_params(dims: tuple[int, ...], ladder_size: int, seed: int) -> ModelPara
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis. The ufuncs are called directly: on a rollout
-    step's few values the ndarray methods' Python wrappers cost as much as the math."""
-    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    step's few values the ndarray methods' Python wrappers cost as much as the math,
+    and one state's logits reduce to scalars, which round alike and cost less."""
+    keep = logits.ndim > 1
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=keep)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=keep)
     return e
 
 
@@ -226,7 +228,9 @@ def _forward_full(params: ModelParams, x: np.ndarray, value: bool = True):
         h += b
         np.maximum(h, 0.0, out=h)
         post.append(h)
-    return post, _softmax(h @ w_pi + b_pi), (h @ w_v + b_v)[..., 0] if value else None
+    logits = h @ w_pi
+    logits += b_pi
+    return post, _softmax(logits), (h @ w_v + b_v)[..., 0] if value else None
 
 
 def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
@@ -239,10 +243,10 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     if params.flat.ndim == 1:
         if state.shape != (params.input_dim,):
             raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise NetError("non-finite state input")
         _, probs, value = _forward_full(params, state)
-        return probs, float(value)
+        return probs, value.item()
     need = (len(params.flat), params.input_dim)
     if state.shape[-2:] != need:
         raise NetError(f"state shape {state.shape} != (..., {need[0]}, {need[1]})")
@@ -330,10 +334,12 @@ def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
     that is not finite stays so."""
     if max_norm == 0:
         return
-    lead = grads.flat.shape[:-1]
-    # Summed layer by layer, weights then biases: the order fixes the rounding.
-    total = np.sqrt(sum((g * g).reshape(*lead, -1).sum(axis=-1) for g in grads.weights)
-                    + sum((g * g).reshape(*lead, -1).sum(axis=-1) for g in grads.biases))
+    sq, starts = grads.flat * grads.flat, grads.layout.offsets
+    mids = [start + out * inp for (out, inp), start in zip(grads.layout.shapes, starts)]
+    # Summed layer by layer, weights [start:mid] then biases [mid:end]: the order
+    # fixes the rounding.
+    total = np.sqrt(sum(sq[..., s:m].sum(axis=-1) for s, m in zip(starts, mids))
+                    + sum(sq[..., m:e].sum(axis=-1) for m, e in zip(mids, starts[1:])))
     if (total > max_norm).any():  # a row within the bound is scaled by exactly 1.0
         grads.flat *= (max_norm / np.maximum(total, max_norm))[..., None]
 

@@ -83,6 +83,8 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
     grads = zero_gradients(models)
     rng = np.random.default_rng(config.seed)
     envs = [StreamEnv(tr, env_config) for tr in traces]
+    for env in envs:  # before any episode trains on an earlier trace
+        env.check_span()
     rewards = []
     for epoch in range(config.epochs):
         epoch_rewards = []

@@ -28,6 +28,16 @@ class TestReset:
         with pytest.raises(EnvError):
             env.reset(start=20.0)
 
+    def test_start_before_first_sample(self, small_env_config, monkeypatch):
+        late = Trace("late", np.arange(5.0, 70.0), np.full(65, 1000.0), NetworkType.WIFI,
+                     TransportMode.FOOT)
+        looked_up = []
+        monkeypatch.setattr("fedabr.env.bandwidth_at", lambda *args: looked_up.append(args))
+        with pytest.raises(EnvError, match=r"^trace 'late' starts at 5\.0s, after the "
+                                           r"episode start 2\.0s$"):
+            StreamEnv(late, small_env_config).reset(start=2.0)
+        assert looked_up == []
+
     def test_reset_deterministic(self, small_env_config):
         env = StreamEnv(constant_trace(1000), small_env_config)
         assert np.array_equal(env.reset(), env.reset())
@@ -410,14 +420,27 @@ def step_configs(draw):
                 w_stall=draw(weight), w_delay=draw(weight), w_switch=draw(weight))
 
 
+def with_edge_capacities(draw, trace, ladder):
+    """`trace` with some samples' bandwidth set to 0.0, to a value below `_EPS_KBPS`
+    or to a ladder rung (where sending that rung ties `achieved`), which the
+    uniform(0, 5000) draws of `lookup_cases` almost never hit."""
+    edges = st.sampled_from([0.0, 5e-324, 0.5 * _EPS_KBPS, _EPS_KBPS, *ladder])
+    picks = draw(st.lists(st.none() | edges, min_size=len(trace.times),
+                          max_size=len(trace.times)))
+    bandwidth = [b if p is None else p for b, p in zip(trace.bandwidth.tolist(), picks)]
+    return Trace(trace.id, trace.times, np.array(bandwidth), trace.network_type,
+                 trace.transport_mode, loss=trace.loss)
+
+
 class TestStepReference:
     """The step with one history list against the step with two, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(lookup_cases(), step_configs())
-    def test_matches_two_list_step(self, case, settings_):
+    @given(lookup_cases(), step_configs(), st.data())
+    def test_matches_two_list_step(self, case, settings_, data):
         trace, step_s, start, episode_len, seed = case
         cfg = EnvConfig(step_s=step_s, episode_len=episode_len, **settings_)
+        trace = with_edge_capacities(data.draw, trace, cfg.ladder)
         rng = np.random.default_rng(seed)
         env, ref = StreamEnv(trace, cfg), TwoListEnv(trace, cfg)
         assert env.reset(start).tobytes() == ref.reset(start).tobytes()

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
-from fedabr.net import (DivergenceError, ModelParams, NetError, Rollout, TrainHyper,
-                        a3c_gradients, apply_update, discounted_returns, forward, init_params,
+from fedabr.net import (DivergenceError, Gradients, ModelParams, NetError, Rollout, TrainHyper,
+                        _clip_global_norm, a3c_gradients, apply_update, discounted_returns, forward, init_params,
                         load_checkpoint, sample_actions, save_checkpoint, sgd_step, zero_frozen,
                         zero_gradients)
 from fedabr.pretrain import collect_rollout
@@ -790,6 +790,108 @@ class TestSgdStep:
             sgd_step(models, grads, losses, 1.0, frozen_layers=1)
         assert str(info.value) == f"non-finite {what}" and info.value.row == row
         assert (models.flat[:, -2] == before.flat[:, -2] - 1.0).all()  # every row stepped
+
+
+def layerwise_clip_global_norm(grads, max_norm):
+    """Reference: `_clip_global_norm` as it was, squaring and summing each layer's
+    weight and bias views on their own."""
+    if max_norm == 0:
+        return
+    lead = grads.flat.shape[:-1]
+    # Summed layer by layer, weights then biases: the order fixes the rounding.
+    total = np.sqrt(sum((g * g).reshape(*lead, -1).sum(axis=-1) for g in grads.weights)
+                    + sum((g * g).reshape(*lead, -1).sum(axis=-1) for g in grads.biases))
+    if (total > max_norm).any():  # a row within the bound is scaled by exactly 1.0
+        grads.flat *= (max_norm / np.maximum(total, max_norm))[..., None]
+
+
+class TestClipOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(flat_cases(), st.integers(1, 8), st.sampled_from([0.0, 1e-3, 40.0]), st.data())
+    def test_matches_layerwise_clip(self, case, k, clip_norm, data):
+        """Rows scaled from 1e-150 to 1e150, so that squares underflow or overflow,
+        and rows holding an inf or a NaN."""
+        dims, ladder, _, seed = case
+        layout = init_params(dims, ladder, seed).layout
+        flat = np.random.default_rng(seed).normal(size=(k, layout.offsets[-1]))
+        for row in flat:
+            row *= 10.0 ** data.draw(st.floats(-150.0, 150.0))
+            spoil = data.draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+            if spoil is not None:
+                row[data.draw(st.integers(0, len(row) - 1))] = spoil
+        grads, ref = Gradients(flat.copy(), layout), Gradients(flat.copy(), layout)
+        with np.errstate(all="ignore"):
+            _clip_global_norm(grads, clip_norm)
+            layerwise_clip_global_norm(ref, clip_norm)
+        assert same_bits(grads.flat, ref.flat)
+
+
+def reference_softmax(logits):
+    """Reference: `_softmax` as it was, reducing with kept dimensions at any rank."""
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+def reference_forward_full(params, x, value=True):
+    """Reference: `_forward_full` as it was, adding the policy bias out of place."""
+    hidden, (w_pi, b_pi), (w_v, b_v) = params._operands
+    post, h = [x], x
+    for w, b in hidden:
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+        post.append(h)
+    return post, reference_softmax(h @ w_pi + b_pi), (h @ w_v + b_v)[..., 0] if value else None
+
+
+def reference_forward(params, state):
+    """Reference: `forward` as it was, on `reference_forward_full`."""
+    state = np.asarray(state, dtype=float)
+    if params.flat.ndim == 1:
+        if state.shape != (params.input_dim,):
+            raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
+        if not np.all(np.isfinite(state)):
+            raise NetError("non-finite state input")
+        _, probs, value = reference_forward_full(params, state)
+        return probs, float(value)
+    need = (len(params.flat), params.input_dim)
+    if state.shape[-2:] != need:
+        raise NetError(f"state shape {state.shape} != (..., {need[0]}, {need[1]})")
+    _, probs, values = reference_forward_full(params, state[..., None, :])
+    return probs[..., 0, :], values[..., 0]
+
+
+class TestForwardOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 64), min_size=1, max_size=3), st.integers(2, 9),
+           st.sampled_from([1.0, 30.0, 1e3, 1e5]), st.integers(0, 2**32 - 1))
+    def test_one_state_matches_reference(self, hidden, ladder, spread, seed):
+        """A policy head scaled by `spread` sets the logits far apart, so that
+        softmax underflows to 0 for all but the largest."""
+        params = init_params((7, *hidden), ladder, seed)
+        params.weights[-2][:] *= spread
+        rng = np.random.default_rng(seed)
+        for state in rng.normal(size=(4, 7)) * rng.uniform(0.0, 10.0, size=(4, 1)):
+            (probs, value), (ref_probs, ref_value) = (forward(params, state),
+                                                      reference_forward(params, state))
+            assert same_bits(probs, ref_probs)
+            assert type(value) is float and value.hex() == ref_value.hex()
+            (probs, values), (ref_probs, ref_values) = (
+                forward(as_stack(params), state[None]),
+                reference_forward(as_stack(params), state[None]))
+            assert same_bits(probs, ref_probs) and same_bits(values, ref_values)
+        bad = rng.normal(size=7)
+        bad[int(rng.integers(7))] = rng.choice([np.inf, -np.inf, np.nan])
+        with pytest.raises(NetError, match="^non-finite state input$"):
+            forward(params, bad)
+
+    def test_far_apart_logits_underflow(self):
+        params = init_params((7, 16), 5, seed=3)
+        params.weights[-2][:] *= 1e5
+        probs, _ = forward(params, np.ones(7))
+        assert (probs == 0.0).sum() == 4 and probs.max() == 1.0
 
 
 class TestStackedForward:

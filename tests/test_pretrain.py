@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, EnvError, StreamEnv
-from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper, apply_update,
-                        forward, init_params)
+from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper, a3c_gradients,
+                        apply_update, forward, init_params)
 from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
                              collect_rollouts, offline_train)
-from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace
+from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 from tests.conftest import Episode, as_stack, constant_trace, params_close, sample_action
 from tests.test_net import per_client_gradients
 
@@ -62,6 +62,25 @@ class TestOfflineTrain:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
             offline_train([constant_trace()], cfg, ec)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("times, message", [
+        (np.arange(5.0, 70.0), "trace 'bad' starts at 5.0s, after the episode start 0.0s"),
+        (np.arange(0.0, 20.0), "trace 'bad' too short: episode needs 32.0s, trace ends at 19.0s")])
+    def test_bad_trace_fails_before_training(self, times, message, monkeypatch):
+        """A bad trace placed last fails before the good ones ahead of it train."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return a3c_gradients(*args, **kwargs)
+
+        monkeypatch.setattr("fedabr.pretrain.a3c_gradients", counted)
+        bad = Trace("bad", times, np.full(len(times), 1000.0), NetworkType.WIFI,
+                    TransportMode.FOOT)
+        with pytest.raises(EnvError) as info:
+            offline_train([constant_trace(), bad], PretrainConfig(epochs=2, episodes_per_epoch=1),
+                          EnvConfig(episode_len=32))
+        assert str(info.value) == message and calls == []
 
     def test_empty_trace_set(self):
         with pytest.raises(ValueError):

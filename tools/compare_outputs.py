@@ -7,6 +7,10 @@ Each tree runs, in its own process and with its own ``src`` and ``perfbench``:
 - one ``fed_multigroup`` and one ``xfer_longtrace`` benchmark operation, with
   every final client and group model saved as an ``.npz`` and the rewards and
   QoE, overall and per test trace, in ``result.txt``;
+- the benchmark's timed decisions after each of those operations: greedy
+  episodes of every final client model on each test trace from each of the
+  workload's ``decision_starts``, one ``forward``, argmax and ``step`` per
+  decision, in ``decisions.txt``;
 - split -> pretrain -> all four schemes -> report through the CLI on the
   ``cli_pipeline`` corpus.
 
@@ -16,6 +20,8 @@ of every ``.npz`` for equality. Exit status 0 means no file differs.
 
 import argparse
 import filecmp
+import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -24,6 +30,29 @@ from pathlib import Path
 import numpy as np
 
 SCHEMES = ("offline_only", "online_scratch", "transfer_only", "full_federated")
+
+
+def decision_lines(inputs, starts):
+    """One line per greedy episode, played as ``workloads.time_decisions`` plays
+    it: the input's index, the trace id, the start, the actions, the rewards'
+    ``repr`` and the sha256 of the probabilities' and the values' bytes."""
+    from fedabr import env, net
+
+    for (i, (params, trace, env_config)), start in itertools.product(enumerate(inputs), starts):
+        sim = env.StreamEnv(trace, env_config)
+        state, actions, rewards = sim.reset(start), [], []
+        probs_hash, values_hash = hashlib.sha256(), hashlib.sha256()
+        while not sim.done:
+            probs, value = net.forward(params, state)
+            action = int(np.argmax(probs))
+            state, reward, _ = sim.step(action)
+            actions.append(str(action))
+            rewards.append(repr(reward))
+            probs_hash.update(probs.tobytes())
+            values_hash.update(np.float64(value).tobytes())
+        yield (f"{i} {trace.id} {start!r} actions {','.join(actions)} rewards "
+               f"{' '.join(rewards)} probs {probs_hash.hexdigest()} "
+               f"values {values_hash.hexdigest()}\n")
 
 
 def write_outputs(out: Path, seed: int) -> None:
@@ -43,6 +72,8 @@ def write_outputs(out: Path, seed: int) -> None:
                 net.save_checkpoint(params, out / name / f"{kind}-{key}.npz")
         (out / name / "result.txt").write_text(repr((result.rewards, result.mean_test_reward,
                                                      result.qoe, result.qoe_per_trace)))
+        (out / name / "decisions.txt").write_text("".join(
+            decision_lines(w.decision_inputs(state, result), w.decision_starts)))
 
     root = out / "cli"
     root.mkdir()
