@@ -15,7 +15,7 @@ from .config import ConfigError, build_scheme_config, load_config
 from .env import EnvError
 from .metrics import (QOE_METRICS, ConvergenceRule, MetricError, QoESummary, convergence_epoch,
                       efficiency_gain, qoe_report, speedup_percent)
-from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint
+from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint, sum_in_order
 from .pretrain import offline_train
 from .schemes import Scheme, SchemeError, run_scheme, write_rewards_csv
 from .traces import Corpus, TraceError, load_manifest, split_corpus
@@ -119,10 +119,8 @@ def run(scheme_name, config_path, split_path, ckpt_path, out_dir):
     scheme = Scheme(scheme_name)
     pretrained = load_checkpoint(ckpt_path) if ckpt_path else None
     sc = build_scheme_config(cfg, scheme, split_data["finetune"], split_data["test"])
-    used = [tid for spec in sc.clients for tid in spec.trace_ids] + list(sc.test_trace_ids)
-    traces = {tid: corpus[tid] for tid in used if tid in corpus}
     try:
-        metrics = run_scheme(sc, traces, pretrained, out_dir)
+        metrics = run_scheme(sc, corpus, pretrained, out_dir)
     except DivergenceError as e:
         raise click.ClickException(f"{scheme.value} diverged: {e}") from None
     click.echo(f"{scheme.value}: {len(metrics.rewards)} epochs, "
@@ -159,8 +157,7 @@ def _read_run_dir(run_dir: Path):
                               f"{rule}, got {meta.get(key)!r}")
     if not qoe_rows:
         raise RunDirError(f"run directory {run_dir}: qoe.csv has no test trace rows")
-    qoe = QoESummary(**{m: sum(column) / len(qoe_rows)
-                        for m, column in zip(QOE_METRICS, zip(*qoe_rows))})
+    qoe = QoESummary(*(sum_in_order(np.array(qoe_rows), axis=0) / len(qoe_rows)).tolist())
     return meta, rewards, qoe
 
 
@@ -168,9 +165,9 @@ def _read_run_dir(run_dir: Path):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--anchor", default=Scheme.OFFLINE_ONLY.value,
               help="Scheme whose QoE metrics normalize the others.")
-@click.option("--window", default=20, type=int)
-@click.option("--epsilon", default=0.05, type=float)
-@click.option("--sustain", default=10, type=int)
+@click.option("--window", default=ConvergenceRule.window, type=int)
+@click.option("--epsilon", default=ConvergenceRule.epsilon, type=float)
+@click.option("--sustain", default=ConvergenceRule.sustain, type=int)
 @click.argument("run_dirs", nargs=-1, required=True,
                 type=click.Path(exists=True, file_okay=False))
 @_command_body

@@ -32,23 +32,24 @@ SECTIONS = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_a(kind: type, value) -> bool:
+    """Whether `value` fits a key of type `kind`: an int but not a bool, or a float for a float."""
+    return isinstance(value, (int, kind)) and not isinstance(value, bool)
 
 
-def _check_integers(where: str, data: dict, hints: dict) -> None:
-    """Reject a value that is not an integer (booleans included) for a key whose
-    type in `hints` is an integer, an optional integer or a tuple of integers,
-    and a negative `seed`, which numpy's generators refuse."""
+def _check_numbers(where: str, data: dict, hints: dict) -> None:
+    """Reject a value that does not fit (`_is_a`) a key whose type in `hints` is an int or a
+    float, optional or not, or a tuple of either; and a negative `seed`, which numpy refuses."""
     for key, value in data.items():
         hint = hints.get(key)
-        if hint == tuple[int, ...]:
-            if not (isinstance(value, list) and all(map(_is_int, value))):
-                raise ConfigError(f"{where}.{key} must be a list of integers, got {value!r}")
-        elif hint in (int, int | None) and not (
-                _is_int(value) or (value is None and hint != int)):
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-        elif key == "seed" and value is not None and value < 0:
+        for kind, one, many in ((int, "an integer", "integers"), (float, "a number", "numbers")):
+            if hint == tuple[kind, ...]:
+                if not (isinstance(value, list) and all(_is_a(kind, v) for v in value)):
+                    raise ConfigError(f"{where}.{key} must be a list of {many}, got {value!r}")
+            elif hint in (kind, kind | None) and not (
+                    _is_a(kind, value) or (value is None and hint != kind)):
+                raise ConfigError(f"{where}.{key} must be {one}, got {value!r}")
+        if key == "seed" and value is not None and value < 0:
             raise ConfigError(f"{where}.{key} must be an integer >= 0, got {value!r}")
 
 
@@ -94,10 +95,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     sec = {name: _section(raw, name) for name in SECTIONS}
     if not isinstance(sec["corpus"].get("manifest"), str):
         raise ConfigError("config must set corpus.manifest to a path")
-    _check_integers("split", sec["split"], {"seed": int})
-    for name, cls in (("env", EnvConfig), ("hyper", TrainHyper),
-                      ("pretrain", PretrainConfig), ("run", SchemeConfig)):
-        _check_integers(name, sec[name], get_type_hints(cls))
+    _check_numbers("split", sec["split"], {"seed": int})
+    for name, cls in (("env", EnvConfig), ("hyper", TrainHyper), ("pretrain", PretrainConfig),
+                      ("run", SchemeConfig), ("federation", SchemeConfig)):
+        _check_numbers(name, sec[name], get_type_hints(cls))
     hyper = _build(TrainHyper, sec["hyper"])
     scheme_args = {**sec["run"], **sec["federation"]}
     clients = scheme_args.pop("clients", "auto")
@@ -134,7 +135,7 @@ def _client_spec(index: int, rec) -> ClientSpec:
     if not (isinstance(rec, dict) and "id" in rec and "traces" in rec):
         raise ConfigError(f"run.clients record must be a mapping with keys id and traces: "
                           f"{rec!r}")
-    _check_integers(f"run.clients[{index}]", rec, {"seed": int | None})
+    _check_numbers(f"run.clients[{index}]", rec, {"seed": int | None})
     traces = rec["traces"]
     try:
         if not (isinstance(traces, list) and traces and all(isinstance(t, str) for t in traces)):
@@ -167,9 +168,6 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
             clients = (ClientSpec("client-0", tuple(ids)),)
     else:
         clients = cfg.clients
-    try:
-        return SchemeConfig(scheme=scheme, clients=clients, test_trace_ids=tuple(sorted(test_ids)),
-                            env=cfg.env, hyper=cfg.hyper, hidden=cfg.pretrain.hidden,
-                            **cfg.scheme_args)
-    except TypeError as e:
-        raise ConfigError(f"invalid run or federation value: {e}") from None
+    return SchemeConfig(scheme=scheme, clients=clients, test_trace_ids=tuple(sorted(test_ids)),
+                        env=cfg.env, hyper=cfg.hyper, hidden=cfg.pretrain.hidden,
+                        **cfg.scheme_args)

@@ -157,6 +157,17 @@ class Rollout:
         if not np.isfinite(self.rewards).all():
             raise NetError("non-finite reward in rollout")
 
+    @property
+    def totals(self) -> np.ndarray:
+        """Each client's (K,) reward total, added in step order by `sum_in_order`."""
+        return sum_in_order(self.rewards, axis=1)
+
+
+def sum_in_order(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sums along `axis`, added in index order from 0.0: the bits of the builtin `sum` before
+    Python 3.12 (which compensates) on any interpreter; `+ 0.0` makes -0.0 0.0, as `sum` does."""
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis) + 0.0
+
 
 @dataclass(frozen=True)
 class TrainHyper:
@@ -275,17 +286,14 @@ def zero_gradients(params: ModelParams) -> Gradients:
 
 
 def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
-                  out: Gradients | None = None) -> tuple[Gradients, np.ndarray]:
-    """Analytic gradients of the rollout loss -sum log pi(a)*A + c_v*(R-V)^2 - beta*H,
-    with the advantage A = R - V held constant in the policy term, each model's
-    global norm clipped at hyper.clip_norm: the (K, n) gradients and the K losses of
-    the (K, n) stack `params` on the K clients of `rollout`, unchecked (`sgd_step`
-    checks them).
+                  grads: Gradients) -> np.ndarray:
+    """Analytic gradients of the rollout loss -sum log pi(a)*A + c_v*(R-V)^2 - beta*H, with the
+    advantage A = R - V held constant in the policy term, each model's global norm clipped at
+    hyper.clip_norm, of the (K, n) stack `params` on the K clients of `rollout`: they fill the
+    caller's (K, n) `grads`, and the K losses are returned, both unchecked (`sgd_step` checks).
 
-    One pass over the (K, T, d) states: each layer's gradient sums its per-step outer
-    products as one matrix product per model. A given (K, n) `out` receives the
-    gradients instead of a new array.
-    """
+    One pass over the (K, T, d) states: each layer's gradient sums its per-step outer products
+    as one matrix product per model."""
     x = rollout.states
     if params.flat.ndim != 2 or (len(x), x.shape[2]) != (len(params.flat), params.input_dim):
         raise NetError(f"states of shape {x.shape} for models of shape {params.flat.shape}")
@@ -306,7 +314,6 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
     dlogits += hyper.entropy_coef * probs * (log_probs + entropy[..., None])
     dvalue = -2.0 * hyper.value_coef * adv
 
-    grads = zero_gradients(params) if out is None else out
     gw, gb = grads.weights, grads.biases
     weights = params.weights
     # Each layer's activations are dropped once the pass down has used them, and
@@ -326,7 +333,7 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
         if i > 0:
             dh = dh @ weights[i]
     _clip_global_norm(grads, hyper.clip_norm)
-    return grads, loss
+    return loss
 
 
 def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
@@ -360,16 +367,16 @@ def apply_update(params: ModelParams, grads: Gradients, lr: float,
 
 def sgd_step(models: ModelParams, grads: Gradients, losses: np.ndarray, lr: float,
              frozen_layers: int = 0) -> None:
-    """`apply_update` of the (K, n) `grads` to the (K, n) stack `models`, checked row
-    by row: every row is stepped, then DivergenceError names (as `row`) the first row
+    """SGD step of the (K, n) `grads` on the (K, n) stack `models`, the first `frozen_layers`
+    layers kept: every row is stepped, then DivergenceError names (as `row`) the first row
     whose loss or gradient, or else whose trained part after the step, is not finite."""
+    if grads.layout != models.layout:
+        raise NetError("gradient shape mismatch")
+    k = _frozen_end(models.layout, frozen_layers)
+    trained = models.flat[:, k:]
+    trained -= lr * grads.flat[:, k:]
     grad_ok = np.isfinite(losses) & np.isfinite(grads.flat).all(axis=1)
-    try:
-        apply_update(models, grads, lr, frozen_layers)
-        ok = grad_ok
-    except DivergenceError:
-        trained = models.flat[:, models.layout.offsets[frozen_layers]:]
-        ok = grad_ok & np.isfinite(trained).all(axis=1)
+    ok = grad_ok & np.isfinite(trained).all(axis=1)
     if not ok.all():
         i = int(ok.argmin())
         raise DivergenceError(f"non-finite {'update' if grad_ok[i] else 'loss or gradient'}", i)

@@ -91,17 +91,16 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
         for k in range(config.episodes_per_epoch):
             env = envs[(epoch * config.episodes_per_epoch + k) % len(envs)]
             state = env.reset()
-            total_reward, steps = 0.0, 0
+            total_reward = 0.0
             while not env.done:
                 rollout, state = collect_rollout(env, models, state, hyper.rollout_len, rng)
-                _, losses = a3c_gradients(models, rollout, hyper, out=grads)
+                losses = a3c_gradients(models, rollout, hyper, grads)
                 try:
                     sgd_step(models, grads, losses, hyper.lr)
                 except DivergenceError as e:
                     raise DivergenceError(f"epoch {epoch + 1}, trace {env.trace.id!r}: "
                                           f"{e}") from None
-                total_reward += sum(rollout.rewards[0].tolist())
-                steps += rollout.rewards.shape[1]
-            epoch_rewards.append(total_reward / steps)
+                total_reward += rollout.totals.item()
+            epoch_rewards.append(total_reward / env_config.episode_len)
         rewards.append(float(np.mean(epoch_rewards)))
     return params, rewards

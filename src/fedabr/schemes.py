@@ -15,6 +15,7 @@ import os
 import shutil
 import time
 import uuid
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +27,8 @@ from .env import EnvConfig, StreamEnv
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS, QoESummary
 from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, a3c_gradients,
-                  forward, init_params, save_checkpoint, sgd_step, zero_frozen,
-                  zero_gradients)
+                  forward, init_params, save_checkpoint, sgd_step, sum_in_order,
+                  zero_frozen, zero_gradients)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollouts
 from .traces import Trace
 
@@ -141,8 +142,7 @@ def evaluate_greedy(models: list[ModelParams], traces: list[Trace], env_config: 
         for i, (env, a) in enumerate(zip(envs, probs.argmax(axis=-1).ravel().tolist())):
             states[i], _, o = env.step(a)
             achieved[i, t], delay[i, t], stall[i, t], reward[i, t] = o[3:]
-    # The stall time adds up in step order, as a running total does.
-    stall_rate = np.add.accumulate(stall, axis=1)[:, -1] / (n * env_config.step_s)
+    stall_rate = sum_in_order(stall, axis=1) / (n * env_config.step_s)
     means = (achieved.mean(axis=1), stall_rate, delay.mean(axis=1), reward.mean(axis=1))
     return np.stack(means).reshape(4, len(traces), len(models))
 
@@ -155,7 +155,7 @@ class _Client:
     pending_changes: list[tuple[float, int]]  # (t, group) migrations still to come
 
 
-def run_scheme(config: SchemeConfig, traces: dict[str, Trace],
+def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
                pretrained: ModelParams | None = None,
                out_dir: str | Path | None = None) -> RunMetrics:
     """Execute a scheme end-to-end. Deterministic under (config, traces, seeds)."""
@@ -222,7 +222,7 @@ def _staged_dir(out_dir: Path | None):
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace], params: ModelParams):
+def _run_offline_only(config: SchemeConfig, traces: Mapping[str, Trace], params: ModelParams):
     """`_train_rounds`'s tuple for a run in which no model ever updates: rewards only."""
     rewards = []
     rngs = [_client_rng(config, spec, i) for i, spec in enumerate(config.clients)]
@@ -232,12 +232,11 @@ def _run_offline_only(config: SchemeConfig, traces: dict[str, Trace], params: Mo
                 for spec in config.clients]
         rollout, _ = collect_rollouts(envs, models, [e.reset(0.0) for e in envs],
                                       config.env.episode_len, rngs)
-        rewards.append(float(np.mean([sum(row) / config.env.episode_len
-                                      for row in rollout.rewards.tolist()])))
+        rewards.append(float(np.mean(rollout.totals / config.env.episode_len)))
     return rewards, {spec.id: params.copy() for spec in config.clients}, {}, []
 
 
-def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: ModelParams):
+def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: ModelParams):
     """Train every client online; returns (epoch rewards, client and group models, events)."""
     federated = config.scheme is Scheme.FULL_FEDERATED
     frozen = 0 if config.scheme is Scheme.ONLINE_SCRATCH else config.frozen_layers
@@ -275,7 +274,7 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
             # first client, in client order, whose gradient or update is not finite.
             rollout, states = collect_rollouts(envs, models, states, config.hyper.rollout_len,
                                                [c.rng for c in clients])
-            _, losses = a3c_gradients(models, rollout, config.hyper, out=grads)
+            losses = a3c_gradients(models, rollout, config.hyper, grads)
             try:
                 sgd_step(models, grads, losses, config.hyper.lr, frozen)
             except DivergenceError as e:
@@ -284,10 +283,10 @@ def _train_rounds(config: SchemeConfig, traces: dict[str, Trace], params0: Model
                                       f"{epoch + 1}, round {coord.current_round(c.group)}: "
                                       f"{e}") from None
             zero_frozen(grads, frozen)
-            for c, client_rewards, row in zip(clients, rollout.rewards.tolist(), grads.flat):
+            for c, total, row in zip(clients, rollout.totals.tolist(), grads.flat):
                 coord.submit(UpdateMessage(c.spec.id, c.group, coord.current_round(c.group),
                                            Gradients(row, layout)))
-                epoch_reward += sum(client_rewards)
+                epoch_reward += total
             # Barrier: aggregate every group that received submissions this round,
             # then mix each client's model with its group's.
             for gid in sorted({c.group for c in clients}):

@@ -1,3 +1,8 @@
+import builtins
+import functools
+import math
+import operator
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -5,7 +10,7 @@ import pytest
 
 from fedabr.env import EnvConfig
 from fedabr.metrics import QoESummary
-from fedabr.net import Gradients, ModelParams, Rollout, a3c_gradients
+from fedabr.net import Gradients, ModelParams, Rollout, a3c_gradients, zero_gradients
 from fedabr import traces
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 
@@ -48,17 +53,56 @@ def as_stack(params) -> ModelParams:
     return ModelParams(params.flat[None], params.layout)
 
 
+def gradients_of(models, rollout, hyper):
+    """`a3c_gradients` of the (K, n) stack `models` into a new gradient stack:
+    (gradients, losses)."""
+    grads = zero_gradients(models)
+    return grads, a3c_gradients(models, rollout, hyper, grads)
+
+
 def one_model_gradients(params, episode, hyper):
     """`a3c_gradients` of one model on one episode: the K = 1 stack, row 0 back."""
-    grads, losses = a3c_gradients(as_stack(params), as_rollout([episode]), hyper)
+    grads, losses = gradients_of(as_stack(params), as_rollout([episode]), hyper)
     return Gradients(grads.flat[0], params.layout), float(losses[0])
+
+
+def add_in_order(values) -> float:
+    """Reference float total: `values` added in index order from 0.0, which is what the
+    builtin `sum` gives before Python 3.12 (3.12 compensates its float sums)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin `sum` as of Python 3.12: floats (and ints among them) are added with
+    Neumaier's compensated summation, anything else with `+` as before."""
+    total, c = start, 0.0
+    for x in iterable:
+        kinds = (type(total), type(x))
+        if float in kinds and set(kinds) <= {int, float}:
+            total = float(total)
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            if c and math.isfinite(c):
+                total += c
+            total, c = total + x, 0.0
+    return total + c if c and math.isfinite(c) else total
+
+
+@contextmanager
+def compensated_sum():
+    """Within the block, the builtin `sum` is `neumaier_sum`, as on Python 3.12 and later."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(builtins, "sum", neumaier_sum)
+        yield
 
 
 def episode_qoe(achieved_kbps, delay_ms, stall_s, step_s=1.0) -> QoESummary:
     """Reference per-session QoE of an episode's per-step achieved bitrates, delays
     and stall times: mean achieved bitrate, stall-time fraction, mean delay."""
     return QoESummary(mean_bitrate_kbps=float(np.mean(achieved_kbps)),
-                      stall_rate=float(sum(stall_s) / (len(stall_s) * step_s)),
+                      stall_rate=float(add_in_order(stall_s) / (len(stall_s) * step_s)),
                       mean_delay_ms=float(np.mean(delay_ms)))
 
 

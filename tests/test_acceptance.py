@@ -35,15 +35,14 @@ from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.metrics import (ConvergenceRule, convergence_epoch, efficiency_gain,
                             qoe_report, speedup_percent)
-from fedabr.net import (Gradients, TrainHyper, a3c_gradients, apply_update, init_params,
-                        zero_frozen)
+from fedabr.net import Gradients, TrainHyper, apply_update, init_params, zero_frozen
 from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
                              offline_train)
 from fedabr.schemes import ClientSpec, Scheme, SchemeConfig, run_scheme
 from fedabr.traces import (NetworkType, SynthFamily, TransportMode, group_of,
                            synthesize_trace, write_manifest)
 
-from tests.conftest import as_stack, one_model_gradients
+from tests.conftest import as_stack, gradients_of, one_model_gradients
 from test_net import fd_gradient, max_relative_error, random_trajectory
 
 pytestmark = pytest.mark.acceptance
@@ -141,7 +140,7 @@ def _centralized_trajectory(params0, trace, frozen, rounds):
         if env.done:
             state = env.reset()
         rollout, state = collect_rollout(env, models, state, HYPER.rollout_len, rng)
-        grads, _ = a3c_gradients(models, rollout, HYPER)
+        grads, _ = gradients_of(models, rollout, HYPER)
         apply_update(models, grads, HYPER.lr, frozen)
         out.append(params.copy())
     return out
@@ -163,7 +162,7 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
                 c["state"] = c["env"].reset()
             rollout, c["state"] = collect_rollout(c["env"], c["stack"], c["state"],
                                                   HYPER.rollout_len, c["rng"])
-            grads, _ = a3c_gradients(c["stack"], rollout, HYPER)
+            grads, _ = gradients_of(c["stack"], rollout, HYPER)
             apply_update(c["stack"], grads, HYPER.lr, frozen)
             zero_frozen(grads, frozen)
             coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid),

@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import yaml
 from click.testing import CliRunner
 
 from fedabr.cli import main
+from fedabr.metrics import ConvergenceRule
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace, write_manifest
+from tests.conftest import compensated_sum
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +304,33 @@ class TestInputErrors:
             assert message in result.output
             assert not (workspace / "run-setting").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("env", "ladder", ["300", "750"],
+         "env.ladder must be a list of numbers, got ['300', '750']"),
+        ("env", "w_stall", True, "env.w_stall must be a number, got True"),
+        ("federation", "mix", True, "federation.mix must be a number, got True"),
+        ("federation", "server_lr", True, "federation.server_lr must be a number, got True"),
+    ])
+    def test_float_setting_that_is_no_number(self, workspace, split_file, checkpoint,
+                                             monkeypatch, section, key, value, message):
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config.setdefault(section, {})[key] = value
+        bad = workspace / "config-float.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        started = []
+        for module in ("pretrain", "schemes"):
+            monkeypatch.setattr(f"fedabr.{module}.collect_rollouts",
+                                lambda *args: started.append(args))
+        out = workspace / "float-setting"
+        for command in (["pretrain"], ["run", "--scheme", "full_federated", "--checkpoint",
+                                       checkpoint]):
+            result = CliRunner().invoke(main, [str(a) for a in (
+                *command, "--config", bad, "--split", split_file, "--out", out)])
+            assert isinstance(result.exception, SystemExit)
+            assert result.exit_code == 1
+            assert result.output == f"Error: {message}\n"
+            assert started == [] and not out.exists()
+
     def test_checkpoint_with_other_activation(self, workspace, split_file, checkpoint):
         with np.load(checkpoint) as data:
             arrays = dict(data)
@@ -568,6 +598,11 @@ class TestReport:
         assert result.output == f"Error: {message}\n"
         assert not out.exists()
 
+    def test_rule_defaults_are_the_convergence_rule(self):
+        defaults = {p.name: p.default for p in main.commands["report"].params}
+        assert ([defaults[k] for k in ("window", "epsilon", "sustain")]
+                == [ConvergenceRule().window, ConvergenceRule().epsilon, ConvergenceRule().sustain])
+
     def test_bad_anchor_fails(self, workspace, split_file, checkpoint):
         d = workspace / "run-report-source"
         if not d.exists():
@@ -579,6 +614,51 @@ class TestReport:
         assert result.exit_code == 1
         assert result.output == "Error: anchor scheme 'nonexistent' not among runs\n"
         assert not out.exists()
+
+
+class TestBuiltinSum:
+    """Python 3.12's builtin `sum` compensates float sums; no output may depend on it."""
+
+    def test_run_and_report_outputs(self, workspace, split_file, checkpoint):
+        outputs = []
+        for side in ("plain", "compensated"):
+            with compensated_sum() if side == "compensated" else nullcontext():
+                dirs = [workspace / f"sum-{side}" / scheme for scheme in
+                        ("offline_only", "online_scratch", "transfer_only", "full_federated")]
+                for d in dirs:
+                    invoke("run", "--scheme", d.name, "--config", workspace / "config.yaml",
+                           "--split", split_file, "--checkpoint", checkpoint, "--out", d)
+                report = workspace / f"sum-{side}" / "report"
+                invoke("report", "--out", report, *dirs)
+            outputs.append([(d / name).read_bytes() for d in dirs
+                            for name in ("rewards.csv", "qoe.csv")]
+                           + [(report / "qoe.csv").read_bytes()])
+        assert outputs[0] == outputs[1]
+
+    def test_report_qoe_mean(self, workspace, split_file, checkpoint):
+        """Three test traces whose QoE values a compensated sum adds differently."""
+        run = workspace / "run-report-source"
+        if not run.exists():
+            invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
+                   "--split", split_file, "--checkpoint", checkpoint, "--out", run)
+        dirs = [workspace / "sum-qoe" / name for name in ("offline_only", "transfer_only")]
+        # Columns: bitrate, stall rate, delay. In index order 0.1 + 0.2 + 0.3 is
+        # 0.6000000000000001, three -0.0 add to 0.0 and 1e16 + 1.0 - 1e16 to 0.0.
+        for d, rows in zip(dirs, (["1.0,1.0,1.0"] * 3, ["0.1,-0.0,1e16", "0.2,-0.0,1.0",
+                                                        "0.3,-0.0,-1e16"])):
+            shutil.copytree(run, d)
+            meta = json.loads((d / "run_meta.json").read_text())
+            (d / "run_meta.json").write_text(json.dumps({**meta, "scheme": d.name}))
+            (d / "qoe.csv").write_text("trace_id,mean_bitrate_kbps,stall_rate,mean_delay_ms,"
+                                       "mean_reward\n"
+                                       + "".join(f"t{i},{r},0.0\n" for i, r in enumerate(rows)))
+        reports = []
+        for side in ("plain", "compensated"):
+            with compensated_sum() if side == "compensated" else nullcontext():
+                invoke("report", "--out", workspace / f"sum-qoe-{side}", *dirs)
+            reports.append((workspace / f"sum-qoe-{side}" / "qoe.csv").read_text())
+        assert reports[0] == reports[1]
+        assert reports[0].splitlines()[2] == "transfer_only,0.20000000000000004,0.0,0.0,"
 
 
 def corpus_copy(workspace, name, edits):
@@ -661,7 +741,7 @@ class TestTraceReads:
         test_id = json.loads(split_file.read_text())["test"][0]
         config, corpus = corpus_copy(workspace, "bad-test", {test_id: b"0,1000\n"})
         started = []
-        monkeypatch.setattr("fedabr.cli.run_scheme", lambda *args: started.append(args))
+        monkeypatch.setattr("fedabr.schemes.collect_rollouts", lambda *args: started.append(args))
         out = workspace / "run-bad-test"
         result = CliRunner().invoke(main, [str(a) for a in (
             "run", "--scheme", "transfer_only", "--config", config, "--split", split_file,

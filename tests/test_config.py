@@ -117,6 +117,37 @@ def test_integer_keys_reject_other_values(tmp_path, section, key, value):
         write_config(tmp_path / "config.yaml", {section: {key: value}})
 
 
+FLOAT_KEYS = [("env", "step_s"), ("env", "base_rtt_ms"), ("env", "deadline_ms"),
+              ("env", "w_bitrate"), ("env", "w_stall"), ("env", "w_delay"), ("env", "w_switch"),
+              ("hyper", "gamma"), ("hyper", "entropy_coef"), ("hyper", "value_coef"),
+              ("hyper", "lr"), ("hyper", "clip_norm"), ("federation", "mix"),
+              ("federation", "server_lr"), ("federation", "poll_period_s")]
+
+
+@pytest.mark.parametrize("value, section, key", [
+    (value, section, key) for value in ("x", "0.5", True, False, [0.5])
+    for section, key in FLOAT_KEYS])
+def test_float_keys_reject_other_than_numbers(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be a number, "
+                                                    f"got {value!r}")):
+        write_config(tmp_path / "config.yaml", {section: {key: value}})
+
+
+def test_float_keys_take_integers_and_none_where_optional(tmp_path):
+    cfg = write_config(tmp_path / "config.yaml", {
+        "env": {"w_stall": 2, "ladder": [300, 750.5]}, "hyper": {"lr": 1},
+        "federation": {"mix": 1, "server_lr": None}})
+    assert (cfg.env.w_stall, cfg.env.ladder, cfg.hyper.lr) == (2, (300, 750.5), 1)
+    assert cfg.scheme_args == {"mix": 1, "server_lr": None}
+
+
+@pytest.mark.parametrize("value", [["300", "750"], [300, True], 300, "300"])
+def test_ladder_rejects_other_than_a_list_of_numbers(tmp_path, value):
+    with pytest.raises(ConfigError, match=re.escape(f"env.ladder must be a list of numbers, "
+                                                    f"got {value!r}")):
+        write_config(tmp_path / "config.yaml", {"env": {"ladder": value}})
+
+
 @pytest.mark.parametrize("value", [[8.5], ["x"], [16, True], 16])
 def test_hidden_rejects_other_than_a_list_of_integers(tmp_path, value):
     with pytest.raises(ConfigError, match=re.escape("pretrain.hidden must be a list of integers")):

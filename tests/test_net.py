@@ -2,18 +2,19 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.net import (DivergenceError, Gradients, ModelParams, NetError, Rollout, TrainHyper,
                         _clip_global_norm, a3c_gradients, apply_update, discounted_returns, forward, init_params,
-                        load_checkpoint, sample_actions, save_checkpoint, sgd_step, zero_frozen,
-                        zero_gradients)
+                        load_checkpoint, sample_actions, save_checkpoint, sgd_step, sum_in_order,
+                        zero_frozen, zero_gradients)
 from fedabr.pretrain import collect_rollout
-from tests.conftest import (Episode, as_rollout, as_stack, constant_trace, episode_of,
-                            one_model_gradients, params_close, sample_action)
+from tests.conftest import (Episode, add_in_order, as_rollout, as_stack, constant_trace,
+                            episode_of, gradients_of, neumaier_sum, one_model_gradients,
+                            params_close, sample_action)
 
 ARCH = (5, 8, 6)
 
@@ -220,7 +221,7 @@ class TestGradients:
         p.weights[0][0, 0] = np.nan
         models = as_stack(p)
         with np.errstate(invalid="ignore"):
-            grads, losses = a3c_gradients(models, as_rollout([traj]), TrainHyper())
+            grads, losses = gradients_of(models, as_rollout([traj]), TrainHyper())
         with pytest.raises(DivergenceError, match="^non-finite loss or gradient$"):
             sgd_step(models, grads, losses, 0.1)
 
@@ -368,6 +369,46 @@ class TestTrajectoryValidation:
         fields[field] = np.ones(shape)
         with pytest.raises(NetError, match=r"need \(K, T, d\), \(K, T\)"):
             Rollout(**fields)
+
+
+@st.composite
+def float_rows(draw):
+    """A (rows, columns) array of floats: signed zeros, tiny and huge magnitudes,
+    infinities and NaN included."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    values = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 0.1]))
+    return np.array(draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows)))
+
+
+class TestSumInOrder:
+    """`sum_in_order`, the one reduction of reward and QoE totals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_rows())
+    @example(np.array([[-0.0], [-0.0]]))
+    @example(np.array([[-0.0, -0.0, -0.0]]))
+    @example(np.array([[1e16, 1.0, -1e16]]))
+    def test_adds_in_index_order_from_zero(self, a):
+        for axis, rows in ((1, a), (-1, a), (0, a.T)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = sum_in_order(a, axis=axis)
+            assert got.shape == (len(rows),)
+            assert [v.hex() for v in got.tolist()] == [
+                add_in_order(r).hex() for r in rows.tolist()]
+
+    def test_not_compensated(self):
+        row = [1e16, 1.0, -1e16]
+        assert neumaier_sum(row) == 1.0  # Python 3.12's `sum`
+        assert sum_in_order(np.array(row)).hex() == (0.0).hex()
+        assert sum_in_order(np.array([-0.0, -0.0])).hex() == (0.0).hex()
+
+    def test_rollout_totals(self, rng):
+        rewards = rng.normal(size=(3, 7))
+        rewards[1] = -0.0
+        rollout = Rollout(np.zeros((3, 7, 2)), np.zeros((3, 7), int), rewards, np.zeros(3))
+        assert [v.hex() for v in rollout.totals.tolist()] == [
+            add_in_order(r).hex() for r in rewards.tolist()]
 
 
 class TestHyperValidation:
@@ -682,8 +723,8 @@ def per_client_gradients(params, traj, hyper):
         gb[i][:] = dz.sum(axis=0)
         dh = dz @ params.weights[i]
     if hyper.clip_norm > 0:
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in gw)
-                        + sum(float(np.sum(g * g)) for g in gb))
+        total = np.sqrt(add_in_order(float(np.sum(g * g)) for g in gw)
+                        + add_in_order(float(np.sum(g * g)) for g in gb))
         if total > hyper.clip_norm:
             grads.flat *= hyper.clip_norm / total
     return grads, float(loss)
@@ -724,7 +765,7 @@ class TestStackedGradients:
     def test_matches_per_client_loop_bit_for_bit(self, case):
         k, arch, ladder, length, hyper, seed = case
         models, trajs = stacked_inputs(k, arch, ladder, length, seed)
-        grads, losses = a3c_gradients(ModelParams.stack(models), as_rollout(trajs), hyper)
+        grads, losses = gradients_of(ModelParams.stack(models), as_rollout(trajs), hyper)
         assert grads.flat.shape == (k, models[0].flat.size) and losses.shape == (k,)
         for i, (p, traj) in enumerate(zip(models, trajs)):
             ref, ref_loss = per_client_gradients(p, traj, hyper)
@@ -736,23 +777,32 @@ class TestStackedGradients:
         models[1].flat[0] = np.nan
         hyper = TrainHyper()
         with np.errstate(invalid="ignore"):
-            grads, losses = a3c_gradients(ModelParams.stack(models), as_rollout(trajs), hyper)
+            grads, losses = gradients_of(ModelParams.stack(models), as_rollout(trajs), hyper)
         assert not np.isfinite(grads.flat[1]).all()
         for i in (0, 2):
             ref, ref_loss = per_client_gradients(models[i], trajs[i], hyper)
             assert same_bits(grads.flat[i], ref.flat) and losses[i] == ref_loss
 
+    def test_fills_the_callers_stack(self):
+        models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=3)
+        stack, rollout = ModelParams.stack(models), as_rollout(trajs)
+        want, want_losses = gradients_of(stack, rollout, TrainHyper())
+        grads = zero_gradients(stack)
+        grads.flat[:] = np.nan  # what the buffer held before is overwritten
+        losses = a3c_gradients(stack, rollout, TrainHyper(), grads)
+        assert same_bits(grads.flat, want.flat) and same_bits(losses, want_losses)
+
     def test_trajectories_must_match_the_stack(self, rng):
         models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=2)
         stack = ModelParams.stack(models)
         with pytest.raises(NetError, match="for models of shape"):
-            a3c_gradients(stack, as_rollout(trajs[:2]), TrainHyper())
+            a3c_gradients(stack, as_rollout(trajs[:2]), TrainHyper(), zero_gradients(stack))
         one_model = r"states of shape \(3, 6, 5\) for models of shape \(137,\)"
         with pytest.raises(NetError, match=one_model):
-            a3c_gradients(models[0], as_rollout(trajs), TrainHyper())
+            a3c_gradients(models[0], as_rollout(trajs), TrainHyper(), zero_gradients(models[0]))
         wide = [t._replace(states=[np.append(s, 0.0) for s in t.states]) for t in trajs]
         with pytest.raises(NetError, match=r"states of shape \(3, 6, 6\)"):
-            a3c_gradients(stack, as_rollout(wide), TrainHyper())
+            a3c_gradients(stack, as_rollout(wide), TrainHyper(), zero_gradients(stack))
 
 
 class TestSgdStep:
@@ -765,6 +815,14 @@ class TestSgdStep:
         apply_update(want, grads, 0.1, 1)
         assert sgd_step(models, grads, np.zeros(3), 0.1, 1) is None
         assert same_bits(models.flat, want.flat)
+
+    def test_checks_layout_and_frozen_range(self):
+        models = ModelParams.stack([small_params(i) for i in range(2)])
+        with pytest.raises(NetError, match="gradient shape mismatch"):
+            sgd_step(models, zero_gradients(ModelParams.stack([init_params((5, 7), 6, 0)] * 2)),
+                     np.zeros(2), 0.1)
+        with pytest.raises(NetError, match="cannot freeze 5 of 4 layers"):
+            sgd_step(models, zero_gradients(models), np.zeros(2), 0.1, frozen_layers=5)
 
     @pytest.mark.parametrize("spoiled, row, what", [
         ({2: "loss"}, 2, "loss or gradient"),

@@ -9,7 +9,8 @@ from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper, a3c_
 from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
                              collect_rollouts, offline_train)
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
-from tests.conftest import Episode, as_stack, constant_trace, params_close, sample_action
+from tests.conftest import (Episode, as_stack, compensated_sum, constant_trace, params_close,
+                            sample_action)
 from tests.test_net import per_client_gradients
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
@@ -81,6 +82,19 @@ class TestOfflineTrain:
             offline_train([constant_trace(), bad], PretrainConfig(epochs=2, episodes_per_epoch=1),
                           EnvConfig(episode_len=32))
         assert str(info.value) == message and calls == []
+
+    def test_rewards_do_not_depend_on_the_builtin_sum(self):
+        """Python 3.12's `sum` compensates float sums; the reward log must not see it."""
+        fam = SynthFamily(mean_kbps=1100, amplitude_kbps=500, period_s=15,
+                          noise_std_kbps=250, duration_s=60)
+        traces = [synthesize_trace(fam, f"s{i}", NetworkType.FOUR_G, TransportMode.CAR, i)
+                  for i in range(3)]
+        cfg = PretrainConfig(epochs=6, episodes_per_epoch=2, seed=3)
+        ec = EnvConfig(episode_len=50)
+        _, plain = offline_train(traces, cfg, ec)
+        with compensated_sum():
+            _, compensated = offline_train(traces, cfg, ec)
+        assert [r.hex() for r in compensated] == [r.hex() for r in plain]
 
     def test_empty_trace_set(self):
         with pytest.raises(ValueError):

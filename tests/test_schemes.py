@@ -17,7 +17,7 @@ from fedabr.pretrain import PretrainConfig, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError, evaluate_greedy,
                             run_scheme)
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
-from tests.conftest import params_close, qoe_of
+from tests.conftest import add_in_order, params_close, qoe_of
 from tests.test_net import per_client_gradients
 from tests.test_pretrain import reference_rollout
 
@@ -430,7 +430,7 @@ def per_client_rounds(config, traces, params0):
                 zero_frozen(grads, frozen)
                 coord.submit(UpdateMessage(c["spec"].id, c["group"],
                                            coord.current_round(c["group"]), grads))
-                total += sum(episode.rewards)
+                total += add_in_order(episode.rewards)
             for gid in sorted({c["group"] for c in clients}):
                 coord.aggregate_round(gid)
             for c in clients:
