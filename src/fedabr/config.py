@@ -33,8 +33,15 @@ SECTIONS = {
 
 
 def _is_a(kind: type, value) -> bool:
-    """Whether `value` fits a key of type `kind`: an int but not a bool, or a float for a float."""
-    return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    """Whether `value` fits a key of type `kind`: an int but not a bool, or a float for a
+    float; for a float key, an int must convert to a float, which one over 1e308 does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        return False
+    try:
+        kind(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _check_numbers(where: str, data: dict, hints: dict) -> None:

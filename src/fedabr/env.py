@@ -37,13 +37,22 @@ class EnvConfig:
     episode_len: int = 300
 
     def __post_init__(self):
-        if len(self.ladder) < 2 or any(b >= a for a, b in zip(self.ladder[1:], self.ladder)):
-            raise EnvError("ladder must be strictly ascending with >= 2 entries")
-        if min(self.step_s, self.base_rtt_ms, self.deadline_ms, self.history_len,
-               self.episode_len) <= 0:
-            raise EnvError("step, rtt, deadline, history_len, episode_len must be positive")
-        if self.deadline_ms <= self.base_rtt_ms:
-            raise EnvError("deadline must exceed base rtt")
+        # Each check is written so that it holds, which NaN never does.
+        ladder = self.ladder
+        for name, ok, rule in (
+                ("ladder", len(ladder) >= 2 and 0.0 < ladder[0] and ladder[-1] < np.inf
+                 and all(a < b for a, b in zip(ladder, ladder[1:])),
+                 "2 or more finite positive rates, strictly ascending"),
+                ("step_s", 0.0 < self.step_s < np.inf, "finite and positive"),
+                ("base_rtt_ms", 0.0 < self.base_rtt_ms < np.inf, "finite and positive"),
+                ("deadline_ms", self.base_rtt_ms < self.deadline_ms < np.inf,
+                 f"finite and above base_rtt_ms ({self.base_rtt_ms!r})"),
+                ("history_len", self.history_len >= 1, ">= 1"),
+                ("episode_len", self.episode_len >= 1, ">= 1"),
+                *((w, -np.inf < getattr(self, w) < np.inf, "finite")
+                  for w in ("w_bitrate", "w_stall", "w_delay", "w_switch"))):
+            if not ok:
+                raise EnvError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def max_rate(self) -> float:

@@ -222,16 +222,30 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _forward_full(params: ModelParams, x: np.ndarray, value: bool = True):
-    """Forward pass keeping intermediates for backprop: (activations from `x` on,
-    policy probabilities, values or, if not `value`, None). An activation is
-    positive where its pre-activation is, so backprop needs no pre-activations.
+def _infer(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference pass: (last hidden activation, policy probabilities), with no
+    activation list and no value.
 
     `x` is one state or a (T, d) matrix of states, one per row, or for a (K, n)
     stack of models the (..., K, T, d) stack of their states. For one state, `x @ W.T`
     rounds exactly as `W @ x`, and `np.matmul` makes each model's product of a
     stack on its own, so a stacked pass gives the bits of K separate ones.
     """
+    hidden, (w_pi, b_pi), _ = params._operands
+    h = x
+    for w, b in hidden:
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    logits = h @ w_pi
+    logits += b_pi
+    return h, _softmax(logits)
+
+
+def _forward_full(params: ModelParams, x: np.ndarray):
+    """Training pass: `_infer`'s arithmetic, keeping intermediates for backprop:
+    (activations from `x` on, policy probabilities, values). An activation is
+    positive where its pre-activation is, so backprop needs no pre-activations."""
     hidden, (w_pi, b_pi), (w_v, b_v) = params._operands
     post, h = [x], x
     for w, b in hidden:
@@ -241,7 +255,7 @@ def _forward_full(params: ModelParams, x: np.ndarray, value: bool = True):
         post.append(h)
     logits = h @ w_pi
     logits += b_pi
-    return post, _softmax(logits), (h @ w_v + b_v)[..., 0] if value else None
+    return post, _softmax(logits), (h @ w_v + b_v)[..., 0]
 
 
 def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
@@ -249,20 +263,22 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     of models, states of shape (..., K, d), row k for model k, give (..., K, A)
     probabilities and (..., K) values. Only a single state is checked for finite
     values: stacked states come from the lockstep loops, whose simulator keeps every
-    state in [0, 1]."""
+    state in [0, 1]. One state's value is the head's product plus its bias, added as
+    floats: the one add that a (1,) array add makes."""
     state = np.asarray(state, dtype=float)
+    _, _, (w_v, b_v) = params._operands
     if params.flat.ndim == 1:
         if state.shape != (params.input_dim,):
             raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
-        if not np.isfinite(state).all():
+        if not np.logical_and.reduce(np.isfinite(state)):
             raise NetError("non-finite state input")
-        _, probs, value = _forward_full(params, state)
-        return probs, value.item()
+        h, probs = _infer(params, state)
+        return probs, (h @ w_v).item() + b_v.item()
     need = (len(params.flat), params.input_dim)
     if state.shape[-2:] != need:
         raise NetError(f"state shape {state.shape} != (..., {need[0]}, {need[1]})")
-    _, probs, values = _forward_full(params, state[..., None, :])
-    return probs[..., 0, :], values[..., 0]
+    h, probs = _infer(params, state[..., None, :])
+    return probs[..., 0, :], (h @ w_v + b_v)[..., 0, 0]
 
 
 def sample_actions(probs: np.ndarray, draws) -> np.ndarray:

@@ -295,7 +295,9 @@ def load_yaml(path: Path, what: str, error: type[Exception]):
             return yaml.load(f, Loader=YAML_LOADER)
     except OSError as e:
         raise error(f"cannot read {what} {path}: {e.strerror}") from None
-    except (yaml.YAMLError, UnicodeDecodeError) as e:  # on one line: YAML's spans several
+    # ValueError: bytes that are not UTF-8, or an integer literal over the interpreter's
+    # digit limit for int(str); on one line: YAML's message spans several
+    except (yaml.YAMLError, ValueError) as e:
         raise error(f"cannot parse {what} {path}: {' '.join(str(e).split())}") from None
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import sys
 import warnings
 from contextlib import nullcontext
 
@@ -310,11 +311,47 @@ class TestInputErrors:
         ("env", "w_stall", True, "env.w_stall must be a number, got True"),
         ("federation", "mix", True, "federation.mix must be a number, got True"),
         ("federation", "server_lr", True, "federation.server_lr must be a number, got True"),
+        # An int too large for a float, in a scalar, a tuple and an optional float key.
+        pytest.param("env", "w_stall", 10**400, f"env.w_stall must be a number, got {10**400}",
+                     id="env-w_stall-401-digits"),
+        pytest.param("env", "ladder", [300, 10**400],
+                     f"env.ladder must be a list of numbers, got [300, {10**400}]",
+                     id="env-ladder-401-digits"),
+        pytest.param("hyper", "lr", 10**400, f"hyper.lr must be a number, got {10**400}",
+                     id="hyper-lr-401-digits"),
+        pytest.param("federation", "server_lr", 10**400,
+                     f"federation.server_lr must be a number, got {10**400}",
+                     id="federation-server_lr-401-digits"),
     ])
     def test_float_setting_that_is_no_number(self, workspace, split_file, checkpoint,
                                              monkeypatch, section, key, value, message):
+        self.assert_rejected_before_training(workspace, split_file, checkpoint, monkeypatch,
+                                             {section: {key: value}}, message)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("w_stall", float("nan"), "w_stall must be finite, got nan"),
+        ("w_switch", float("-inf"), "w_switch must be finite, got -inf"),
+        ("step_s", float("nan"), "step_s must be finite and positive, got nan"),
+        ("base_rtt_ms", float("nan"), "base_rtt_ms must be finite and positive, got nan"),
+        ("ladder", [300, float("nan")], "ladder must be 2 or more finite positive rates, "
+                                        "strictly ascending, got (300, nan)"),
+        ("deadline_ms", float("inf"),
+         "deadline_ms must be finite and above base_rtt_ms (50.0), got inf"),
+    ])
+    def test_non_finite_env_setting(self, workspace, split_file, checkpoint, monkeypatch,
+                                    key, value, message):
+        self.assert_rejected_before_training(workspace, split_file, checkpoint, monkeypatch,
+                                             {"env": {key: value}},
+                                             f"invalid EnvConfig: {message}")
+
+    @staticmethod
+    def assert_rejected_before_training(workspace, split_file, checkpoint, monkeypatch, edit,
+                                        message):
+        """`pretrain` and `run` on the config with `edit` each print the one line
+        `Error: {message}`, exit 1, start no rollout and write nothing."""
         config = yaml.safe_load((workspace / "config.yaml").read_text())
-        config.setdefault(section, {})[key] = value
+        for section, values in edit.items():
+            config.setdefault(section, {}).update(values)
         bad = workspace / "config-float.yaml"
         bad.write_text(yaml.safe_dump(config))
         started = []
@@ -407,7 +444,11 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("what, data", [
         ("config", b"corpus: {manifest: x\n"), ("config", b"corpus: {manifest: \xff}\n"),
-        ("manifest", b"- {id: a\n"), ("manifest", b"- {id: a\xff}\n")])
+        ("manifest", b"- {id: a\n"), ("manifest", b"- {id: a\xff}\n"),
+        *(pytest.param(what, data, id=f"{what}-5000-digit-int", marks=pytest.mark.skipif(
+            not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"))
+          for what, data in (("config", b"env: {w_stall: " + b"1" * 5000 + b"}\n"),
+                             ("manifest", b"- {id: a, csv: " + b"1" * 5000 + b"}\n")))])
     @pytest.mark.parametrize("command", ["split", "pretrain", "run"])
     def test_unparsable_yaml(self, workspace, split_file, checkpoint, what, data, command):
         name = f"yaml-{command}-{what}-{len(data)}"

@@ -14,6 +14,51 @@ def _clamp01(x):
     return min(1.0, max(0.0, x))
 
 
+class TestConfigChecks:
+    """Each bad value is rejected at construction with an error that names its field;
+    NaN fails every check."""
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("ladder", (300.0, np.nan), "2 or more finite positive rates, strictly ascending"),
+        ("ladder", (np.nan, 300.0), "2 or more finite positive rates, strictly ascending"),
+        ("ladder", (300.0, np.nan, 900.0), "2 or more finite positive rates"),
+        ("ladder", (300.0, np.inf), "2 or more finite positive rates"),
+        ("ladder", (0.0, 300.0), "2 or more finite positive rates"),
+        ("ladder", (750.0, 300.0), "2 or more finite positive rates"),
+        ("ladder", (300.0, 300.0), "2 or more finite positive rates"),
+        ("ladder", (300.0,), "2 or more finite positive rates"),
+        ("step_s", np.nan, "finite and positive"),
+        ("step_s", np.inf, "finite and positive"),
+        ("step_s", 0.0, "finite and positive"),
+        ("base_rtt_ms", np.nan, "finite and positive"),
+        ("base_rtt_ms", np.inf, "finite and positive"),
+        ("base_rtt_ms", -1.0, "finite and positive"),
+        ("deadline_ms", np.nan, r"finite and above base_rtt_ms \(50\.0\)"),
+        ("deadline_ms", np.inf, r"finite and above base_rtt_ms \(50\.0\)"),
+        ("deadline_ms", 50.0, r"finite and above base_rtt_ms \(50\.0\)"),
+        ("history_len", 0, ">= 1"),
+        ("episode_len", 0, ">= 1"),
+        *((w, v, "finite") for w in ("w_bitrate", "w_stall", "w_delay", "w_switch")
+          for v in (np.nan, np.inf, -np.inf)),
+    ])
+    def test_bad_value_names_its_field(self, field, value, rule):
+        with pytest.raises(EnvError, match=rf"^{field} must be {rule}"):
+            EnvConfig(**{field: value})
+
+    def test_deadline_above_a_nan_rtt_is_rejected(self):
+        with pytest.raises(EnvError, match=r"^base_rtt_ms must be finite and positive, got nan$"):
+            EnvConfig(base_rtt_ms=np.nan, deadline_ms=np.inf)
+
+    @pytest.mark.parametrize("values", [
+        dict(ladder=(1e-300, 1e300), step_s=1e-9, base_rtt_ms=1e-9, deadline_ms=2e-9),
+        dict(w_bitrate=-2.0, w_stall=0.0, w_delay=-0.0, w_switch=1e300),
+        dict(ladder=(300, 750)),
+    ])
+    def test_finite_values_are_kept(self, values):
+        config = EnvConfig(**values)
+        assert all(getattr(config, k) == v for k, v in values.items())
+
+
 class TestReset:
     def test_constant_trace_history(self, small_env_config):
         env = StreamEnv(constant_trace(1000), small_env_config)

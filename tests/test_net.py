@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.net import (DivergenceError, Gradients, ModelParams, NetError, Rollout, TrainHyper,
-                        _clip_global_norm, a3c_gradients, apply_update, discounted_returns, forward, init_params,
-                        load_checkpoint, sample_actions, save_checkpoint, sgd_step, sum_in_order,
-                        zero_frozen, zero_gradients)
+                        _clip_global_norm, _infer, a3c_gradients, apply_update,
+                        discounted_returns, forward, init_params, load_checkpoint,
+                        sample_actions, save_checkpoint, sgd_step, sum_in_order, zero_frozen,
+                        zero_gradients)
 from fedabr.pretrain import collect_rollout
 from tests.conftest import (Episode, add_in_order, as_rollout, as_stack, constant_trace,
                             episode_of, gradients_of, neumaier_sum, one_model_gradients,
@@ -975,6 +976,57 @@ class TestStackedForward:
             forward(stack, np.ones((3, 5)))
         with pytest.raises(NetError, match=r"state shape \(5,\) != \(\.\.\., 2, 5\)"):
             forward(stack, np.ones(5))
+
+
+@st.composite
+def inference_cases(draw):
+    """A model or a stack of K = 1..6 models with a policy head scaled by up to 1e5 (so
+    that softmax underflows), a value head that may be all signed zeros, and an input:
+    one state or a (T, d) matrix for one model, the (K, T, d) states for a stack."""
+    hidden = draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
+    ladder, spread = draw(st.integers(2, 9)), draw(st.sampled_from([1.0, 30.0, 1e3, 1e5]))
+    k, seed = draw(st.integers(0, 6)), draw(st.integers(0, 2**32 - 1))  # k = 0: one model
+    zeros = st.sampled_from([0.0, -0.0])
+    models = []
+    for i in range(max(k, 1)):
+        params = init_params((7, *hidden), ladder, seed + i)
+        params.weights[-2][:] *= spread
+        if draw(st.booleans()):
+            params.weights[-1][:] = draw(zeros)
+            params.biases[-1][:] = draw(zeros)
+        models.append(params)
+    rng = np.random.default_rng(seed)
+    lead = (k, draw(st.integers(1, 5))) if k else draw(st.sampled_from([(), (3,)]))
+    x = rng.normal(size=(*lead, 7)) * rng.uniform(0.0, 10.0)
+    return (ModelParams.stack(models) if k else models[0]), x
+
+
+class TestInferenceOracle:
+    """`_infer`, the pass of `forward` and of a rollout step, against the old training pass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inference_cases())
+    def test_matches_reference_forward_full(self, case):
+        params, x = case
+        h, probs = _infer(params, x)
+        post, ref_probs, ref_values = reference_forward_full(params, x)
+        assert same_bits(h, post[-1]) and same_bits(probs, ref_probs)
+        if x.ndim == 1:
+            forward_probs, value = forward(params, x)
+            assert same_bits(forward_probs, ref_probs)
+            # hex() tells -0.0 from 0.0
+            assert type(value) is float and value.hex() == float(ref_values).hex()
+
+    @pytest.mark.parametrize("head_weight, head_bias", [(0.0, -0.0), (-0.0, -0.0),
+                                                        (0.0, 0.0), (-0.0, 0.0)])
+    def test_one_state_value_keeps_its_signed_zero(self, head_weight, head_bias):
+        params = init_params((7, 4), 3, seed=1)
+        params.weights[-1][:] = head_weight
+        params.biases[-1][:] = head_bias
+        state = np.linspace(-1.0, 1.0, 7)
+        _, _, ref_values = reference_forward_full(params, state)
+        _, value = forward(params, state)
+        assert value.hex() == float(ref_values).hex()
 
 
 class TestLazyViews:
