@@ -222,9 +222,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _infer(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inference pass: (last hidden activation, policy probabilities), with no
-    activation list and no value.
+def _forward_full(params: ModelParams, x: np.ndarray) -> tuple[list, np.ndarray]:
+    """Forward pass keeping intermediates for backprop: (activations from `x` on, policy
+    probabilities), with no value: `forward` and `a3c_gradients` each take it from the
+    last activation. An activation is positive where its pre-activation is, so backprop
+    needs no pre-activations.
 
     `x` is one state or a (T, d) matrix of states, one per row, or for a (K, n)
     stack of models the (..., K, T, d) stack of their states. For one state, `x @ W.T`
@@ -232,21 +234,6 @@ def _infer(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack on its own, so a stacked pass gives the bits of K separate ones.
     """
     hidden, (w_pi, b_pi), _ = params._operands
-    h = x
-    for w, b in hidden:
-        h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
-    logits = h @ w_pi
-    logits += b_pi
-    return h, _softmax(logits)
-
-
-def _forward_full(params: ModelParams, x: np.ndarray):
-    """Training pass: `_infer`'s arithmetic, keeping intermediates for backprop:
-    (activations from `x` on, policy probabilities, values). An activation is
-    positive where its pre-activation is, so backprop needs no pre-activations."""
-    hidden, (w_pi, b_pi), (w_v, b_v) = params._operands
     post, h = [x], x
     for w, b in hidden:
         h = h @ w
@@ -255,7 +242,7 @@ def _forward_full(params: ModelParams, x: np.ndarray):
         post.append(h)
     logits = h @ w_pi
     logits += b_pi
-    return post, _softmax(logits), (h @ w_v + b_v)[..., 0]
+    return post, _softmax(logits)
 
 
 def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
@@ -272,13 +259,13 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
             raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
         if not np.logical_and.reduce(np.isfinite(state)):
             raise NetError("non-finite state input")
-        h, probs = _infer(params, state)
-        return probs, (h @ w_v).item() + b_v.item()
+        post, probs = _forward_full(params, state)
+        return probs, (post[-1] @ w_v).item() + b_v.item()
     need = (len(params.flat), params.input_dim)
     if state.shape[-2:] != need:
         raise NetError(f"state shape {state.shape} != (..., {need[0]}, {need[1]})")
-    h, probs = _infer(params, state[..., None, :])
-    return probs[..., 0, :], (h @ w_v + b_v)[..., 0, 0]
+    post, probs = _forward_full(params, state[..., None, :])
+    return probs[..., 0, :], (post[-1] @ w_v + b_v)[..., 0, 0]
 
 
 def sample_actions(probs: np.ndarray, draws) -> np.ndarray:
@@ -316,7 +303,9 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
     returns = np.array([discounted_returns(r, v, hyper.gamma) for r, v in
                         zip(rollout.rewards.tolist(), rollout.bootstrap_values.tolist())])
     taken = (*np.indices(rollout.actions.shape, sparse=True), rollout.actions)  # steps' actions
-    post, probs, values = _forward_full(params, x)
+    post, probs = _forward_full(params, x)
+    w_v, b_v = params._operands[2]
+    values = (post[-1] @ w_v + b_v)[..., 0]
     log_probs = np.log(probs)
     adv = returns - values
     entropy = -np.sum(probs * log_probs, axis=-1)

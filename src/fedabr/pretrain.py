@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvConfig, EnvError, StreamEnv
-from .net import (DivergenceError, ModelParams, NetError, Rollout, TrainHyper, _infer,
+from .net import (DivergenceError, ModelParams, NetError, Rollout, TrainHyper, _forward_full,
                   a3c_gradients, forward, init_params, sample_actions, sgd_step,
                   zero_gradients)
 from .traces import Trace
@@ -35,7 +35,7 @@ def collect_rollouts(envs: list[StreamEnv], models: ModelParams, states,
     """Roll K clients with the same steps left forward in lockstep, client k with row k
     of the (K, n) stack `models`; returns their `Rollout`, bootstrapped with V of each
     successor state, and the (K, d) successor states. A step is one stacked
-    inference pass (`_infer`, no value: no step reads it), one draw from each generator's
+    policy pass (no value head: no step reads it), one draw from each generator's
     block of draws for the call and one `env.step` per client. The bits are those of
     K separate loops over `forward` and `env.step`."""
     left = sorted({env.steps_left for env in envs})
@@ -50,7 +50,7 @@ def collect_rollouts(envs: list[StreamEnv], models: ModelParams, states,
     draws = np.array([rng.random(n) for rng in rngs]).T
     actions, rewards = [[] for _ in envs], [[] for _ in envs]
     for t in range(n):
-        _, probs = _infer(models, buf[:, t, None])
+        _, probs = _forward_full(models, buf[:, t, None])
         for i, (env, a) in enumerate(zip(envs, sample_actions(probs[:, 0], draws[t]).tolist())):
             buf[i, t + 1], reward, _ = env.step(a)
             actions[i].append(a)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.net import (DivergenceError, Gradients, ModelParams, NetError, Rollout, TrainHyper,
-                        _clip_global_norm, _infer, a3c_gradients, apply_update,
+                        _clip_global_norm, _forward_full, a3c_gradients, apply_update,
                         discounted_returns, forward, init_params, load_checkpoint,
                         sample_actions, save_checkpoint, sgd_step, sum_in_order, zero_frozen,
                         zero_gradients)
@@ -980,9 +980,9 @@ class TestStackedForward:
 
 @st.composite
 def inference_cases(draw):
-    """A model or a stack of K = 1..6 models with a policy head scaled by up to 1e5 (so
-    that softmax underflows), a value head that may be all signed zeros, and an input:
-    one state or a (T, d) matrix for one model, the (K, T, d) states for a stack."""
+    """A model or a stack of K = 1..6 models with random biases, a policy head scaled by
+    up to 1e5 (so that softmax underflows), a value head that may be all signed zeros, and
+    an input: one state or a (T, d) matrix for one model, the (K, T, d) states for a stack."""
     hidden = draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
     ladder, spread = draw(st.integers(2, 9)), draw(st.sampled_from([1.0, 30.0, 1e3, 1e5]))
     k, seed = draw(st.integers(0, 6)), draw(st.integers(0, 2**32 - 1))  # k = 0: one model
@@ -990,6 +990,9 @@ def inference_cases(draw):
     models = []
     for i in range(max(k, 1)):
         params = init_params((7, *hidden), ladder, seed + i)
+        biases = np.random.default_rng(seed + i).normal(size=params.flat.shape)
+        for b in params.biases:
+            b[:] = biases[:len(b)]
         params.weights[-2][:] *= spread
         if draw(st.booleans()):
             params.weights[-1][:] = draw(zeros)
@@ -1001,32 +1004,36 @@ def inference_cases(draw):
     return (ModelParams.stack(models) if k else models[0]), x
 
 
+def signed_zero_value_head(weight, bias):
+    """One model whose value head is all `weight` with bias `bias`, and one state."""
+    params = init_params((7, 4), 3, seed=1)
+    params.weights[-1][:] = weight
+    params.biases[-1][:] = bias
+    return params, np.linspace(-1.0, 1.0, 7)
+
+
 class TestInferenceOracle:
-    """`_infer`, the pass of `forward` and of a rollout step, against the old training pass."""
+    """`_forward_full`, the pass of `forward`, of a rollout step and of `a3c_gradients`,
+    against the pass as it was, which also computed the values."""
 
     @settings(max_examples=200, deadline=None)
     @given(inference_cases())
+    @example(signed_zero_value_head(0.0, -0.0))
+    @example(signed_zero_value_head(-0.0, -0.0))
+    @example(signed_zero_value_head(0.0, 0.0))
+    @example(signed_zero_value_head(-0.0, 0.0))
     def test_matches_reference_forward_full(self, case):
         params, x = case
-        h, probs = _infer(params, x)
-        post, ref_probs, ref_values = reference_forward_full(params, x)
-        assert same_bits(h, post[-1]) and same_bits(probs, ref_probs)
+        post, probs = _forward_full(params, x)
+        ref_post, ref_probs, ref_values = reference_forward_full(params, x)
+        assert len(post) == len(ref_post)
+        assert all(same_bits(a, b) for a, b in zip(post, ref_post))
+        assert same_bits(probs, ref_probs)
         if x.ndim == 1:
             forward_probs, value = forward(params, x)
             assert same_bits(forward_probs, ref_probs)
             # hex() tells -0.0 from 0.0
             assert type(value) is float and value.hex() == float(ref_values).hex()
-
-    @pytest.mark.parametrize("head_weight, head_bias", [(0.0, -0.0), (-0.0, -0.0),
-                                                        (0.0, 0.0), (-0.0, 0.0)])
-    def test_one_state_value_keeps_its_signed_zero(self, head_weight, head_bias):
-        params = init_params((7, 4), 3, seed=1)
-        params.weights[-1][:] = head_weight
-        params.biases[-1][:] = head_bias
-        state = np.linspace(-1.0, 1.0, 7)
-        _, _, ref_values = reference_forward_full(params, state)
-        _, value = forward(params, state)
-        assert value.hex() == float(ref_values).hex()
 
 
 class TestLazyViews:
