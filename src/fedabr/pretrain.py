@@ -1,4 +1,4 @@
-"""Offline pretraining and rollout collection."""
+"""The learner: lockstep rollouts, the training rounds of every scheme, pretraining."""
 
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ class PretrainConfig:
             raise ValueError(f"hidden must list one or more widths >= 1, got {self.hidden!r}")
 
 
-def collect_rollouts(envs: list[StreamEnv], models: ModelParams, states,
-                     n_steps: int, rngs: list[np.random.Generator]):
+def collect_rollout(envs: list[StreamEnv], models: ModelParams, states,
+                    n_steps: int, rngs: list[np.random.Generator]):
     """Roll K clients with the same steps left forward in lockstep, client k with row k
     of the (K, n) stack `models`; returns their `Rollout`, bootstrapped with V of each
     successor state, and the (K, d) successor states. A step is one stacked
@@ -61,46 +61,47 @@ def collect_rollouts(envs: list[StreamEnv], models: ModelParams, states,
     return Rollout(buf[:, :n], np.array(actions), np.array(rewards), values), buf[:, n]
 
 
-def collect_rollout(env: StreamEnv, models: ModelParams, state: np.ndarray,
-                    n_steps: int, rng: np.random.Generator) -> tuple[Rollout, np.ndarray]:
-    """One client's rollout: `collect_rollouts` with K = 1 and the (1, n) stack `models`."""
-    rollout, states = collect_rollouts([env], models, [state], n_steps, [rng])
-    return rollout, states[0]
+def learner_rounds(models: ModelParams, trace_lists: list[list[Trace]], env_config: EnvConfig,
+                   hyper: TrainHyper, rngs: list[np.random.Generator], epochs: int):
+    """The actor-critic learner of pretraining and the online schemes. In epoch e, client k
+    plays one episode on trace e % len of `trace_lists[k]` with row k of the (K, n) stack
+    `models` and `rngs[k]`, all in lockstep. A round rolls `hyper.rollout_len` steps and fills
+    the run's one gradient stack; it yields (epoch, envs, rollout, grads, losses), and the
+    caller calls `sgd_step` before it asks for the next round."""
+    grads = zero_gradients(models)
+    for epoch in range(epochs):
+        envs = [StreamEnv(ts[epoch % len(ts)], env_config) for ts in trace_lists]
+        states = [env.reset(0.0) for env in envs]
+        while not envs[0].done:
+            rollout, states = collect_rollout(envs, models, states, hyper.rollout_len, rngs)
+            yield epoch, envs, rollout, grads, a3c_gradients(models, rollout, hyper, grads)
 
 
 def offline_train(traces: list[Trace], config: PretrainConfig,
                   env_config: EnvConfig = EnvConfig()) -> tuple[ModelParams, list[float]]:
-    """Single-agent pretraining over episodes sampled round-robin from `traces`.
-
-    Returns the final parameters and the per-epoch mean-reward log.
-    """
+    """Single-agent pretraining: `learner_rounds` with one client over `traces`, an epoch
+    being `episodes_per_epoch` loop epochs. Returns the final parameters and the per-epoch
+    mean-reward log."""
     if not traces:
         raise ValueError("empty pretraining trace set")
-    hyper = config.hyper
+    for tr in traces:  # before any episode trains on an earlier trace
+        StreamEnv(tr, env_config).check_span()
     params = init_params((env_config.state_dim, *config.hidden), len(env_config.ladder),
                          config.seed)
     models = ModelParams(params.flat[None], params.layout)  # `params` as a (1, n) stack
-    grads = zero_gradients(models)
-    rng = np.random.default_rng(config.seed)
-    envs = [StreamEnv(tr, env_config) for tr in traces]
-    for env in envs:  # before any episode trains on an earlier trace
-        env.check_span()
-    rewards = []
-    for epoch in range(config.epochs):
-        epoch_rewards = []
-        for k in range(config.episodes_per_epoch):
-            env = envs[(epoch * config.episodes_per_epoch + k) % len(envs)]
-            state = env.reset()
-            total_reward = 0.0
-            while not env.done:
-                rollout, state = collect_rollout(env, models, state, hyper.rollout_len, rng)
-                losses = a3c_gradients(models, rollout, hyper, grads)
-                try:
-                    sgd_step(models, grads, losses, hyper.lr)
-                except DivergenceError as e:
-                    raise DivergenceError(f"epoch {epoch + 1}, trace {env.trace.id!r}: "
-                                          f"{e}") from None
-                total_reward += rollout.totals.item()
-            epoch_rewards.append(total_reward / env_config.episode_len)
-        rewards.append(float(np.mean(epoch_rewards)))
-    return params, rewards
+    per_epoch = config.episodes_per_epoch
+    episodes, total = [], 0.0  # each episode's mean reward; the running episode's total
+    for i, envs, rollout, grads, losses in learner_rounds(
+            models, [traces], env_config, config.hyper, [np.random.default_rng(config.seed)],
+            config.epochs * per_epoch):
+        try:
+            sgd_step(models, grads, losses, config.hyper.lr)
+        except DivergenceError as e:
+            raise DivergenceError(f"epoch {i // per_epoch + 1}, trace {envs[0].trace.id!r}: "
+                                  f"{e}") from None
+        total += rollout.totals.item()
+        if envs[0].done:
+            episodes.append(total / env_config.episode_len)
+            total = 0.0
+    return params, [float(np.mean(episodes[i:i + per_epoch]))
+                    for i in range(0, len(episodes), per_epoch)]

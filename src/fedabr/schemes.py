@@ -26,10 +26,9 @@ from .discriminator import ClientCondition, poll
 from .env import EnvConfig, StreamEnv
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS, QoESummary
-from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, a3c_gradients,
-                  forward, init_params, save_checkpoint, sgd_step, sum_in_order,
-                  zero_frozen, zero_gradients)
-from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollouts
+from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, forward, init_params,
+                  save_checkpoint, sgd_step, sum_in_order, zero_frozen)
+from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout, learner_rounds
 from .traces import Trace
 
 
@@ -79,8 +78,9 @@ class SchemeConfig:
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("frozen_layers", 0 <= self.frozen_layers <= n, f"in [0, {n}] (hidden layers)"),
                 ("mix", 0.0 <= self.mix <= 1.0, "in [0, 1]"),
-                ("server_lr", self.server_lr is None or self.server_lr > 0, "positive"),
-                ("poll_period_s", self.poll_period_s > 0, "positive")):
+                ("server_lr", self.server_lr is None or 0.0 < self.server_lr < np.inf,
+                 "finite and positive"),
+                ("poll_period_s", 0.0 < self.poll_period_s < np.inf, "finite and positive")):
             if not ok:
                 raise SchemeError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -230,8 +230,8 @@ def _run_offline_only(config: SchemeConfig, traces: Mapping[str, Trace], params:
     for epoch in range(config.epochs):
         envs = [StreamEnv(traces[spec.trace_ids[epoch % len(spec.trace_ids)]], config.env)
                 for spec in config.clients]
-        rollout, _ = collect_rollouts(envs, models, [e.reset(0.0) for e in envs],
-                                      config.env.episode_len, rngs)
+        rollout, _ = collect_rollout(envs, models, [e.reset(0.0) for e in envs],
+                                     config.env.episode_len, rngs)
         rewards.append(float(np.mean(rollout.totals / config.env.episode_len)))
     return rewards, {spec.id: params.copy() for spec in config.clients}, {}, []
 
@@ -255,58 +255,53 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
         else:
             gid = traces[spec.trace_ids[0]].group
         clients.append(_Client(spec, gid, _client_rng(config, spec, i), changes))
-    # Client i's model is row i of this stack, updated in place every round; the
-    # round's gradients and the group models to mix in keep one array each too.
+    # Client i's model is row i of this stack, updated in place every round; the group
+    # models to mix in keep one array too.
     models = ModelParams.stack([coord.register(c.spec.id, c.group) for c in clients])
-    layout = models.layout
-    grads, mixin = zero_gradients(models), np.empty_like(models.flat)
+    layout, mixin = models.layout, np.empty_like(models.flat)
 
     episode_steps = config.env.episode_len
-    rewards = []
-    for epoch in range(config.epochs):
-        envs = [StreamEnv(traces[c.spec.trace_ids[epoch % len(c.spec.trace_ids)]], config.env)
-                for c in clients]
-        states = [env.reset(0.0) for env in envs]
-        epoch_reward = 0.0
-        while not envs[0].done:
-            # The clients' sessions step together, one batched pass gives every
-            # gradient and one SGD step moves every model; a divergence names the
-            # first client, in client order, whose gradient or update is not finite.
-            rollout, states = collect_rollouts(envs, models, states, config.hyper.rollout_len,
-                                               [c.rng for c in clients])
-            losses = a3c_gradients(models, rollout, config.hyper, grads)
+    rewards, epoch_reward = [], 0.0
+    # The clients' sessions step together, one batched pass gives every gradient and
+    # one SGD step moves every model; a divergence names the first client, in client
+    # order, whose gradient or update is not finite.
+    for epoch, envs, rollout, grads, losses in learner_rounds(
+            models, [[traces[tid] for tid in c.spec.trace_ids] for c in clients], config.env,
+            config.hyper, [c.rng for c in clients], config.epochs):
+        try:
+            sgd_step(models, grads, losses, config.hyper.lr, frozen)
+        except DivergenceError as e:
+            c = clients[e.row]
+            raise DivergenceError(f"client {c.spec.id!r} in group {c.group}, epoch "
+                                  f"{epoch + 1}, round {coord.current_round(c.group)}: "
+                                  f"{e}") from None
+        zero_frozen(grads, frozen)
+        for c, total, row in zip(clients, rollout.totals.tolist(), grads.flat):
+            coord.submit(UpdateMessage(c.spec.id, c.group, coord.current_round(c.group),
+                                       Gradients(row, layout)))
+            epoch_reward += total
+        # Barrier: aggregate every group that received submissions this round,
+        # then mix each client's model with its group's.
+        for gid in sorted({c.group for c in clients}):
             try:
-                sgd_step(models, grads, losses, config.hyper.lr, frozen)
+                coord.aggregate_round(gid)
             except DivergenceError as e:
-                c = clients[e.row]
-                raise DivergenceError(f"client {c.spec.id!r} in group {c.group}, epoch "
-                                      f"{epoch + 1}, round {coord.current_round(c.group)}: "
-                                      f"{e}") from None
-            zero_frozen(grads, frozen)
-            for c, total, row in zip(clients, rollout.totals.tolist(), grads.flat):
-                coord.submit(UpdateMessage(c.spec.id, c.group, coord.current_round(c.group),
-                                           Gradients(row, layout)))
-                epoch_reward += total
-            # Barrier: aggregate every group that received submissions this round,
-            # then mix each client's model with its group's.
-            for gid in sorted({c.group for c in clients}):
-                try:
-                    coord.aggregate_round(gid)
-                except DivergenceError as e:
-                    raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
-                                          f"{coord.current_round(gid)}: {e}") from None
-            group_models = {gid: coord.fetch(gid).flat for gid in {c.group for c in clients}}
-            np.stack([group_models[c.group] for c in clients], out=mixin)
-            personalize(models, ModelParams(mixin, layout), mix)
-            # Round boundary: apply any due group changes.
-            sim_t = ((epoch + 1) * episode_steps - envs[0].steps_left) * config.env.step_s
-            for c, row in zip(clients, models.flat):
-                while c.pending_changes and c.pending_changes[0][0] <= sim_t:
-                    _, to_group = c.pending_changes.pop(0)
-                    target = coord.migrate(c.spec.id, c.group, to_group)
-                    c.group = to_group
-                    personalize(ModelParams(row, layout), target, mix)
-        rewards.append(epoch_reward / (len(clients) * episode_steps))
+                raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
+                                      f"{coord.current_round(gid)}: {e}") from None
+        group_models = {gid: coord.fetch(gid).flat for gid in {c.group for c in clients}}
+        np.stack([group_models[c.group] for c in clients], out=mixin)
+        personalize(models, ModelParams(mixin, layout), mix)
+        # Round boundary: apply any due group changes.
+        sim_t = ((epoch + 1) * episode_steps - envs[0].steps_left) * config.env.step_s
+        for c, row in zip(clients, models.flat):
+            while c.pending_changes and c.pending_changes[0][0] <= sim_t:
+                _, to_group = c.pending_changes.pop(0)
+                target = coord.migrate(c.spec.id, c.group, to_group)
+                c.group = to_group
+                personalize(ModelParams(row, layout), target, mix)
+        if envs[0].done:
+            rewards.append(epoch_reward / (len(clients) * episode_steps))
+            epoch_reward = 0.0
     final = {c.spec.id: ModelParams(row, layout) for c, row in zip(clients, models.flat)}
     return rewards, final, {gid: coord.fetch(gid) for gid in coord.group_ids()}, coord.events
 

@@ -139,7 +139,7 @@ def _centralized_trajectory(params0, trace, frozen, rounds):
     for _ in range(rounds):
         if env.done:
             state = env.reset()
-        rollout, state = collect_rollout(env, models, state, HYPER.rollout_len, rng)
+        rollout, (state,) = collect_rollout([env], models, [state], HYPER.rollout_len, [rng])
         grads, _ = gradients_of(models, rollout, HYPER)
         apply_update(models, grads, HYPER.lr, frozen)
         out.append(params.copy())
@@ -160,8 +160,8 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
         for i, c in enumerate(clients):
             if c["env"].done:
                 c["state"] = c["env"].reset()
-            rollout, c["state"] = collect_rollout(c["env"], c["stack"], c["state"],
-                                                  HYPER.rollout_len, c["rng"])
+            rollout, (c["state"],) = collect_rollout([c["env"]], c["stack"], [c["state"]],
+                                                     HYPER.rollout_len, [c["rng"]])
             grads, _ = gradients_of(c["stack"], rollout, HYPER)
             apply_update(c["stack"], grads, HYPER.lr, frozen)
             zero_frozen(grads, frozen)

@@ -277,9 +277,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("section, key, value, message", [
         ("federation", "mix", 1.5, "mix must be in [0, 1], got 1.5"),
         ("federation", "mix", -0.5, "mix must be in [0, 1], got -0.5"),
-        ("federation", "server_lr", 0.0, "server_lr must be positive, got 0.0"),
-        ("federation", "server_lr", -1.0, "server_lr must be positive, got -1.0"),
-        ("federation", "poll_period_s", 0.0, "poll_period_s must be positive, got 0.0"),
+        ("federation", "server_lr", 0.0, "server_lr must be finite and positive, got 0.0"),
+        ("federation", "server_lr", -1.0, "server_lr must be finite and positive, got -1.0"),
+        ("federation", "poll_period_s", 0.0, "poll_period_s must be finite and positive, got 0.0"),
         ("run", "frozen_layers", 3, "frozen_layers must be in [0, 2] (hidden layers), got 3"),
         ("run", "epochs", 0, "epochs must be >= 1"),
         ("pretrain", "hidden", [16], "(19, (64, 32), 4), the config needs (19, (16,), 4)"),
@@ -288,6 +288,10 @@ class TestInputErrors:
         ("run", "epochs", True, "run.epochs must be an integer, got True"),
         ("env", "episode_len", 10.5, "env.episode_len must be an integer, got 10.5"),
         ("pretrain", "hidden", [8.5], "pretrain.hidden must be a list of integers, got [8.5]"),
+        ("federation", "server_lr", float("inf"),
+         "server_lr must be finite and positive, got inf"),
+        ("federation", "poll_period_s", float("inf"),
+         "poll_period_s must be finite and positive, got inf"),
     ])
     def test_bad_setting(self, workspace, split_file, checkpoint, section, key, value,
                          message):
@@ -295,7 +299,7 @@ class TestInputErrors:
         config.setdefault(section, {})[key] = value
         bad = workspace / "config-setting.yaml"
         bad.write_text(yaml.safe_dump(config))
-        for scheme in ("offline_only", "transfer_only"):
+        for scheme in ("offline_only", "transfer_only", "full_federated"):
             result = CliRunner().invoke(main, [str(a) for a in (
                 "run", "--scheme", scheme, "--config", bad, "--split", split_file,
                 "--checkpoint", checkpoint, "--out", workspace / "run-setting")])
@@ -356,7 +360,7 @@ class TestInputErrors:
         bad.write_text(yaml.safe_dump(config))
         started = []
         for module in ("pretrain", "schemes"):
-            monkeypatch.setattr(f"fedabr.{module}.collect_rollouts",
+            monkeypatch.setattr(f"fedabr.{module}.collect_rollout",
                                 lambda *args: started.append(args))
         out = workspace / "float-setting"
         for command in (["pretrain"], ["run", "--scheme", "full_federated", "--checkpoint",
@@ -782,7 +786,9 @@ class TestTraceReads:
         test_id = json.loads(split_file.read_text())["test"][0]
         config, corpus = corpus_copy(workspace, "bad-test", {test_id: b"0,1000\n"})
         started = []
-        monkeypatch.setattr("fedabr.schemes.collect_rollouts", lambda *args: started.append(args))
+        for module in ("pretrain", "schemes"):
+            monkeypatch.setattr(f"fedabr.{module}.collect_rollout",
+                                lambda *args: started.append(args))
         out = workspace / "run-bad-test"
         result = CliRunner().invoke(main, [str(a) for a in (
             "run", "--scheme", "transfer_only", "--config", config, "--split", split_file,

@@ -679,7 +679,7 @@ class TestBatchedGradients:
         state = env.reset()
         lengths = []
         while not env.done:
-            rollout, state = collect_rollout(env, as_stack(p), state, 16, rng)
+            rollout, (state,) = collect_rollout([env], as_stack(p), [state], 16, [rng])
             lengths.append(rollout.states.shape[1])
             assert_matches_loop(p, episode_of(rollout), hyper)
         assert lengths == [16] * (episode_len // 16) + [episode_len % 16] * (episode_len % 16 > 0)

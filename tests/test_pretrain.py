@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from fedabr.env import EnvConfig, EnvError, StreamEnv
 from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper, a3c_gradients,
                         apply_update, forward, init_params)
-from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout,
-                             collect_rollouts, offline_train)
+from fedabr.pretrain import DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout, offline_train
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 from tests.conftest import (Episode, as_stack, compensated_sum, constant_trace, params_close,
                             sample_action)
@@ -181,7 +180,7 @@ def client_inputs(env_config, hidden, seed):
 
 
 class TestLockstepRollouts:
-    """`collect_rollouts` against each client's own step-by-step rollout."""
+    """`collect_rollout` against each client's own step-by-step rollout."""
 
     @settings(max_examples=120, deadline=None)
     @given(lockstep_cases())
@@ -196,8 +195,8 @@ class TestLockstepRollouts:
         states = [env.reset() for env in envs]
         ref_states = [env.reset() for env in ref_envs]
         while not envs[0].done:  # rollouts that cross the episode end included
-            rollout, states = collect_rollouts(envs, ModelParams.stack(models), states,
-                                               n_steps, rngs)
+            rollout, states = collect_rollout(envs, ModelParams.stack(models), states,
+                                              n_steps, rngs)
             for i in range(len(envs)):
                 ref, ref_states[i] = reference_rollout(ref_envs[i], models[i], ref_states[i],
                                                        n_steps, ref_rngs[i])
@@ -217,8 +216,8 @@ class TestLockstepRollouts:
         states = [env.reset() for env in envs]
         envs[1].step(0)
         with pytest.raises(EnvError, match=r"not in lockstep: steps left \[9, 10\]"):
-            collect_rollouts(envs, ModelParams.stack([params, params]), states, 4,
-                             [np.random.default_rng(0), np.random.default_rng(1)])
+            collect_rollout(envs, ModelParams.stack([params, params]), states, 4,
+                            [np.random.default_rng(0), np.random.default_rng(1)])
 
     def test_non_finite_state_rejected(self):
         ec = EnvConfig(ladder=LADDER4, episode_len=10)
@@ -227,4 +226,4 @@ class TestLockstepRollouts:
         state = env.reset()
         state[0] = np.nan
         with pytest.raises(NetError, match="non-finite state input"):
-            collect_rollout(env, as_stack(params), state, 4, np.random.default_rng(0))
+            collect_rollout([env], as_stack(params), [state], 4, [np.random.default_rng(0)])

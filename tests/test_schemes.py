@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedabr import schemes
+from fedabr import pretrain, schemes
 from fedabr.discriminator import ClientCondition, poll
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
@@ -196,7 +196,8 @@ class TestValidation:
         cfg = base_config(scheme, (ClientSpec("c0", client_traces),))
         if where == "test":
             cfg = replace(cfg, test_trace_ids=("test0", "bad"))
-        monkeypatch.setattr(schemes, "collect_rollouts", None)  # any training fails
+        for module in (pretrain, schemes):  # any rollout fails
+            monkeypatch.setattr(module, "collect_rollout", None)
         what = {"client": "trace id 'bad' for client 'c0'", "test": "test trace id 'bad'"}[where]
         with pytest.raises(SchemeError, match=re.escape(
                 f"{what} spans {span}s, not one episode [0, 32.0]s")):
@@ -237,12 +238,33 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("mix", 1.01), ("mix", -0.01), ("mix", float("nan")), ("server_lr", 0.0),
-        ("server_lr", -4e-3), ("poll_period_s", 0.0), ("frozen_layers", 3),
+        ("server_lr", -4e-3), ("server_lr", float("inf")), ("poll_period_s", 0.0),
+        ("poll_period_s", float("inf")), ("frozen_layers", 3),
         ("frozen_layers", -1), ("epochs", 0)])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(SchemeError, match=field):
             base_config(Scheme.FULL_FEDERATED, (ClientSpec("c0", ("ft0",)),),
                         **{field: value})
+
+
+class TestOneLearnerLoop:
+    """Pretraining and the online schemes run one learner loop: `offline_train` is the
+    one-client `online_scratch` run over `epochs * episodes_per_epoch` epochs."""
+
+    @pytest.mark.parametrize("episodes_per_epoch, epochs, seed", [(2, 30, 0), (3, 7, 5),
+                                                                   (1, 10, 2)])
+    def test_pretraining_is_the_one_client_scratch_run(self, corpus, episodes_per_epoch,
+                                                       epochs, seed):
+        ids = ("ft0", "ft1", "ft2")
+        cfg = PretrainConfig(epochs=epochs, episodes_per_epoch=episodes_per_epoch,
+                             hyper=HYPER, seed=seed)
+        params, rewards = offline_train([corpus[i] for i in ids], cfg, ENV)
+        scratch = replace(base_config(Scheme.ONLINE_SCRATCH, (ClientSpec("pre", ids, seed=seed),),
+                                      epochs=epochs * episodes_per_epoch), seed=seed)
+        run = run_scheme(scratch, corpus)
+        assert run.final_client_params["pre"].flat.tobytes() == params.flat.tobytes()
+        assert rewards == [float(np.mean(run.rewards[i:i + episodes_per_epoch]))
+                           for i in range(0, len(run.rewards), episodes_per_epoch)]
 
 
 class TestFederationSettingsScope:
@@ -366,7 +388,7 @@ class TestDivergenceOrder:
     fails, as a per-client loop does."""
 
     def diverge(self, corpus, pretrained, monkeypatch, bootstraps, **kwargs):
-        real = schemes.collect_rollouts
+        real = pretrain.collect_rollout
 
         def spoiled(*args):  # non-finite or huge returns for the given clients
             rollout, states = real(*args)
@@ -374,7 +396,7 @@ class TestDivergenceOrder:
             values[list(bootstraps)] = list(bootstraps.values())
             return replace(rollout, bootstrap_values=values), states
 
-        monkeypatch.setattr(schemes, "collect_rollouts", spoiled)
+        monkeypatch.setattr(pretrain, "collect_rollout", spoiled)  # the learner loop's
         clients = tuple(ClientSpec(f"c{i}", (f"ft{i}",)) for i in range(3))
         cfg = replace(base_config(Scheme.FULL_FEDERATED, clients, epochs=1), **kwargs)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
