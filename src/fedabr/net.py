@@ -9,6 +9,7 @@ and stepping equals stepping on the averaged gradient.
 from __future__ import annotations
 
 import zipfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -268,11 +269,12 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     return probs[..., 0, :], (post[-1] @ w_v + b_v)[..., 0, 0]
 
 
-def sample_actions(probs: np.ndarray, draws) -> np.ndarray:
-    """Inverse-CDF sample of each row of the (K, A) `probs` from its draw in [0, 1):
-    the count of the row's first A - 1 cumulative sums below the draw."""
-    below = np.add.accumulate(probs, axis=1)[:, :-1] < np.asarray(draws)[:, None]
-    return np.add.reduce(below, axis=1)
+def sample_actions(probs: np.ndarray, draws) -> list[int]:
+    """Inverse-CDF sample of each row of the (K, A) `probs` from its draw in [0, 1): the count
+    of the row's first A - 1 running sums below the draw. Those are a prefix (sums of terms
+    >= 0 never fall, and a NaN sum is followed by NaNs), which `bisect_left` finds."""
+    rows, last = np.add.accumulate(probs, axis=1).tolist(), probs.shape[1] - 1
+    return [bisect_left(row, u, 0, last) for row, u in zip(rows, draws)]
 
 
 def discounted_returns(rewards: list[float], bootstrap: float, gamma: float) -> np.ndarray:
@@ -308,10 +310,11 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
     values = (post[-1] @ w_v + b_v)[..., 0]
     log_probs = np.log(probs)
     adv = returns - values
+    policy = -log_probs[taken] * adv  # not finite if a taken action had probability 0
+    if not probs.all():  # p log p -> 0 as p -> 0: a probability 0 adds 0 to H and its gradient
+        log_probs[probs == 0.0] = 0.0
     entropy = -np.sum(probs * log_probs, axis=-1)
-    loss = np.sum(-log_probs[taken] * adv
-                  + hyper.value_coef * adv ** 2
-                  - hyper.entropy_coef * entropy, axis=-1)
+    loss = np.sum(policy + hyper.value_coef * adv ** 2 - hyper.entropy_coef * entropy, axis=-1)
 
     # d/dlogits of the policy term (advantage constant) plus entropy term
     dlogits = adv[..., None] * probs

@@ -47,11 +47,12 @@ def collect_rollout(envs: list[StreamEnv], models: ModelParams, states,
     if x.shape != (k, d):
         raise NetError(f"states have shape {x.shape}, need ({k}, {d})")
     buf[:, 0] = x
-    draws = np.array([rng.random(n) for rng in rngs]).T
+    steps = buf[:, :, None]  # step t's (K, 1, d) states are steps[:, t]
+    draws = np.array([rng.random(n) for rng in rngs]).T.tolist()
     actions, rewards = [[] for _ in envs], [[] for _ in envs]
     for t in range(n):
-        _, probs = _forward_full(models, buf[:, t, None])
-        for i, (env, a) in enumerate(zip(envs, sample_actions(probs[:, 0], draws[t]).tolist())):
+        _, probs = _forward_full(models, steps[:, t])
+        for i, (env, a) in enumerate(zip(envs, sample_actions(probs[:, 0], draws[t]))):
             buf[i, t + 1], reward, _ = env.step(a)
             actions[i].append(a)
             rewards[i].append(reward)

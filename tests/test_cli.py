@@ -293,21 +293,22 @@ class TestInputErrors:
         ("federation", "poll_period_s", float("inf"),
          "poll_period_s must be finite and positive, got inf"),
     ])
-    def test_bad_setting(self, workspace, split_file, checkpoint, section, key, value,
-                         message):
+    def test_bad_setting(self, workspace, split_file, checkpoint, tmp_path, section, key,
+                         value, message):
         config = yaml.safe_load((workspace / "config.yaml").read_text())
         config.setdefault(section, {})[key] = value
         bad = workspace / "config-setting.yaml"
         bad.write_text(yaml.safe_dump(config))
         for scheme in ("offline_only", "transfer_only", "full_federated"):
+            out = tmp_path / f"run-{scheme}"  # one path per case and scheme
             result = CliRunner().invoke(main, [str(a) for a in (
                 "run", "--scheme", scheme, "--config", bad, "--split", split_file,
-                "--checkpoint", checkpoint, "--out", workspace / "run-setting")])
+                "--checkpoint", checkpoint, "--out", out)])
             assert isinstance(result.exception, SystemExit)
             assert result.exit_code == 1
             assert result.output.startswith("Error: ") and result.output.count("\n") == 1
             assert message in result.output
-            assert not (workspace / "run-setting").exists()
+            assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("env", "ladder", ["300", "750"],

@@ -134,9 +134,16 @@ class TestForward:
             forward(small_params(), np.array([1, 2, np.nan, 4, 5.0]))
 
 
+def reference_sample_actions(probs, draws):
+    """Reference sampler: the count of each row's first A - 1 cumulative sums below
+    the row's draw, as one numpy comparison and one sum over the rows."""
+    below = np.add.accumulate(probs, axis=1)[:, :-1] < np.asarray(draws)[:, None]
+    return np.add.reduce(below, axis=1)
+
+
 def sample_one(probs, rng):
     """`sample_actions` on one row, with one draw from `rng`."""
-    return int(sample_actions(probs[None], [rng.random()])[0])
+    return sample_actions(probs[None], [rng.random()])[0]
 
 
 @st.composite
@@ -153,6 +160,26 @@ def sampler_cases(draw):
     on_entry = rng.random(k) < 0.5
     cums = np.cumsum(probs, axis=1)[np.arange(k), rng.integers(a, size=k)]
     draws[on_entry] = np.minimum(cums[on_entry], np.nextafter(1.0, 0.0))
+    return probs, draws
+
+
+@st.composite
+def softmax_sampler_cases(draw):
+    """1-64 softmax rows of 2-9 rates, from logits scaled by up to 1e3 so that some
+    probabilities underflow to 0.0, some rows NaN, and one draw per row: uniform, a
+    cumulative sum of the row, or a neighbour of one on either side."""
+    k, a = draw(st.integers(1, 64)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(size=(k, a)) * draw(st.sampled_from([1.0, 30.0, 300.0, 1e3]))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    probs[rng.random(k) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    cums = np.add.accumulate(probs, axis=1)[np.arange(k), rng.integers(a, size=k)]
+    draws = rng.random(k)
+    kind = rng.integers(4, size=k)  # 0: uniform, 1: on a sum, 2: just below, 3: just above
+    draws[kind == 1] = cums[kind == 1]
+    draws[kind == 2] = np.nextafter(cums[kind == 2], -np.inf)
+    draws[kind == 3] = np.nextafter(cums[kind == 3], np.inf)
     return probs, draws
 
 
@@ -188,7 +215,15 @@ class TestSampleAction:
     def test_matches_scalar_sampler(self, case):
         probs, draws = case
         expected = [sample_action(row, SeqDraws([r])) for row, r in zip(probs, draws)]
-        assert sample_actions(probs, draws).tolist() == expected
+        assert sample_actions(probs, draws) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(softmax_sampler_cases())
+    def test_matches_numpy_count(self, case):
+        probs, draws = case
+        expected = reference_sample_actions(probs, draws).tolist()
+        assert sample_actions(probs, draws) == expected
+        assert sample_actions(probs, draws.tolist()) == expected
 
 
 class TestGradients:
@@ -702,10 +737,12 @@ def per_client_gradients(params, traj, hyper):
     probs = e / e.sum(axis=-1, keepdims=True)
     values = (h @ params.weights[-1].T + params.biases[-1])[..., 0]
     steps, actions = np.arange(len(x)), np.asarray(traj.actions)
-    log_probs = np.log(probs)
+    # p log p -> 0 as p -> 0: a rate of probability 0 adds 0 to the entropy and its
+    # gradient, so its log is taken as log 1 there; the taken actions' logs are exact.
+    log_probs = np.log(np.where(probs > 0.0, probs, 1.0))
     adv = returns - values
     entropy = -np.sum(probs * log_probs, axis=1)
-    loss = np.sum(-log_probs[steps, actions] * adv + hyper.value_coef * adv ** 2
+    loss = np.sum(-np.log(probs[steps, actions]) * adv + hyper.value_coef * adv ** 2
                   - hyper.entropy_coef * entropy)
     dlogits = adv[:, None] * probs
     dlogits[steps, actions] -= adv
@@ -783,6 +820,36 @@ class TestStackedGradients:
         for i in (0, 2):
             ref, ref_loss = per_client_gradients(models[i], trajs[i], hyper)
             assert same_bits(grads.flat[i], ref.flat) and losses[i] == ref_loss
+
+    def zero_probability_case(self, taken):
+        """Three models whose middle one's policy bias drives rate 2's probability to
+        exactly 0.0 at every step; that client takes rate 2 at step 0 iff `taken`."""
+        models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=4)
+        models[1].biases[-2][2] = -1e4
+        actions = [1 if a == 2 else a for a in trajs[1].actions]
+        trajs[1] = trajs[1]._replace(actions=[2] * taken + actions[taken:])
+        assert all(forward(models[1], s)[0][2] == 0.0 for s in trajs[1].states)
+        return models, trajs
+
+    def test_zero_probability_adds_nothing_to_the_entropy(self):
+        models, trajs = self.zero_probability_case(taken=False)
+        hyper = TrainHyper(entropy_coef=0.5, clip_norm=0.0)
+        with np.errstate(divide="ignore"):
+            grads, losses = gradients_of(ModelParams.stack(models), as_rollout(trajs), hyper)
+        for i, (p, traj) in enumerate(zip(models, trajs)):
+            ref, ref_loss = per_client_gradients(p, traj, hyper)
+            assert same_bits(grads.flat[i], ref.flat) and losses[i].hex() == ref_loss.hex()
+        assert np.isfinite(grads.flat).all() and np.isfinite(losses).all()
+
+    def test_taken_zero_probability_action_has_no_finite_loss(self):
+        models, trajs = self.zero_probability_case(taken=True)
+        with np.errstate(divide="ignore"):
+            grads, losses = gradients_of(ModelParams.stack(models), as_rollout(trajs),
+                                         TrainHyper(clip_norm=0.0))
+        assert np.isfinite(losses).tolist() == [True, False, True]
+        with pytest.raises(DivergenceError, match="^non-finite loss or gradient$") as e:
+            sgd_step(ModelParams.stack(models), grads, losses, 0.1)
+        assert e.value.row == 1
 
     def test_fills_the_callers_stack(self):
         models, trajs = stacked_inputs(3, ARCH, 4, 6, seed=3)

@@ -58,7 +58,10 @@ class TestOfflineTrain:
         (10.0, "epoch 1, trace 'const': non-finite loss or gradient")])
     def test_divergence_names_epoch_and_trace(self, lr, message):
         ec = EnvConfig(ladder=LADDER4, episode_len=40)
-        cfg = PretrainConfig(epochs=2, hyper=TrainHyper(lr=lr, rollout_len=8, clip_norm=0.0))
+        # At lr 10 the value head's SGD grows geometrically (value_coef 10) until the loss
+        # overflows; at 1e307 the first step overflows.
+        hyper = TrainHyper(lr=lr, rollout_len=8, clip_norm=0.0, value_coef=10.0)
+        cfg = PretrainConfig(epochs=2, hyper=hyper)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
             offline_train([constant_trace()], cfg, ec)
         assert str(info.value) == message

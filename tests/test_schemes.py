@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedabr import pretrain, schemes
@@ -473,6 +473,30 @@ CONDITIONS = [(nt, tm) for nt in (NetworkType.FOUR_G, NetworkType.WIFI)
               for tm in (TransportMode.CAR, TransportMode.TRAIN)]
 
 
+def round_case(scheme, hidden, env, epochs, seed, clients, hyper, frozen_layers=0, mix=0.0,
+               server_lr=None, poll_period_s=1.0):
+    """A small online run: (config, traces, pretrained model). Client i is given as (its
+    traces' conditions, its seed, its schedule), and its trace j is synthesized with seed
+    `seed + 10 * i + j`."""
+    fam = SynthFamily(mean_kbps=1200, amplitude_kbps=400, period_s=15, noise_std_kbps=300,
+                      duration_s=40)
+    traces, specs = {}, []
+    for i, (conditions, client_seed, schedule) in enumerate(clients):
+        ids = []
+        for j, (nt, tm) in enumerate(conditions):
+            tr = synthesize_trace(fam, f"c{i}t{j}", nt, tm, seed + 10 * i + j)
+            traces[tr.id] = tr
+            ids.append(tr.id)
+        specs.append(ClientSpec(f"c{i}", tuple(ids), client_seed, schedule))
+    config = SchemeConfig(scheme=scheme, clients=tuple(specs), epochs=epochs, seed=seed, env=env,
+                          hyper=hyper, frozen_layers=frozen_layers, mix=mix, server_lr=server_lr,
+                          poll_period_s=poll_period_s, hidden=hidden)
+    pretrained = init_params((env.state_dim, *hidden), len(env.ladder), seed + 1)
+    pretrained.flat[:] += np.random.default_rng(seed).normal(scale=0.5,
+                                                            size=pretrained.flat.size)
+    return config, traces, pretrained
+
+
 @st.composite
 def round_cases(draw):
     """A small online run: scheme, 1-5 clients with one or two traces of random
@@ -485,35 +509,32 @@ def round_cases(draw):
                     episode_len=draw(st.integers(1, 20)), history_len=draw(st.integers(1, 3)))
     epochs = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**31))
-    fam = SynthFamily(mean_kbps=1200, amplitude_kbps=400, period_s=15, noise_std_kbps=300,
-                      duration_s=40)
-    traces, clients = {}, []
+    clients = []
     for i in range(draw(st.integers(1, 5))):
-        ids = []
-        for j in range(draw(st.integers(1, 2))):
-            nt, tm = draw(st.sampled_from(CONDITIONS))
-            tr = synthesize_trace(fam, f"c{i}t{j}", nt, tm, seed + 10 * i + j)
-            traces[tr.id] = tr
-            ids.append(tr.id)
+        conditions = [draw(st.sampled_from(CONDITIONS)) for _ in range(draw(st.integers(1, 2)))]
         schedule = None
         if draw(st.booleans()):
             times = sorted(draw(st.lists(st.floats(0.0, epochs * env.episode_len), max_size=3)))
             schedule = tuple((t, ClientCondition(f"c{i}", *draw(st.sampled_from(CONDITIONS))))
                              for t in [0.0, *times])
-        clients.append(ClientSpec(f"c{i}", tuple(ids), draw(st.none() | st.integers(0, 99)),
-                                  schedule))
-    config = SchemeConfig(
-        scheme=scheme, clients=tuple(clients), epochs=epochs, seed=seed, env=env,
-        hyper=TrainHyper(lr=draw(st.floats(1e-4, 1e-2)), rollout_len=draw(st.integers(1, 8)),
-                         entropy_coef=0.05, value_coef=0.1, clip_norm=draw(st.sampled_from(
-                             [0.0, 0.5, 10.0]))),
-        frozen_layers=draw(st.integers(0, len(hidden))), mix=draw(st.floats(0.0, 1.0)),
-        server_lr=draw(st.none() | st.floats(1e-4, 1e-2)),
-        poll_period_s=draw(st.floats(1.0, 20.0)), hidden=hidden)
-    pretrained = init_params((env.state_dim, *hidden), len(env.ladder), seed + 1)
-    pretrained.flat[:] += np.random.default_rng(seed).normal(scale=0.5,
-                                                            size=pretrained.flat.size)
-    return config, traces, pretrained
+        clients.append((conditions, draw(st.none() | st.integers(0, 99)), schedule))
+    hyper = TrainHyper(lr=draw(st.floats(1e-4, 1e-2)), rollout_len=draw(st.integers(1, 8)),
+                       entropy_coef=0.05, value_coef=0.1,
+                       clip_norm=draw(st.sampled_from([0.0, 0.5, 10.0])))
+    return round_case(scheme, hidden, env, epochs, seed, clients, hyper,
+                      frozen_layers=draw(st.integers(0, len(hidden))),
+                      mix=draw(st.floats(0.0, 1.0)),
+                      server_lr=draw(st.none() | st.floats(1e-4, 1e-2)),
+                      poll_period_s=draw(st.floats(1.0, 20.0)))
+
+
+# Trace c1t0 has a 0.0 bandwidth sample, and in epoch 2 client c1's policy gives one rate
+# probability 0.0: its entropy term must add 0, not NaN, or the run diverges.
+ZERO_PROBABILITY_CASE = round_case(
+    Scheme.ONLINE_SCRATCH, (1, 2), EnvConfig(ladder=(300.0, 600.0, 900.0), episode_len=12,
+                                             history_len=3),
+    2, 261, [([CONDITIONS[0]], None, None)] * 2,
+    TrainHyper(lr=0.0078125, rollout_len=1, entropy_coef=0.05, value_coef=0.1, clip_norm=0.0))
 
 
 class TestRoundLoopOracle:
@@ -523,6 +544,7 @@ class TestRoundLoopOracle:
 
     @settings(max_examples=80, deadline=None)
     @given(round_cases())
+    @example(ZERO_PROBABILITY_CASE)
     def test_matches_per_client_loop(self, case):
         config, traces, pretrained = case
         metrics = run_scheme(config, traces, pretrained)
