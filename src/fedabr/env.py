@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .traces import Trace, bandwidth_at
+from .traces import Trace, bandwidth_at, check_fields
 
 DEFAULT_LADDER = (300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0)
 
@@ -37,9 +37,8 @@ class EnvConfig:
     episode_len: int = 300
 
     def __post_init__(self):
-        # Each check is written so that it holds, which NaN never does.
         ladder = self.ladder
-        for name, ok, rule in (
+        check_fields(self, EnvError, (
                 ("ladder", len(ladder) >= 2 and 0.0 < ladder[0] and ladder[-1] < np.inf
                  and all(a < b for a, b in zip(ladder, ladder[1:])),
                  "2 or more finite positive rates, strictly ascending"),
@@ -50,9 +49,7 @@ class EnvConfig:
                 ("history_len", self.history_len >= 1, ">= 1"),
                 ("episode_len", self.episode_len >= 1, ">= 1"),
                 *((w, -np.inf < getattr(self, w) < np.inf, "finite")
-                  for w in ("w_bitrate", "w_stall", "w_delay", "w_switch"))):
-            if not ok:
-                raise EnvError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                  for w in ("w_bitrate", "w_stall", "w_delay", "w_switch"))))
 
     @property
     def max_rate(self) -> float:

@@ -1,16 +1,16 @@
 """Intra-group synchronous federated coordinator.
 
 Holds one versioned global model per group, started from a copy of the run's
-starting model when the first client joins or migrates into the group,
-averages client gradients at a synchronous round barrier, and applies the
-averaged gradient with the shared number of frozen bottom layers.
-Personalization (client-side convex mixing of local and global models) mixes
-the local model in place.
+starting model when the first client joins or migrates into the group. A round
+is one submission of the run's (K, n) gradient stack; a group's model steps by
+the mean of its clients' rows, summed in client-id order, with the shared number
+of frozen bottom layers. Personalization (client-side convex mixing of local and
+global models) mixes the local model in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +21,10 @@ class FederationError(ValueError):
     pass
 
 
-class UpdateRejected(FederationError):
-    pass
-
-
 @dataclass(frozen=True)
 class UpdateMessage:
-    client: str
-    group: int
-    round: int
+    """One round's updates: `clients[k]`'s gradient is row k of the (K, n) `gradients`."""
+    clients: tuple[str, ...]
     gradients: Gradients
 
 
@@ -37,8 +32,6 @@ class UpdateMessage:
 class _Group:
     params: ModelParams
     version: int = 0
-    members: set[str] = field(default_factory=set)
-    pending: dict[str, Gradients] = field(default_factory=dict)
 
 
 def personalize(local: ModelParams, global_params: ModelParams, mix: float) -> None:
@@ -59,6 +52,9 @@ class Coordinator:
         self.server_lr = server_lr
         self.frozen_layers = frozen_layers
         self._groups: dict[int, _Group] = {}
+        self._client_group: dict[str, int] = {}
+        self._round: UpdateMessage | None = None  # the last submission
+        self._rows: dict[int, list[int]] = {}  # its rows not yet aggregated, per group
         self.events: list[dict] = []  # the transcript, one dict per event in order
 
     def _log(self, kind: str, **fields):
@@ -86,54 +82,42 @@ class Coordinator:
         return self._group(group).params.copy()
 
     def register(self, client: str, group: int) -> ModelParams:
+        if client in self._client_group:
+            raise FederationError(f"client {client!r} already registered in group "
+                                  f"{self._client_group[client]}")
         g = self._join(group)
-        if client in g.members:
-            raise FederationError(f"client {client!r} already registered in group {group}")
-        g.members.add(client)
+        self._client_group[client] = group
         self._log("register", client=client, group=group, version=g.version)
         return g.params.copy()
 
     def submit(self, update: UpdateMessage) -> None:
-        g = self._group(update.group)
-        if update.client not in g.members:
-            raise UpdateRejected(f"client {update.client!r} not enrolled in group {update.group}")
-        if update.round != g.version:
-            raise UpdateRejected(f"stale round {update.round} (current {g.version})")
-        if update.client in g.pending:
-            raise UpdateRejected(f"duplicate submission from {update.client!r} "
-                                 f"for round {update.round}")
-        if update.gradients.layout != g.params.layout:
-            raise UpdateRejected("gradient shape mismatch")
-        g.pending[update.client] = update.gradients
-        self._log("submit", client=update.client, group=update.group, round=update.round)
+        """Take one round's rows, one per registered client, for its group. They are read
+        in place, not copied: `update.gradients` must keep its values until the next `submit`."""
+        self._round, self._rows = update, {}
+        for k, client in enumerate(update.clients):
+            group = self._client_group[client]
+            self._rows.setdefault(group, []).append(k)
+            self._log("submit", client=client, group=group, round=self._groups[group].version)
 
     def aggregate_round(self, group: int) -> None:
         g = self._group(group)
-        missing = g.members - g.pending.keys()
-        if missing:
-            raise FederationError(f"round barrier not satisfied for group {group}: "
-                                  f"missing {sorted(missing)}")
-        if not g.pending:
+        if group not in self._rows:
             raise FederationError(f"group {group} has no submissions to aggregate")
+        rows = sorted(self._rows.pop(group), key=self._round.clients.__getitem__)
         # The sum over rows adds them one after another, in client-id order.
-        mean = np.add.reduce([g.pending[c].flat for c in sorted(g.pending)])
-        mean /= len(g.pending)
+        mean = np.add.reduce(self._round.gradients.flat[rows])
+        mean /= len(rows)
         apply_update(g.params, Gradients(mean, g.params.layout), self.server_lr,
                      self.frozen_layers)
         g.version += 1
-        self._log("aggregate", group=group, version=g.version, clients=len(g.pending))
-        g.pending = {}
+        self._log("aggregate", group=group, version=g.version, clients=len(rows))
 
     def migrate(self, client: str, from_group: int, to_group: int) -> ModelParams:
         source = self._group(from_group)
         if from_group == to_group:
             return source.params.copy()
-        if client in source.pending:
-            raise FederationError(f"client {client!r} has a pending submission; "
-                                  "migrate only at round boundaries")
         target = self._join(to_group)
-        source.members.discard(client)
-        target.members.add(client)
+        self._client_group[client] = to_group
         self._log("migrate", client=client, from_group=from_group, to_group=to_group,
                   version=target.version)
         return target.params.copy()

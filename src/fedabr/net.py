@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .traces import check_fields
+
 
 class NetError(ValueError):
     pass
@@ -180,16 +182,13 @@ class TrainHyper:
     clip_norm: float = 40.0
 
     def __post_init__(self):
-        # Each check is written so that it holds, which NaN never does.
-        for name, ok, rule in (
+        check_fields(self, NetError, (
                 ("gamma", 0.0 < self.gamma <= 1.0, "in (0, 1]"),
                 ("entropy_coef", 0.0 <= self.entropy_coef < np.inf, "finite and >= 0"),
                 ("value_coef", 0.0 <= self.value_coef < np.inf, "finite and >= 0"),
                 ("lr", 0.0 < self.lr < np.inf, "finite and positive"),
                 ("rollout_len", self.rollout_len >= 1, ">= 1"),
-                ("clip_norm", self.clip_norm >= 0.0, ">= 0 (0 turns clipping off)")):
-            if not ok:
-                raise NetError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                ("clip_norm", self.clip_norm >= 0.0, ">= 0 (0 turns clipping off)")))
 
 
 def init_params(dims: tuple[int, ...], ladder_size: int, seed: int) -> ModelParams:
@@ -308,7 +307,8 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
     post, probs = _forward_full(params, x)
     w_v, b_v = params._operands[2]
     values = (post[-1] @ w_v + b_v)[..., 0]
-    log_probs = np.log(probs)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, the taken and entropy terms below
+        log_probs = np.log(probs)
     adv = returns - values
     policy = -log_probs[taken] * adv  # not finite if a taken action had probability 0
     if not probs.all():  # p log p -> 0 as p -> 0: a probability 0 adds 0 to H and its gradient

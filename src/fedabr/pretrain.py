@@ -10,7 +10,7 @@ from .env import EnvConfig, EnvError, StreamEnv
 from .net import (DivergenceError, ModelParams, NetError, Rollout, TrainHyper, _forward_full,
                   a3c_gradients, forward, init_params, sample_actions, sgd_step,
                   zero_gradients)
-from .traces import Trace
+from .traces import Trace, check_fields
 
 DEFAULT_ARCH_HIDDEN = (64, 32)
 
@@ -24,10 +24,10 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.episodes_per_epoch < 1:
-            raise ValueError("epochs must be >= 0 and episodes_per_epoch >= 1")
-        if not self.hidden or min(self.hidden) < 1:
-            raise ValueError(f"hidden must list one or more widths >= 1, got {self.hidden!r}")
+        check_fields(self, ValueError, (
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("episodes_per_epoch", self.episodes_per_epoch >= 1, ">= 1"),
+                ("hidden", bool(self.hidden) and min(self.hidden) >= 1, "one or more widths >= 1")))
 
 
 def collect_rollout(envs: list[StreamEnv], models: ModelParams, states,

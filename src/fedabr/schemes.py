@@ -23,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .discriminator import ClientCondition, poll
-from .env import EnvConfig, StreamEnv
+from .env import EnvConfig, EnvError, StreamEnv
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS, QoESummary
-from .net import (DivergenceError, Gradients, ModelParams, TrainHyper, forward, init_params,
+from .net import (DivergenceError, ModelParams, TrainHyper, forward, init_params,
                   save_checkpoint, sgd_step, sum_in_order, zero_frozen)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout, learner_rounds
-from .traces import Trace
+from .traces import Trace, check_fields
 
 
 class Scheme(enum.Enum):
@@ -73,16 +73,13 @@ class SchemeConfig:
         if len({c.id for c in self.clients}) != len(self.clients):
             raise SchemeError("duplicate client ids")
         n = len(self.hidden)
-        # Each check is written so that it holds, which NaN never does.
-        for name, ok, rule in (
+        check_fields(self, SchemeError, (
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("frozen_layers", 0 <= self.frozen_layers <= n, f"in [0, {n}] (hidden layers)"),
                 ("mix", 0.0 <= self.mix <= 1.0, "in [0, 1]"),
                 ("server_lr", self.server_lr is None or 0.0 < self.server_lr < np.inf,
                  "finite and positive"),
-                ("poll_period_s", 0.0 < self.poll_period_s < np.inf, "finite and positive")):
-            if not ok:
-                raise SchemeError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                ("poll_period_s", 0.0 < self.poll_period_s < np.inf, "finite and positive")))
 
     @property
     def sim_time_s(self) -> float:  # one episode per epoch
@@ -160,15 +157,15 @@ def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
                out_dir: str | Path | None = None) -> RunMetrics:
     """Execute a scheme end-to-end. Deterministic under (config, traces, seeds)."""
     t0 = time.perf_counter()
-    need = config.env.episode_len * config.env.step_s
     uses = [(tid, f"trace id {tid!r} for client {spec.id!r}")
             for spec in config.clients for tid in spec.trace_ids]
     for tid, what in uses + [(tid, f"test trace id {tid!r}") for tid in config.test_trace_ids]:
         if tid not in traces:
             raise SchemeError(f"unknown {what}")
-        start, end = traces[tid].times[[0, -1]].tolist()
-        if not (start <= 0.0 and need <= end):  # the span that `StreamEnv.reset(0.0)` reads
-            raise SchemeError(f"{what} spans [{start}, {end}]s, not one episode [0, {need}]s")
+        try:
+            StreamEnv(traces[tid], config.env).check_span()
+        except EnvError as e:
+            raise SchemeError(f"{what}: {e}") from None
 
     params0 = _initial_params(config, pretrained)
     train = _run_offline_only if config.scheme is Scheme.OFFLINE_ONLY else _train_rounds
@@ -276,9 +273,8 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
                                   f"{epoch + 1}, round {coord.current_round(c.group)}: "
                                   f"{e}") from None
         zero_frozen(grads, frozen)
-        for c, total, row in zip(clients, rollout.totals.tolist(), grads.flat):
-            coord.submit(UpdateMessage(c.spec.id, c.group, coord.current_round(c.group),
-                                       Gradients(row, layout)))
+        coord.submit(UpdateMessage(tuple(c.spec.id for c in clients), grads))
+        for total in rollout.totals.tolist():
             epoch_reward += total
         # Barrier: aggregate every group that received submissions this round,
         # then mix each client's model with its group's.

@@ -301,6 +301,14 @@ def load_yaml(path: Path, what: str, error: type[Exception]):
         raise error(f"cannot parse {what} {path}: {' '.join(str(e).split())}") from None
 
 
+def check_fields(obj, error: type[Exception], checks) -> None:
+    """`error`, "{name} must be {rule}, got {value!r}", for the first (name, ok, rule) in
+    `checks` that fails; each `ok` is written so that it holds, which NaN never does."""
+    for name, ok, rule in checks:
+        if not ok:
+            raise error(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+
+
 class Corpus(Mapping[str, Trace]):
     """A manifest's traces by id; a CSV is parsed and kept when its id is first indexed."""
 

@@ -157,7 +157,8 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
                         "state": env.reset(), "rng": np.random.default_rng(77)})
     out = []
     for _ in range(rounds):
-        for i, c in enumerate(clients):
+        rows = []
+        for c in clients:
             if c["env"].done:
                 c["state"] = c["env"].reset()
             rollout, (c["state"],) = collect_rollout([c["env"]], c["stack"], [c["state"]],
@@ -165,8 +166,9 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
             grads, _ = gradients_of(c["stack"], rollout, HYPER)
             apply_update(c["stack"], grads, HYPER.lr, frozen)
             zero_frozen(grads, frozen)
-            coord.submit(UpdateMessage(f"c{i}", gid, coord.current_round(gid),
-                                       Gradients(grads.flat[0], grads.layout)))
+            rows.append(grads.flat[0])
+        coord.submit(UpdateMessage(tuple(f"c{i}" for i in range(k)),
+                                   Gradients(np.stack(rows), grads.layout)))
         coord.aggregate_round(gid)
         global_params = coord.fetch(gid)
         for c in clients:

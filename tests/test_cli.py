@@ -474,7 +474,8 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command, message", [
         ("pretrain", "too short: episode needs 60.0s, trace ends at 40.0s"),
-        ("run", "for client 'client-0' spans [0.0, 40.0]s, not one episode [0, 60.0]s")])
+        ("run", "trace id 'tr0' for client 'client-0': trace 'tr0' too short: episode needs "
+                "60.0s, trace ends at 40.0s")])
     def test_episode_longer_than_traces(self, workspace, split_file, checkpoint, command,
                                         message, monkeypatch):
         config = yaml.safe_load((workspace / "config.yaml").read_text())

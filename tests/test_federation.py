@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fedabr.federation import (Coordinator, FederationError, UpdateMessage,
-                               UpdateRejected, personalize)
+from fedabr.federation import Coordinator, FederationError, UpdateMessage, personalize
 from fedabr.net import Gradients, TrainHyper, apply_update, init_params
 from tests.conftest import Episode, one_model_gradients, params_close
 
@@ -21,6 +20,13 @@ def make_grads(params, seed=1):
                       [int(rng.integers(3)) for _ in range(4)],
                       [float(rng.normal()) for _ in range(4)], 0.0)
     return one_model_gradients(params, episode, HYPER)[0]
+
+
+def submit(coord, *updates):
+    """Submit one round: `updates` are (client, gradients) pairs, stacked in that order."""
+    clients, grads = zip(*updates)
+    coord.submit(UpdateMessage(clients, Gradients(np.stack([g.flat for g in grads]),
+                                                  grads[0].layout)))
 
 
 def neg(grads):
@@ -42,7 +48,7 @@ class TestSeedAndRegister:
         coord = Coordinator(p, server_lr=0.01)
         for g in range(1, 13):
             coord.register(f"c{g}", g)
-        coord.submit(UpdateMessage("c3", 3, 0, make_grads(p)))
+        submit(coord, ("c3", make_grads(p)))
         coord.aggregate_round(3)
         for g in range(1, 13):
             assert coord.current_round(g) == (1 if g == 3 else 0)
@@ -53,7 +59,7 @@ class TestSeedAndRegister:
         p = make_params()
         coord = Coordinator(p, server_lr=0.01)
         assert params_close(coord.register("a", 1), p)
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
+        submit(coord, ("a", make_grads(p)))
         coord.aggregate_round(1)
         later = coord.register("b", 1)
         assert params_close(later, coord.fetch(1))
@@ -69,8 +75,7 @@ class TestSeedAndRegister:
         p = make_params()
         coord = Coordinator(p, server_lr=0.01)
         coord.register("a", 1)
-        for call in (lambda: coord.submit(UpdateMessage("a", 2, 0, make_grads(p))),
-                     lambda: coord.aggregate_round(2),
+        for call in (lambda: coord.aggregate_round(2),
                      lambda: coord.fetch(2),
                      lambda: coord.current_round(2)):
             with pytest.raises(FederationError, match="group 2 has no model"):
@@ -94,31 +99,7 @@ class TestSubmit:
 
     def test_accept(self):
         coord, p = self._setup()
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-
-    def test_stale_round(self):
-        coord, p = self._setup()
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-        coord.aggregate_round(1)
-        with pytest.raises(UpdateRejected, match="stale"):
-            coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-
-    def test_duplicate_submission(self):
-        coord, p = self._setup()
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-        with pytest.raises(UpdateRejected, match="duplicate"):
-            coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-
-    def test_unenrolled_client(self):
-        coord, p = self._setup()
-        with pytest.raises(UpdateRejected):
-            coord.submit(UpdateMessage("ghost", 1, 0, make_grads(p)))
-
-    def test_shape_mismatch(self):
-        coord, p = self._setup()
-        bad = make_grads(init_params((4, 5), 3, seed=0))
-        with pytest.raises(UpdateRejected, match="shape"):
-            coord.submit(UpdateMessage("a", 1, 0, bad))
+        submit(coord, ("a", make_grads(p)))
 
 
 class TestAggregate:
@@ -128,7 +109,7 @@ class TestAggregate:
         coord = Coordinator(p, server_lr=0.05)
         for c in ("a", "b"):
             coord.register(c, 1)
-            coord.submit(UpdateMessage(c, 1, 0, g.copy()))
+        submit(coord, ("a", g.copy()), ("b", g.copy()))
         coord.aggregate_round(1)
         expected = p.copy()
         apply_update(expected, g, 0.05)
@@ -141,20 +122,46 @@ class TestAggregate:
         coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
         coord.register("b", 1)
-        coord.submit(UpdateMessage("a", 1, 0, g))
-        coord.submit(UpdateMessage("b", 1, 0, neg(g)))
+        submit(coord, ("a", g), ("b", neg(g)))
         coord.aggregate_round(1)
         assert params_close(coord.fetch(1), p, tol=1e-15)
         assert coord.current_round(1) == 1
 
-    def test_barrier_unsatisfied(self):
+    def test_aggregate_twice_in_one_round(self):
         p = make_params()
         coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
-        coord.register("b", 1)
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-        with pytest.raises(FederationError, match="barrier"):
+        submit(coord, ("a", make_grads(p)))
+        coord.aggregate_round(1)
+        with pytest.raises(FederationError, match="group 1 has no submissions"):
             coord.aggregate_round(1)
+        assert coord.current_round(1) == 1
+
+    def test_rows_summed_in_client_id_order(self):
+        # "client-10" sorts before "client-2": the group's rows must be added in
+        # client-id order, not in the order of the stack (registration order here).
+        p = make_params()
+        coord = Coordinator(p, server_lr=1.0)
+        ids = ("client-2", "client-10", "client-1")
+        for c in ids:
+            coord.register(c, 1)
+        rng = np.random.default_rng(3)
+        rows = {c: rng.normal(size=p.flat.size) * scale
+                for c, scale in zip(ids, (1e16, 1.0, 1.0))}
+        coord.submit(UpdateMessage(ids, Gradients(np.stack([rows[c] for c in ids]),
+                                                  p.layout)))
+        coord.aggregate_round(1)
+
+        def stepped(order):
+            mean = np.add.reduce(np.stack([rows[c] for c in order]))
+            mean /= len(order)
+            out = p.copy()
+            apply_update(out, Gradients(mean, p.layout), 1.0)
+            return out.flat
+
+        by_id = stepped(sorted(ids))
+        assert by_id.tobytes() != stepped(ids).tobytes()  # the order shows in the bits
+        assert coord.fetch(1).flat.tobytes() == by_id.tobytes()
 
     def test_centralized_equivalence(self):
         # K identical clients = one centralized learner, elementwise.
@@ -167,8 +174,7 @@ class TestAggregate:
                 coord.register(f"c{i}", 1)
             for rnd in range(10):
                 g = make_grads(central, seed=rnd)
-                for i in range(k):
-                    coord.submit(UpdateMessage(f"c{i}", 1, rnd, g.copy()))
+                submit(coord, *[(f"c{i}", g.copy()) for i in range(k)])
                 coord.aggregate_round(1)
                 apply_update(central, g, 0.05)
             assert params_close(coord.fetch(1), central, tol=1e-12)
@@ -179,7 +185,7 @@ class TestAggregate:
         coord.register("a", 1)
         coord.register("b", 2)
         for _ in range(3):
-            coord.submit(UpdateMessage("a", 1, coord.current_round(1), make_grads(p)))
+            submit(coord, ("a", make_grads(p)))
             coord.aggregate_round(1)
         assert params_close(coord.fetch(2), p)
         assert coord.current_round(2) == 0
@@ -191,9 +197,9 @@ class TestAggregate:
 
         def run(payloads):
             coord = Coordinator(p, server_lr=0.05)
-            for i, g in enumerate(payloads):
+            for i in range(len(payloads)):
                 coord.register(f"c{i}", 1)
-                coord.submit(UpdateMessage(f"c{i}", 1, 0, g))
+            submit(coord, *[(f"c{i}", g) for i, g in enumerate(payloads)])
             coord.aggregate_round(1)
             return coord.fetch(1)
 
@@ -230,29 +236,33 @@ class TestMigrate:
         coord.register("b", 1)
         return coord, p
 
-    def test_migrate_removes_from_barrier(self):
+    def test_migrated_row_goes_to_new_group(self):
         coord, p = self._setup()
         coord.migrate("b", 1, 2)
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-        coord.aggregate_round(1)  # barrier satisfied without b
-        with pytest.raises(UpdateRejected, match="not enrolled in group 1"):
-            coord.submit(UpdateMessage("b", 1, 1, make_grads(p)))
-        coord.submit(UpdateMessage("b", 2, 0, make_grads(p)))
+        ga, gb = make_grads(p, seed=1), make_grads(p, seed=2)
+        submit(coord, ("a", ga), ("b", gb))
+        coord.aggregate_round(1)
         coord.aggregate_round(2)
-        assert coord.current_round(2) == 1
+        for gid, g in ((1, ga), (2, gb)):
+            expected = p.copy()
+            apply_update(expected, g, 0.05)
+            assert params_close(coord.fetch(gid), expected)
+            assert coord.current_round(gid) == 1
+        assert [(e["client"], e["group"]) for e in coord.events
+                if e["event"] == "submit"] == [("a", 1), ("b", 2)]
 
     def test_migrate_same_group_noop(self):
         coord, p = self._setup()
         out = coord.migrate("a", 1, 1)
         assert params_close(out, p)
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
-        with pytest.raises(FederationError, match=r"missing \['b'\]"):
-            coord.aggregate_round(1)
+        submit(coord, ("a", make_grads(p)), ("b", make_grads(p)))
+        coord.aggregate_round(1)
+        assert coord.group_ids() == [1] and coord.events[-1]["clients"] == 2
 
     def test_migrate_version_matches_target(self):
         coord, p = self._setup()
         coord.register("c", 2)
-        coord.submit(UpdateMessage("c", 2, 0, make_grads(p)))
+        submit(coord, ("c", make_grads(p)))
         coord.aggregate_round(2)
         out = coord.migrate("a", 1, 2)
         assert params_close(out, coord.fetch(2))
@@ -262,7 +272,7 @@ class TestMigrate:
         p = make_params()
         coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
-        coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
+        submit(coord, ("a", make_grads(p)))
         coord.aggregate_round(1)
         out = coord.migrate("a", 1, 7)
         assert params_close(out, p) and params_close(coord.fetch(7), p)
@@ -275,7 +285,7 @@ def test_transcript_replayable():
     p = make_params()
     coord = Coordinator(p, server_lr=0.05)
     coord.register("a", 1)
-    coord.submit(UpdateMessage("a", 1, 0, make_grads(p)))
+    submit(coord, ("a", make_grads(p)))
     coord.aggregate_round(1)
     assert coord.events == [
         {"event": "seed", "group": 1},
@@ -291,7 +301,7 @@ def test_version_monotonic():
     coord.register("a", 1)
     seen = [coord.current_round(1)]
     for rnd in range(5):
-        coord.submit(UpdateMessage("a", 1, rnd, make_grads(p, seed=rnd)))
+        submit(coord, ("a", make_grads(p, seed=rnd)))
         coord.aggregate_round(1)
         seen.append(coord.current_round(1))
     assert seen == sorted(seen) == list(range(6))

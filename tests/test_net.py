@@ -531,9 +531,11 @@ class TestFlatLayout:
                 for g in grads[1:]:
                     ref += getattr(g, part)[i]
                 ref /= len(grads)
-        for i in (2, 0, 1):
+        order = (2, 0, 1)
+        for i in order:
             coord.register(f"c{i}", 7)
-            coord.submit(UpdateMessage(f"c{i}", 7, 0, grads[i]))
+        coord.submit(UpdateMessage(tuple(f"c{i}" for i in order),
+                                   Gradients(np.stack([grads[i].flat for i in order]), p.layout)))
         coord.aggregate_round(7)
         stepped = p.copy()
         apply_update(stepped, mean, 0.1, frozen)

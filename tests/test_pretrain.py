@@ -102,6 +102,15 @@ class TestOfflineTrain:
         with pytest.raises(ValueError):
             offline_train([], PretrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"episodes_per_epoch": 0}, "episodes_per_epoch must be >= 1, got 0"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"hidden": ()}, "hidden must be one or more widths >= 1, got ()")])
+    def test_bad_setting_names_its_field(self, kwargs, message):
+        with pytest.raises(ValueError) as e:
+            PretrainConfig(**kwargs)
+        assert str(e.value) == message
+
     @pytest.mark.slow
     def test_learns_best_sustainable_rate(self):
         # Bitrate-favoring weights on a constant 1000 kbps link: the greedy

@@ -12,7 +12,8 @@ from fedabr.discriminator import ClientCondition, poll
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.metrics import QoESummary
-from fedabr.net import DivergenceError, TrainHyper, apply_update, forward, init_params, zero_frozen
+from fedabr.net import (DivergenceError, Gradients, TrainHyper, apply_update, forward,
+                        init_params, zero_frozen)
 from fedabr.pretrain import PretrainConfig, offline_train
 from fedabr.schemes import (ClientSpec, Scheme, SchemeConfig, SchemeError, evaluate_greedy,
                             run_scheme)
@@ -199,8 +200,9 @@ class TestValidation:
         for module in (pretrain, schemes):  # any rollout fails
             monkeypatch.setattr(module, "collect_rollout", None)
         what = {"client": "trace id 'bad' for client 'c0'", "test": "test trace id 'bad'"}[where]
-        with pytest.raises(SchemeError, match=re.escape(
-                f"{what} spans {span}s, not one episode [0, 32.0]s")):
+        message = {"[0.0, 20.0]": "too short: episode needs 32.0s, trace ends at 20.0s",
+                   "[5.0, 69.0]": "starts at 5.0s, after the episode start 0.0s"}[span]
+        with pytest.raises(SchemeError, match=re.escape(f"{what}: trace 'bad' {message}") + "$"):
             run_scheme(cfg, traces, pretrained, tmp_path / "run")
         assert not any(tmp_path.iterdir())
 
@@ -416,8 +418,9 @@ class TestDivergenceOrder:
 
 def per_client_rounds(config, traces, params0):
     """Reference: the online round loop with one model per client, each rolled
-    out, given its gradient, stepped, submitted and mixed on its own, in client
-    order, from the scalar oracles (`reference_rollout`, the per-client gradient)."""
+    out, given its gradient, stepped and mixed on its own, in client order, from
+    the scalar oracles (`reference_rollout`, the per-client gradient); the round's
+    gradients are stacked and submitted once."""
     federated = config.scheme is Scheme.FULL_FEDERATED
     frozen = 0 if config.scheme is Scheme.ONLINE_SCRATCH else config.frozen_layers
     server_lr, mix = config.hyper.lr, 1.0
@@ -444,15 +447,17 @@ def per_client_rounds(config, traces, params0):
             c["state"] = c["env"].reset(0.0)
         total = 0.0
         while not clients[0]["env"].done:
+            round_grads = []
             for c in clients:
                 episode, c["state"] = reference_rollout(c["env"], c["model"], c["state"],
                                                         config.hyper.rollout_len, c["rng"])
                 grads, _ = per_client_gradients(c["model"], episode, config.hyper)
                 apply_update(c["model"], grads, config.hyper.lr, frozen)
                 zero_frozen(grads, frozen)
-                coord.submit(UpdateMessage(c["spec"].id, c["group"],
-                                           coord.current_round(c["group"]), grads))
+                round_grads.append(grads.flat)
                 total += add_in_order(episode.rewards)
+            coord.submit(UpdateMessage(tuple(c["spec"].id for c in clients),
+                                       Gradients(np.stack(round_grads), params0.layout)))
             for gid in sorted({c["group"] for c in clients}):
                 coord.aggregate_round(gid)
             for c in clients:
