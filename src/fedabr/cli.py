@@ -74,6 +74,7 @@ def split(config_path, out_path):
     data = {"pretrain": sorted(result.pretrain),
             "finetune": sorted(result.finetune),
             "test": sorted(result.test)}
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as f:
         json.dump(data, f, indent=2)
         f.write("\n")
@@ -94,6 +95,7 @@ def pretrain(config_path, split_path, out_path):
     if not ids:
         raise click.ClickException(f"split file {split_path} has no pretrain traces")
     traces = [corpus[i] for i in sorted(ids)]
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     try:
         params, rewards = offline_train(traces, cfg.pretrain, cfg.env)
     except DivergenceError as e:

@@ -113,12 +113,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         clients = tuple(_client_spec(i, rec) for i, rec in enumerate(clients))
     elif clients != "auto":
         raise ConfigError(f"run.clients must be 'auto' or a list of records, got {clients!r}")
+    env = _build(EnvConfig, sec["env"])
+    pretrain = _build(PretrainConfig, sec["pretrain"], hyper=hyper)
+    # SchemeConfig's own checks, with a stand-in client for `auto`, so they stop every command.
+    _build(SchemeConfig, scheme_args, scheme=Scheme.FULL_FEDERATED, hidden=pretrain.hidden,
+           clients=(ClientSpec("", ()),) if clients == "auto" else clients)
     return ExperimentConfig(
         manifest=(path.parent / sec["corpus"]["manifest"]).resolve(),
         split_seed=sec["split"].get("seed", 0),
-        env=_build(EnvConfig, sec["env"]),
+        env=env,
         hyper=hyper,
-        pretrain=_build(PretrainConfig, sec["pretrain"], hyper=hyper),
+        pretrain=pretrain,
         clients=clients,
         scheme_args=scheme_args,
     )

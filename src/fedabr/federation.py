@@ -2,10 +2,11 @@
 
 Holds one versioned global model per group, started from a copy of the run's
 starting model when the first client joins or migrates into the group. A round
-is one submission of the run's (K, n) gradient stack; a group's model steps by
-the mean of its clients' rows, summed in client-id order, with the shared number
-of frozen bottom layers. Personalization (client-side convex mixing of local and
-global models) mixes the local model in place.
+is one submission of the run's (K, n) gradient stack, row k client k's upload,
+whose frozen bottom layers `sgd_step` has zeroed: the coordinator has no freeze
+depth. A group's model steps by the mean of its clients' rows, summed in
+client-id order. Personalization (client-side convex mixing of local and global
+models) mixes the local model in place.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ def personalize(local: ModelParams, global_params: ModelParams, mix: float) -> N
 class Coordinator:
     """Synchronous per-group parameter server. Single-executor scheduling only."""
 
-    def __init__(self, initial: ModelParams, server_lr: float, frozen_layers: int = 0):
+    def __init__(self, initial: ModelParams, server_lr: float):
         self._initial = initial.copy()
         self.server_lr = server_lr
-        self.frozen_layers = frozen_layers
         self._groups: dict[int, _Group] = {}
         self._client_group: dict[str, int] = {}
         self._round: UpdateMessage | None = None  # the last submission
@@ -107,8 +107,7 @@ class Coordinator:
         # The sum over rows adds them one after another, in client-id order.
         mean = np.add.reduce(self._round.gradients.flat[rows])
         mean /= len(rows)
-        apply_update(g.params, Gradients(mean, g.params.layout), self.server_lr,
-                     self.frozen_layers)
+        apply_update(g.params, Gradients(mean, g.params.layout), self.server_lr)
         g.version += 1
         self._log("aggregate", group=group, version=g.version, clients=len(rows))
 

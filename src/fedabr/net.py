@@ -134,13 +134,6 @@ class ModelParams:
 Gradients = ModelParams
 
 
-def _frozen_end(layout: Layout, frozen_layers: int) -> int:
-    """Offset where the trainable part starts when the first `frozen_layers` are fixed."""
-    if not 0 <= frozen_layers <= len(layout.shapes):
-        raise NetError(f"cannot freeze {frozen_layers} of {len(layout.shapes)} layers")
-    return layout.offsets[frozen_layers]
-
-
 @dataclass(frozen=True)
 class Rollout:
     """K clients' rollouts of T steps each: (K, T, d) states, (K, T) actions and
@@ -359,53 +352,54 @@ def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
         grads.flat *= (max_norm / np.maximum(total, max_norm))[..., None]
 
 
-def apply_update(params: ModelParams, grads: Gradients, lr: float,
-                 frozen_layers: int = 0) -> None:
-    """SGD step in place, over the last axis (one model or a (K, n) stack); the first
-    `frozen_layers` layers keep their bits. DivergenceError, after the step, if an
-    updated entry is not finite."""
+def apply_update(params: ModelParams, grads: Gradients, lr: float) -> None:
+    """SGD step in place, over the last axis (one model or a (K, n) stack). DivergenceError,
+    after the step, if an entry is not finite."""
     if grads.layout != params.layout:
         raise NetError("gradient shape mismatch")
-    k = _frozen_end(params.layout, frozen_layers)
-    trained = params.flat[..., k:]
-    trained -= lr * grads.flat[..., k:]
-    if not np.isfinite(trained).all():
+    params.flat -= lr * grads.flat
+    if not np.isfinite(params.flat).all():
         raise DivergenceError("non-finite update")
 
 
 def sgd_step(models: ModelParams, grads: Gradients, losses: np.ndarray, lr: float,
              frozen_layers: int = 0) -> None:
-    """SGD step of the (K, n) `grads` on the (K, n) stack `models`, the first `frozen_layers`
-    layers kept: every row is stepped, then DivergenceError names (as `row`) the first row
-    whose loss or gradient, or else whose trained part after the step, is not finite."""
+    """SGD step of the (K, n) `grads` on the (K, n) stack `models`. The losses and whole
+    gradient are checked, then `zero_frozen` makes `grads` the clients' upload and every
+    row is stepped (a finite entry less `lr * 0.0` keeps its bits); DivergenceError names
+    (as `row`) the first row whose loss or gradient, or else whose update, is not finite."""
     if grads.layout != models.layout:
         raise NetError("gradient shape mismatch")
-    k = _frozen_end(models.layout, frozen_layers)
-    trained = models.flat[:, k:]
-    trained -= lr * grads.flat[:, k:]
     grad_ok = np.isfinite(losses) & np.isfinite(grads.flat).all(axis=1)
-    ok = grad_ok & np.isfinite(trained).all(axis=1)
+    zero_frozen(grads, frozen_layers)
+    models.flat -= lr * grads.flat
+    ok = grad_ok & np.isfinite(models.flat).all(axis=1)
     if not ok.all():
         i = int(ok.argmin())
         raise DivergenceError(f"non-finite {'update' if grad_ok[i] else 'loss or gradient'}", i)
 
 
 def zero_frozen(grads: Gradients, frozen_layers: int) -> None:
-    """Zero the first `frozen_layers` layers in place (aggregation payloads carry zeros)."""
-    grads.flat[..., :_frozen_end(grads.layout, frozen_layers)] = 0.0
+    """Zero the first `frozen_layers` layers in place: the step of a frozen layer is zero."""
+    n = len(grads.layout.shapes)
+    if not 0 <= frozen_layers <= n:
+        raise NetError(f"cannot freeze {frozen_layers} of {n} layers")
+    grads.flat[..., :grads.layout.offsets[frozen_layers]] = 0.0
 
 
 CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
+    """Write `params` to `path` as named: `np.savez` given a name would add `.npz` to it."""
     arrays = {"version": np.array(CHECKPOINT_VERSION),
               "n_layers": np.array(params.n_layers),
               "activations": np.array(("relu",) * params.n_hidden)}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

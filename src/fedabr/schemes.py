@@ -27,7 +27,7 @@ from .env import EnvConfig, EnvError, StreamEnv
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS, QoESummary
 from .net import (DivergenceError, ModelParams, TrainHyper, forward, init_params,
-                  save_checkpoint, sgd_step, sum_in_order, zero_frozen)
+                  save_checkpoint, sgd_step, sum_in_order)
 from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout, learner_rounds
 from .traces import Trace, check_fields
 
@@ -240,7 +240,7 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
     server_lr, mix = config.hyper.lr, 1.0
     if federated:
         server_lr, mix = config.server_lr or config.hyper.lr, config.mix
-    coord = Coordinator(params0, server_lr, frozen)
+    coord = Coordinator(params0, server_lr)
     clients: list[_Client] = []
     for i, spec in enumerate(config.clients):
         changes = []
@@ -272,7 +272,6 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
             raise DivergenceError(f"client {c.spec.id!r} in group {c.group}, epoch "
                                   f"{epoch + 1}, round {coord.current_round(c.group)}: "
                                   f"{e}") from None
-        zero_frozen(grads, frozen)
         coord.submit(UpdateMessage(tuple(c.spec.id for c in clients), grads))
         for total in rollout.totals.tolist():
             epoch_reward += total

@@ -141,13 +141,14 @@ def _centralized_trajectory(params0, trace, frozen, rounds):
             state = env.reset()
         rollout, (state,) = collect_rollout([env], models, [state], HYPER.rollout_len, [rng])
         grads, _ = gradients_of(models, rollout, HYPER)
-        apply_update(models, grads, HYPER.lr, frozen)
+        zero_frozen(grads, frozen)
+        apply_update(models, grads, HYPER.lr)
         out.append(params.copy())
     return out
 
 
 def _federated_trajectory(k, params0, trace, frozen, rounds):
-    coord = Coordinator(params0, HYPER.lr, frozen_layers=frozen)
+    coord = Coordinator(params0, HYPER.lr)
     gid = trace.group
     clients = []
     for i in range(k):
@@ -164,8 +165,8 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
             rollout, (c["state"],) = collect_rollout([c["env"]], c["stack"], [c["state"]],
                                                      HYPER.rollout_len, [c["rng"]])
             grads, _ = gradients_of(c["stack"], rollout, HYPER)
-            apply_update(c["stack"], grads, HYPER.lr, frozen)
             zero_frozen(grads, frozen)
+            apply_update(c["stack"], grads, HYPER.lr)
             rows.append(grads.flat[0])
         coord.submit(UpdateMessage(tuple(f"c{i}" for i in range(k)),
                                    Gradients(np.stack(rows), grads.layout)))

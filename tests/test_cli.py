@@ -73,6 +73,11 @@ class TestSplit:
         invoke("split", "--config", workspace / "config.yaml", "--out", out2)
         assert out2.read_bytes() == split_file.read_bytes()
 
+    def test_creates_out_directory(self, workspace, split_file, tmp_path):
+        out = tmp_path / "new" / "dir" / "split.json"
+        assert invoke("split", "--config", workspace / "config.yaml", "--out", out).exit_code == 0
+        assert out.read_bytes() == split_file.read_bytes()
+
 
 class TestPretrain:
     def test_creates_checkpoint_and_rewards(self, workspace, checkpoint):
@@ -87,6 +92,25 @@ class TestPretrain:
                "--split", split_file, "--out", out2)
         assert (out2.with_suffix(".rewards.csv").read_bytes()
                 == checkpoint.with_suffix(".rewards.csv").read_bytes())
+
+    def test_creates_out_directory(self, workspace, split_file, tmp_path):
+        out = tmp_path / "new" / "dir" / "ckpt.npz"
+        result = invoke("pretrain", "--config", workspace / "config.yaml",
+                        "--split", split_file, "--out", out)
+        assert result.exit_code == 0 and out.is_file()
+        assert out.with_suffix(".rewards.csv").is_file()
+
+    def test_checkpoint_written_as_named(self, workspace, split_file, tmp_path):
+        """An `--out` without the `.npz` suffix names the checkpoint that `run` reads."""
+        out = tmp_path / "ckpt"
+        result = invoke("pretrain", "--config", workspace / "config.yaml",
+                        "--split", split_file, "--out", out)
+        assert result.exit_code == 0 and result.output.endswith(f"-> {out}\n")
+        assert out.is_file() and not out.with_suffix(".npz").exists()
+        result = invoke("run", "--scheme", "transfer_only", "--config",
+                        workspace / "config.yaml", "--split", split_file,
+                        "--checkpoint", out, "--out", tmp_path / "run")
+        assert result.exit_code == 0 and (tmp_path / "run" / "rewards.csv").is_file()
 
 
 class TestRun:
@@ -309,6 +333,31 @@ class TestInputErrors:
             assert result.output.startswith("Error: ") and result.output.count("\n") == 1
             assert message in result.output
             assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("federation", "mix", 2.0, "mix must be in [0, 1], got 2.0"),
+        ("run", "epochs", 0, "epochs must be >= 1, got 0"),
+        ("run", "frozen_layers", 5, "frozen_layers must be in [0, 2] (hidden layers), got 5"),
+        ("federation", "poll_period_s", -1, "poll_period_s must be finite and positive, got -1"),
+        ("run", "clients", [{"id": "a", "traces": ["tr0"]}, {"id": "a", "traces": ["tr1"]}],
+         "duplicate client ids"),
+    ])
+    @pytest.mark.parametrize("command", ["split", "pretrain"])
+    def test_bad_run_setting_stops_every_command(self, workspace, split_file, tmp_path,
+                                                 command, section, key, value, message):
+        """A run or federation value that `run` would reject stops `split` and `pretrain`
+        too, before they read a trace or write a file."""
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config.setdefault(section, {})[key] = value
+        bad = workspace / "config-run-setting.yaml"
+        bad.write_text(yaml.safe_dump(config))
+        out = tmp_path / "out"
+        args = {"split": [], "pretrain": ["--split", split_file]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (
+            command, "--config", bad, *args, "--out", out)])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output == f"Error: invalid SchemeConfig: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("env", "ladder", ["300", "750"],

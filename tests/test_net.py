@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -271,23 +269,6 @@ class TestGradients:
 
 
 class TestApplyUpdate:
-    def test_all_frozen(self, rng):
-        p = small_params()
-        traj = random_trajectory(p, rng)
-        grads, _ = one_model_gradients(p, traj, TrainHyper())
-        before = p.copy()
-        apply_update(p, grads, 0.1, p.n_layers)
-        assert params_close(p, before)
-
-    @pytest.mark.parametrize("frozen", [-1, 5])
-    def test_freeze_out_of_range(self, rng, frozen):
-        p = small_params()
-        grads, _ = one_model_gradients(p, random_trajectory(p, rng), TrainHyper())
-        with pytest.raises(NetError, match=f"cannot freeze {frozen} of 4 layers"):
-            apply_update(p, grads, 0.1, frozen)
-        with pytest.raises(NetError, match=f"cannot freeze {frozen} of 4 layers"):
-            zero_frozen(grads, frozen)
-
     def test_zero_lr(self, rng):
         p = small_params()
         grads, _ = one_model_gradients(p, random_trajectory(p, rng), TrainHyper())
@@ -337,6 +318,13 @@ class TestHelpers:
         zero_frozen(z, 1)
         assert np.all(z.weights[0] == 0)
         assert np.array_equal(z.weights[1], g.weights[1])
+
+    @pytest.mark.parametrize("frozen", [-1, 5])
+    def test_freeze_out_of_range(self, rng, frozen):
+        p = small_params()
+        grads, _ = one_model_gradients(p, random_trajectory(p, rng), TrainHyper())
+        with pytest.raises(NetError, match=f"cannot freeze {frozen} of 4 layers"):
+            zero_frozen(grads, frozen)
 
 
 class TestCheckpoint:
@@ -506,8 +494,8 @@ class TestFlatLayout:
         p.flat[:] = rng.normal(size=p.flat.size)
         grads = [random_grads(p, rng) for _ in range(3)]
         updated, zeroed = p.copy(), grads[0].copy()
-        apply_update(updated, grads[0], 0.1, frozen)
         zero_frozen(zeroed, frozen)
+        apply_update(updated, zeroed, 0.1)
         for i in range(p.n_layers):
             for got, zg, pa, ga in ((updated.weights[i], zeroed.weights[i],
                                      p.weights[i], grads[0].weights[i]),
@@ -522,7 +510,9 @@ class TestFlatLayout:
 
         # One round of three clients steps the group model by the mean of their
         # payloads, summed one after another in client-id order.
-        coord = Coordinator(p, server_lr=0.1, frozen_layers=frozen)
+        for g in grads:
+            zero_frozen(g, frozen)
+        coord = Coordinator(p, server_lr=0.1)
         mean = zero_gradients(p)
         for i in range(p.n_layers):
             for part in ("weights", "biases"):
@@ -538,7 +528,7 @@ class TestFlatLayout:
                                    Gradients(np.stack([grads[i].flat for i in order]), p.layout)))
         coord.aggregate_round(7)
         stepped = p.copy()
-        apply_update(stepped, mean, 0.1, frozen)
+        apply_update(stepped, mean, 0.1)
         assert same_bits(coord.fetch(7).flat, stepped.flat)
 
         other = init_params(arch, ladder, seed=seed + 1)
@@ -562,13 +552,12 @@ class TestFlatLayout:
 
     @settings(max_examples=30, deadline=None)
     @given(flat_cases())
-    def test_checkpoint_roundtrip_v1_keys(self, case):
+    def test_checkpoint_roundtrip_v1_keys(self, tmp_path_factory, case):
         arch, ladder, _, seed = case
         p = init_params(arch, ladder, seed=seed)
-        buf = io.BytesIO()
-        save_checkpoint(p, buf)
-        buf.seek(0)
-        with np.load(buf) as data:
+        path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+        save_checkpoint(p, path)
+        with np.load(path) as data:
             n = p.n_layers
             assert set(data.files) == ({"version", "n_layers", "activations"}
                                        | {f"w{i}" for i in range(n)}
@@ -576,8 +565,7 @@ class TestFlatLayout:
             assert data["activations"].tolist() == ["relu"] * p.n_hidden
             assert all(same_bits(data[f"w{i}"], p.weights[i]) for i in range(n))
             assert all(same_bits(data[f"b{i}"], p.biases[i]) for i in range(n))
-        buf.seek(0)
-        loaded = load_checkpoint(buf)
+        loaded = load_checkpoint(path)
         assert same_bits(loaded.flat, p.flat)
         assert loaded.hidden == arch[1:]
 
@@ -609,12 +597,12 @@ class TestInPlaceStack:
         models, grads, groups = (ModelParams.stack(rows[i::3]) for i in range(3))
         args = [m.copy() for m in (grads, groups)]
         stacked = [m.copy() for m in (models, grads, models)]
-        assert apply_update(stacked[0], grads, 0.1, frozen) is None
+        assert apply_update(stacked[0], grads, 0.1) is None
         assert zero_frozen(stacked[1], frozen) is None
         assert personalize(stacked[2], groups, mix) is None
         for i in range(k):
             row = [ModelParams(m.flat[i].copy(), layout) for m in (models, grads, models)]
-            apply_update(row[0], ModelParams(grads.flat[i], layout), 0.1, frozen)
+            apply_update(row[0], ModelParams(grads.flat[i], layout), 0.1)
             zero_frozen(row[1], frozen)
             personalize(row[2], ModelParams(groups.flat[i], layout), mix)
             for got, want in zip(stacked, row):
@@ -881,10 +869,36 @@ class TestSgdStep:
     def test_finite_step_is_apply_update(self, rng):
         models = ModelParams.stack([small_params(i) for i in range(3)])
         grads = ModelParams.stack([random_grads(small_params(), rng) for _ in range(3)])
-        want = models.copy()
-        apply_update(want, grads, 0.1, 1)
+        want, upload = models.copy(), grads.copy()
+        zero_frozen(upload, 1)
+        apply_update(want, upload, 0.1)
         assert sgd_step(models, grads, np.zeros(3), 0.1, 1) is None
         assert same_bits(models.flat, want.flat)
+
+    def test_all_frozen(self, rng):
+        models = ModelParams.stack([small_params(i) for i in range(2)])
+        grads = ModelParams.stack([random_grads(small_params(), rng) for _ in range(2)])
+        before = models.copy()
+        sgd_step(models, grads, np.zeros(2), 0.1, models.n_layers)
+        assert same_bits(models.flat, before.flat)
+        assert same_bits(grads.flat, np.zeros_like(grads.flat))
+
+    def test_frozen_prefix_is_checked_then_zeroed(self, rng):
+        """A non-finite gradient in a frozen layer still fails its row, since the zeroing
+        comes after the check; a finite step keeps the frozen layer's bits and leaves
+        zeros in that layer of `grads`, the clients' upload."""
+        models = ModelParams.stack([small_params(i) for i in range(3)])
+        grads = ModelParams.stack([random_grads(small_params(), rng) for _ in range(3)])
+        spoiled = grads.copy()
+        spoiled.weights[0][1, 0, 0] = np.nan  # row 1, layer 0 only; every loss is finite
+        with pytest.raises(DivergenceError) as info:
+            sgd_step(models.copy(), spoiled, np.zeros(3), 0.1, frozen_layers=1)
+        assert str(info.value) == "non-finite loss or gradient" and info.value.row == 1
+
+        before, end = models.copy(), models.layout.offsets[1]
+        sgd_step(models, grads, np.zeros(3), 0.1, frozen_layers=1)
+        assert same_bits(models.flat[:, :end], before.flat[:, :end])
+        assert same_bits(grads.flat[:, :end], np.zeros((3, end)))
 
     def test_checks_layout_and_frozen_range(self):
         models = ModelParams.stack([small_params(i) for i in range(2)])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fedabr.env import EnvConfig, EnvError, StreamEnv
 from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper, a3c_gradients,
-                        apply_update, forward, init_params)
+                        apply_update, forward, init_params, zero_frozen)
 from fedabr.pretrain import DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout, offline_train
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
 from tests.conftest import (Episode, as_stack, compensated_sum, constant_trace, params_close,
@@ -23,7 +23,8 @@ def plain_episode(env, params, hyper, rng, frozen_layers=0):
     while not env.done:
         episode, state = reference_rollout(env, params, state, hyper.rollout_len, rng)
         grads, _ = per_client_gradients(params, episode, hyper)
-        apply_update(params, grads, hyper.lr, frozen_layers)
+        zero_frozen(grads, frozen_layers)
+        apply_update(params, grads, hyper.lr)
     return params
 
 

@@ -144,7 +144,8 @@ class TestFederatedEquivalence:
             while not env.done:
                 episode, state = reference_rollout(env, central, state, HYPER.rollout_len, rng)
                 grads, _ = per_client_gradients(central, episode, HYPER)
-                apply_update(central, grads, HYPER.lr, cfg.frozen_layers)
+                zero_frozen(grads, cfg.frozen_layers)
+                apply_update(central, grads, HYPER.lr)
         group = corpus["ft0"].group
         assert params_close(metrics.final_group_params[group], central, tol=1e-12)
         for cid in ("c0", "c1"):
@@ -426,7 +427,7 @@ def per_client_rounds(config, traces, params0):
     server_lr, mix = config.hyper.lr, 1.0
     if federated:
         server_lr, mix = config.server_lr or config.hyper.lr, config.mix
-    coord = Coordinator(params0, server_lr, frozen)
+    coord = Coordinator(params0, server_lr)
     clients = []
     for i, spec in enumerate(config.clients):
         changes = []
@@ -452,8 +453,8 @@ def per_client_rounds(config, traces, params0):
                 episode, c["state"] = reference_rollout(c["env"], c["model"], c["state"],
                                                         config.hyper.rollout_len, c["rng"])
                 grads, _ = per_client_gradients(c["model"], episode, config.hyper)
-                apply_update(c["model"], grads, config.hyper.lr, frozen)
                 zero_frozen(grads, frozen)
+                apply_update(c["model"], grads, config.hyper.lr)
                 round_grads.append(grads.flat)
                 total += add_in_order(episode.rewards)
             coord.submit(UpdateMessage(tuple(c["spec"].id for c in clients),
