@@ -32,15 +32,15 @@ def main():
 
 def _command_body(fn):
     """Run a command with numpy's floating-point warnings off, since a
-    diverging run ends in one DivergenceError, and report bad input as a
-    one-line error with exit status 1."""
+    diverging run ends in one DivergenceError, and report bad input, or an
+    output path that cannot be written, as a one-line error with exit status 1."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 return fn(*args, **kwargs)
             except (ConfigError, TraceError, EnvError, SchemeError, NetError, MetricError,
-                    RunDirError) as e:
+                    RunDirError, OSError) as e:
                 raise click.ClickException(str(e)) from None
     return wrapper
 
@@ -96,6 +96,8 @@ def pretrain(config_path, split_path, out_path):
         raise click.ClickException(f"split file {split_path} has no pretrain traces")
     traces = [corpus[i] for i in sorted(ids)]
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    if Path(out_path).is_dir():  # found now, not when the checkpoint is written
+        raise IsADirectoryError(f"cannot write the checkpoint {out_path}: it is a directory")
     try:
         params, rewards = offline_train(traces, cfg.pretrain, cfg.env)
     except DivergenceError as e:

@@ -117,7 +117,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     pretrain = _build(PretrainConfig, sec["pretrain"], hyper=hyper)
     # SchemeConfig's own checks, with a stand-in client for `auto`, so they stop every command.
     _build(SchemeConfig, scheme_args, scheme=Scheme.FULL_FEDERATED, hidden=pretrain.hidden,
-           clients=(ClientSpec("", ()),) if clients == "auto" else clients)
+           clients=(ClientSpec("", ("",)),) if clients == "auto" else clients)
     return ExperimentConfig(
         manifest=(path.parent / sec["corpus"]["manifest"]).resolve(),
         split_seed=sec["split"].get("seed", 0),
@@ -130,16 +130,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _parse_schedule(entries, client_id: str):
-    """A `condition_schedule`: `[t, network_type, transport_mode]` entries in time order."""
+    """A `condition_schedule`: `[t, network_type, transport_mode]` entries, in the order given."""
     if not (isinstance(entries, list) and all(isinstance(e, list) and len(e) == 3 and type(
             e[0]) in (int, float) for e in entries)):
         raise ValueError("condition_schedule must be a list of [t, network_type, "
                          f"transport_mode] entries, got {entries!r}")
-    times = [float(e[0]) for e in entries]
-    if not all(a <= b for a, b in zip(times, times[1:])):  # NaN is never in order
-        raise ValueError(f"condition_schedule times must not decrease, got {times}")
-    return tuple((t, ClientCondition(client_id, parse_network_type(nt), parse_transport_mode(tm)))
-                 for t, (_, nt, tm) in zip(times, entries))
+    return tuple((float(t), ClientCondition(client_id, parse_network_type(nt),
+                                            parse_transport_mode(tm))) for t, nt, tm in entries)
 
 
 def _client_spec(index: int, rec) -> ClientSpec:

@@ -17,19 +17,15 @@ class ClientCondition:
 
 def poll(schedule: list[tuple[float, ClientCondition]], period: float,
          until: float) -> list[tuple[float, int]]:
-    """The client's group timeline `[(t, group), ...]` from sampling the schedule
-    at t = 0, period, 2*period, ... up to `until`: the t = 0 sample, then each
-    sample whose group differs from the one before it. A sample reads the last
-    entry with time <= t (the first entry before the schedule starts), so
-    changes that revert between two samples are invisible.
+    """The client's group timeline `[(t, group), ...]` from sampling the schedule (non-empty,
+    in time order: `ClientSpec` checks the order) at t = 0, period, 2*period, ... up to
+    `until`: the t = 0 sample, then each sample whose group differs from the one before it.
+    A sample reads the last entry with time <= t (the first entry before the schedule
+    starts), so changes that revert between two samples are invisible.
     """
     if period <= 0:
         raise ValueError("period must be positive")
-    if not schedule:
-        raise ValueError("empty schedule")
     times = [when for when, _ in schedule]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("schedule must be time-sorted")
     timeline: list[tuple[float, int]] = []
     t = 0.0
     while t <= until + 1e-9:

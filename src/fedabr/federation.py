@@ -1,4 +1,4 @@
-"""Intra-group synchronous federated coordinator.
+"""Intra-group synchronous federated coordinator: the one record of each client's group.
 
 Holds one versioned global model per group, started from a copy of the run's
 starting model when the first client joins or migrates into the group. A round
@@ -81,6 +81,11 @@ class Coordinator:
     def fetch(self, group: int) -> ModelParams:
         return self._group(group).params.copy()
 
+    def group_of(self, client: str) -> int:
+        if client not in self._client_group:
+            raise FederationError(f"client {client!r} is not registered")
+        return self._client_group[client]
+
     def register(self, client: str, group: int) -> ModelParams:
         if client in self._client_group:
             raise FederationError(f"client {client!r} already registered in group "
@@ -111,10 +116,10 @@ class Coordinator:
         g.version += 1
         self._log("aggregate", group=group, version=g.version, clients=len(rows))
 
-    def migrate(self, client: str, from_group: int, to_group: int) -> ModelParams:
-        source = self._group(from_group)
+    def migrate(self, client: str, to_group: int) -> ModelParams:
+        from_group = self.group_of(client)
         if from_group == to_group:
-            return source.params.copy()
+            return self._group(from_group).params.copy()
         target = self._join(to_group)
         self._client_group[client] = to_group
         self._log("migrate", client=client, from_group=from_group, to_group=to_group,

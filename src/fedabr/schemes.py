@@ -50,6 +50,12 @@ class ClientSpec:
     seed: int | None = None
     condition_schedule: tuple[tuple[float, ClientCondition], ...] | None = None
 
+    def __post_init__(self):
+        check_fields(self, SchemeError, (("trace_ids", len(self.trace_ids) > 0, "non-empty"),))
+        times = [t for t, _ in self.condition_schedule or ()]
+        if not all(a <= b for a, b in zip(times, times[1:])):  # NaN is never in order
+            raise SchemeError(f"condition_schedule times must not decrease, got {times}")
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -144,14 +150,6 @@ def evaluate_greedy(models: list[ModelParams], traces: list[Trace], env_config: 
     return np.stack(means).reshape(4, len(traces), len(models))
 
 
-@dataclass
-class _Client:
-    spec: ClientSpec
-    group: int
-    rng: np.random.Generator
-    pending_changes: list[tuple[float, int]]  # (t, group) migrations still to come
-
-
 def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
                pretrained: ModelParams | None = None,
                out_dir: str | Path | None = None) -> RunMetrics:
@@ -205,6 +203,8 @@ def _staged_dir(out_dir: Path | None):
     if out_dir is None:
         yield None
         return
+    if out_dir.is_file():
+        raise NotADirectoryError(f"cannot write a run into {out_dir}: it is a file")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     work = out_dir.with_name(f".{out_dir.name}.{uuid.uuid4().hex[:12]}.tmp")
     work.mkdir()
@@ -241,20 +241,20 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
     if federated:
         server_lr, mix = config.server_lr or config.hyper.lr, config.mix
     coord = Coordinator(params0, server_lr)
-    clients: list[_Client] = []
-    for i, spec in enumerate(config.clients):
-        changes = []
+    ids = tuple(spec.id for spec in config.clients)
+    pending, start = [], []  # per client: its (t, group) migrations still to come, its model
+    for i, spec in enumerate(config.clients):  # registers in its timeline's first group
         if not federated:
-            gid = 100 + i  # isolated per-client groups for the non-federated schemes
+            timeline = [(0.0, 100 + i)]  # a group of its own
         elif spec.condition_schedule:
-            (_, gid), *changes = poll(list(spec.condition_schedule), config.poll_period_s,
-                                      config.sim_time_s)
+            timeline = poll(list(spec.condition_schedule), config.poll_period_s, config.sim_time_s)
         else:
-            gid = traces[spec.trace_ids[0]].group
-        clients.append(_Client(spec, gid, _client_rng(config, spec, i), changes))
+            timeline = [(0.0, traces[spec.trace_ids[0]].group)]
+        pending.append(timeline[1:])
+        start.append(coord.register(spec.id, timeline[0][1]))
     # Client i's model is row i of this stack, updated in place every round; the group
     # models to mix in keep one array too.
-    models = ModelParams.stack([coord.register(c.spec.id, c.group) for c in clients])
+    models = ModelParams.stack(start)
     layout, mixin = models.layout, np.empty_like(models.flat)
 
     episode_steps = config.env.episode_len
@@ -263,41 +263,40 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
     # one SGD step moves every model; a divergence names the first client, in client
     # order, whose gradient or update is not finite.
     for epoch, envs, rollout, grads, losses in learner_rounds(
-            models, [[traces[tid] for tid in c.spec.trace_ids] for c in clients], config.env,
-            config.hyper, [c.rng for c in clients], config.epochs):
+            models, [[traces[tid] for tid in s.trace_ids] for s in config.clients], config.env,
+            config.hyper, [_client_rng(config, s, i) for i, s in enumerate(config.clients)],
+            config.epochs):
         try:
             sgd_step(models, grads, losses, config.hyper.lr, frozen)
         except DivergenceError as e:
-            c = clients[e.row]
-            raise DivergenceError(f"client {c.spec.id!r} in group {c.group}, epoch "
-                                  f"{epoch + 1}, round {coord.current_round(c.group)}: "
-                                  f"{e}") from None
-        coord.submit(UpdateMessage(tuple(c.spec.id for c in clients), grads))
+            gid = coord.group_of(ids[e.row])
+            raise DivergenceError(f"client {ids[e.row]!r} in group {gid}, epoch {epoch + 1}, "
+                                  f"round {coord.current_round(gid)}: {e}") from None
+        coord.submit(UpdateMessage(ids, grads))
         for total in rollout.totals.tolist():
             epoch_reward += total
         # Barrier: aggregate every group that received submissions this round,
         # then mix each client's model with its group's.
-        for gid in sorted({c.group for c in clients}):
+        groups = [coord.group_of(cid) for cid in ids]
+        for gid in sorted(set(groups)):
             try:
                 coord.aggregate_round(gid)
             except DivergenceError as e:
                 raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
                                       f"{coord.current_round(gid)}: {e}") from None
-        group_models = {gid: coord.fetch(gid).flat for gid in {c.group for c in clients}}
-        np.stack([group_models[c.group] for c in clients], out=mixin)
+        group_models = {gid: coord.fetch(gid).flat for gid in set(groups)}
+        np.stack([group_models[gid] for gid in groups], out=mixin)
         personalize(models, ModelParams(mixin, layout), mix)
         # Round boundary: apply any due group changes.
         sim_t = ((epoch + 1) * episode_steps - envs[0].steps_left) * config.env.step_s
-        for c, row in zip(clients, models.flat):
-            while c.pending_changes and c.pending_changes[0][0] <= sim_t:
-                _, to_group = c.pending_changes.pop(0)
-                target = coord.migrate(c.spec.id, c.group, to_group)
-                c.group = to_group
+        for cid, changes, row in zip(ids, pending, models.flat):
+            while changes and changes[0][0] <= sim_t:
+                target = coord.migrate(cid, changes.pop(0)[1])
                 personalize(ModelParams(row, layout), target, mix)
         if envs[0].done:
-            rewards.append(epoch_reward / (len(clients) * episode_steps))
+            rewards.append(epoch_reward / (len(ids) * episode_steps))
             epoch_reward = 0.0
-    final = {c.spec.id: ModelParams(row, layout) for c, row in zip(clients, models.flat)}
+    final = {cid: ModelParams(row, layout) for cid, row in zip(ids, models.flat)}
     return rewards, final, {gid: coord.fetch(gid) for gid in coord.group_ids()}, coord.events
 
 

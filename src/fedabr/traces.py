@@ -245,14 +245,13 @@ class SynthFamily:
     wave: str = "sine"  # "sine" | "square"
 
     def __post_init__(self):
-        if self.mean_kbps <= 0:
-            raise TraceError("mean_kbps must be positive")
-        if self.duration_s <= 0:
-            raise TraceError("duration_s must be positive")
-        if self.period_s <= 0:
-            raise TraceError("period_s must be positive")
-        if self.wave not in ("sine", "square"):
-            raise TraceError(f"unknown wave {self.wave!r}")
+        check_fields(self, TraceError, (
+            ("mean_kbps", 0 < self.mean_kbps < np.inf, "finite and positive"),
+            ("amplitude_kbps", abs(self.amplitude_kbps) < np.inf, "finite"),
+            ("period_s", 0 < self.period_s < np.inf, "finite and positive"),
+            ("noise_std_kbps", 0 <= self.noise_std_kbps < np.inf, "finite and >= 0"),
+            ("duration_s", 0 < self.duration_s < np.inf, "finite and positive"),
+            ("wave", self.wave in ("sine", "square"), "'sine' or 'square'")))
 
 
 def synthesize_trace(family: SynthFamily, trace_id: str, network_type: NetworkType,

@@ -544,6 +544,35 @@ class TestInputErrors:
         assert message in result.output
         assert started == [] and not out.exists()
 
+    @pytest.mark.parametrize("command, out, message", [
+        ("split", "adir", "Is a directory: '{adir}'"),
+        ("split", "afile/split.json", "File exists: '{afile}'"),
+        ("pretrain", "adir", "cannot write the checkpoint {adir}: it is a directory"),
+        ("pretrain", "afile/ckpt.npz", "File exists: '{afile}'"),
+        ("run", "afile/run", "File exists: '{afile}'"),
+        ("run", "afile", "cannot write a run into {afile}: it is a file"),
+    ])
+    def test_bad_out_path(self, workspace, split_file, checkpoint, tmp_path, monkeypatch,
+                          command, out, message):
+        """An `--out` that is a directory where a file goes, or that lies under a file,
+        names the path in one line, before any training."""
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("in the way\n")
+        started = []
+        monkeypatch.setattr("fedabr.cli.offline_train", lambda *args: started.append(args))
+        monkeypatch.setattr("fedabr.schemes._train_rounds", lambda *args: started.append(args))
+        args = {"split": [], "pretrain": ["--split", split_file],
+                "run": ["--scheme", "transfer_only", "--split", split_file,
+                        "--checkpoint", checkpoint]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (
+            command, "--config", workspace / "config.yaml", *args, "--out", tmp_path / out)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert message.format(adir=tmp_path / "adir", afile=tmp_path / "afile") in result.output
+        assert started == [] and sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_scheme_error(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())
         config["run"]["clients"] = [{"id": "c0", "traces": ["no-such-trace"]}]

@@ -79,15 +79,6 @@ class TestPoll:
         timeline = poll(schedule, period=3.0, until=19.0)
         assert len(timeline) <= 7  # number of sampling points
 
-    def test_empty_schedule(self):
-        with pytest.raises(ValueError):
-            poll([], period=5.0, until=10.0)
-
-    def test_unsorted_schedule(self):
-        schedule = [(5.0, cond(NT.WIFI, TM.CAR)), (1.0, cond(NT.FOUR_G, TM.CAR))]
-        with pytest.raises(ValueError):
-            poll(schedule, period=5.0, until=10.0)
-
     def test_bad_period(self):
         with pytest.raises(ValueError):
             poll([(0.0, cond(NT.WIFI, TM.CAR))], period=0.0, until=10.0)

@@ -238,7 +238,7 @@ class TestMigrate:
 
     def test_migrated_row_goes_to_new_group(self):
         coord, p = self._setup()
-        coord.migrate("b", 1, 2)
+        coord.migrate("b", 2)
         ga, gb = make_grads(p, seed=1), make_grads(p, seed=2)
         submit(coord, ("a", ga), ("b", gb))
         coord.aggregate_round(1)
@@ -253,7 +253,7 @@ class TestMigrate:
 
     def test_migrate_same_group_noop(self):
         coord, p = self._setup()
-        out = coord.migrate("a", 1, 1)
+        out = coord.migrate("a", 1)
         assert params_close(out, p)
         submit(coord, ("a", make_grads(p)), ("b", make_grads(p)))
         coord.aggregate_round(1)
@@ -264,7 +264,7 @@ class TestMigrate:
         coord.register("c", 2)
         submit(coord, ("c", make_grads(p)))
         coord.aggregate_round(2)
-        out = coord.migrate("a", 1, 2)
+        out = coord.migrate("a", 2)
         assert params_close(out, coord.fetch(2))
         assert coord.current_round(2) == 1
 
@@ -274,11 +274,26 @@ class TestMigrate:
         coord.register("a", 1)
         submit(coord, ("a", make_grads(p)))
         coord.aggregate_round(1)
-        out = coord.migrate("a", 1, 7)
+        out = coord.migrate("a", 7)
         assert params_close(out, p) and params_close(coord.fetch(7), p)
         assert coord.current_round(7) == 0
         assert [e["event"] for e in coord.events[-2:]] == ["seed", "migrate"]
         assert coord.events[-2]["group"] == 7 and coord.events[-1]["to_group"] == 7
+
+    def test_from_group_is_the_recorded_group(self):
+        coord, p = self._setup()
+        coord.migrate("b", 2)
+        coord.migrate("b", 5)
+        assert coord.group_of("a") == 1 and coord.group_of("b") == 5
+        assert [(e["from_group"], e["to_group"]) for e in coord.events
+                if e["event"] == "migrate"] == [(1, 2), (2, 5)]
+
+    def test_unknown_client(self):
+        coord, _ = self._setup()
+        for call in (lambda: coord.group_of("z"), lambda: coord.migrate("z", 2)):
+            with pytest.raises(FederationError, match="client 'z' is not registered"):
+                call()
+        assert 2 not in coord.group_ids()
 
 
 def test_transcript_replayable():

@@ -176,6 +176,52 @@ class TestMigration:
         # Group 6 (4g/car) and group 10 (wifi/car) both exist after the switch.
         assert set(metrics.final_group_params) == {6, 10}
 
+    def test_migrate_event_leaves_the_recorded_group(self, corpus, pretrained):
+        cond = [ClientCondition("c0", nt, TransportMode.CAR)
+                for nt in (NetworkType.FOUR_G, NetworkType.WIFI, NetworkType.THREE_G)]
+        clients = (ClientSpec("c0", ("ft0",), condition_schedule=tuple(zip((0.0, 40.0, 80.0),
+                                                                           cond))),)
+        metrics = run_scheme(base_config(Scheme.FULL_FEDERATED, clients), corpus, pretrained)
+        moves = [(e["event"], e.get("group"), e.get("from_group"), e.get("to_group"))
+                 for e in metrics.transcript if e["event"] in ("register", "migrate")]
+        assert moves == [("register", 6, None, None), ("migrate", None, 6, 10),
+                         ("migrate", None, 10, 2)]
+
+
+class TestClientSpec:
+    """`ClientSpec` is where a client's trace list and schedule are checked, whether the
+    record comes from a config file or is built in Python."""
+
+    def schedule(self, *entries):
+        return tuple((t, ClientCondition("c0", nt, TransportMode.CAR)) for t, nt in entries)
+
+    def test_empty_trace_ids(self):
+        with pytest.raises(SchemeError, match=re.escape("trace_ids must be non-empty, got ()")):
+            ClientSpec("c0", ())
+
+    def test_unsorted_schedule(self):
+        with pytest.raises(SchemeError, match=re.escape(
+                "condition_schedule times must not decrease, got [5.0, 1.0]")):
+            ClientSpec("c0", ("ft0",), condition_schedule=self.schedule(
+                (5.0, NetworkType.WIFI), (1.0, NetworkType.FOUR_G)))
+
+    def test_nan_time_is_not_in_order(self):
+        with pytest.raises(SchemeError, match=re.escape("got [0.0, nan]")):
+            ClientSpec("c0", ("ft0",), condition_schedule=self.schedule(
+                (0.0, NetworkType.WIFI), (float("nan"), NetworkType.THREE_G)))
+
+    def test_equal_times_are_in_order(self):
+        ClientSpec("c0", ("ft0",), condition_schedule=self.schedule(
+            (0.0, NetworkType.WIFI), (0.0, NetworkType.THREE_G), (3.0, NetworkType.WIFI)))
+
+    def test_empty_schedule_is_no_schedule(self, corpus, pretrained):
+        """The client joins its first trace's group and never migrates."""
+        cfg = base_config(Scheme.FULL_FEDERATED, (ClientSpec("c0", ("ft0",),
+                                                             condition_schedule=()),), epochs=1)
+        transcript = run_scheme(cfg, corpus, pretrained).transcript
+        assert [e["group"] for e in transcript if e["event"] == "register"] == [6]
+        assert not [e for e in transcript if e["event"] == "migrate"]
+
 
 class TestValidation:
     def test_unknown_trace(self, corpus, pretrained):
@@ -467,7 +513,7 @@ def per_client_rounds(config, traces, params0):
             for c in clients:
                 while c["changes"] and c["changes"][0][0] <= sim_t:
                     _, to_group = c["changes"].pop(0)
-                    target = coord.migrate(c["spec"].id, c["group"], to_group)
+                    target = coord.migrate(c["spec"].id, to_group)
                     c["group"] = to_group
                     personalize(c["model"], target, mix)
         rewards.append(total / (len(clients) * steps))

@@ -404,6 +404,25 @@ class TestSynthesize:
         with pytest.raises(TraceError):
             SynthFamily(mean_kbps=100, duration_s=-1)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("mean_kbps", 0.0, "finite and positive"),
+        ("mean_kbps", float("nan"), "finite and positive"),
+        ("mean_kbps", float("inf"), "finite and positive"),
+        ("amplitude_kbps", float("nan"), "finite"),
+        ("amplitude_kbps", float("-inf"), "finite"),
+        ("period_s", float("nan"), "finite and positive"),
+        ("period_s", -5.0, "finite and positive"),
+        ("noise_std_kbps", float("nan"), "finite and >= 0"),
+        ("noise_std_kbps", -1.0, "finite and >= 0"),
+        ("duration_s", float("inf"), "finite and positive"),
+        ("duration_s", float("nan"), "finite and positive"),
+        ("wave", "triangle", "'sine' or 'square'"),
+    ])
+    def test_every_field_checked(self, field, value, rule):
+        """A bad field is named when the family is made, not later by the trace it makes."""
+        with pytest.raises(TraceError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
+            SynthFamily(**{"mean_kbps": 1000.0, field: value})
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path, noisy_trace):
