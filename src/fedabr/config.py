@@ -131,8 +131,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _parse_schedule(entries, client_id: str):
     """A `condition_schedule`: `[t, network_type, transport_mode]` entries, in the order given."""
-    if not (isinstance(entries, list) and all(isinstance(e, list) and len(e) == 3 and type(
-            e[0]) in (int, float) for e in entries)):
+    if not (isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == 3 and _is_a(float, e[0]) for e in entries)):
         raise ValueError("condition_schedule must be a list of [t, network_type, "
                          f"transport_mode] entries, got {entries!r}")
     return tuple((float(t), ClientCondition(client_id, parse_network_type(nt),

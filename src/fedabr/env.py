@@ -93,7 +93,7 @@ class StreamEnv:
             raise EnvError(f"trace {self.trace.id!r} too short: episode needs "
                            f"{needed}s, trace ends at {end}s")
 
-    def reset(self, start: float = 0.0) -> np.ndarray:
+    def reset(self, start: float = 0.0) -> list[float]:
         self.check_span(start)
         cfg = self.config
         bw0 = bandwidth_at(self.trace, start)
@@ -120,14 +120,15 @@ class StreamEnv:
     # `step` and `_state` write each min(1.0, max(0.0, x)), max(0.0, x) and min(a, b)
     # as the comparisons the builtins make, which give the same float for every input
     # (-0.0 and NaN clamp to 0.0) without the calls, and read each config value once.
-    def _state(self) -> np.ndarray:
+    # The state is a new list of floats, so a lockstep loop writes K with one assignment.
+    def _state(self) -> list[float]:
         rate, delay = self._prev_bitrate / self._max_rate, self._queue_delay_ms / self._delay_norm
-        return np.array(self._hist + [
+        return self._hist + [
             (rate if rate < 1.0 else 1.0) if rate > 0.0 else 0.0,
             (delay if delay < 1.0 else 1.0) if delay > 0.0 else 0.0,
-            self._loss[self._j]], dtype=float)
+            self._loss[self._j]]
 
-    def step(self, action: int) -> tuple[np.ndarray, float, StepOutcome]:
+    def step(self, action: int) -> tuple[list[float], float, StepOutcome]:
         if not self._started:
             raise EnvError("call reset() before step()")
         cfg = self.config

@@ -98,9 +98,9 @@ class Coordinator:
     def submit(self, update: UpdateMessage) -> None:
         """Take one round's rows, one per registered client, for its group. They are read
         in place, not copied: `update.gradients` must keep its values until the next `submit`."""
+        groups = [self.group_of(client) for client in update.clients]  # before any change
         self._round, self._rows = update, {}
-        for k, client in enumerate(update.clients):
-            group = self._client_group[client]
+        for k, (client, group) in enumerate(zip(update.clients, groups)):
             self._rows.setdefault(group, []).append(k)
             self._log("submit", client=client, group=group, round=self._groups[group].version)
 

@@ -52,10 +52,14 @@ def collect_rollout(envs: list[StreamEnv], models: ModelParams, states,
     actions, rewards = [[] for _ in envs], [[] for _ in envs]
     for t in range(n):
         _, probs = _forward_full(models, steps[:, t])
-        for i, (env, a) in enumerate(zip(envs, sample_actions(probs[:, 0], draws[t]))):
-            buf[i, t + 1], reward, _ = env.step(a)
-            actions[i].append(a)
-            rewards[i].append(reward)
+        nexts = []
+        for env, a, acts, rews in zip(envs, sample_actions(probs[:, 0], draws[t]), actions,
+                                      rewards):
+            state, reward, _ = env.step(a)
+            nexts.append(state)
+            acts.append(a)
+            rews.append(reward)
+        buf[:, t + 1] = nexts
     if not np.isfinite(buf).all():
         raise NetError("non-finite state input")
     _, values = forward(models, buf[:, n])

@@ -139,12 +139,13 @@ def evaluate_greedy(models: list[ModelParams], traces: list[Trace], env_config: 
     stack = ModelParams.stack(models)
     states = np.array([env.reset(0.0) for env in envs])
     # Per session and step: achieved bitrate, delay, stall time, reward (`o[3:]`).
-    achieved, delay, stall, reward = np.empty((4, len(envs), n))
+    qoe = np.empty((len(envs), n, 4))
     for t in range(n):
         probs, _ = forward(stack, states.reshape(len(traces), len(models), -1))
-        for i, (env, a) in enumerate(zip(envs, probs.argmax(axis=-1).ravel().tolist())):
-            states[i], _, o = env.step(a)
-            achieved[i, t], delay[i, t], stall[i, t], reward[i, t] = o[3:]
+        steps = [env.step(a) for env, a in zip(envs, probs.argmax(axis=-1).ravel().tolist())]
+        states[:] = [s for s, _, _ in steps]
+        qoe[:, t] = [o[3:] for _, _, o in steps]
+    achieved, delay, stall, reward = qoe.transpose(2, 0, 1).copy()
     stall_rate = sum_in_order(stall, axis=1) / (n * env_config.step_s)
     means = (achieved.mean(axis=1), stall_rate, delay.mean(axis=1), reward.mean(axis=1))
     return np.stack(means).reshape(4, len(traces), len(models))

@@ -416,7 +416,7 @@ def test_9_simulator_conservation():
             elif out.achieved_kbps > out.action_kbps + 1e-9 or \
                     out.achieved_kbps > out.capacity_kbps + drained / env_cfg.step_s + 1e-9:
                 ok, notes = False, ["work conservation violated"]
-            elif not (np.all(state >= 0.0) and np.all(state <= 1.0)):
+            elif not (np.all(np.asarray(state) >= 0.0) and np.all(np.asarray(state) <= 1.0)):
                 ok, notes = False, ["state features out of [0, 1]"]
             elif out.delay_ms < env_cfg.base_rtt_ms or \
                     out.stall_s not in (0.0, env_cfg.step_s):

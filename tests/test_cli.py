@@ -284,6 +284,8 @@ class TestInputErrors:
          "'c0': condition_schedule must be a list of"),
         ({"id": "c0", "traces": ["tr0"], "condition_schedule": {"0": ["4g", "car"]}},
          "'c0': condition_schedule must be a list of"),
+        ({"id": "c0", "traces": ["tr0"], "condition_schedule": [[10**400, "4g", "car"]]},
+         "'c0': condition_schedule must be a list of"),  # a time too large for a float
     ])
     def test_malformed_client_record(self, workspace, split_file, checkpoint, record, message):
         config = yaml.safe_load((workspace / "config.yaml").read_text())

@@ -64,7 +64,7 @@ class TestReset:
         env = StreamEnv(constant_trace(1000), small_env_config)
         state = env.reset()
         k = small_env_config.history_len
-        thr = state[:k]
+        thr = np.asarray(state[:k])
         assert np.all(thr == thr[0])
         assert thr[0] == pytest.approx(1000 / small_env_config.max_rate)
 
@@ -207,7 +207,7 @@ class TestInvariants:
         cap_sum = 0.0
         achieved_sum = 0.0
         while not env.done:
-            assert np.all(state >= 0) and np.all(state <= 1)
+            assert np.all(np.asarray(state) >= 0) and np.all(np.asarray(state) <= 1)
             state, _, out = env.step(int(rng.integers(len(cfg.ladder))))
             assert env._backlog_kbit >= 0
             assert 0 <= out.achieved_kbps <= out.action_kbps
@@ -477,23 +477,43 @@ def with_edge_capacities(draw, trace, ladder):
                  trace.transport_mode, loss=trace.loss)
 
 
+def state_bytes(state, dim):
+    """The bytes of a state handed over as a list of `dim` Python floats, as an array."""
+    assert type(state) is list and len(state) == dim and all(type(v) is float for v in state)
+    return np.array(state, dtype=float).tobytes()
+
+
+def check_against_two_list_step(trace, cfg, start, seed):
+    rng = np.random.default_rng(seed)
+    env, ref = StreamEnv(trace, cfg), TwoListEnv(trace, cfg)
+    assert state_bytes(env.reset(start), cfg.state_dim) == ref.reset(start).tobytes()
+    for _ in range(cfg.episode_len):
+        action = int(rng.integers(len(cfg.ladder)))
+        (state, reward, out), (ref_state, ref_reward, ref_out) = (env.step(action),
+                                                                  ref.step(action))
+        assert state_bytes(state, cfg.state_dim) == ref_state.tobytes()
+        assert np.array([reward, *out]).tobytes() == np.array([ref_reward, *ref_out]).tobytes()
+    with pytest.raises(EnvError, match="exhausted"):
+        env.step(0)
+
+
 class TestStepReference:
-    """The step with one history list against the step with two, bit for bit."""
+    """The step with one history list, handing its state over as a list of floats,
+    against the step with two that builds an array, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(lookup_cases(), step_configs(), st.data())
     def test_matches_two_list_step(self, case, settings_, data):
         trace, step_s, start, episode_len, seed = case
         cfg = EnvConfig(step_s=step_s, episode_len=episode_len, **settings_)
-        trace = with_edge_capacities(data.draw, trace, cfg.ladder)
-        rng = np.random.default_rng(seed)
-        env, ref = StreamEnv(trace, cfg), TwoListEnv(trace, cfg)
-        assert env.reset(start).tobytes() == ref.reset(start).tobytes()
-        for _ in range(episode_len):
-            action = int(rng.integers(len(cfg.ladder)))
-            (state, reward, out), (ref_state, ref_reward, ref_out) = (env.step(action),
-                                                                      ref.step(action))
-            assert state.tobytes() == ref_state.tobytes()
-            assert np.array([reward, *out]).tobytes() == np.array([ref_reward, *ref_out]).tobytes()
-        with pytest.raises(EnvError, match="exhausted"):
-            env.step(0)
+        check_against_two_list_step(with_edge_capacities(data.draw, trace, cfg.ladder), cfg,
+                                    start, seed)
+
+    def test_empty_loss_fields(self):
+        """A loss column with empty (NaN) fields, the first and the last included."""
+        rng = np.random.default_rng(3)
+        loss = np.where(rng.random(40) < 0.5, rng.uniform(size=40), np.nan)
+        loss[[0, -1]] = np.nan
+        trace = Trace("lossy", np.arange(40.0), rng.uniform(0.0, 5000.0, size=40),
+                      NetworkType.WIFI, TransportMode.FOOT, loss=loss)
+        check_against_two_list_step(trace, EnvConfig(episode_len=39, history_len=3), 0.0, 5)

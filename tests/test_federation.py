@@ -101,6 +101,19 @@ class TestSubmit:
         coord, p = self._setup()
         submit(coord, ("a", make_grads(p)))
 
+    def test_unregistered_client_changes_nothing(self):
+        coord, p = self._setup()
+        g = make_grads(p)
+        submit(coord, ("a", g))
+        events = [dict(e) for e in coord.events]
+        with pytest.raises(FederationError, match="client 'zz' is not registered"):
+            submit(coord, ("a", neg(g)), ("zz", neg(g)))
+        assert coord.events == events
+        coord.aggregate_round(1)  # steps by the last round's row, not the refused one's
+        want = p.copy()
+        apply_update(want, g, 0.01)
+        assert np.array_equal(coord.fetch(1).flat, want.flat)
+
 
 class TestAggregate:
     def test_identical_gradients_equal_single_step(self):

@@ -213,11 +213,13 @@ class TestLockstepRollouts:
             for i in range(len(envs)):
                 ref, ref_states[i] = reference_rollout(ref_envs[i], models[i], ref_states[i],
                                                        n_steps, ref_rngs[i])
-                assert np.array_equal(rollout.states[i], np.asarray(ref.states))
+                # Bytes, row by row, so that a state written to another client's row,
+                # or a -0.0 written for a 0.0, fails.
+                assert rollout.states[i].tobytes() == np.array(ref.states, dtype=float).tobytes()
                 assert rollout.actions[i].tolist() == ref.actions
                 assert rollout.rewards[i].tolist() == ref.rewards
                 assert rollout.bootstrap_values[i] == ref.bootstrap_value
-                assert np.array_equal(states[i], ref_states[i])
+                assert states[i].tobytes() == np.array(ref_states[i], dtype=float).tobytes()
         assert all(env.done for env in ref_envs)
         for rng, ref_rng in zip(rngs, ref_rngs):
             assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -368,12 +368,6 @@ def scalar_greedy(params, trace, env_config):
     return qoe_of(outcomes, env_config.step_s), float(np.mean([o.reward for o in outcomes]))
 
 
-def bits(qoe_and_reward):
-    qoe, reward = qoe_and_reward
-    return [float(v).hex() for v in (qoe.mean_bitrate_kbps, qoe.stall_rate,
-                                     qoe.mean_delay_ms, reward)]
-
-
 class TestLockstepEvaluation:
     """`evaluate_greedy` runs every (model, trace) session in lockstep."""
 
@@ -398,12 +392,13 @@ class TestLockstepEvaluation:
                           noise_std_kbps=300, duration_s=40)
         traces = [synthesize_trace(fam, f"t{j}", NetworkType.FOUR_G, TransportMode.CAR,
                                    seed + j) for j in range(m)]
-        got = evaluate_greedy(models, traces, env_config)
-        assert got.shape == (4, m, k)
+        want = np.empty((4, m, k))
         for j, trace in enumerate(traces):
             for i, params in enumerate(models):
-                assert [v.hex() for v in got[:, j, i].tolist()] == bits(
-                    scalar_greedy(params, trace, env_config))
+                qoe, reward = scalar_greedy(params, trace, env_config)
+                want[:, j, i] = (qoe.mean_bitrate_kbps, qoe.stall_rate, qoe.mean_delay_ms, reward)
+        got = evaluate_greedy(models, traces, env_config)
+        assert got.shape == (4, m, k) and got.tobytes() == want.tobytes()
 
     def test_no_test_traces(self, pretrained):
         assert evaluate_greedy([pretrained], [], ENV).shape == (4, 0, 1)
