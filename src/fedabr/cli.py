@@ -60,6 +60,9 @@ def _load_split(path: Path, corpus: Corpus) -> dict[str, list[str]]:
             if not (isinstance(tid, str) and tid in corpus):
                 raise TraceError(f"split file {path}: {key} trace {tid!r} "
                                  "is not in the manifest")
+    for a, b in (("pretrain", "finetune"), ("pretrain", "test"), ("finetune", "test")):
+        if both := sorted(set(data[a]).intersection(data[b])):
+            raise TraceError(f"split file {path}: trace {both[0]!r} is in both {a} and {b}")
     return data
 
 
@@ -142,10 +145,11 @@ def _read_run_dir(run_dir: Path):
             raise RunDirError(f"run directory {run_dir}: cannot read {name}: {e}") from None
 
     meta = read("run_meta.json", json.load)
-    rewards = read("rewards.csv",
-                   lambda f: [float(row["mean_reward"]) for row in csv.DictReader(f)])
+    # A short row's missing fields read as empty, which `float` refuses.
+    rewards = read("rewards.csv", lambda f: [float(row["mean_reward"])
+                                             for row in csv.DictReader(f, restval="")])
     qoe_rows = read("qoe.csv", lambda f: [[float(row[m]) for m in QOE_METRICS]
-                                          for row in csv.DictReader(f)])
+                                          for row in csv.DictReader(f, restval="")])
     if not isinstance(meta, dict):
         raise RunDirError(f"run directory {run_dir}: run_meta.json is not a mapping")
     epochs, sim_time = meta.get("epochs"), meta.get("sim_time_s")

@@ -2,10 +2,11 @@
 
 Holds one versioned global model per group, started from a copy of the run's
 starting model when the first client joins or migrates into the group. A round
-is one submission of the run's (K, n) gradient stack, row k client k's upload,
+is one `submit` of the run's (K, n) gradient stack, row k client k's upload,
 whose frozen bottom layers `sgd_step` has zeroed: the coordinator has no freeze
-depth. A group's model steps by the mean of its clients' rows, summed in
-client-id order. Personalization (client-side convex mixing of local and global
+depth. `submit` steps every group the round touched, in ascending group id, by
+the mean of its clients' rows, summed in client-id order; no round is kept
+between calls. Personalization (client-side convex mixing of local and global
 models) mixes the local model in place.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Gradients, ModelParams, apply_update
+from .net import DivergenceError, Gradients, ModelParams, apply_update
 
 
 class FederationError(ValueError):
@@ -53,8 +54,6 @@ class Coordinator:
         self.server_lr = server_lr
         self._groups: dict[int, _Group] = {}
         self._client_group: dict[str, int] = {}
-        self._round: UpdateMessage | None = None  # the last submission
-        self._rows: dict[int, list[int]] = {}  # its rows not yet aggregated, per group
         self.events: list[dict] = []  # the transcript, one dict per event in order
 
     def _log(self, kind: str, **fields):
@@ -96,23 +95,24 @@ class Coordinator:
         return g.params.copy()
 
     def submit(self, update: UpdateMessage) -> None:
-        """Take one round's rows, one per registered client, for its group. They are read
-        in place, not copied: `update.gradients` must keep its values until the next `submit`."""
+        """One round: log every client's upload in stack order, then step each group the
+        message touched, in ascending group id, by the mean of its rows in client-id order."""
         groups = [self.group_of(client) for client in update.clients]  # before any change
-        self._round, self._rows = update, {}
-        for k, (client, group) in enumerate(zip(update.clients, groups)):
-            self._rows.setdefault(group, []).append(k)
+        for client, group in zip(update.clients, groups):
             self._log("submit", client=client, group=group, round=self._groups[group].version)
+        by_id = sorted(range(len(groups)), key=update.clients.__getitem__)
+        for group in sorted(set(groups)):
+            rows = [k for k in by_id if groups[k] == group]
+            self.aggregate_round(group, update.gradients.flat[rows])
 
-    def aggregate_round(self, group: int) -> None:
-        g = self._group(group)
-        if group not in self._rows:
-            raise FederationError(f"group {group} has no submissions to aggregate")
-        rows = sorted(self._rows.pop(group), key=self._round.clients.__getitem__)
-        # The sum over rows adds them one after another, in client-id order.
-        mean = np.add.reduce(self._round.gradients.flat[rows])
+    def aggregate_round(self, group: int, rows: np.ndarray) -> None:
+        g = self._groups[group]
+        mean = np.add.reduce(rows)  # adds the rows one after another
         mean /= len(rows)
-        apply_update(g.params, Gradients(mean, g.params.layout), self.server_lr)
+        try:
+            apply_update(g.params, Gradients(mean, g.params.layout), self.server_lr)
+        except DivergenceError as e:
+            raise DivergenceError(f"group {group} model, round {g.version}: {e}") from None
         g.version += 1
         self._log("aggregate", group=group, version=g.version, clients=len(rows))
 

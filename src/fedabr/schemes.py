@@ -273,18 +273,13 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
             gid = coord.group_of(ids[e.row])
             raise DivergenceError(f"client {ids[e.row]!r} in group {gid}, epoch {epoch + 1}, "
                                   f"round {coord.current_round(gid)}: {e}") from None
-        coord.submit(UpdateMessage(ids, grads))
+        try:  # steps every group of the round; each client then mixes in its group's model
+            coord.submit(UpdateMessage(ids, grads))
+        except DivergenceError as e:
+            raise DivergenceError(f"epoch {epoch + 1}, {e}") from None
         for total in rollout.totals.tolist():
             epoch_reward += total
-        # Barrier: aggregate every group that received submissions this round,
-        # then mix each client's model with its group's.
         groups = [coord.group_of(cid) for cid in ids]
-        for gid in sorted(set(groups)):
-            try:
-                coord.aggregate_round(gid)
-            except DivergenceError as e:
-                raise DivergenceError(f"group {gid} model, epoch {epoch + 1}, round "
-                                      f"{coord.current_round(gid)}: {e}") from None
         group_models = {gid: coord.fetch(gid).flat for gid in set(groups)}
         np.stack([group_models[gid] for gid in groups], out=mixin)
         personalize(models, ModelParams(mixin, layout), mix)

@@ -170,7 +170,6 @@ def _federated_trajectory(k, params0, trace, frozen, rounds):
             rows.append(grads.flat[0])
         coord.submit(UpdateMessage(tuple(f"c{i}" for i in range(k)),
                                    Gradients(np.stack(rows), grads.layout)))
-        coord.aggregate_round(gid)
         global_params = coord.fetch(gid)
         for c in clients:
             personalize(c["model"], global_params, 0.5)

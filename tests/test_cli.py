@@ -252,6 +252,28 @@ class TestInputErrors:
         assert f"{key} trace 'no-such-trace' is not in the manifest" in result.output
         assert not (workspace / "run-unknown").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "run"])
+    @pytest.mark.parametrize("first, second", [("pretrain", "finetune"), ("pretrain", "test"),
+                                               ("finetune", "test")])
+    def test_split_lists_a_trace_twice(self, workspace, split_file, checkpoint, command,
+                                       first, second):
+        data = json.loads(split_file.read_text())
+        tid = data[second][0]
+        data[first] = data[first] + [tid]
+        bad = workspace / "split-twice.json"
+        bad.write_text(json.dumps(data))
+        args = {"pretrain": ["--out", workspace / "ckpt-twice.npz"],
+                "run": ["--scheme", "transfer_only", "--checkpoint", checkpoint,
+                        "--out", workspace / "run-twice"]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (
+            command, "--config", workspace / "config.yaml", "--split", bad, *args)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: split file {bad}: trace {tid!r} is in both "
+                                 f"{first} and {second}\n")
+        assert not (workspace / "ckpt-twice.npz").exists()
+        assert not (workspace / "run-twice").exists()
+
     def test_split_without_pretrain_traces(self, workspace, split_file):
         data = json.loads(split_file.read_text())
         data["pretrain"] = []
@@ -610,7 +632,8 @@ class TestReport:
         assert anchor_row.split(",")[1] == "1.0"
         assert (out / "efficiency.csv").exists()
 
-    @pytest.mark.parametrize("case", ["empty", "no-qoe", "bad-meta", "bad-rewards"])
+    @pytest.mark.parametrize("case", ["empty", "no-qoe", "bad-meta", "bad-rewards",
+                                      "short-rewards", "short-qoe"])
     def test_not_a_finished_run(self, workspace, split_file, checkpoint, case):
         d = workspace / f"report-in-{case}"
         if case == "empty":
@@ -626,6 +649,8 @@ class TestReport:
             "no-qoe": "cannot read qoe.csv: [Errno 2] No such file or directory",
             "bad-meta": "cannot read run_meta.json: Expecting value",
             "bad-rewards": "cannot read rewards.csv: could not convert string to float",
+            "short-rewards": "cannot read rewards.csv: could not convert string to float: ''",
+            "short-qoe": "cannot read qoe.csv: could not convert string to float: ''",
         }[case]
         if case == "no-qoe":
             (d / "qoe.csv").unlink()
@@ -633,6 +658,12 @@ class TestReport:
             (d / "run_meta.json").write_text("")
         elif case == "bad-rewards":
             (d / "rewards.csv").write_text("epoch,mean_reward\n1,x\n")
+        elif case == "short-rewards":  # its second row lacks the mean_reward field
+            (d / "rewards.csv").write_text("epoch,mean_reward\n1,0.5\n2\n")
+        elif case == "short-qoe":  # its first row ends after its first QoE field
+            header, first, *rest = (d / "qoe.csv").read_text().splitlines()
+            short = ",".join(first.split(",")[:2])
+            (d / "qoe.csv").write_text("\n".join([header, short, *rest]) + "\n")
         out = workspace / f"report-{case}"
         result = CliRunner().invoke(main, ["report", "--out", str(out), str(d)])
         assert isinstance(result.exception, SystemExit)

@@ -49,7 +49,6 @@ class TestSeedAndRegister:
         for g in range(1, 13):
             coord.register(f"c{g}", g)
         submit(coord, ("c3", make_grads(p)))
-        coord.aggregate_round(3)
         for g in range(1, 13):
             assert coord.current_round(g) == (1 if g == 3 else 0)
             if g != 3:
@@ -60,7 +59,6 @@ class TestSeedAndRegister:
         coord = Coordinator(p, server_lr=0.01)
         assert params_close(coord.register("a", 1), p)
         submit(coord, ("a", make_grads(p)))
-        coord.aggregate_round(1)
         later = coord.register("b", 1)
         assert params_close(later, coord.fetch(1))
         assert not params_close(later, p)
@@ -75,9 +73,7 @@ class TestSeedAndRegister:
         p = make_params()
         coord = Coordinator(p, server_lr=0.01)
         coord.register("a", 1)
-        for call in (lambda: coord.aggregate_round(2),
-                     lambda: coord.fetch(2),
-                     lambda: coord.current_round(2)):
+        for call in (lambda: coord.fetch(2), lambda: coord.current_round(2)):
             with pytest.raises(FederationError, match="group 2 has no model"):
                 call()
         assert coord.group_ids() == [1]
@@ -100,6 +96,7 @@ class TestSubmit:
     def test_accept(self):
         coord, p = self._setup()
         submit(coord, ("a", make_grads(p)))
+        assert coord.current_round(1) == 1
 
     def test_unregistered_client_changes_nothing(self):
         coord, p = self._setup()
@@ -109,7 +106,6 @@ class TestSubmit:
         with pytest.raises(FederationError, match="client 'zz' is not registered"):
             submit(coord, ("a", neg(g)), ("zz", neg(g)))
         assert coord.events == events
-        coord.aggregate_round(1)  # steps by the last round's row, not the refused one's
         want = p.copy()
         apply_update(want, g, 0.01)
         assert np.array_equal(coord.fetch(1).flat, want.flat)
@@ -123,7 +119,6 @@ class TestAggregate:
         for c in ("a", "b"):
             coord.register(c, 1)
         submit(coord, ("a", g.copy()), ("b", g.copy()))
-        coord.aggregate_round(1)
         expected = p.copy()
         apply_update(expected, g, 0.05)
         assert params_close(coord.fetch(1), expected, tol=1e-15)
@@ -136,19 +131,32 @@ class TestAggregate:
         coord.register("a", 1)
         coord.register("b", 1)
         submit(coord, ("a", g), ("b", neg(g)))
-        coord.aggregate_round(1)
         assert params_close(coord.fetch(1), p, tol=1e-15)
         assert coord.current_round(1) == 1
 
-    def test_aggregate_twice_in_one_round(self):
+    def test_round_steps_groups_in_ascending_id(self):
+        # Clients in groups 5, 2, 5 and 9, stacked in that order: the round logs the
+        # four uploads in stack order, then steps groups 2, 5 and 9 by their own rows.
         p = make_params()
         coord = Coordinator(p, server_lr=0.05)
-        coord.register("a", 1)
-        submit(coord, ("a", make_grads(p)))
-        coord.aggregate_round(1)
-        with pytest.raises(FederationError, match="group 1 has no submissions"):
-            coord.aggregate_round(1)
-        assert coord.current_round(1) == 1
+        placed = (("a", 5), ("b", 2), ("c", 5), ("d", 9))
+        for c, gid in placed:
+            coord.register(c, gid)
+        grads = {c: make_grads(p, seed=i) for i, (c, _) in enumerate(placed)}
+        start = len(coord.events)
+        submit(coord, *grads.items())
+        assert coord.events[start:] == [
+            *({"event": "submit", "client": c, "group": gid, "round": 0} for c, gid in placed),
+            {"event": "aggregate", "group": 2, "version": 1, "clients": 1},
+            {"event": "aggregate", "group": 5, "version": 1, "clients": 2},
+            {"event": "aggregate", "group": 9, "version": 1, "clients": 1}]
+        for gid in (2, 5, 9):
+            members = [c for c, g in placed if g == gid]
+            mean = np.add.reduce(np.stack([grads[c].flat for c in members]))
+            mean /= len(members)
+            want = p.copy()
+            apply_update(want, Gradients(mean, p.layout), 0.05)
+            assert coord.fetch(gid).flat.tobytes() == want.flat.tobytes()
 
     def test_rows_summed_in_client_id_order(self):
         # "client-10" sorts before "client-2": the group's rows must be added in
@@ -163,7 +171,6 @@ class TestAggregate:
                 for c, scale in zip(ids, (1e16, 1.0, 1.0))}
         coord.submit(UpdateMessage(ids, Gradients(np.stack([rows[c] for c in ids]),
                                                   p.layout)))
-        coord.aggregate_round(1)
 
         def stepped(order):
             mean = np.add.reduce(np.stack([rows[c] for c in order]))
@@ -188,7 +195,6 @@ class TestAggregate:
             for rnd in range(10):
                 g = make_grads(central, seed=rnd)
                 submit(coord, *[(f"c{i}", g.copy()) for i in range(k)])
-                coord.aggregate_round(1)
                 apply_update(central, g, 0.05)
             assert params_close(coord.fetch(1), central, tol=1e-12)
 
@@ -199,7 +205,6 @@ class TestAggregate:
         coord.register("b", 2)
         for _ in range(3):
             submit(coord, ("a", make_grads(p)))
-            coord.aggregate_round(1)
         assert params_close(coord.fetch(2), p)
         assert coord.current_round(2) == 0
 
@@ -213,7 +218,6 @@ class TestAggregate:
             for i in range(len(payloads)):
                 coord.register(f"c{i}", 1)
             submit(coord, *[(f"c{i}", g) for i, g in enumerate(payloads)])
-            coord.aggregate_round(1)
             return coord.fetch(1)
 
         a = run(grads)
@@ -254,8 +258,6 @@ class TestMigrate:
         coord.migrate("b", 2)
         ga, gb = make_grads(p, seed=1), make_grads(p, seed=2)
         submit(coord, ("a", ga), ("b", gb))
-        coord.aggregate_round(1)
-        coord.aggregate_round(2)
         for gid, g in ((1, ga), (2, gb)):
             expected = p.copy()
             apply_update(expected, g, 0.05)
@@ -269,14 +271,12 @@ class TestMigrate:
         out = coord.migrate("a", 1)
         assert params_close(out, p)
         submit(coord, ("a", make_grads(p)), ("b", make_grads(p)))
-        coord.aggregate_round(1)
         assert coord.group_ids() == [1] and coord.events[-1]["clients"] == 2
 
     def test_migrate_version_matches_target(self):
         coord, p = self._setup()
         coord.register("c", 2)
         submit(coord, ("c", make_grads(p)))
-        coord.aggregate_round(2)
         out = coord.migrate("a", 2)
         assert params_close(out, coord.fetch(2))
         assert coord.current_round(2) == 1
@@ -286,7 +286,6 @@ class TestMigrate:
         coord = Coordinator(p, server_lr=0.05)
         coord.register("a", 1)
         submit(coord, ("a", make_grads(p)))
-        coord.aggregate_round(1)
         out = coord.migrate("a", 7)
         assert params_close(out, p) and params_close(coord.fetch(7), p)
         assert coord.current_round(7) == 0
@@ -314,7 +313,6 @@ def test_transcript_replayable():
     coord = Coordinator(p, server_lr=0.05)
     coord.register("a", 1)
     submit(coord, ("a", make_grads(p)))
-    coord.aggregate_round(1)
     assert coord.events == [
         {"event": "seed", "group": 1},
         {"event": "register", "client": "a", "group": 1, "version": 0},
@@ -330,6 +328,5 @@ def test_version_monotonic():
     seen = [coord.current_round(1)]
     for rnd in range(5):
         submit(coord, ("a", make_grads(p, seed=rnd)))
-        coord.aggregate_round(1)
         seen.append(coord.current_round(1))
     assert seen == sorted(seen) == list(range(6))

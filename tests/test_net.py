@@ -526,7 +526,6 @@ class TestFlatLayout:
             coord.register(f"c{i}", 7)
         coord.submit(UpdateMessage(tuple(f"c{i}" for i in order),
                                    Gradients(np.stack([grads[i].flat for i in order]), p.layout)))
-        coord.aggregate_round(7)
         stepped = p.copy()
         apply_update(stepped, mean, 0.1)
         assert same_bits(coord.fetch(7).flat, stepped.flat)

@@ -457,6 +457,12 @@ class TestDivergenceOrder:
                                hyper=replace(HYPER, lr=1e308))
         assert message == "client 'c0' in group 6, epoch 1, round 0: non-finite update"
 
+    def test_names_the_group_whose_model_diverges(self, corpus, pretrained, monkeypatch):
+        # With no clipping every client steps finitely; the group model's server step does not.
+        message = self.diverge(corpus, pretrained, monkeypatch, {}, server_lr=1e308,
+                               hyper=replace(HYPER, clip_norm=0.0))
+        assert message == "epoch 1, group 6 model, round 0: non-finite update"
+
 
 def per_client_rounds(config, traces, params0):
     """Reference: the online round loop with one model per client, each rolled
@@ -500,8 +506,6 @@ def per_client_rounds(config, traces, params0):
                 total += add_in_order(episode.rewards)
             coord.submit(UpdateMessage(tuple(c["spec"].id for c in clients),
                                        Gradients(np.stack(round_grads), params0.layout)))
-            for gid in sorted({c["group"] for c in clients}):
-                coord.aggregate_round(gid)
             for c in clients:
                 personalize(c["model"], coord.fetch(c["group"]), mix)
             sim_t = ((epoch + 1) * steps - clients[0]["env"].steps_left) * config.env.step_s
