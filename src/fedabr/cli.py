@@ -60,6 +60,9 @@ def _load_split(path: Path, corpus: Corpus) -> dict[str, list[str]]:
             if not (isinstance(tid, str) and tid in corpus):
                 raise TraceError(f"split file {path}: {key} trace {tid!r} "
                                  "is not in the manifest")
+        if len(set(ids)) < len(ids):  # the first id listed a second time
+            twice = next(tid for i, tid in enumerate(ids) if tid in ids[:i])
+            raise TraceError(f"split file {path}: trace {twice!r} is listed twice in {key}")
     for a, b in (("pretrain", "finetune"), ("pretrain", "test"), ("finetune", "test")):
         if both := sorted(set(data[a]).intersection(data[b])):
             raise TraceError(f"split file {path}: trace {both[0]!r} is in both {a} and {b}")

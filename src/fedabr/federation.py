@@ -36,14 +36,18 @@ class _Group:
     version: int = 0
 
 
-def personalize(local: ModelParams, global_params: ModelParams, mix: float) -> None:
-    """Convex mixing in place, elementwise: local <- mix*local + (1-mix)*global."""
+def personalize(local: ModelParams, global_params: ModelParams, mix: float, frozen=0) -> None:
+    """Convex mixing in place, elementwise, of all but the first `frozen` layers:
+    local <- mix*local + (1-mix)*global (frozen w mixed with w is w only for some `mix`)."""
     if not 0.0 <= mix <= 1.0:
         raise FederationError("mix must be in [0, 1]")
     if local.layout != global_params.layout:
         raise FederationError("shape mismatch between local and global params")
+    # Whole rows, then the frozen part put back: numpy is slower on a stack's row tails.
+    kept = local.flat[..., :local.layout.offsets[frozen]].copy()
     local.flat *= mix
     local.flat += (1.0 - mix) * global_params.flat
+    local.flat[..., :local.layout.offsets[frozen]] = kept
 
 
 class Coordinator:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import zipfile
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from pathlib import Path
 
@@ -47,6 +47,12 @@ class Layout:
         """Start of each layer's block, then the vector length."""
         return tuple(accumulate((out * (inp + 1) for out, inp in self.shapes), initial=0))
 
+    @cached_property
+    def bounds(self) -> tuple[tuple[int, int, int], ...]:
+        """Each layer's (start, bias start, end) in the vector."""
+        o = self.offsets
+        return tuple((s, s + out * inp, e) for (out, inp), s, e in zip(self.shapes, o, o[1:]))
+
 
 class ModelParams:
     """One float64 vector, or a (K, n) stack of K models; `weights`/`biases` are
@@ -64,10 +70,9 @@ class ModelParams:
     def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Per-layer views; a (K, n) stack gives (K, out, in) weights, (K, out) biases."""
         lead, weights, biases = self.flat.shape[:-1], [], []
-        for (out_dim, in_dim), start in zip(self.layout.shapes, self.layout.offsets):
-            mid = start + out_dim * in_dim
+        for (out_dim, in_dim), (start, mid, end) in zip(self.layout.shapes, self.layout.bounds):
             weights.append(self.flat[..., start:mid].reshape(*lead, out_dim, in_dim))
-            biases.append(self.flat[..., mid:mid + out_dim])
+            biases.append(self.flat[..., mid:end])
         return tuple(weights), tuple(biases)
 
     weights = property(lambda self: self._views[0])
@@ -150,7 +155,7 @@ class Rollout:
             raise NetError(f"rollout of {self.states.shape} states, {self.actions.shape} actions, "
                            f"{self.rewards.shape} rewards and {self.bootstrap_values.shape} "
                            "bootstrap values: need (K, T, d), (K, T), (K, T), (K,), K, T >= 1")
-        if not np.isfinite(self.rewards).all():
+        if not np.logical_and.reduce(np.isfinite(self.rewards), axis=None):
             raise NetError("non-finite reward in rollout")
 
     @property
@@ -215,17 +220,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _forward_full(params: ModelParams, x: np.ndarray) -> tuple[list, np.ndarray]:
+def _forward_full(params: ModelParams, x: np.ndarray, policy: bool = True) -> tuple:
     """Forward pass keeping intermediates for backprop: (activations from `x` on, policy
-    probabilities), with no value: `forward` and `a3c_gradients` each take it from the
-    last activation. An activation is positive where its pre-activation is, so backprop
-    needs no pre-activations.
-
-    `x` is one state or a (T, d) matrix of states, one per row, or for a (K, n)
-    stack of models the (..., K, T, d) stack of their states. For one state, `x @ W.T`
-    rounds exactly as `W @ x`, and `np.matmul` makes each model's product of a
-    stack on its own, so a stacked pass gives the bits of K separate ones.
-    """
+    probabilities or, if not `policy`, None), with no value: callers take it from the last
+    activation, positive where its pre-activation is, so backprop needs no pre-activations.
+    `x` is one state or a (T, d) matrix of states, one per row, or for a (K, n) stack of
+    models the (..., K, T, d) stack of their states. For one state, `x @ W.T` rounds exactly
+    as `W @ x`, and `np.matmul` makes each model's product of a stack on its own, so a
+    stacked pass gives the bits of K separate ones."""
     hidden, (w_pi, b_pi), _ = params._operands
     post, h = [x], x
     for w, b in hidden:
@@ -233,6 +235,8 @@ def _forward_full(params: ModelParams, x: np.ndarray) -> tuple[list, np.ndarray]
         h += b
         np.maximum(h, 0.0, out=h)
         post.append(h)
+    if not policy:
+        return post, None
     logits = h @ w_pi
     logits += b_pi
     return post, _softmax(logits)
@@ -261,6 +265,13 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     return probs[..., 0, :], (post[-1] @ w_v + b_v)[..., 0, 0]
 
 
+def state_values(params: ModelParams, states: np.ndarray) -> np.ndarray:
+    """`forward(params, states)[1]` of (K, d) `states`, by its ops, with no policy head."""
+    post, _ = _forward_full(params, states[:, None], policy=False)
+    _, _, (w_v, b_v) = params._operands
+    return (post[-1] @ w_v + b_v)[:, 0, 0]
+
+
 def sample_actions(probs: np.ndarray, draws) -> list[int]:
     """Inverse-CDF sample of each row of the (K, A) `probs` from its draw in [0, 1): the count
     of the row's first A - 1 running sums below the draw. Those are a prefix (sums of terms
@@ -269,13 +280,9 @@ def sample_actions(probs: np.ndarray, draws) -> list[int]:
     return [bisect_left(row, u, 0, last) for row, u in zip(rows, draws)]
 
 
-def discounted_returns(rewards: list[float], bootstrap: float, gamma: float) -> np.ndarray:
-    out = np.empty(len(rewards))
-    acc = bootstrap
-    for i in range(len(rewards) - 1, -1, -1):
-        acc = rewards[i] + gamma * acc
-        out[i] = acc
-    return out
+def discounted_returns(rewards: list[float], bootstrap: float, gamma: float) -> list[float]:
+    steps = accumulate(reversed(rewards), lambda acc, r: r + gamma * acc, initial=bootstrap)
+    return list(steps)[:0:-1]  # in step order, without `bootstrap`
 
 
 def zero_gradients(params: ModelParams) -> Gradients:
@@ -296,22 +303,23 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
         raise NetError(f"states of shape {x.shape} for models of shape {params.flat.shape}")
     returns = np.array([discounted_returns(r, v, hyper.gamma) for r, v in
                         zip(rollout.rewards.tolist(), rollout.bootstrap_values.tolist())])
-    taken = (*np.indices(rollout.actions.shape, sparse=True), rollout.actions)  # steps' actions
+    taken = rollout.actions[..., None] == np.arange(params.ladder_size)  # one-hot actions
     post, probs = _forward_full(params, x)
     w_v, b_v = params._operands[2]
     values = (post[-1] @ w_v + b_v)[..., 0]
     with np.errstate(divide="ignore"):  # log 0 = -inf, the taken and entropy terms below
         log_probs = np.log(probs)
     adv = returns - values
-    policy = -log_probs[taken] * adv  # not finite if a taken action had probability 0
-    if not probs.all():  # p log p -> 0 as p -> 0: a probability 0 adds 0 to H and its gradient
-        log_probs[probs == 0.0] = 0.0
-    entropy = -np.sum(probs * log_probs, axis=-1)
-    loss = np.sum(policy + hyper.value_coef * adv ** 2 - hyper.entropy_coef * entropy, axis=-1)
+    # 0 + log p(a) is log p(a), which is never -0.0; not finite if p(a) = 0
+    policy = -np.add.reduce(log_probs, axis=-1, where=taken) * adv
+    if not np.logical_and.reduce(probs, axis=None):  # p log p -> 0 as p -> 0: a probability
+        log_probs[probs == 0.0] = 0.0  # 0 adds 0 to H and its gradient
+    entropy = -np.add.reduce(probs * log_probs, axis=-1)
+    loss = np.add.reduce(policy + hyper.value_coef * adv ** 2 - hyper.entropy_coef * entropy, -1)
 
     # d/dlogits of the policy term (advantage constant) plus entropy term
     dlogits = adv[..., None] * probs
-    dlogits[taken] -= adv
+    np.subtract(dlogits, adv[..., None], out=dlogits, where=taken)
     dlogits += hyper.entropy_coef * probs * (log_probs + entropy[..., None])
     dvalue = -2.0 * hyper.value_coef * adv
 
@@ -321,16 +329,16 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
     # the gradient at its pre-activation is formed in place, so that a stack of K
     # models keeps less memory alive at once.
     h = post.pop()
-    gw[-2][:] = dlogits.swapaxes(-1, -2) @ h
-    gb[-2][:] = dlogits.sum(axis=-2)
-    gw[-1][:] = dvalue[..., None, :] @ h
-    gb[-1][:] = dvalue.sum(axis=-1)[..., None]
+    np.matmul(dlogits.swapaxes(-1, -2), h, out=gw[-2])
+    np.add.reduce(dlogits, axis=-2, out=gb[-2])
+    np.matmul(dvalue[..., None, :], h, out=gw[-1])
+    np.add.reduce(dvalue, axis=-1, keepdims=True, out=gb[-1])
     dh = dlogits @ weights[-2] + dvalue[..., None] * weights[-1]
     for i in range(params.n_hidden - 1, -1, -1):
         dh *= h > 0  # now the gradient at layer i's pre-activation
         h = post.pop()  # layer i's input
         np.matmul(dh.swapaxes(-1, -2), h, out=gw[i])
-        gb[i][:] = dh.sum(axis=-2)
+        np.add.reduce(dh, axis=-2, out=gb[i])
         if i > 0:
             dh = dh @ weights[i]
     _clip_global_norm(grads, hyper.clip_norm)
@@ -342,13 +350,13 @@ def _clip_global_norm(grads: Gradients, max_norm: float) -> None:
     that is not finite stays so."""
     if max_norm == 0:
         return
-    sq, starts = grads.flat * grads.flat, grads.layout.offsets
-    mids = [start + out * inp for (out, inp), start in zip(grads.layout.shapes, starts)]
-    # Summed layer by layer, weights [start:mid] then biases [mid:end]: the order
-    # fixes the rounding.
-    total = np.sqrt(sum(sq[..., s:m].sum(axis=-1) for s, m in zip(starts, mids))
-                    + sum(sq[..., m:e].sum(axis=-1) for m, e in zip(mids, starts[1:])))
-    if (total > max_norm).any():  # a row within the bound is scaled by exactly 1.0
+    sq, add = grads.flat * grads.flat, np.add.reduce
+    # Summed layer by layer, weights [s:m] then biases [m:e], each chain from its first
+    # term (a sum of squares is never -0.0, so 0 + it is it): the order fixes the rounding.
+    bounds = grads.layout.bounds
+    total = np.sqrt(reduce(np.add, (add(sq[..., s:m], axis=-1) for s, m, _ in bounds))
+                    + reduce(np.add, (add(sq[..., m:e], axis=-1) for _, m, e in bounds)))
+    if np.logical_or.reduce(total > max_norm, axis=None):  # a row in bound scales by 1.0
         grads.flat *= (max_norm / np.maximum(total, max_norm))[..., None]
 
 
@@ -358,7 +366,7 @@ def apply_update(params: ModelParams, grads: Gradients, lr: float) -> None:
     if grads.layout != params.layout:
         raise NetError("gradient shape mismatch")
     params.flat -= lr * grads.flat
-    if not np.isfinite(params.flat).all():
+    if not np.logical_and.reduce(np.isfinite(params.flat), axis=None):
         raise DivergenceError("non-finite update")
 
 
@@ -370,11 +378,11 @@ def sgd_step(models: ModelParams, grads: Gradients, losses: np.ndarray, lr: floa
     (as `row`) the first row whose loss or gradient, or else whose update, is not finite."""
     if grads.layout != models.layout:
         raise NetError("gradient shape mismatch")
-    grad_ok = np.isfinite(losses) & np.isfinite(grads.flat).all(axis=1)
+    grad_ok = np.isfinite(losses) & np.logical_and.reduce(np.isfinite(grads.flat), axis=1)
     zero_frozen(grads, frozen_layers)
     models.flat -= lr * grads.flat
-    ok = grad_ok & np.isfinite(models.flat).all(axis=1)
-    if not ok.all():
+    ok = grad_ok & np.logical_and.reduce(np.isfinite(models.flat), axis=1)
+    if not np.logical_and.reduce(ok):
         i = int(ok.argmin())
         raise DivergenceError(f"non-finite {'update' if grad_ok[i] else 'loss or gradient'}", i)
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .env import EnvConfig, EnvError, StreamEnv
 from .net import (DivergenceError, ModelParams, NetError, Rollout, TrainHyper, _forward_full,
-                  a3c_gradients, forward, init_params, sample_actions, sgd_step,
+                  a3c_gradients, init_params, sample_actions, sgd_step, state_values,
                   zero_gradients)
 from .traces import Trace, check_fields
 
@@ -34,10 +34,10 @@ def collect_rollout(envs: list[StreamEnv], models: ModelParams, states,
                     n_steps: int, rngs: list[np.random.Generator]):
     """Roll K clients with the same steps left forward in lockstep, client k with row k
     of the (K, n) stack `models`; returns their `Rollout`, bootstrapped with V of each
-    successor state, and the (K, d) successor states. A step is one stacked
-    policy pass (no value head: no step reads it), one draw from each generator's
-    block of draws for the call and one `env.step` per client. The bits are those of
-    K separate loops over `forward` and `env.step`."""
+    successor state (`state_values`: no policy head), and the (K, d) successor states.
+    A step is one stacked policy pass (no value head: no step reads it), one draw from
+    each generator's block of draws for the call and one `env.step` per client. The
+    bits are those of K separate loops over `forward` and `env.step`."""
     left = sorted({env.steps_left for env in envs})
     if len(left) != 1:
         raise EnvError(f"envs are not in lockstep: steps left {left}")
@@ -60,9 +60,9 @@ def collect_rollout(envs: list[StreamEnv], models: ModelParams, states,
             acts.append(a)
             rews.append(reward)
         buf[:, t + 1] = nexts
-    if not np.isfinite(buf).all():
+    if not np.logical_and.reduce(np.isfinite(buf), axis=None):
         raise NetError("non-finite state input")
-    _, values = forward(models, buf[:, n])
+    values = state_values(models, buf[:, n])
     return Rollout(buf[:, :n], np.array(actions), np.array(rewards), values), buf[:, n]
 
 

@@ -282,13 +282,13 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
         groups = [coord.group_of(cid) for cid in ids]
         group_models = {gid: coord.fetch(gid).flat for gid in set(groups)}
         np.stack([group_models[gid] for gid in groups], out=mixin)
-        personalize(models, ModelParams(mixin, layout), mix)
+        personalize(models, ModelParams(mixin, layout), mix, frozen)
         # Round boundary: apply any due group changes.
         sim_t = ((epoch + 1) * episode_steps - envs[0].steps_left) * config.env.step_s
         for cid, changes, row in zip(ids, pending, models.flat):
             while changes and changes[0][0] <= sim_t:
                 target = coord.migrate(cid, changes.pop(0)[1])
-                personalize(ModelParams(row, layout), target, mix)
+                personalize(ModelParams(row, layout), target, mix, frozen)
         if envs[0].done:
             rewards.append(epoch_reward / (len(ids) * episode_steps))
             epoch_reward = 0.0

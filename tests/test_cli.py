@@ -274,6 +274,27 @@ class TestInputErrors:
         assert not (workspace / "ckpt-twice.npz").exists()
         assert not (workspace / "run-twice").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "run"])
+    @pytest.mark.parametrize("key", ["pretrain", "finetune", "test"])
+    def test_split_repeats_a_trace_within_a_set(self, workspace, split_file, checkpoint,
+                                                command, key):
+        data = json.loads(split_file.read_text())
+        tid = data[key][-1]
+        data[key] = data[key] + [tid]
+        bad = workspace / "split-repeat.json"
+        bad.write_text(json.dumps(data))
+        args = {"pretrain": ["--out", workspace / "ckpt-repeat.npz"],
+                "run": ["--scheme", "full_federated", "--checkpoint", checkpoint,
+                        "--out", workspace / "run-repeat"]}[command]
+        result = CliRunner().invoke(main, [str(a) for a in (
+            command, "--config", workspace / "config.yaml", "--split", bad, *args)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: split file {bad}: trace {tid!r} is listed twice "
+                                 f"in {key}\n")
+        # no checkpoint, rewards file, run directory or staged run directory
+        assert not [f for f in workspace.iterdir() if "-repeat" in f.name and f != bad]
+
     def test_split_without_pretrain_traces(self, workspace, split_file):
         data = json.loads(split_file.read_text())
         data["pretrain"] = []

@@ -8,8 +8,8 @@ from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.net import (DivergenceError, Gradients, ModelParams, NetError, Rollout, TrainHyper,
                         _clip_global_norm, _forward_full, a3c_gradients, apply_update,
                         discounted_returns, forward, init_params, load_checkpoint,
-                        sample_actions, save_checkpoint, sgd_step, sum_in_order, zero_frozen,
-                        zero_gradients)
+                        sample_actions, save_checkpoint, sgd_step, state_values, sum_in_order,
+                        zero_frozen, zero_gradients)
 from fedabr.pretrain import collect_rollout
 from tests.conftest import (Episode, add_in_order, as_rollout, as_stack, constant_trace,
                             episode_of, gradients_of, neumaier_sum, one_model_gradients,
@@ -1051,6 +1051,20 @@ class TestStackedForward:
         for idx in np.ndindex(*lead, k):
             ref_probs, ref_value = forward(models[idx[-1]], states[idx])
             assert same_bits(probs[idx], ref_probs) and values[idx].hex() == ref_value.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 9),
+           st.lists(st.integers(1, 64), min_size=1, max_size=3), st.integers(2, 9),
+           st.sampled_from([0.1, 1.0, 100.0]), st.integers(0, 2**32 - 1))
+    def test_state_values_match_forward(self, k, d, hidden, ladder, scale, seed):
+        """The value-only pass that bootstraps a rollout gives the bytes of the stacked
+        `forward`'s values, for random stacks (biases included) and random states."""
+        rng = np.random.default_rng(seed)
+        models = ModelParams.stack([init_params((d, *hidden), ladder, seed + i)
+                                    for i in range(k)])
+        models.flat[:] += rng.normal(scale=0.3, size=models.flat.shape)
+        states = rng.normal(size=(k, d)) * scale
+        assert state_values(models, states).tobytes() == forward(models, states)[1].tobytes()
 
     def test_stack_shape_checked(self):
         stack = ModelParams.stack([small_params(0), small_params(1)])

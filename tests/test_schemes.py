@@ -152,15 +152,31 @@ class TestFederatedEquivalence:
             assert params_close(metrics.final_client_params[cid], central, tol=1e-12)
 
 
+def assert_first_layer_kept(metrics, pretrained):
+    for params in [*metrics.final_client_params.values(), *metrics.final_group_params.values()]:
+        assert np.array_equal(params.weights[0], pretrained.weights[0])
+        assert np.array_equal(params.biases[0], pretrained.biases[0])
+
+
 class TestFreezeInvariance:
     def test_frozen_layer_everywhere(self, corpus, pretrained):
         clients = tuple(ClientSpec(f"c{i}", (f"ft{i}",)) for i in range(3))
         cfg = base_config(Scheme.FULL_FEDERATED, clients, epochs=4)
         metrics = run_scheme(cfg, corpus, pretrained)
-        for params in list(metrics.final_client_params.values()) + \
-                list(metrics.final_group_params.values()):
-            assert np.array_equal(params.weights[0], pretrained.weights[0])
-            assert np.array_equal(params.biases[0], pretrained.biases[0])
+        assert_first_layer_kept(metrics, pretrained)
+
+    @pytest.mark.parametrize("mix", [0.3, 0.1])
+    def test_frozen_layer_at_any_mix(self, corpus, pretrained, mix):
+        """Neither a round's mix nor a migration's moves a frozen entry: a frozen w mixed
+        with the group's equal w would give w back only for some `mix` (0.5, not 0.3)."""
+        schedule = ((0.0, ClientCondition("c0", NetworkType.FOUR_G, TransportMode.CAR)),
+                    (40.0, ClientCondition("c0", NetworkType.WIFI, TransportMode.CAR)))
+        clients = (ClientSpec("c0", ("ft0",), condition_schedule=schedule),
+                   *(ClientSpec(f"c{i}", (f"ft{i}",)) for i in (1, 2)))
+        cfg = base_config(Scheme.FULL_FEDERATED, clients, epochs=4, mix=mix)
+        metrics = run_scheme(cfg, corpus, pretrained)
+        assert [e["event"] for e in metrics.transcript].count("migrate") == 1
+        assert_first_layer_kept(metrics, pretrained)
 
 
 class TestMigration:
@@ -468,7 +484,8 @@ def per_client_rounds(config, traces, params0):
     """Reference: the online round loop with one model per client, each rolled
     out, given its gradient, stepped and mixed on its own, in client order, from
     the scalar oracles (`reference_rollout`, the per-client gradient); the round's
-    gradients are stacked and submitted once."""
+    gradients are stacked and submitted once. Mixing leaves the frozen layers as
+    they are."""
     federated = config.scheme is Scheme.FULL_FEDERATED
     frozen = 0 if config.scheme is Scheme.ONLINE_SCRATCH else config.frozen_layers
     server_lr, mix = config.hyper.lr, 1.0
@@ -507,14 +524,14 @@ def per_client_rounds(config, traces, params0):
             coord.submit(UpdateMessage(tuple(c["spec"].id for c in clients),
                                        Gradients(np.stack(round_grads), params0.layout)))
             for c in clients:
-                personalize(c["model"], coord.fetch(c["group"]), mix)
+                personalize(c["model"], coord.fetch(c["group"]), mix, frozen)
             sim_t = ((epoch + 1) * steps - clients[0]["env"].steps_left) * config.env.step_s
             for c in clients:
                 while c["changes"] and c["changes"][0][0] <= sim_t:
                     _, to_group = c["changes"].pop(0)
                     target = coord.migrate(c["spec"].id, to_group)
                     c["group"] = to_group
-                    personalize(c["model"], target, mix)
+                    personalize(c["model"], target, mix, frozen)
         rewards.append(total / (len(clients) * steps))
     return (rewards, {c["spec"].id: c["model"] for c in clients},
             {gid: coord.fetch(gid) for gid in coord.group_ids()}, coord.events)
