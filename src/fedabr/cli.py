@@ -17,7 +17,7 @@ from .metrics import (QOE_METRICS, ConvergenceRule, MetricError, QoESummary, con
                       efficiency_gain, qoe_report, speedup_percent)
 from .net import DivergenceError, NetError, load_checkpoint, save_checkpoint, sum_in_order
 from .pretrain import offline_train
-from .schemes import Scheme, SchemeError, run_scheme, write_rewards_csv
+from .schemes import Scheme, SchemeError, run_scheme, write_csv, write_rewards_csv
 from .traces import Corpus, TraceError, load_manifest, split_corpus
 
 
@@ -202,39 +202,28 @@ def report(out_dir, anchor, window, epsilon, sustain, run_dirs):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    conv: dict[str, int | None] = {}
-    with open(out_dir / "convergence.csv", "w") as f:
-        f.write("scheme,convergence_epoch,sim_time_s\n")
-        for label in sorted(runs):
-            meta, rewards, _ = runs[label]
-            try:
-                epoch = convergence_epoch(rewards, rule)
-            except ValueError:
-                epoch = None
-            conv[label] = epoch
-            sim_per_epoch = meta["sim_time_s"] / meta["epochs"]
-            sim = "" if epoch is None else repr(epoch * sim_per_epoch)
-            f.write(f"{label},{'' if epoch is None else epoch},{sim}\n")
+    rows = []
+    for label in sorted(runs):
+        meta, rewards, _ = runs[label]
+        try:
+            epoch = convergence_epoch(rewards, rule)
+        except ValueError:
+            epoch = None
+        sim_per_epoch = meta["sim_time_s"] / meta["epochs"]
+        rows.append((label, epoch, None if epoch is None else epoch * sim_per_epoch))
+    write_csv(out_dir / "convergence.csv", ("scheme", "convergence_epoch", "sim_time_s"), rows)
 
-    with open(out_dir / "efficiency.csv", "w") as f:
-        f.write("base,new,gain,speedup_percent\n")
-        for base in sorted(runs):
-            for new in sorted(runs):
-                if base == new or conv[base] is None or conv[new] is None:
-                    continue
-                gain = efficiency_gain(conv[base], conv[new])
-                pct = speedup_percent(conv[base], conv[new])
-                f.write(f"{base},{new},{gain!r},{pct!r}\n")
+    conv = {label: epoch for label, epoch, _ in rows if epoch is not None}  # in label order
+    write_csv(out_dir / "efficiency.csv", ("base", "new", "gain", "speedup_percent"),
+              [(base, new, efficiency_gain(conv[base], conv[new]),
+                speedup_percent(conv[base], conv[new]))
+               for base in conv for new in conv if base != new])
 
     summaries = {label: qoe for label, (_, _, qoe) in runs.items()}
-    rows = qoe_report(summaries, anchor_label)
-    with open(out_dir / "qoe.csv", "w") as f:
-        f.write(f"scheme,{','.join(QOE_METRICS)},flags\n")
-        for row in rows:
-            flags = ";".join(f"{m}={row[f'{m}_flag']}" for m in QOE_METRICS
-                             if row[f"{m}_flag"])
-            values = ",".join(repr(row[m]) for m in QOE_METRICS)
-            f.write(f"{row['scheme']},{values},{flags}\n")
+    write_csv(out_dir / "qoe.csv", ("scheme", *QOE_METRICS, "flags"),
+              [(row["scheme"], *(row[m] for m in QOE_METRICS),
+                ";".join(f"{m}={row[f'{m}_flag']}" for m in QOE_METRICS if row[f"{m}_flag"]))
+               for row in qoe_report(summaries, anchor_label)])
     click.echo(f"report written to {out_dir}")
 
 

@@ -100,14 +100,23 @@ class Coordinator:
 
     def submit(self, update: UpdateMessage) -> None:
         """One round: log every client's upload in stack order, then step each group the
-        message touched, in ascending group id, by the mean of its rows in client-id order."""
-        groups = [self.group_of(client) for client in update.clients]  # before any change
-        for client, group in zip(update.clients, groups):
+        message touched, in ascending group id, by the mean of its rows in client-id order.
+        FederationError, before any change, for a client listed twice or not registered, or
+        for gradients that are not one row per client in the starting model's layout."""
+        clients, grads, layout = update.clients, update.gradients, self._initial.layout
+        if len(set(clients)) < len(clients):
+            twice = next(c for i, c in enumerate(clients) if c in clients[:i])
+            raise FederationError(f"client {twice!r} is listed twice in one round")
+        if grads.layout != layout or grads.flat.shape != (len(clients), layout.offsets[-1]):
+            raise FederationError(f"gradients of shape {grads.flat.shape} for {len(clients)} "
+                                  f"clients: need one row per client, in layers {layout.shapes}")
+        groups = [self.group_of(client) for client in clients]  # before any change
+        for client, group in zip(clients, groups):
             self._log("submit", client=client, group=group, round=self._groups[group].version)
-        by_id = sorted(range(len(groups)), key=update.clients.__getitem__)
+        by_id = sorted(range(len(groups)), key=clients.__getitem__)
         for group in sorted(set(groups)):
             rows = [k for k in by_id if groups[k] == group]
-            self.aggregate_round(group, update.gradients.flat[rows])
+            self.aggregate_round(group, grads.flat[rows])
 
     def aggregate_round(self, group: int, rows: np.ndarray) -> None:
         g = self._groups[group]

@@ -15,7 +15,7 @@ import os
 import shutil
 import time
 import uuid
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,22 +296,27 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
     return rewards, final, {gid: coord.fetch(gid) for gid in coord.group_ids()}, coord.events
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header`, then `rows`: a `str` cell as it is, None as an empty field, any other
+    cell (an int or a float) as its `repr`. Only a field holding `,`, `"`, CR or LF is quoted."""
+    def field(cell) -> str:
+        text = cell if isinstance(cell, str) else "" if cell is None else repr(cell)
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+    with open(path, "w", newline="") as f:
+        f.writelines(",".join(map(field, row)) + "\n" for row in (header, *rows))
+
+
 def write_rewards_csv(rewards: list[float], path: str | Path) -> None:
     """Write the per-epoch mean rewards as `epoch,mean_reward` rows, epochs from 1."""
-    with open(path, "w") as f:
-        f.write("epoch,mean_reward\n")
-        for i, r in enumerate(rewards, start=1):
-            f.write(f"{i},{r!r}\n")
+    write_csv(path, ("epoch", "mean_reward"), enumerate(rewards, start=1))
 
 
 def _write_outputs(metrics: RunMetrics, per_trace_rewards: dict[str, float],
                    config: SchemeConfig, out_dir: Path) -> None:
     write_rewards_csv(metrics.rewards, out_dir / "rewards.csv")
-    with open(out_dir / "qoe.csv", "w") as f:
-        f.write(f"trace_id,{','.join(QOE_METRICS)},mean_reward\n")
-        for tid in sorted(metrics.qoe_per_trace):
-            values = ",".join(repr(getattr(metrics.qoe_per_trace[tid], m)) for m in QOE_METRICS)
-            f.write(f"{tid},{values},{per_trace_rewards[tid]!r}\n")
+    write_csv(out_dir / "qoe.csv", ("trace_id", *QOE_METRICS, "mean_reward"),
+              [(tid, *(getattr(qoe, m) for m in QOE_METRICS), per_trace_rewards[tid])
+               for tid, qoe in sorted(metrics.qoe_per_trace.items())])
     meta = {
         "scheme": metrics.scheme.value,
         "epochs": len(metrics.rewards),

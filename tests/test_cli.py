@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shutil
@@ -10,8 +11,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from fedabr import cli
 from fedabr.cli import main
-from fedabr.metrics import ConvergenceRule
+from fedabr.metrics import QOE_METRICS, ConvergenceRule, QoESummary, qoe_report
+from fedabr.schemes import run_scheme
 from fedabr.traces import NetworkType, SynthFamily, TransportMode, synthesize_trace, write_manifest
 from tests.conftest import compensated_sum
 
@@ -794,6 +797,64 @@ class TestReport:
         assert result.output == "Error: anchor scheme 'nonexistent' not among runs\n"
         assert not out.exists()
 
+
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+class TestQuotedFields:
+    """A trace id or a run label that holds a comma or a double quote reads back whole."""
+
+    def test_trace_ids_that_need_quotes(self, workspace, split_file, checkpoint, monkeypatch):
+        root = workspace / "odd-ids"
+        fam = SynthFamily(mean_kbps=1000, amplitude_kbps=200, noise_std_kbps=100,
+                          duration_s=40)
+        ids = [f"tr{i}" for i in range(8)] + ["1,2", 'q"x']  # tr0-tr7 as in the workspace
+        write_manifest([synthesize_trace(fam, tid, NetworkType.FOUR_G, TransportMode.CAR, seed=i)
+                        for i, tid in enumerate(ids)], root / "corpus")
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["corpus"]["manifest"] = str(root / "corpus" / "manifest.yaml")
+        (root / "config.yaml").write_text(yaml.safe_dump(config))
+        split = {**json.loads(split_file.read_text()), "test": ["1,2", 'q"x']}
+        (root / "split.json").write_text(json.dumps(split))
+        returned = {}
+
+        def recording_run_scheme(sc, *args):
+            returned[sc.scheme.value] = metrics = run_scheme(sc, *args)
+            return metrics
+        monkeypatch.setattr(cli, "run_scheme", recording_run_scheme)
+        dirs = [root / scheme for scheme in ("offline_only", "transfer_only")]
+        for d in dirs:
+            assert invoke("run", "--scheme", d.name, "--config", root / "config.yaml", "--split",
+                          root / "split.json", "--checkpoint", checkpoint, "--out", d
+                          ).exit_code == 0
+            assert {row["trace_id"]: QoESummary(*(float(row[m]) for m in QOE_METRICS))
+                    for row in read_csv(d / "qoe.csv")} == returned[d.name].qoe_per_trace
+        assert invoke("report", "--out", root / "report", *dirs).exit_code == 0
+        # Over two test traces the report's mean of the qoe.csv rows is run_scheme's own,
+        # (a + b) / 2.
+        want = qoe_report({s: m.qoe for s, m in returned.items()}, "offline_only")
+        assert ([[row["scheme"], *(float(row[m]) for m in QOE_METRICS)]
+                 for row in read_csv(root / "report" / "qoe.csv")]
+                == [[row["scheme"], *(row[m] for m in QOE_METRICS)] for row in want])
+
+    def test_label_that_needs_quotes(self, workspace, split_file, checkpoint):
+        run = workspace / "run-report-source"
+        if not run.exists():
+            invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
+                   "--split", split_file, "--checkpoint", checkpoint, "--out", run)
+        dirs = [workspace / "label-quotes" / name for name in ("c", "a,b")]
+        for d in dirs:
+            shutil.copytree(run, d)
+        out = workspace / "label-quotes" / "report"
+        assert invoke("report", "--out", out, "--window", 4, "--epsilon", 0.1, "--sustain", 3,
+                      *dirs).exit_code == 0
+        labels = ["offline_only", "offline_only:a,b"]
+        assert [row["scheme"] for row in read_csv(out / "convergence.csv")] == labels
+        assert [row["scheme"] for row in read_csv(out / "qoe.csv")] == labels
+        assert [[row["base"], row["new"]] for row in read_csv(out / "efficiency.csv")] == [
+            labels, labels[::-1]]
 
 class TestBuiltinSum:
     """Python 3.12's builtin `sum` compensates float sums; no output may depend on it."""

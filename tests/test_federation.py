@@ -10,8 +10,8 @@ from tests.conftest import Episode, one_model_gradients, params_close
 HYPER = TrainHyper(clip_norm=0.0)
 
 
-def make_params(seed=0):
-    return init_params((4, 6), 3, seed=seed)
+def make_params(seed=0, hidden=(6,)):
+    return init_params((4, *hidden), 3, seed=seed)
 
 
 def make_grads(params, seed=1):
@@ -109,6 +109,27 @@ class TestSubmit:
         want = p.copy()
         apply_update(want, g, 0.01)
         assert np.array_equal(coord.fetch(1).flat, want.flat)
+
+    @pytest.mark.parametrize("case", ["one-model-gradient", "one-row-two-clients",
+                                      "three-rows-one-client", "client-twice",
+                                      "other-architecture"])
+    def test_malformed_round_changes_nothing(self, case):
+        coord, p = self._setup()
+        coord.register("b", 2)
+        g, other = make_grads(p).flat, make_params(hidden=(5,))
+        clients, flat, layout = {
+            "one-model-gradient": (("a",), g, p.layout),
+            "one-row-two-clients": (("a", "b"), g[None], p.layout),
+            "three-rows-one-client": (("a",), np.stack([g] * 3), p.layout),
+            "client-twice": (("a", "a"), np.stack([g] * 2), p.layout),
+            "other-architecture": (("a",), make_grads(other).flat[None], other.layout)}[case]
+        events = [dict(e) for e in coord.events]
+        with pytest.raises(FederationError):
+            coord.submit(UpdateMessage(clients, Gradients(flat, layout)))
+        assert coord.events == events
+        for gid in (1, 2):
+            assert coord.current_round(gid) == 0
+            assert coord.fetch(gid).flat.tobytes() == p.flat.tobytes()
 
 
 class TestAggregate:
