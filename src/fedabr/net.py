@@ -80,10 +80,13 @@ class ModelParams:
 
     @cached_property
     def _operands(self):
-        """(W^T, b) to apply as `h @ wt + b` for the hidden layers, then each head;
-        h is (d,) or (T, d), or (K, T, d) for a stack."""
+        """(product, W^T, b) to apply as `product(h, wt) + b` for the hidden layers, then
+        each head; h is (d,) or (T, d), or (K, T, d) for a stack. The product is `np.dot`
+        for one model's weights, which calls the BLAS routine of `np.matmul` with less
+        overhead, but not for a 1 x 1 one: there `np.dot` gives x * w, `@` 0.0 + x * w."""
         stacked = self.flat.ndim == 2
-        ops = [(w.swapaxes(-1, -2), b[:, None] if stacked else b) for w, b in zip(*self._views)]
+        ops = [(np.matmul if stacked or w.size == 1 else np.dot, w.swapaxes(-1, -2),
+                b[:, None] if stacked else b) for w, b in zip(*self._views)]
         return ops[:-2], ops[-2], ops[-1]
 
     @classmethod
@@ -209,12 +212,15 @@ def init_params(dims: tuple[int, ...], ladder_size: int, seed: int) -> ModelPara
     return ModelParams.from_layers(weights, biases)
 
 
+_ZERO = np.broadcast_to(0.0, ())  # the ReLU floor: a read-only 0-d array converts faster than 0.0
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis. The ufuncs are called directly: on a rollout
-    step's few values the ndarray methods' Python wrappers cost as much as the math,
-    and one state's logits reduce to scalars, which round alike and cost less."""
+    """Softmax over the last axis, in place in `logits`. The ufuncs are called directly: on
+    a rollout step's few values the ndarray methods' Python wrappers cost as much as the
+    math, and one state's logits reduce to scalars, which round alike and cost less."""
     keep = logits.ndim > 1
-    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=keep)
+    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=keep), out=logits)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=keep)
     return e
@@ -228,16 +234,16 @@ def _forward_full(params: ModelParams, x: np.ndarray, policy: bool = True) -> tu
     models the (..., K, T, d) stack of their states. For one state, `x @ W.T` rounds exactly
     as `W @ x`, and `np.matmul` makes each model's product of a stack on its own, so a
     stacked pass gives the bits of K separate ones."""
-    hidden, (w_pi, b_pi), _ = params._operands
+    hidden, (pi_product, w_pi, b_pi), _ = params._operands
     post, h = [x], x
-    for w, b in hidden:
-        h = h @ w
+    for product, w, b in hidden:
+        h = product(h, w)
         h += b
-        np.maximum(h, 0.0, out=h)
+        np.maximum(h, _ZERO, out=h)
         post.append(h)
     if not policy:
         return post, None
-    logits = h @ w_pi
+    logits = pi_product(h, w_pi)
     logits += b_pi
     return post, _softmax(logits)
 
@@ -250,14 +256,14 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     state in [0, 1]. One state's value is the head's product plus its bias, added as
     floats: the one add that a (1,) array add makes."""
     state = np.asarray(state, dtype=float)
-    _, _, (w_v, b_v) = params._operands
+    _, _, (v_product, w_v, b_v) = params._operands
     if params.flat.ndim == 1:
         if state.shape != (params.input_dim,):
             raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
         if not np.logical_and.reduce(np.isfinite(state)):
             raise NetError("non-finite state input")
         post, probs = _forward_full(params, state)
-        return probs, (post[-1] @ w_v).item() + b_v.item()
+        return probs, v_product(post[-1], w_v).item() + b_v.item()
     need = (len(params.flat), params.input_dim)
     if state.shape[-2:] != need:
         raise NetError(f"state shape {state.shape} != (..., {need[0]}, {need[1]})")
@@ -268,7 +274,7 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
 def state_values(params: ModelParams, states: np.ndarray) -> np.ndarray:
     """`forward(params, states)[1]` of (K, d) `states`, by its ops, with no policy head."""
     post, _ = _forward_full(params, states[:, None], policy=False)
-    _, _, (w_v, b_v) = params._operands
+    _, w_v, b_v = params._operands[2]
     return (post[-1] @ w_v + b_v)[:, 0, 0]
 
 
@@ -305,7 +311,7 @@ def a3c_gradients(params: ModelParams, rollout: Rollout, hyper: TrainHyper,
                         zip(rollout.rewards.tolist(), rollout.bootstrap_values.tolist())])
     taken = rollout.actions[..., None] == np.arange(params.ladder_size)  # one-hot actions
     post, probs = _forward_full(params, x)
-    w_v, b_v = params._operands[2]
+    _, w_v, b_v = params._operands[2]
     values = (post[-1] @ w_v + b_v)[..., 0]
     with np.errstate(divide="ignore"):  # log 0 = -inf, the taken and entropy terms below
         log_probs = np.log(probs)

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-# libyaml's loader when PyYAML is built with it: the same documents, about 10x faster.
+# libyaml's loader and dumper when PyYAML is built with them: the same documents, and for
+# the dumper the same bytes, several times faster.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class NetworkType(enum.Enum):
@@ -380,5 +382,5 @@ def write_manifest(traces: list[Trace], directory: str | Path) -> Path:
         })
     manifest = directory / "manifest.yaml"
     with open(manifest, "w") as f:
-        yaml.safe_dump(records, f, sort_keys=False)
+        yaml.dump(records, f, Dumper=YAML_DUMPER, sort_keys=False)
     return manifest

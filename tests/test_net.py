@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -976,10 +978,11 @@ def reference_softmax(logits):
 
 
 def reference_forward_full(params, x, value=True):
-    """Reference: `_forward_full` as it was, adding the policy bias out of place."""
-    hidden, (w_pi, b_pi), (w_v, b_v) = params._operands
+    """Reference: `_forward_full` as it was, every product through `@` (`np.matmul`) and the
+    policy bias added out of place."""
+    hidden, (_, w_pi, b_pi), (_, w_v, b_v) = params._operands
     post, h = [x], x
-    for w, b in hidden:
+    for _, w, b in hidden:
         h = h @ w
         h += b
         np.maximum(h, 0.0, out=h)
@@ -1004,17 +1007,34 @@ def reference_forward(params, state):
     return probs[..., 0, :], values[..., 0]
 
 
+def one_model_case(dims, ladder, spread, seed):
+    """A model of `dims` (as `init_params` takes them) with random biases and a policy
+    head scaled by `spread`, which sets the logits far apart, so that softmax underflows
+    to 0 for all but the largest; and the generator that drew the biases."""
+    params = init_params(dims, ladder, seed)
+    rng = np.random.default_rng(seed)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    params.weights[-2][:] *= spread
+    return params, rng
+
+
+# The input width, then one to three hidden widths.
+ONE_MODEL_DIMS = st.tuples(st.integers(1, 40), st.lists(st.integers(1, 80), min_size=1,
+                                                        max_size=3)).map(lambda t: (t[0], *t[1]))
+
+
 class TestForwardOracle:
+    """One model's pass computes its products with `np.dot`, the reference with `@`; they
+    must give the same bytes, as must one state's pass and the (1, n) stack's."""
+
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.integers(1, 64), min_size=1, max_size=3), st.integers(2, 9),
-           st.sampled_from([1.0, 30.0, 1e3, 1e5]), st.integers(0, 2**32 - 1))
-    def test_one_state_matches_reference(self, hidden, ladder, spread, seed):
-        """A policy head scaled by `spread` sets the logits far apart, so that
-        softmax underflows to 0 for all but the largest."""
-        params = init_params((7, *hidden), ladder, seed)
-        params.weights[-2][:] *= spread
-        rng = np.random.default_rng(seed)
-        for state in rng.normal(size=(4, 7)) * rng.uniform(0.0, 10.0, size=(4, 1)):
+    @given(ONE_MODEL_DIMS, st.integers(2, 9), st.sampled_from([1.0, 30.0, 1e3, 1e5]),
+           st.integers(0, 2**32 - 1))
+    def test_one_state_matches_reference(self, dims, ladder, spread, seed):
+        params, rng = one_model_case(dims, ladder, spread, seed)
+        d = dims[0]
+        for state in rng.normal(size=(4, d)) * rng.uniform(0.0, 10.0, size=(4, 1)):
             (probs, value), (ref_probs, ref_value) = (forward(params, state),
                                                       reference_forward(params, state))
             assert same_bits(probs, ref_probs)
@@ -1023,10 +1043,59 @@ class TestForwardOracle:
                 forward(as_stack(params), state[None]),
                 reference_forward(as_stack(params), state[None]))
             assert same_bits(probs, ref_probs) and same_bits(values, ref_values)
-        bad = rng.normal(size=7)
-        bad[int(rng.integers(7))] = rng.choice([np.inf, -np.inf, np.nan])
-        with pytest.raises(NetError, match="^non-finite state input$"):
-            forward(params, bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ONE_MODEL_DIMS, st.integers(2, 9), st.sampled_from([1.0, 30.0, 1e3, 1e5]),
+           st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_state_matrix_matches_reference(self, dims, ladder, spread, t, seed):
+        """A (T, d) matrix of states through one model, compared by bytes with `@`."""
+        params, rng = one_model_case(dims, ladder, spread, seed)
+        x = rng.normal(size=(t, dims[0])) * rng.uniform(0.0, 10.0)
+        post, probs = _forward_full(params, x)
+        ref_post, ref_probs, _ = reference_forward_full(params, x)
+        assert len(post) == len(ref_post)
+        assert all(same_bits(a, b) for a, b in zip(post, ref_post))
+        assert same_bits(probs, ref_probs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_non_finite_state_rejected_in_every_position(self, d, seed):
+        params = init_params((d, 8), 3, seed)
+        state = np.random.default_rng(seed).normal(size=d)
+        for i in range(d):
+            for spoil in (np.inf, -np.inf, np.nan):
+                bad = state.copy()
+                bad[i] = spoil
+                with pytest.raises(NetError, match="^non-finite state input$"):
+                    forward(params, bad)
+                with pytest.raises(NetError, match="^non-finite state input$"):
+                    forward(params, bad.tolist())
+
+    def test_huge_finite_state_accepted(self):
+        """Entries of +-1e308, whose sum overflows, are finite: the pass runs (its products
+        overflow, which the caller's error state governs) and raises nothing."""
+        state = np.resize([1e308, -1e308, 1e308, 1e308], 7)
+        with np.errstate(all="ignore"):
+            forward(init_params((7, 16), 5, seed=3), state)
+
+    def test_one_by_one_weights_keep_signed_zeros(self):
+        """A 1 x 1 weight (input width 1 into hidden width 1, or the value head on a last
+        hidden layer of width 1) where `np.dot` would give x * w and `@` 0.0 + x * w: every
+        sign of zero in the state, weights and biases gives the reference's bytes."""
+        signs = (0.0, -0.0)
+        for x, w, b, w_v, b_v in itertools.product((0.0, -0.0, 1.5, -2.0), (0.0, -0.0, 1.0, -1.0),
+                                                    signs, (0.0, -0.0, 1.0), signs):
+            params = ModelParams.from_layers([[[w]], [[w]], [[1.0], [-1.0]], [[w_v]]],
+                                             [[b], [b], [0.5, -0.5], [b_v]])
+            state = np.array([x])
+            (probs, value), (ref_probs, ref_value) = (forward(params, state),
+                                                      reference_forward(params, state))
+            assert same_bits(probs, ref_probs) and value.hex() == ref_value.hex()
+            for states in (state, state[None], np.array([[x], [1.0]])):
+                post, probs = _forward_full(params, states)
+                ref_post, ref_probs, _ = reference_forward_full(params, states)
+                assert all(same_bits(p, q) for p, q in zip(post, ref_post))
+                assert same_bits(probs, ref_probs)
 
     def test_far_apart_logits_underflow(self):
         params = init_params((7, 16), 5, seed=3)
@@ -1041,7 +1110,8 @@ class TestStackedForward:
                                                           max_size=3),
            st.integers(0, 2**32 - 1))
     def test_rows_match_one_model_calls(self, k, m, hidden, seed):
-        """(K, d) states, or (M, K, d) with M states per model, as in evaluation."""
+        """(K, d) states, or (M, K, d) with M states per model, as in evaluation: the
+        stack's `np.matmul` products give the bits of each model's own `np.dot` ones."""
         rng = np.random.default_rng(seed)
         models = [init_params((7, *hidden), 5, seed=seed + i) for i in range(k)]
         lead = (m,) if m else ()

@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedabr import traces as traces_module
-from fedabr.traces import (NetworkType, SynthFamily, Trace, TraceError, TraceSample,
-                           TransportMode, bandwidth_at, group_of, load_manifest,
+from fedabr.traces import (YAML_DUMPER, NetworkType, SynthFamily, Trace, TraceError,
+                           TraceSample, TransportMode, bandwidth_at, group_of, load_manifest,
                            parse_trace, parse_transport_mode, serialize_trace,
                            split_corpus, synthesize_trace, write_manifest)
 from tests.conftest import constant_trace
@@ -430,6 +430,22 @@ class TestManifest:
         manifest = write_manifest(traces, tmp_path)
         loaded = list(load_manifest(manifest).values())
         assert same_traces(loaded, traces)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)),
+                              st.sampled_from(NT), st.sampled_from(TM)), min_size=1, max_size=6))
+    @example([(i, NT.FOUR_G, TM.CAR) for i in
+              ("a: b", "x:", "#c", "d #e", "'f", '"g', "h'i\"j", "-", "-k", "- l", "42", "007",
+               "1e5", "0x1F", "12:30", "null", "yes", "~", "", " m", "n ", "n" * 90)])
+    def test_dumpers_write_the_same_bytes(self, rows):
+        """The manifest dumper (libyaml's, where PyYAML has it) writes the bytes of PyYAML's
+        Python dumper for printable-ASCII ids, and both read back as the records."""
+        records = [{"id": tid, "path": f"{tid}.csv", "network_type": nt.value,
+                    "transport_mode": tm.value} for tid, nt, tm in rows]
+        text = yaml.dump(records, Dumper=YAML_DUMPER, sort_keys=False)
+        assert text == yaml.dump(records, Dumper=yaml.SafeDumper, sort_keys=False)
+        assert yaml.load(text, Loader=traces_module.YAML_LOADER) == records
+        assert yaml.safe_load(text) == records
 
     def test_bus_maps_to_car(self, tmp_path):
         write_manifest([constant_trace(trace_id="b")], tmp_path)
