@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,12 +148,19 @@ def _read_run_dir(run_dir: Path):
         except (OSError, ValueError, KeyError) as e:
             raise RunDirError(f"run directory {run_dir}: cannot read {name}: {e}") from None
 
+    def finite_rows(f, columns):
+        """Each row's `columns` as floats; a short row's missing fields read as empty,
+        which `float` refuses, and a value that is not finite is refused too."""
+        rows, reader = [], csv.DictReader(f, restval="")
+        for row in reader:
+            rows.append([float(row[c]) for c in columns])
+            if bad := [c for c, v in zip(columns, rows[-1]) if not math.isfinite(v)]:
+                raise ValueError(f"line {reader.line_num}: {bad[0]} {row[bad[0]]!r} is not finite")
+        return rows
+
     meta = read("run_meta.json", json.load)
-    # A short row's missing fields read as empty, which `float` refuses.
-    rewards = read("rewards.csv", lambda f: [float(row["mean_reward"])
-                                             for row in csv.DictReader(f, restval="")])
-    qoe_rows = read("qoe.csv", lambda f: [[float(row[m]) for m in QOE_METRICS]
-                                          for row in csv.DictReader(f, restval="")])
+    rewards = [row[0] for row in read("rewards.csv", lambda f: finite_rows(f, ("mean_reward",)))]
+    qoe_rows = read("qoe.csv", lambda f: finite_rows(f, QOE_METRICS))
     if not isinstance(meta, dict):
         raise RunDirError(f"run directory {run_dir}: run_meta.json is not a mapping")
     epochs, sim_time = meta.get("epochs"), meta.get("sim_time_s")
@@ -220,10 +228,9 @@ def report(out_dir, anchor, window, epsilon, sustain, run_dirs):
                for base in conv for new in conv if base != new])
 
     summaries = {label: qoe for label, (_, _, qoe) in runs.items()}
-    write_csv(out_dir / "qoe.csv", ("scheme", *QOE_METRICS, "flags"),
-              [(row["scheme"], *(row[m] for m in QOE_METRICS),
-                ";".join(f"{m}={row[f'{m}_flag']}" for m in QOE_METRICS if row[f"{m}_flag"]))
-               for row in qoe_report(summaries, anchor_label)])
+    header = ("scheme", *QOE_METRICS, "flags")
+    write_csv(out_dir / "qoe.csv", header,
+              [[row[h] for h in header] for row in qoe_report(summaries, anchor_label)])
     click.echo(f"report written to {out_dir}")
 
 

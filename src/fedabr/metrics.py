@@ -81,26 +81,17 @@ def speedup_percent(t_base: float, t_new: float) -> float:
 
 
 def qoe_report(summaries: dict[str, QoESummary], anchor: str) -> list[dict]:
-    """Normalize each scheme's QoE metrics by the anchor scheme's values.
-
-    If an anchor metric is zero the absolute difference is reported instead and
-    the row is flagged.
-    """
+    """The records of the report's `qoe.csv`, one per scheme in scheme order, keyed by its
+    header: `scheme`, each metric over the anchor scheme's, and `flags`, which names, as
+    `{metric}=abs_diff` joined by `;`, the metrics reported as a difference because the
+    anchor's value is zero."""
     if anchor not in summaries:
         raise MetricError(f"anchor scheme {anchor!r} not among runs")
     ref = summaries[anchor]
-    rows = []
-    for scheme in sorted(summaries):
-        s = summaries[scheme]
-        row = {"scheme": scheme}
-        for metric in QOE_METRICS:
-            val = getattr(s, metric)
-            ref_val = getattr(ref, metric)
-            if ref_val == 0.0:
-                row[metric] = val - ref_val
-                row[f"{metric}_flag"] = "abs_diff"
-            else:
-                row[metric] = val / ref_val
-                row[f"{metric}_flag"] = ""
-        rows.append(row)
-    return rows
+    zero = [m for m in QOE_METRICS if getattr(ref, m) == 0.0]
+
+    def relative(s: QoESummary, m: str) -> float:
+        return getattr(s, m) - getattr(ref, m) if m in zero else getattr(s, m) / getattr(ref, m)
+    return [{"scheme": scheme, **{m: relative(summaries[scheme], m) for m in QOE_METRICS},
+             "flags": ";".join(f"{m}=abs_diff" for m in zero)}
+            for scheme in sorted(summaries)]

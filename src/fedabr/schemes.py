@@ -189,7 +189,7 @@ def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
             transcript=transcript,
         )
         if work_dir is not None:
-            _write_outputs(metrics, {tid: row[3] for tid, row in rows.items()}, config, work_dir)
+            _write_outputs(metrics, rows, config, work_dir)
     return metrics
 
 
@@ -311,12 +311,12 @@ def write_rewards_csv(rewards: list[float], path: str | Path) -> None:
     write_csv(path, ("epoch", "mean_reward"), enumerate(rewards, start=1))
 
 
-def _write_outputs(metrics: RunMetrics, per_trace_rewards: dict[str, float],
+def _write_outputs(metrics: RunMetrics, qoe_rows: dict[str, list[float]],
                    config: SchemeConfig, out_dir: Path) -> None:
+    """`qoe_rows` maps each test trace to its `evaluate_greedy` row: QoE, then reward."""
     write_rewards_csv(metrics.rewards, out_dir / "rewards.csv")
     write_csv(out_dir / "qoe.csv", ("trace_id", *QOE_METRICS, "mean_reward"),
-              [(tid, *(getattr(qoe, m) for m in QOE_METRICS), per_trace_rewards[tid])
-               for tid, qoe in sorted(metrics.qoe_per_trace.items())])
+              [(tid, *row) for tid, row in sorted(qoe_rows.items())])
     meta = {
         "scheme": metrics.scheme.value,
         "epochs": len(metrics.rewards),

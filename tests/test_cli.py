@@ -780,6 +780,44 @@ class TestReport:
         assert result.output == f"Error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["rewards.csv", "qoe.csv"])
+    def test_value_that_is_not_finite(self, tmp_path, name, value):
+        d = tmp_path / "run"
+        if name == "rewards.csv":  # the third epoch, on line 4
+            hand_written_run(d, "offline_only", rewards=["0.5", "0.25", value])
+            where = f"line 4: mean_reward '{value}'"
+        else:  # the second test trace's stall rate, on line 3
+            hand_written_run(d, "offline_only", qoe=["1000.0,0.0,80.0", f"900.0,{value},70.0"])
+            where = f"line 3: stall_rate '{value}'"
+        out = tmp_path / "report"
+        result = CliRunner().invoke(main, ["report", "--out", str(out), str(d)])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: run directory {d}: cannot read {name}: {where} "
+                                 "is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("anchor, other, want", [
+        ("1000.0,0.0,80.0", "1500.0,0.25,60.0",
+         ["offline_only,1.0,0.0,1.0,stall_rate=abs_diff",
+          "online_scratch,1.5,0.25,0.75,stall_rate=abs_diff"]),
+        ("0.0,0.1,0.0", "500.0,0.2,40.0",
+         ["offline_only,0.0,1.0,0.0,mean_bitrate_kbps=abs_diff;mean_delay_ms=abs_diff",
+          "online_scratch,500.0,2.0,40.0,mean_bitrate_kbps=abs_diff;mean_delay_ms=abs_diff"]),
+        ("1000.0,0.5,80.0", "500.0,0.25,40.0",
+         ["offline_only,1.0,1.0,1.0,", "online_scratch,0.5,0.5,0.5,"])])
+    def test_flags(self, tmp_path, anchor, other, want):
+        """A metric whose anchor value is zero is reported as a difference, and `flags`
+        names every such metric, in the `qoe.csv` column order."""
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        hand_written_run(dirs[0], "offline_only", qoe=[anchor])
+        hand_written_run(dirs[1], "online_scratch", qoe=[other])
+        assert invoke("report", "--out", tmp_path / "report", *dirs).exit_code == 0
+        assert (tmp_path / "report" / "qoe.csv").read_bytes() == "".join(
+            line + "\n" for line in ["scheme,mean_bitrate_kbps,stall_rate,mean_delay_ms,flags",
+                                     *want]).encode()
+
     def test_rule_defaults_are_the_convergence_rule(self):
         defaults = {p.name: p.default for p in main.commands["report"].params}
         assert ([defaults[k] for k in ("window", "epsilon", "sustain")]
@@ -796,6 +834,18 @@ class TestReport:
         assert result.exit_code == 1
         assert result.output == "Error: anchor scheme 'nonexistent' not among runs\n"
         assert not out.exists()
+
+
+def hand_written_run(d, scheme, rewards=("0.5",), qoe=("1000.0,0.1,80.0",)):
+    """A finished run directory written by hand: `rewards` are the epochs' mean rewards,
+    each entry of `qoe` a test trace's bitrate, stall rate and delay."""
+    d.mkdir(parents=True)
+    (d / "run_meta.json").write_text(json.dumps({"scheme": scheme, "epochs": len(rewards),
+                                                 "sim_time_s": 1.0}))
+    (d / "rewards.csv").write_text("epoch,mean_reward\n" + "".join(
+        f"{i},{r}\n" for i, r in enumerate(rewards, start=1)))
+    (d / "qoe.csv").write_text("trace_id,mean_bitrate_kbps,stall_rate,mean_delay_ms,mean_reward\n"
+                               + "".join(f"t{i},{row},0.0\n" for i, row in enumerate(qoe)))
 
 
 def read_csv(path):

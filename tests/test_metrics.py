@@ -114,7 +114,17 @@ class TestQoeReport:
         s = {"a": QoESummary(1000.0, 0.0, 80.0), "b": QoESummary(1000.0, 0.05, 80.0)}
         rows = {r["scheme"]: r for r in qoe_report(s, "a")}
         assert rows["b"]["stall_rate"] == pytest.approx(0.05)
-        assert rows["b"]["stall_rate_flag"] == "abs_diff"
+        assert rows["b"]["flags"] == "stall_rate=abs_diff"
+
+    @pytest.mark.parametrize("anchor", [
+        QoESummary(1000.0, 0.1, 80.0), QoESummary(1000.0, 0.0, 80.0),
+        QoESummary(0.0, 0.0, 80.0), QoESummary(0.0, 0.0, 0.0)])
+    def test_row_keys_are_the_report_header(self, anchor):
+        s = {"b": QoESummary(500.0, 0.05, 60.0), "a": anchor, "c": QoESummary(1.0, 1.0, 1.0)}
+        rows = qoe_report(s, "a")
+        assert [row["scheme"] for row in rows] == ["a", "b", "c"]
+        for row in rows:
+            assert list(row) == ["scheme", *QOE_METRICS, "flags"]
 
     def test_unknown_anchor(self):
         with pytest.raises(MetricError):

@@ -12,10 +12,14 @@ Each tree runs, in its own process and with its own ``src`` and ``perfbench``:
   workload's ``decision_starts``, one ``forward``, argmax and ``step`` per
   decision, in ``decisions.txt``;
 - split -> pretrain -> all four schemes -> report through the CLI on the
-  ``cli_pipeline`` corpus.
+  ``cli_pipeline`` corpus, with a convergence rule short enough for the runs'
+  epochs, so that the report's convergence epochs and efficiency rows are
+  compared too.
 
 Every file the two runs wrote is then compared byte for byte, and every array
-of every ``.npz`` for equality. Exit status 0 means no file differs.
+of every ``.npz`` for equality. Exit status 0 means no file differs, 1 that
+some file differs, and 2 that the arguments are wrong: a WORK_DIR that exists
+and is not empty is refused before anything runs.
 """
 
 import argparse
@@ -83,7 +87,8 @@ def write_outputs(out: Path, seed: int) -> None:
             ["pretrain", *common, "--out", root / "ckpt.npz"]]
     plan += [["run", "--scheme", s, *common, "--checkpoint", root / "ckpt.npz",
               "--out", root / "runs" / s] for s in SCHEMES]
-    plan.append(["report", "--out", root / "report", *(root / "runs" / s for s in SCHEMES)])
+    plan.append(["report", "--out", root / "report", "--window", 3, "--epsilon", 0.3,
+                 "--sustain", 3, *(root / "runs" / s for s in SCHEMES)])
     for args in plan:
         res = CliRunner().invoke(cli.main, [str(a) for a in args], catch_exceptions=False)
         if res.exit_code != 0:
@@ -118,6 +123,9 @@ def main() -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees and a work directory")
+    if args.work.exists() and not (args.work.is_dir() and not any(args.work.iterdir())):
+        print(f"error: work directory {args.work} exists and is not empty", file=sys.stderr)
+        return 2
     outs = []
     for i, tree in enumerate(args.trees):
         tree, out = tree.resolve(), args.work.resolve() / f"tree{i}"
