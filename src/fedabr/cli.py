@@ -102,15 +102,17 @@ def pretrain(config_path, split_path, out_path):
     if not ids:
         raise click.ClickException(f"split file {split_path} has no pretrain traces")
     traces = [corpus[i] for i in sorted(ids)]
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    if Path(out_path).is_dir():  # found now, not when the checkpoint is written
-        raise IsADirectoryError(f"cannot write the checkpoint {out_path}: it is a directory")
+    out, log = Path(out_path), Path(out_path).with_suffix(".rewards.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    for what, path in (("checkpoint", out), ("reward log", log)):
+        if path.is_dir():  # found now, not when the file is written
+            raise IsADirectoryError(f"cannot write the {what} {path}: it is a directory")
     try:
         params, rewards = offline_train(traces, cfg.pretrain, cfg.env)
     except DivergenceError as e:
         raise click.ClickException(f"pretraining diverged: {e}") from None
-    save_checkpoint(params, out_path)
-    write_rewards_csv(rewards, Path(out_path).with_suffix(".rewards.csv"))
+    save_checkpoint(params, out)
+    write_rewards_csv(rewards, log)
     click.echo(f"pretrained {cfg.pretrain.epochs} epochs -> {out_path}")
 
 

@@ -11,7 +11,7 @@ from .env import EnvConfig
 from .net import TrainHyper
 from .pretrain import PretrainConfig
 from .schemes import ClientSpec, Scheme, SchemeConfig
-from .traces import load_yaml, parse_network_type, parse_transport_mode
+from .traces import NetworkType, TransportMode, load_yaml, parse_label
 
 
 class ConfigError(ValueError):
@@ -85,8 +85,7 @@ def _section(raw: dict, name: str) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config section {name!r} must be a mapping, got {data!r}")
-    unknown = [str(k) for k in data if k not in SECTIONS[name]]
-    if unknown:
+    if unknown := [str(k) for k in data if k not in SECTIONS[name]]:
         raise ConfigError(f"unknown keys in config section {name!r}: {unknown}")
     return data
 
@@ -96,8 +95,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     raw = load_yaml(path, "config", ConfigError) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping of sections")
-    unknown = [str(k) for k in raw if k not in SECTIONS]
-    if unknown:
+    if unknown := [str(k) for k in raw if k not in SECTIONS]:
         raise ConfigError(f"unknown config sections: {unknown}")
     sec = {name: _section(raw, name) for name in SECTIONS}
     if not isinstance(sec["corpus"].get("manifest"), str):
@@ -135,8 +133,9 @@ def _parse_schedule(entries, client_id: str):
             isinstance(e, list) and len(e) == 3 and _is_a(float, e[0]) for e in entries)):
         raise ValueError("condition_schedule must be a list of [t, network_type, "
                          f"transport_mode] entries, got {entries!r}")
-    return tuple((float(t), ClientCondition(client_id, parse_network_type(nt),
-                                            parse_transport_mode(tm))) for t, nt, tm in entries)
+    return tuple((float(t), ClientCondition(client_id, parse_label(NetworkType, nt),
+                                            parse_label(TransportMode, tm)))
+                 for t, nt, tm in entries)
 
 
 def _client_spec(index: int, rec) -> ClientSpec:
@@ -167,7 +166,8 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
     With `run.clients: auto`, one client is created per finetune trace for the
     federated scheme, and a single client over all finetune traces otherwise.
     """
-    if cfg.clients == "auto":
+    clients = cfg.clients
+    if clients == "auto":
         if not finetune_ids:
             raise ConfigError("split has no finetune traces to assign to clients")
         ids = sorted(finetune_ids)
@@ -175,8 +175,6 @@ def build_scheme_config(cfg: ExperimentConfig, scheme: Scheme,
             clients = tuple(ClientSpec(f"client-{i}", (tid,)) for i, tid in enumerate(ids))
         else:
             clients = (ClientSpec("client-0", tuple(ids)),)
-    else:
-        clients = cfg.clients
     return SchemeConfig(scheme=scheme, clients=clients, test_trace_ids=tuple(sorted(test_ids)),
                         env=cfg.env, hyper=cfg.hyper, hidden=cfg.pretrain.hidden,
                         **cfg.scheme_args)

@@ -133,8 +133,6 @@ def evaluate_greedy(models: list[ModelParams], traces: list[Trace], env_config: 
     models) array of per-session means: achieved bitrate, stall rate (stall time
     over episode time), delay and step reward."""
     n = env_config.episode_len
-    if not traces:
-        return np.empty((4, 0, len(models)))
     envs = [StreamEnv(trace, env_config) for trace in traces for _ in models]
     stack = ModelParams.stack(models)
     states = np.array([env.reset(0.0) for env in envs])
@@ -158,7 +156,14 @@ def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
     t0 = time.perf_counter()
     uses = [(tid, f"trace id {tid!r} for client {spec.id!r}")
             for spec in config.clients for tid in spec.trace_ids]
-    for tid, what in uses + [(tid, f"test trace id {tid!r}") for tid in config.test_trace_ids]:
+    test = config.test_trace_ids  # non-empty, each trace once, none that a client trains on
+    trainer = {tid: spec.id for spec in reversed(config.clients) for tid in spec.trace_ids}
+    check_fields(config, SchemeError, (("test_trace_ids", len(test) > 0, "non-empty"),))
+    for i, tid in enumerate(test):
+        if tid in test[:i] or tid in trainer:
+            why = "listed twice" if tid in test[:i] else f"trained on by client {trainer[tid]!r}"
+            raise SchemeError(f"test_trace_ids: trace {tid!r} is {why}")
+    for tid, what in uses + [(tid, f"test trace id {tid!r}") for tid in test]:
         if tid not in traces:
             raise SchemeError(f"unknown {what}")
         try:
@@ -171,12 +176,11 @@ def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
     with _staged_dir(Path(out_dir) if out_dir is not None else None) as work_dir:
         rewards, clients, groups, transcript = train(config, traces, params0)
         # Test-set evaluation: greedy episodes of every client's final model on each
-        # distinct test trace, averaged over the models, then over the traces.
-        test_ids = list(dict.fromkeys(config.test_trace_ids))
+        # test trace, averaged over the models, then over the traces.
         per_trace = evaluate_greedy([clients[cid] for cid in sorted(clients)],
-                                    [traces[tid] for tid in test_ids], config.env).mean(axis=2)
-        overall = per_trace.mean(axis=1).tolist() if test_ids else [0.0] * 4
-        rows = dict(zip(test_ids, per_trace.T.tolist()))
+                                    [traces[tid] for tid in test], config.env).mean(axis=2)
+        overall = per_trace.mean(axis=1).tolist()
+        rows = dict(zip(test, per_trace.T.tolist()))
         metrics = RunMetrics(
             scheme=config.scheme,
             rewards=rewards,
@@ -197,9 +201,9 @@ def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
 def _staged_dir(out_dir: Path | None):
     """Yield a new hidden sibling of `out_dir` to write a run into.
 
-    Only when the block succeeds does the sibling become `out_dir` (or, if
-    `out_dir` exists, its files replace those of the same name there), so a
-    failed run leaves no partial run directory.
+    Only when the block succeeds does the sibling become `out_dir` (or, if `out_dir`
+    exists, its files replace those of the same name there, and an earlier run's output
+    that this run does not write is removed), so a failed run leaves no partial run directory.
     """
     if out_dir is None:
         yield None
@@ -212,6 +216,10 @@ def _staged_dir(out_dir: Path | None):
     try:
         yield work
         if out_dir.exists():
+            outputs = {"rewards.csv", "qoe.csv", "run_meta.json", "transcript.jsonl",
+                       "checkpoint.npz"}  # every file `_write_outputs` can write
+            for name in outputs.difference(f.name for f in work.iterdir()):
+                (out_dir / name).unlink(missing_ok=True)
             for f in work.iterdir():
                 os.replace(f, out_dir / f.name)
         else:

@@ -6,7 +6,6 @@ import enum
 import io
 import math
 import sys
-import warnings
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -270,23 +269,13 @@ def synthesize_trace(family: SynthFamily, trace_id: str, network_type: NetworkTy
     return Trace(trace_id, t, np.maximum(bw, 0.0), network_type, transport_mode)
 
 
-def parse_network_type(label: str) -> NetworkType:
+def parse_label(kind: type[NetworkType | TransportMode], label) -> NetworkType | TransportMode:
+    """The member of `kind` whose value is `label` in lower case; any other label is an error."""
     try:
-        return NetworkType(str(label).lower())
+        return kind(str(label).lower())
     except ValueError:
-        raise TraceError(f"unknown network type {label!r}") from None
-
-
-def parse_transport_mode(label: str) -> TransportMode:
-    label = str(label).lower()
-    if label == "bus":
-        # Group table has no bus column; treat it as car.
-        warnings.warn("transport mode 'bus' mapped to 'car'", stacklevel=2)
-        return TransportMode.CAR
-    try:
-        return TransportMode(label)
-    except ValueError:
-        raise TraceError(f"unknown transport mode {label!r}") from None
+        what = "network type" if kind is NetworkType else "transport mode"
+        raise TraceError(f"unknown {what} {label!r}") from None
 
 
 def load_yaml(path: Path, what: str, error: type[Exception]):
@@ -356,8 +345,8 @@ def load_manifest(path: str | Path) -> Corpus:
         if not isinstance(rec["path"], str):
             raise TraceError(f"{path}: record {rec['id']!r}: path must be a string, "
                              f"got {rec['path']!r}")
-        entries[tid] = (path.parent / rec["path"], parse_network_type(str(rec["network_type"])),
-                        parse_transport_mode(str(rec["transport_mode"])))
+        entries[tid] = (path.parent / rec["path"], parse_label(NetworkType, rec["network_type"]),
+                        parse_label(TransportMode, rec["transport_mode"]))
         try:
             entries[tid][0].stat()
         except OSError as e:

@@ -621,6 +621,22 @@ class TestInputErrors:
         assert started == [] and sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
         assert list((tmp_path / "adir").iterdir()) == []
 
+    def test_reward_log_path_is_a_directory(self, workspace, split_file, tmp_path, monkeypatch):
+        """`pretrain` checks the reward log's path, next to the checkpoint, before training:
+        it leaves no checkpoint without its reward log."""
+        log = tmp_path / "ck2.rewards.csv"
+        log.mkdir()
+        started, train = [], cli.offline_train
+        monkeypatch.setattr("fedabr.cli.offline_train",
+                            lambda *args: started.append(args) or train(*args))
+        result = CliRunner().invoke(main, [str(a) for a in (
+            "pretrain", "--config", workspace / "config.yaml", "--split", split_file,
+            "--out", tmp_path / "ck2.npz")])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output == f"Error: cannot write the reward log {log}: it is a directory\n"
+        assert started == [] and [p.name for p in tmp_path.iterdir()] == [log.name]
+
     def test_scheme_error(self, workspace, split_file, checkpoint):
         config = yaml.safe_load((workspace / "config.yaml").read_text())
         config["run"]["clients"] = [{"id": "c0", "traces": ["no-such-trace"]}]
@@ -633,6 +649,37 @@ class TestInputErrors:
         assert result.exit_code == 1
         assert result.output == "Error: unknown trace id 'no-such-trace' for client 'c0'\n"
         assert not (workspace / "run-clients").exists()
+
+    @pytest.mark.parametrize("case", ["empty-split", "client-on-a-test-trace"])
+    def test_bad_test_set(self, workspace, split_file, checkpoint, tmp_path, monkeypatch, case):
+        """A split without test traces, or a `run.clients` record that trains on a test
+        trace, stops `run` with one line, before training and without a run directory."""
+        data = json.loads(split_file.read_text())
+        config = yaml.safe_load((workspace / "config.yaml").read_text())
+        config["corpus"]["manifest"] = str(workspace / "corpus" / "manifest.yaml")
+        if case == "empty-split":
+            data["test"] = []
+            message = "test_trace_ids must be non-empty, got ()"
+        else:
+            test_id = data["test"][0]
+            config["run"]["clients"] = [{"id": "c0", "traces": data["finetune"]},
+                                        {"id": "c1", "traces": [test_id]}]
+            message = f"test_trace_ids: trace {test_id!r} is trained on by client 'c1'"
+        (tmp_path / "split.json").write_text(json.dumps(data))
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(config))
+        started = []
+        monkeypatch.setattr("fedabr.schemes._train_rounds", lambda *args: started.append(args))
+        monkeypatch.setattr("fedabr.schemes._run_offline_only",
+                            lambda *args: started.append(args))
+        for scheme in ("offline_only", "transfer_only", "full_federated"):
+            out = workspace / f"run-bad-test-set-{case}-{scheme}"
+            result = CliRunner().invoke(main, [str(a) for a in (
+                "run", "--scheme", scheme, "--config", tmp_path / "config.yaml",
+                "--split", tmp_path / "split.json", "--checkpoint", checkpoint, "--out", out)])
+            assert isinstance(result.exception, SystemExit)
+            assert result.exit_code == 1
+            assert result.output == f"Error: {message}\n"
+            assert started == [] and not out.exists()
 
 
 class TestReport:
@@ -733,21 +780,17 @@ class TestReport:
         assert result.output == f"Error: run directory {d}: {message}\n"
         assert not out.exists()
 
-    def test_run_without_test_traces(self, workspace, split_file, checkpoint):
-        data = json.loads(split_file.read_text())
-        data["test"] = []
-        no_test = workspace / "split-no-test.json"
-        no_test.write_text(json.dumps(data))
-        run = workspace / "run-no-test"
-        result = invoke("run", "--scheme", "offline_only", "--config", workspace / "config.yaml",
-                        "--split", no_test, "--checkpoint", checkpoint, "--out", run)
-        assert result.exit_code == 0
-        result = CliRunner().invoke(main, ["report", "--out", str(workspace / "report-no-test"),
-                                           str(run)])
+    def test_run_without_test_traces(self, tmp_path):
+        """`run` refuses an empty test set (`TestInputErrors`), so a run directory without
+        test trace rows is one written by hand."""
+        run = tmp_path / "run-no-test"
+        hand_written_run(run, "offline_only", qoe=())
+        result = CliRunner().invoke(main, ["report", "--out", str(tmp_path / "report"), str(run)])
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert result.output == (f"Error: run directory {run}: qoe.csv has no test trace "
                                  "rows\n")
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("case", ["window-zero", "sustain-zero", "epsilon-one",
                                       "duplicate-label"])

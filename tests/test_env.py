@@ -193,11 +193,6 @@ class TestEpisodeQoe:
                 sum(o.stall_s for o in outcomes) / (n * cfg.step_s),
                 sum(o.delay_ms for o in outcomes) / n, sum(o.reward for o in outcomes) / n])
 
-    def test_empty(self):
-        cfg = EnvConfig(episode_len=10)
-        models = [greedy_model(cfg, 0), greedy_model(cfg, 1)]
-        assert evaluate_greedy(models, [], cfg).shape == (4, 0, 2)
-
 
 class TestInvariants:
     def test_randomized_episode_invariants(self, noisy_trace, rng):

@@ -247,6 +247,27 @@ class TestValidation:
             run_scheme(cfg, corpus, pretrained)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("test_ids, message", [
+        ((), "test_trace_ids must be non-empty, got ()"),
+        (("test0", "ft3", "test0"), "test_trace_ids: trace 'test0' is listed twice"),
+        (("test0", "ft1", "ft1"), "test_trace_ids: trace 'ft1' is trained on by client 'c1'"),
+        (("nope", "ft0"), "test_trace_ids: trace 'ft0' is trained on by client 'c0'"),
+    ])
+    def test_bad_test_set(self, corpus, pretrained, monkeypatch, tmp_path, scheme, test_ids,
+                          message):
+        """An empty test set, a test trace listed twice or one that a client trains on is
+        rejected before any other check, any training or any run directory."""
+        clients = (ClientSpec("c0", ("ft0",)), ClientSpec("c1", ("ft2", "ft1")),
+                   ClientSpec("c2", ("ft1",)))
+        cfg = replace(base_config(scheme, clients), test_trace_ids=test_ids)
+        started = []
+        for name in ("_train_rounds", "_run_offline_only", "_initial_params"):
+            monkeypatch.setattr(schemes, name, lambda *args: started.append(args))
+        with pytest.raises(SchemeError, match=re.escape(message) + "$"):
+            run_scheme(cfg, corpus, pretrained, tmp_path / "run")
+        assert started == [] and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("where", ["client", "test"])
     @pytest.mark.parametrize("times, span", [(np.arange(21.0), "[0.0, 20.0]"),
                                              (np.arange(5.0, 70.0), "[5.0, 69.0]")])
@@ -372,6 +393,19 @@ class TestRunDirectory:
         assert (out / "notes.txt").read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
+    def test_rerun_removes_outputs_it_does_not_write(self, corpus, pretrained, tmp_path):
+        """A transfer-only run into a federated run's directory leaves no transcript of the
+        federated run next to its own outputs; files that are not run outputs stay."""
+        out, clients = tmp_path / "run", (ClientSpec("c0", ("ft0",)),)
+        run_scheme(base_config(Scheme.FULL_FEDERATED, clients, epochs=1), corpus, pretrained, out)
+        (out / "notes.txt").write_text("kept\n")
+        assert (out / "transcript.jsonl").is_file()
+        run_scheme(base_config(Scheme.TRANSFER_ONLY, clients, epochs=1), corpus, pretrained, out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.npz", "notes.txt", "qoe.csv", "rewards.csv", "run_meta.json"]
+        assert json.loads((out / "run_meta.json").read_text())["scheme"] == "transfer_only"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
 
 def scalar_greedy(params, trace, env_config):
     """Reference: one greedy episode, one scalar `forward` and `env.step` at a time."""
@@ -417,16 +451,13 @@ class TestLockstepEvaluation:
         got = evaluate_greedy(models, traces, env_config)
         assert got.shape == (4, m, k) and got.tobytes() == want.tobytes()
 
-    def test_no_test_traces(self, pretrained):
-        assert evaluate_greedy([pretrained], [], ENV).shape == (4, 0, 1)
-
     def test_run_means_over_models_then_distinct_traces(self, corpus, pretrained):
         """A run's QoE: per test trace, the mean over the client models of each
-        session's value; overall, the mean over the distinct test traces."""
+        session's value; overall, the mean over the test traces."""
         clients = (ClientSpec("c0", ("ft0",)), ClientSpec("c1", ("ft1",)),
                    ClientSpec("c2", ("ft2",)))
         cfg = replace(base_config(Scheme.FULL_FEDERATED, clients, epochs=2),
-                      test_trace_ids=("test0", "ft3", "test0"))
+                      test_trace_ids=("test0", "ft3"))
         metrics = run_scheme(cfg, corpus, pretrained)
         models = [metrics.final_client_params[c] for c in ("c0", "c1", "c2")]
         per_trace = {}
@@ -546,10 +577,12 @@ def round_case(scheme, hidden, env, epochs, seed, clients, hyper, frozen_layers=
                server_lr=None, poll_period_s=1.0):
     """A small online run: (config, traces, pretrained model). Client i is given as (its
     traces' conditions, its seed, its schedule), and its trace j is synthesized with seed
-    `seed + 10 * i + j`."""
+    `seed + 10 * i + j`; the one test trace, which no client trains on, is synthesized
+    with the seed a next client's first trace would get."""
     fam = SynthFamily(mean_kbps=1200, amplitude_kbps=400, period_s=15, noise_std_kbps=300,
                       duration_s=40)
-    traces, specs = {}, []
+    test = synthesize_trace(fam, "test", *CONDITIONS[0], seed + 10 * len(clients))
+    traces, specs = {test.id: test}, []
     for i, (conditions, client_seed, schedule) in enumerate(clients):
         ids = []
         for j, (nt, tm) in enumerate(conditions):
@@ -557,8 +590,9 @@ def round_case(scheme, hidden, env, epochs, seed, clients, hyper, frozen_layers=
             traces[tr.id] = tr
             ids.append(tr.id)
         specs.append(ClientSpec(f"c{i}", tuple(ids), client_seed, schedule))
-    config = SchemeConfig(scheme=scheme, clients=tuple(specs), epochs=epochs, seed=seed, env=env,
-                          hyper=hyper, frozen_layers=frozen_layers, mix=mix, server_lr=server_lr,
+    config = SchemeConfig(scheme=scheme, clients=tuple(specs), epochs=epochs,
+                          test_trace_ids=(test.id,), seed=seed, env=env, hyper=hyper,
+                          frozen_layers=frozen_layers, mix=mix, server_lr=server_lr,
                           poll_period_s=poll_period_s, hidden=hidden)
     pretrained = init_params((env.state_dim, *hidden), len(env.ladder), seed + 1)
     pretrained.flat[:] += np.random.default_rng(seed).normal(scale=0.5,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fedabr import traces as traces_module
 from fedabr.traces import (YAML_DUMPER, NetworkType, SynthFamily, Trace, TraceError,
                            TraceSample, TransportMode, bandwidth_at, group_of, load_manifest,
-                           parse_trace, parse_transport_mode, serialize_trace,
+                           parse_label, parse_trace, serialize_trace,
                            split_corpus, synthesize_trace, write_manifest)
 from tests.conftest import constant_trace
 
@@ -447,13 +447,24 @@ class TestManifest:
         assert yaml.load(text, Loader=traces_module.YAML_LOADER) == records
         assert yaml.safe_load(text) == records
 
-    def test_bus_maps_to_car(self, tmp_path):
-        write_manifest([constant_trace(trace_id="b")], tmp_path)
-        manifest = tmp_path / "manifest.yaml"
+    def test_bus_is_rejected(self, tmp_path):
+        """`bus` is outside the 3 x 4 group table, like any label that is not an enum value."""
+        manifest = write_manifest([constant_trace(trace_id="b")], tmp_path)
         manifest.write_text(manifest.read_text().replace("car", "bus"))
-        with pytest.warns(UserWarning, match="bus"):
-            loaded = list(load_manifest(manifest).values())
-        assert loaded[0].transport_mode is TM.CAR
+        with pytest.raises(TraceError, match=re.escape("unknown transport mode 'bus'") + "$"):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("kind, label, message", [
+        (NT, "5g", "unknown network type '5g'"), (NT, 5, "unknown network type 5"),
+        (TM, "x", "unknown transport mode 'x'"), (TM, "Bus", "unknown transport mode 'Bus'")])
+    def test_unknown_label(self, kind, label, message):
+        with pytest.raises(TraceError, match=re.escape(message) + "$"):
+            parse_label(kind, label)
+
+    @pytest.mark.parametrize("kind", [NT, TM])
+    def test_labels_in_any_case(self, kind):
+        for member in kind:
+            assert parse_label(kind, member.value.upper()) is member
 
     @pytest.mark.parametrize("record", ["- 5", "- idpathnetwork_typetransport_mode",
                                         "- {id: a, path: a.csv}"])
@@ -502,7 +513,7 @@ class TestManifest:
 
     def test_parse_transport_unknown(self):
         with pytest.raises(TraceError):
-            parse_transport_mode("submarine")
+            parse_label(TransportMode, "submarine")
 
     @pytest.mark.parametrize("text, error", [
         ("0,1000\n1,abc\n", "line 2: could not convert string to float: 'abc'"),
