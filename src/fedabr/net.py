@@ -8,6 +8,7 @@ and stepping equals stepping on the averaged gradient.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -218,9 +219,15 @@ _ZERO = np.broadcast_to(0.0, ())  # the ReLU floor: a read-only 0-d array conver
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, in place in `logits`. The ufuncs are called directly: on
     a rollout step's few values the ndarray methods' Python wrappers cost as much as the
-    math, and one state's logits reduce to scalars, which round alike and cost less."""
+    math, and one state's logits reduce to scalars, which round alike and cost less. One row
+    takes the builtin `max` of its floats, exact, unless its sum is NaN: numpy propagates a NaN."""
     keep = logits.ndim > 1
-    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=keep), out=logits)
+    if keep:
+        top = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    else:
+        row = logits.tolist()
+        top = np.maximum.reduce(logits) if math.isnan(sum(row)) else max(row)
+    e = np.subtract(logits, top, out=logits)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=keep)
     return e
@@ -254,13 +261,16 @@ def forward(params: ModelParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     probabilities and (..., K) values. Only a single state is checked for finite
     values: stacked states come from the lockstep loops, whose simulator keeps every
     state in [0, 1]. One state's value is the head's product plus its bias, added as
-    floats: the one add that a (1,) array add makes."""
+    floats: the one add that a (1,) array add makes. One state is checked on its floats:
+    a finite sum has finite terms, and only a sum that is not, which may have overflowed,
+    makes each term be tested."""
     state = np.asarray(state, dtype=float)
     _, _, (v_product, w_v, b_v) = params._operands
     if params.flat.ndim == 1:
         if state.shape != (params.input_dim,):
             raise NetError(f"state shape {state.shape} != ({params.input_dim},)")
-        if not np.logical_and.reduce(np.isfinite(state)):
+        row = state.tolist()
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
             raise NetError("non-finite state input")
         post, probs = _forward_full(params, state)
         return probs, v_product(post[-1], w_v).item() + b_v.item()

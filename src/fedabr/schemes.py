@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 import shutil
 import time
 import uuid
@@ -201,9 +200,9 @@ def run_scheme(config: SchemeConfig, traces: Mapping[str, Trace],
 def _staged_dir(out_dir: Path | None):
     """Yield a new hidden sibling of `out_dir` to write a run into.
 
-    Only when the block succeeds does the sibling become `out_dir` (or, if `out_dir`
-    exists, its files replace those of the same name there, and an earlier run's output
-    that this run does not write is removed), so a failed run leaves no partial run directory.
+    Only when the block succeeds does the sibling become `out_dir`. An existing `out_dir` is
+    swapped out whole, and then gives the new one its files that are not run outputs, so a
+    failed or killed run or merge never leaves a partial run directory, nor one mixing two runs.
     """
     if out_dir is None:
         yield None
@@ -216,12 +215,17 @@ def _staged_dir(out_dir: Path | None):
     try:
         yield work
         if out_dir.exists():
+            old = out_dir.rename(work.with_suffix(".old"))
+            try:
+                work.rename(out_dir)
+            except BaseException:
+                old.rename(out_dir)  # the old run, whole, back in place
+                raise
             outputs = {"rewards.csv", "qoe.csv", "run_meta.json", "transcript.jsonl",
                        "checkpoint.npz"}  # every file `_write_outputs` can write
-            for name in outputs.difference(f.name for f in work.iterdir()):
-                (out_dir / name).unlink(missing_ok=True)
-            for f in work.iterdir():
-                os.replace(f, out_dir / f.name)
+            for name in {f.name for f in old.iterdir()} - outputs:
+                (old / name).rename(out_dir / name)
+            shutil.rmtree(old)
         else:
             work.rename(out_dir)
     finally:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from fedabr.env import EnvConfig, StreamEnv
 from fedabr.federation import Coordinator, UpdateMessage, personalize
 from fedabr.net import (DivergenceError, Gradients, ModelParams, NetError, Rollout, TrainHyper,
-                        _clip_global_norm, _forward_full, a3c_gradients, apply_update,
-                        discounted_returns, forward, init_params, load_checkpoint,
-                        sample_actions, save_checkpoint, sgd_step, state_values, sum_in_order,
-                        zero_frozen, zero_gradients)
+                        _clip_global_norm, _forward_full, _softmax, a3c_gradients,
+                        apply_update, discounted_returns, forward, init_params,
+                        load_checkpoint, sample_actions, save_checkpoint, sgd_step,
+                        state_values, sum_in_order, zero_frozen, zero_gradients)
 from fedabr.pretrain import collect_rollout
 from tests.conftest import (Episode, add_in_order, as_rollout, as_stack, constant_trace,
                             episode_of, gradients_of, neumaier_sum, one_model_gradients,
@@ -1019,6 +1019,18 @@ def one_model_case(dims, ladder, spread, seed):
     return params, rng
 
 
+# One state's logits on which a shift by the builtin `max` could go wrong: NaN beside
+# +-inf (there `max` picks by position, and the NaNs it gives may have the other sign bit
+# than numpy's), +inf beside -inf (a NaN sum, no NaN), and ties of 0.0 and -0.0.
+SPECIAL_ROWS = [*itertools.permutations((0.0, np.inf, np.nan)),
+                *itertools.permutations((1.0, -np.inf, -np.nan)),
+                *itertools.permutations((np.inf, -np.inf, np.nan, 0.0)),
+                *itertools.permutations((np.inf, -np.inf, -2.0)),
+                *itertools.permutations((0.0, -0.0, -1.0)),
+                (-0.0, 0.0, -0.0, -3.0), (0.0, -0.0, -0.0), (-0.0, -0.0, 0.0),
+                (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (np.inf, np.inf), (-np.inf, -np.inf),
+                (np.nan, np.nan), (5e-324, -0.0, 0.0), (1e308, -1e308, 1e308)]
+
 # The input width, then one to three hidden widths.
 ONE_MODEL_DIMS = st.tuples(st.integers(1, 40), st.lists(st.integers(1, 80), min_size=1,
                                                         max_size=3)).map(lambda t: (t[0], *t[1]))
@@ -1068,15 +1080,47 @@ class TestForwardOracle:
                 bad[i] = spoil
                 with pytest.raises(NetError, match="^non-finite state input$"):
                     forward(params, bad)
-                with pytest.raises(NetError, match="^non-finite state input$"):
-                    forward(params, bad.tolist())
+                for given_as in (bad.tolist(), tuple(bad), bad.astype(np.float32)):
+                    with pytest.raises(NetError, match="^non-finite state input$"):
+                        forward(params, given_as)
 
     def test_huge_finite_state_accepted(self):
         """Entries of +-1e308, whose sum overflows, are finite: the pass runs (its products
-        overflow, which the caller's error state governs) and raises nothing."""
+        overflow, which the caller's error state governs) and raises nothing. So do float32
+        entries at float32's largest magnitude, which that type cannot sum either."""
         state = np.resize([1e308, -1e308, 1e308, 1e308], 7)
+        big = np.finfo(np.float32).max
+        params = init_params((7, 16), 5, seed=3)
         with np.errstate(all="ignore"):
-            forward(init_params((7, 16), 5, seed=3), state)
+            for given_as in (state, state.tolist(), tuple(state),
+                             np.resize(np.array([big, -big, big], dtype=np.float32), 7)):
+                forward(params, given_as)
+
+    @pytest.mark.parametrize("row", SPECIAL_ROWS)
+    def test_one_state_with_special_logits_matches_reference(self, row):
+        """A crafted model whose one-state logits are `row`: NaN beside +-inf, and ties at
+        the maximum. A product starts from 0.0, so no logit of a pass is -0.0 (0.0 + -0.0
+        is 0.0); `_softmax` is given -0.0 ties directly in `TestInferenceOracle`."""
+        params = ModelParams.from_layers([[[1.0]], [[0.0]] * len(row), [[1.0]]],
+                                         [[0.0], list(row), [0.0]])
+        with np.errstate(all="ignore"):
+            (probs, value), (ref_probs, ref_value) = (forward(params, [1.0]),
+                                                      reference_forward(params, [1.0]))
+        assert same_bits(probs, ref_probs) and value.hex() == ref_value.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ONE_MODEL_DIMS, st.integers(2, 9), st.sampled_from([1e300, 1e306, 1e308]),
+           st.integers(0, 2**32 - 1))
+    def test_overflowing_logits_match_reference(self, dims, ladder, spread, seed):
+        """A policy head scaled until the logits overflow to +-inf, and to NaN where an
+        overflowed product meets one of the other sign: every output, NaNs' sign bits
+        included, has the reference's bytes."""
+        params, rng = one_model_case(dims, ladder, spread, seed)
+        with np.errstate(all="ignore"):
+            for state in rng.normal(size=(4, dims[0])) * rng.uniform(0.0, 10.0, size=(4, 1)):
+                (probs, value), (ref_probs, ref_value) = (forward(params, state),
+                                                          reference_forward(params, state))
+                assert same_bits(probs, ref_probs) and value.hex() == ref_value.hex()
 
     def test_one_by_one_weights_keep_signed_zeros(self):
         """A 1 x 1 weight (input width 1 into hidden width 1, or the value head on a last
@@ -1200,6 +1244,25 @@ class TestInferenceOracle:
             assert same_bits(forward_probs, ref_probs)
             # hex() tells -0.0 from 0.0
             assert type(value) is float and value.hex() == float(ref_values).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                    | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]),
+                    min_size=1, max_size=9))
+    def test_one_row_softmax_matches_reference(self, row):
+        """One row of logits, shifted by the builtin `max` unless its sum is NaN, against the
+        reduce with kept dimensions; NaN payloads and sign bits included."""
+        assert_one_row_softmax_matches(row)
+
+    @pytest.mark.parametrize("row", SPECIAL_ROWS)
+    def test_one_row_softmax_on_special_rows(self, row):
+        assert_one_row_softmax_matches(row)
+
+
+def assert_one_row_softmax_matches(row):
+    logits = np.array(row)
+    with np.errstate(all="ignore"):
+        assert same_bits(_softmax(logits.copy()), reference_softmax(logits.copy()))
 
 
 class TestLazyViews:

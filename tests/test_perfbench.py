@@ -5,6 +5,7 @@ Timings are not asserted."""
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -14,17 +15,36 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("workload", ["fed_multigroup", "xfer_longtrace", "cli_pipeline"])
-def test_traced_workload_is_correct(workload):
+def run_workload(workload, trace):
+    """One second of `workload` at seed 0; its result, checked to be correct with no
+    failed operation."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", "1", "--trace", "1"],
+         "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["fed_multigroup", "xfer_longtrace", "cli_pipeline"])
+def test_traced_workload_is_correct(workload):
+    run_workload(workload, "1")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["fed_multigroup", "xfer_longtrace", "cli_pipeline"])
+def test_untraced_workload_is_correct(workload):
+    """The run that measures the end-to-end metrics, the only one that samples the host's
+    speed, reports every metric `BENCHMARK.json` declares, finite."""
+    metrics = run_workload(workload, "0")["metrics"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert len(declared) == 5
+    for name in (m["name"] for m in declared):
+        assert math.isfinite(metrics[name]["value"]), name
 
 
 def _perfbench_module(name, monkeypatch):

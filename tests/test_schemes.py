@@ -1,6 +1,9 @@
 import csv
+import itertools
 import json
+import os
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -405,6 +408,62 @@ class TestRunDirectory:
             "checkpoint.npz", "notes.txt", "qoe.csv", "rewards.csv", "run_meta.json"]
         assert json.loads((out / "run_meta.json").read_text())["scheme"] == "transfer_only"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    def two_runs(self, corpus, pretrained, tmp_path):
+        """A seed-1 run written into `run`, with a file that is no run output beside it, and
+        the config of a seed-2 run; with the bytes of each run's files, the seed-2 run's as
+        written into a directory of its own."""
+        cfg = base_config(Scheme.TRANSFER_ONLY, (ClientSpec("c0", ("ft0",)),), epochs=2)
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        run_scheme(replace(cfg, seed=1), corpus, pretrained, out)
+        run_scheme(replace(cfg, seed=2), corpus, pretrained, fresh)
+        old, new = run_files(out), run_files(fresh)
+        assert old["rewards.csv"] != new["rewards.csv"]
+        shutil.rmtree(fresh)
+        (out / "notes.txt").write_text("kept\n")
+        return out, replace(cfg, seed=2), old, new
+
+    def test_rerun_over_an_output_name_held_by_a_directory(self, corpus, pretrained, tmp_path):
+        """A directory named `run_meta.json` in the old run's place does not stop the merge
+        halfway: the seed-2 run replaces the seed-1 run whole, and the notes stay."""
+        out, cfg, _, new = self.two_runs(corpus, pretrained, tmp_path)
+        (out / "run_meta.json").unlink()
+        (out / "run_meta.json").mkdir()
+        run_scheme(cfg, corpus, pretrained, out)
+        assert run_files(out) == {**new, "notes.txt": b"kept\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    @pytest.mark.parametrize("failing_call", [1, 2, 3])
+    def test_failed_merge_leaves_one_run_whole(self, corpus, pretrained, tmp_path, monkeypatch,
+                                               failing_call):
+        """A move that fails during the merge (the second swaps the staged run into place)
+        leaves the old run's bytes in the directory or the new run's, never a mix; the
+        notes are lost neither way."""
+        out, cfg, old, new = self.two_runs(corpus, pretrained, tmp_path)
+        calls = itertools.count(1)
+
+        def failing(real):
+            def move(src, dst):
+                if next(calls) == failing_call:
+                    raise OSError("injected failure")
+                return real(src, dst)
+            return move
+
+        monkeypatch.setattr(os, "rename", failing(os.rename))
+        monkeypatch.setattr(os, "replace", failing(os.replace))
+        with pytest.raises(OSError, match="injected failure"):
+            run_scheme(cfg, corpus, pretrained, out)
+        monkeypatch.undo()
+        got = run_files(out)
+        notes = [p for p in tmp_path.rglob("notes.txt") if p.read_text() == "kept\n"]
+        assert len(notes) == 1
+        got.pop("notes.txt", None)
+        assert got in (old, new)
+
+
+def run_files(out):
+    """The bytes of each file in a run directory, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
 
 
 def scalar_greedy(params, trace, env_config):
