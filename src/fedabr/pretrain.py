@@ -66,25 +66,27 @@ def collect_rollout(envs: list[StreamEnv], models: ModelParams, states,
     return Rollout(buf[:, :n], np.array(actions), np.array(rewards), values), buf[:, n]
 
 
-def learner_rounds(models: ModelParams, trace_lists: list[list[Trace]], env_config: EnvConfig,
-                   hyper: TrainHyper, rngs: list[np.random.Generator], epochs: int):
-    """The actor-critic learner of pretraining and the online schemes. In epoch e, client k
-    plays one episode on trace e % len of `trace_lists[k]` with row k of the (K, n) stack
-    `models` and `rngs[k]`, all in lockstep. A round rolls `hyper.rollout_len` steps and fills
-    the run's one gradient stack; it yields (epoch, envs, rollout, grads, losses), and the
-    caller calls `sgd_step` before it asks for the next round."""
-    grads = zero_gradients(models)
+def rollout_rounds(models: ModelParams, trace_lists: list[list[Trace]], env_config: EnvConfig,
+                   rngs: list[np.random.Generator], epochs: int, n_steps: int):
+    """The episodes of every scheme. In epoch e, client k plays one episode on trace e % len
+    of `trace_lists[k]` with row k of the (K, n) stack `models` and `rngs[k]`, all in
+    lockstep, `collect_rollout` rolling `n_steps` steps a round. Yields (epoch, envs, rollout,
+    reward) per round; `reward` is None but on the round that ends the episodes, where it is
+    their mean step reward: the round totals added in order from 0.0, over K * episode_len."""
     for epoch in range(epochs):
         envs = [StreamEnv(ts[epoch % len(ts)], env_config) for ts in trace_lists]
-        states = [env.reset(0.0) for env in envs]
+        states, total = [env.reset(0.0) for env in envs], 0.0
         while not envs[0].done:
-            rollout, states = collect_rollout(envs, models, states, hyper.rollout_len, rngs)
-            yield epoch, envs, rollout, grads, a3c_gradients(models, rollout, hyper, grads)
+            rollout, states = collect_rollout(envs, models, states, n_steps, rngs)
+            for t in rollout.totals.tolist():
+                total += t
+            reward = total / (len(envs) * env_config.episode_len) if envs[0].done else None
+            yield epoch, envs, rollout, reward
 
 
 def offline_train(traces: list[Trace], config: PretrainConfig,
                   env_config: EnvConfig = EnvConfig()) -> tuple[ModelParams, list[float]]:
-    """Single-agent pretraining: `learner_rounds` with one client over `traces`, an epoch
+    """Single-agent pretraining: `rollout_rounds` with one client over `traces`, an epoch
     being `episodes_per_epoch` loop epochs. Returns the final parameters and the per-epoch
     mean-reward log."""
     if not traces:
@@ -94,19 +96,17 @@ def offline_train(traces: list[Trace], config: PretrainConfig,
     params = init_params((env_config.state_dim, *config.hidden), len(env_config.ladder),
                          config.seed)
     models = ModelParams(params.flat[None], params.layout)  # `params` as a (1, n) stack
-    per_epoch = config.episodes_per_epoch
-    episodes, total = [], 0.0  # each episode's mean reward; the running episode's total
-    for i, envs, rollout, grads, losses in learner_rounds(
-            models, [traces], env_config, config.hyper, [np.random.default_rng(config.seed)],
-            config.epochs * per_epoch):
+    per_epoch, hyper = config.episodes_per_epoch, config.hyper
+    grads, episodes = zero_gradients(models), []  # the one gradient buffer; episode rewards
+    for i, envs, rollout, reward in rollout_rounds(
+            models, [traces], env_config, [np.random.default_rng(config.seed)],
+            config.epochs * per_epoch, hyper.rollout_len):
         try:
-            sgd_step(models, grads, losses, config.hyper.lr)
+            sgd_step(models, grads, a3c_gradients(models, rollout, hyper, grads), hyper.lr)
         except DivergenceError as e:
             raise DivergenceError(f"epoch {i // per_epoch + 1}, trace {envs[0].trace.id!r}: "
                                   f"{e}") from None
-        total += rollout.totals.item()
-        if envs[0].done:
-            episodes.append(total / env_config.episode_len)
-            total = 0.0
+        if reward is not None:
+            episodes.append(reward)
     return params, [float(np.mean(episodes[i:i + per_epoch]))
                     for i in range(0, len(episodes), per_epoch)]

@@ -25,10 +25,13 @@ from .discriminator import ClientCondition, poll
 from .env import EnvConfig, EnvError, StreamEnv
 from .federation import Coordinator, UpdateMessage, personalize
 from .metrics import QOE_METRICS, QoESummary
-from .net import (DivergenceError, ModelParams, TrainHyper, forward, init_params,
-                  save_checkpoint, sgd_step, sum_in_order)
-from .pretrain import DEFAULT_ARCH_HIDDEN, collect_rollout, learner_rounds
+from .net import (DivergenceError, ModelParams, TrainHyper, a3c_gradients, forward, init_params,
+                  save_checkpoint, sgd_step, sum_in_order, zero_gradients)
+from .pretrain import DEFAULT_ARCH_HIDDEN, rollout_rounds
 from .traces import Trace, check_fields
+
+RUN_OUTPUTS = frozenset({"rewards.csv", "qoe.csv", "run_meta.json", "transcript.jsonl",
+                         "checkpoint.npz"})  # every file `_write_outputs` can write
 
 
 class Scheme(enum.Enum):
@@ -221,10 +224,11 @@ def _staged_dir(out_dir: Path | None):
             except BaseException:
                 old.rename(out_dir)  # the old run, whole, back in place
                 raise
-            outputs = {"rewards.csv", "qoe.csv", "run_meta.json", "transcript.jsonl",
-                       "checkpoint.npz"}  # every file `_write_outputs` can write
-            for name in {f.name for f in old.iterdir()} - outputs:
-                (old / name).rename(out_dir / name)
+            try:
+                for name in {f.name for f in old.iterdir()} - RUN_OUTPUTS:
+                    (old / name).rename(out_dir / name)
+            except OSError as e:
+                raise OSError(f"{e}; the old run's other files are left in {old}") from e
             shutil.rmtree(old)
         else:
             work.rename(out_dir)
@@ -234,15 +238,12 @@ def _staged_dir(out_dir: Path | None):
 
 def _run_offline_only(config: SchemeConfig, traces: Mapping[str, Trace], params: ModelParams):
     """`_train_rounds`'s tuple for a run in which no model ever updates: rewards only."""
-    rewards = []
-    rngs = [_client_rng(config, spec, i) for i, spec in enumerate(config.clients)]
     models = ModelParams.stack([params] * len(config.clients))
-    for epoch in range(config.epochs):
-        envs = [StreamEnv(traces[spec.trace_ids[epoch % len(spec.trace_ids)]], config.env)
-                for spec in config.clients]
-        rollout, _ = collect_rollout(envs, models, [e.reset(0.0) for e in envs],
-                                     config.env.episode_len, rngs)
-        rewards.append(float(np.mean(rollout.totals / config.env.episode_len)))
+    rewards = [float(np.mean(rollout.totals / config.env.episode_len))
+               for _, _, rollout, _ in rollout_rounds(
+                   models, [[traces[tid] for tid in s.trace_ids] for s in config.clients],
+                   config.env, [_client_rng(config, s, i) for i, s in enumerate(config.clients)],
+                   config.epochs, config.env.episode_len)]
     return rewards, {spec.id: params.copy() for spec in config.clients}, {}, []
 
 
@@ -270,17 +271,17 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
     models = ModelParams.stack(start)
     layout, mixin = models.layout, np.empty_like(models.flat)
 
-    episode_steps = config.env.episode_len
-    rewards, epoch_reward = [], 0.0
+    episode_steps, hyper = config.env.episode_len, config.hyper
+    rewards, grads = [], zero_gradients(models)
     # The clients' sessions step together, one batched pass gives every gradient and
     # one SGD step moves every model; a divergence names the first client, in client
     # order, whose gradient or update is not finite.
-    for epoch, envs, rollout, grads, losses in learner_rounds(
+    for epoch, envs, rollout, reward in rollout_rounds(
             models, [[traces[tid] for tid in s.trace_ids] for s in config.clients], config.env,
-            config.hyper, [_client_rng(config, s, i) for i, s in enumerate(config.clients)],
-            config.epochs):
+            [_client_rng(config, s, i) for i, s in enumerate(config.clients)], config.epochs,
+            hyper.rollout_len):
         try:
-            sgd_step(models, grads, losses, config.hyper.lr, frozen)
+            sgd_step(models, grads, a3c_gradients(models, rollout, hyper, grads), hyper.lr, frozen)
         except DivergenceError as e:
             gid = coord.group_of(ids[e.row])
             raise DivergenceError(f"client {ids[e.row]!r} in group {gid}, epoch {epoch + 1}, "
@@ -289,8 +290,6 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
             coord.submit(UpdateMessage(ids, grads))
         except DivergenceError as e:
             raise DivergenceError(f"epoch {epoch + 1}, {e}") from None
-        for total in rollout.totals.tolist():
-            epoch_reward += total
         groups = [coord.group_of(cid) for cid in ids]
         group_models = {gid: coord.fetch(gid).flat for gid in set(groups)}
         np.stack([group_models[gid] for gid in groups], out=mixin)
@@ -301,9 +300,8 @@ def _train_rounds(config: SchemeConfig, traces: Mapping[str, Trace], params0: Mo
             while changes and changes[0][0] <= sim_t:
                 target = coord.migrate(cid, changes.pop(0)[1])
                 personalize(ModelParams(row, layout), target, mix, frozen)
-        if envs[0].done:
-            rewards.append(epoch_reward / (len(ids) * episode_steps))
-            epoch_reward = 0.0
+        if reward is not None:
+            rewards.append(reward)
     final = {cid: ModelParams(row, layout) for cid, row in zip(ids, models.flat)}
     return rewards, final, {gid: coord.fetch(gid) for gid in coord.group_ids()}, coord.events
 

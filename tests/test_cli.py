@@ -457,9 +457,7 @@ class TestInputErrors:
         bad = workspace / "config-float.yaml"
         bad.write_text(yaml.safe_dump(config))
         started = []
-        for module in ("pretrain", "schemes"):
-            monkeypatch.setattr(f"fedabr.{module}.collect_rollout",
-                                lambda *args: started.append(args))
+        monkeypatch.setattr("fedabr.pretrain.collect_rollout", lambda *args: started.append(args))
         out = workspace / "float-setting"
         for command in (["pretrain"], ["run", "--scheme", "full_federated", "--checkpoint",
                                        checkpoint]):
@@ -1074,9 +1072,7 @@ class TestTraceReads:
         test_id = json.loads(split_file.read_text())["test"][0]
         config, corpus = corpus_copy(workspace, "bad-test", {test_id: b"0,1000\n"})
         started = []
-        for module in ("pretrain", "schemes"):
-            monkeypatch.setattr(f"fedabr.{module}.collect_rollout",
-                                lambda *args: started.append(args))
+        monkeypatch.setattr("fedabr.pretrain.collect_rollout", lambda *args: started.append(args))
         out = workspace / "run-bad-test"
         result = CliRunner().invoke(main, [str(a) for a in (
             "run", "--scheme", "transfer_only", "--config", config, "--split", split_file,

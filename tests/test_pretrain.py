@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from fedabr.env import EnvConfig, EnvError, StreamEnv
 from fedabr.net import (DivergenceError, ModelParams, NetError, TrainHyper, a3c_gradients,
                         apply_update, forward, init_params, zero_frozen)
-from fedabr.pretrain import DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout, offline_train
+from fedabr.pretrain import (DEFAULT_ARCH_HIDDEN, PretrainConfig, collect_rollout, offline_train,
+                             rollout_rounds)
 from fedabr.traces import NetworkType, SynthFamily, Trace, TransportMode, synthesize_trace
-from tests.conftest import (Episode, as_stack, compensated_sum, constant_trace, params_close,
-                            sample_action)
+from tests.conftest import (Episode, add_in_order, as_stack, compensated_sum, constant_trace,
+                            params_close, sample_action)
 from tests.test_net import per_client_gradients
 
 LADDER4 = (300.0, 750.0, 1200.0, 1850.0)
@@ -242,3 +243,35 @@ class TestLockstepRollouts:
         state[0] = np.nan
         with pytest.raises(NetError, match="non-finite state input"):
             collect_rollout([env], as_stack(params), [state], 4, [np.random.default_rng(0)])
+
+
+class TestRolloutRounds:
+    """`rollout_rounds` against consecutive `collect_rollout` calls on envs of its own."""
+
+    def test_rounds_and_episode_rewards(self):
+        ec = EnvConfig(ladder=LADDER4, episode_len=50)
+        fam = SynthFamily(mean_kbps=1100, amplitude_kbps=500, period_s=15,
+                          noise_std_kbps=250, duration_s=60)
+        traces = [synthesize_trace(fam, f"r{i}", NetworkType.FOUR_G, TransportMode.CAR, i)
+                  for i in range(6)]
+        trace_lists = [traces[:1], traces[1:3], traces[3:]]  # one, two and three traces
+        models = ModelParams.stack([client_inputs(ec, (8,), s)[0] for s in range(3)])
+        rounds = rollout_rounds(models, trace_lists, ec,
+                                [np.random.default_rng(s) for s in range(3)], 4, 16)
+        ref_rngs = [np.random.default_rng(s) for s in range(3)]
+        for epoch in range(4):
+            envs = [StreamEnv(ts[epoch % len(ts)], ec) for ts in trace_lists]
+            states, totals = [env.reset(0.0) for env in envs], []
+            for n in (16, 16, 16, 2):  # the last round has the episode's 2 steps left
+                ref, states = collect_rollout(envs, models, states, 16, ref_rngs)
+                got_epoch, got_envs, rollout, reward = next(rounds)
+                assert got_epoch == epoch and rollout.actions.shape == (3, n)
+                assert [e.trace.id for e in got_envs] == [e.trace.id for e in envs]
+                for field in ("states", "actions", "rewards", "bootstrap_values"):
+                    assert getattr(rollout, field).tobytes() == getattr(ref, field).tobytes()
+                totals += ref.totals.tolist()  # round order, then client order
+                if n == 2:
+                    assert reward.hex() == (add_in_order(totals) / (3 * 50)).hex()
+                else:
+                    assert reward is None
+        assert next(rounds, None) is None

@@ -79,6 +79,28 @@ class TestOfflineOnly:
         with pytest.raises(SchemeError):
             run_scheme(cfg, corpus, None)
 
+    @pytest.mark.parametrize("n_clients", [2, 3, 4])
+    def test_epoch_reward_is_the_mean_of_client_means(self, corpus, pretrained, n_clients):
+        """Each epoch's reward is `np.mean` of the clients' episode totals over the episode
+        length, bit for bit, with the totals from per-client scalar rollouts. (An episode
+        length that is not a power of two tells this mean from the total over K * length.)"""
+        lists = [("ft0",), ("ft1", "ft2"), ("ft3", "ft0", "ft1"), ("ft2", "ft3")]
+        clients = tuple(ClientSpec(f"c{i}", lists[i], seed=11 if i == 1 else None)
+                        for i in range(n_clients))
+        env = replace(ENV, episode_len=50)
+        cfg = replace(base_config(Scheme.OFFLINE_ONLY, clients, epochs=10), env=env)
+        rngs = [schemes._client_rng(cfg, spec, i) for i, spec in enumerate(clients)]
+        expected = []
+        for epoch in range(cfg.epochs):
+            totals = []
+            for spec, rng in zip(clients, rngs):
+                session = StreamEnv(corpus[spec.trace_ids[epoch % len(spec.trace_ids)]], env)
+                episode, _ = reference_rollout(session, pretrained, session.reset(0.0), 50, rng)
+                totals.append(add_in_order(episode.rewards))
+            expected.append(float(np.mean(np.array(totals) / 50)))
+        rewards = run_scheme(cfg, corpus, pretrained).rewards
+        assert [r.hex() for r in rewards] == [r.hex() for r in expected]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("scheme", [Scheme.ONLINE_SCRATCH, Scheme.TRANSFER_ONLY])
@@ -285,8 +307,7 @@ class TestValidation:
         cfg = base_config(scheme, (ClientSpec("c0", client_traces),))
         if where == "test":
             cfg = replace(cfg, test_trace_ids=("test0", "bad"))
-        for module in (pretrain, schemes):  # any rollout fails
-            monkeypatch.setattr(module, "collect_rollout", None)
+        monkeypatch.setattr(pretrain, "collect_rollout", None)  # any rollout fails
         what = {"client": "trace id 'bad' for client 'c0'", "test": "test trace id 'bad'"}[where]
         message = {"[0.0, 20.0]": "too short: episode needs 32.0s, trace ends at 20.0s",
                    "[5.0, 69.0]": "starts at 5.0s, after the episode start 0.0s"}[span]
@@ -451,14 +472,29 @@ class TestRunDirectory:
 
         monkeypatch.setattr(os, "rename", failing(os.rename))
         monkeypatch.setattr(os, "replace", failing(os.replace))
-        with pytest.raises(OSError, match="injected failure"):
+        with pytest.raises(OSError, match="injected failure") as info:
             run_scheme(cfg, corpus, pretrained, out)
         monkeypatch.undo()
         got = run_files(out)
         notes = [p for p in tmp_path.rglob("notes.txt") if p.read_text() == "kept\n"]
         assert len(notes) == 1
+        if failing_call == 3:  # the notes are left in the old run's hidden directory
+            assert notes[0].parent != out and str(notes[0].parent) in str(info.value)
         got.pop("notes.txt", None)
         assert got in (old, new)
+
+    def test_run_outputs_lists_every_file_a_run_writes(self, corpus, pretrained, tmp_path):
+        """Each scheme's run writes only files in `RUN_OUTPUTS`, and the four runs together
+        write all of them: a new run file that is not listed fails here."""
+        written = set()
+        for scheme in Scheme:
+            out = tmp_path / scheme.value
+            run_scheme(base_config(scheme, (ClientSpec("c0", ("ft0",)),), epochs=1), corpus,
+                       pretrained, out)
+            names = {p.name for p in out.iterdir()}
+            assert names <= schemes.RUN_OUTPUTS, scheme
+            written |= names
+        assert written == schemes.RUN_OUTPUTS
 
 
 def run_files(out):
